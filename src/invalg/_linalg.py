@@ -17,10 +17,26 @@ def nullspace(a, tol=RANK_TOL):
     a = np.asarray(a, dtype=complex)
     if a.size == 0:
         return np.eye(a.shape[1], dtype=complex)
-    _, s, vh = np.linalg.svd(a)
+    # a wide system needs the full V for its null rows; U is never read
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     cutoff = tol * max(1.0, s[0] if s.size else 0.0)
     rank = int(np.sum(s > cutoff))
     return vh[rank:].conj()
+
+
+def intertwiners(a_mats, b_mats, tol=RANK_TOL):
+    """Orthonormal basis of ``{X : X a_i = b_i X for all i}``, shape ``(k, p, q)``.
+
+    ``a_i`` is ``q x q`` and ``b_i`` is ``p x p``.  On row-major flattened X,
+    ``X a = (I kron a^T) x`` and ``b X = (b kron I) x``, so the solutions are
+    the nullspace of the stacked differences; with no pairs every X solves.
+    """
+    a_mats, b_mats = np.asarray(a_mats), np.asarray(b_mats)
+    q, p = a_mats.shape[-1], b_mats.shape[-1]
+    rows = [np.kron(np.eye(p), a.T) - np.kron(b, np.eye(q))
+            for a, b in zip(a_mats, b_mats, strict=True)]
+    system = np.vstack(rows) if rows else np.zeros((0, p * q))
+    return nullspace(system, tol).reshape(-1, p, q)
 
 
 def row_space(a, tol=RANK_TOL):

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import EQ_TOL, RANK_TOL, cluster_complex, nullspace, round_to_int
+from ._linalg import (EQ_TOL, RANK_TOL, cluster_complex, intertwiners,
+                      round_to_int)
 from .errors import (AssertionFailure, MatchFailure, NotSemisimple,
                      ToleranceFailure)
 from .groups import Subgroup
@@ -46,12 +47,8 @@ class InvariantSubalgebra:
 def centralizer(space, tol=RANK_TOL):
     """Matrices commuting with every element of ``space`` (in the full algebra)."""
     d = space.ambient_dim
-    if space.dim == 0:
-        return MatrixSubspace.full((d, d))
-    eye = np.eye(d)
-    rows = [np.kron(eye, b.T) - np.kron(b, eye) for b in space.basis()]
-    null = nullspace(np.vstack(rows), tol)
-    return MatrixSubspace(null, (d, d))
+    basis = space.basis()
+    return MatrixSubspace(intertwiners(basis, basis, tol).reshape(-1, d * d), (d, d))
 
 
 def center(space, tol=RANK_TOL):
@@ -150,46 +147,47 @@ def central_primitive_idempotents(space, seed=0, tol=RANK_TOL):
     l = z.dim
     if l == 0:
         raise NotSemisimple("center is zero")
-    d = space.ambient_dim
+
+    def complete_and_orthogonal(idems):
+        return (np.linalg.norm(np.sum(idems, axis=0) - unit) <= 1e-6
+                and all(np.linalg.norm(e @ f) < 1e-6
+                        for i, e in enumerate(idems)
+                        for j, f in enumerate(idems) if i != j))
+
+    idems = _spectral_split(space, z.basis(), l, seed, complete_and_orthogonal)
+    if idems is None:
+        raise NotSemisimple(
+            f"could not separate central idempotents after {IDEMPOTENT_RETRIES} attempts")
+    # deterministic order: by rounded fingerprint of the idempotent
+    idems.sort(key=lambda p: np.round(p, 9).tobytes())
+    return idems
+
+
+def _spectral_split(space, basis, count, seed, accept):
+    """Spectral projectors of a random element of ``span(basis)``, or ``None``.
+
+    Eigenvalues cluster at ``IDEMPOTENT_GAP`` times the spectral radius.  A
+    draw is kept when its ``count`` cluster projectors are idempotent, lie in
+    ``space`` and pass ``accept``; after ``IDEMPOTENT_RETRIES`` rejected draws
+    from ``seed``'s stream the result is ``None``.
+    """
     rng = np.random.default_rng(seed)
-    zbasis = z.basis()
     for attempt in range(IDEMPOTENT_RETRIES):
-        coeff = rng.standard_normal(l) + 1j * rng.standard_normal(l)
-        zelt = np.tensordot(coeff, zbasis, axes=(0, 0))
+        coeff = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+        x = np.tensordot(coeff, basis, axes=(0, 0))
         try:
-            vals, vecs = np.linalg.eig(zelt)
+            vals, vecs = np.linalg.eig(x)
             vinv = np.linalg.inv(vecs)
         except np.linalg.LinAlgError:
             continue
         clusters = cluster_complex(vals, IDEMPOTENT_GAP * max(1.0, float(np.max(np.abs(vals)))))
-        if len(clusters) != l:
+        if len(clusters) != count:
             continue
-        idems = []
-        ok = True
-        for ix in clusters:
-            sel = np.zeros(d)
-            sel[ix] = 1.0
-            p = (vecs * sel) @ vinv
-            if (np.linalg.norm(p @ p - p) > 1e-6
-                    or not space.contains(p, 1e-6)):
-                ok = False
-                break
-            idems.append(p)
-        if not ok:
-            continue
-        total = np.sum(idems, axis=0)
-        if np.linalg.norm(total - unit) > 1e-6:
-            continue
-        pairwise_ok = all(
-            np.linalg.norm(idems[i] @ idems[j]) < 1e-6
-            for i in range(len(idems)) for j in range(len(idems)) if i != j)
-        if not pairwise_ok:
-            continue
-        # deterministic order: by rounded fingerprint of the idempotent
-        idems.sort(key=lambda p: np.round(p, 9).tobytes())
-        return idems
-    raise NotSemisimple(
-        f"could not separate central idempotents after {IDEMPOTENT_RETRIES} attempts")
+        projs = [vecs[:, ix] @ vinv[ix] for ix in clusters]
+        if all(np.linalg.norm(p @ p - p) <= 1e-6 and space.contains(p, 1e-6)
+               for p in projs) and accept(projs):
+            return projs
+    return None
 
 
 def z0(space, seed=0, tol=RANK_TOL):

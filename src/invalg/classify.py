@@ -110,7 +110,7 @@ def induction_pairs(v_rep, seed=0, tol=RANK_TOL):
         normalizer = _normalizer_members(group, sub)
         seen_orbits = set()
         for chi in table:
-            if abs(chi.values[0] - w_dim) > 0.5:
+            if abs(chi.at_element(h_group.identity) - w_dim) > 0.5:
                 continue
             if inner_product(res_char, chi) != 1:
                 continue

@@ -18,15 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (RANK_TOL, cluster_complex, column_space,
-                      scalar_multiple_of_identity)
-from .algebras import center, centralizer, semisimplicity_certificate
+from ._linalg import RANK_TOL, column_space
+from .algebras import (_spectral_split, center, centralizer,
+                       semisimplicity_certificate)
 from .errors import FactorRecoveryFailure, NotCentralSimple
-from .reps import Representation, TwoCocycle, adjoint_rep, isotypic_decomposition, validate
+from .reps import (Representation, _as_projective_rep, _normalize_projective,
+                   adjoint_rep, isotypic_decomposition)
 from .spaces import MatrixSubspace, generated_algebra
 
 SUBSET_SCAN_CAP = 20  # components; 2^m subsets beyond this is out of reach
-UNIT_RETRIES = 20
 
 
 @dataclass
@@ -140,20 +140,6 @@ def central_simple_invariant_subalgebras(w_rep, seed=0, tol=RANK_TOL):
     return out, certified
 
 
-def _normalize_projective(m):
-    """Scale to |det| = 1, then make the largest-modulus entry positive real."""
-    k = m.shape[0]
-    det = np.linalg.det(m)
-    if abs(det) < 1e-12:
-        raise FactorRecoveryFailure("recovered factor is singular")
-    m = m / abs(det) ** (1.0 / k)
-    flat = np.abs(m).reshape(-1)
-    pos = int(np.argmax(np.round(flat, 10)))
-    entry = m.reshape(-1)[pos]
-    m = m * (entry.conjugate() / abs(entry))
-    return m
-
-
 def _matrix_units(b_space, a, seed, tol):
     """Matrix units of a central simple subalgebra, via a generic element.
 
@@ -163,32 +149,11 @@ def _matrix_units(b_space, a, seed, tol):
     """
     d = b_space.ambient_dim
     basis = b_space.basis()
-    rng = np.random.default_rng(seed)
-    diag = None
-    for attempt in range(UNIT_RETRIES):
-        coeff = rng.standard_normal(b_space.dim) + 1j * rng.standard_normal(b_space.dim)
-        x = np.tensordot(coeff, basis, axes=(0, 0))
-        try:
-            vals, vecs = np.linalg.eig(x)
-            vinv = np.linalg.inv(vecs)
-        except np.linalg.LinAlgError:
-            continue
-        clusters = cluster_complex(vals, 1e-6 * max(1.0, float(np.max(np.abs(vals)))))
-        if len(clusters) != a:
-            continue
-        projs = []
-        ok = True
-        for ix in clusters:
-            sel = np.zeros(d)
-            sel[ix] = 1.0
-            p = (vecs * sel) @ vinv
-            if np.linalg.norm(p @ p - p) > 1e-6 or not b_space.contains(p, 1e-6):
-                ok = False
-                break
-            projs.append(p)
-        if ok and all(len(ix) == len(clusters[0]) for ix in clusters):
-            diag = projs
-            break
+
+    def equal_ranks(projs):
+        return len({round(np.trace(p).real) for p in projs}) == 1
+
+    diag = _spectral_split(b_space, basis, a, seed, equal_ranks)
     if diag is None:
         raise FactorRecoveryFailure(
             f"could not split a generic element into {a} equal-rank projectors")
@@ -287,11 +252,6 @@ def extract_factorization(b_space, w_rep, seed=0, tol=RANK_TOL):
         scale = np.sqrt(s_[0])
         sig[g] = _normalize_projective((scale * u_[:, 0]).reshape(a, a))
         tau[g] = _normalize_projective((scale * vh_[0]).reshape(b, b))
-        if g == group.identity:
-            if np.linalg.norm(sig[g] - np.eye(a)) < 1e-8:
-                sig[g] = np.eye(a)
-            if np.linalg.norm(tau[g] - np.eye(b)) < 1e-8:
-                tau[g] = np.eye(b)
         kr = np.kron(sig[g], tau[g])
         lam[g] = np.vdot(kr.reshape(-1), rho[g].reshape(-1)) / np.vdot(
             kr.reshape(-1), kr.reshape(-1))
@@ -307,29 +267,6 @@ def extract_factorization(b_space, w_rep, seed=0, tol=RANK_TOL):
         b_space=b_space, z_space=z_space, a=a, b=b,
         sigma=sigma_rep, tau=tau_rep, basis_change=s_mat, lambdas=lam,
         residual=residual)
-
-
-def _as_projective_rep(group, mats, name):
-    """Wrap matrices as a representation, recovering the cocycle table."""
-    n = group.order
-    k = mats.shape[1]
-    vals = np.ones((n, n), dtype=complex)
-    inv_mats = np.linalg.inv(mats)
-    for g in range(n):
-        prods = np.einsum("ij,hjk->hik", mats[g], mats)
-        for h in range(n):
-            vals[g, h] = scalar_multiple_of_identity(
-                prods[h] @ inv_mats[group.mult[g, h]], tol=1e-6)
-    vals[group.identity, :] = 1.0
-    vals[:, group.identity] = 1.0
-    cocycle = None
-    if np.max(np.abs(vals - 1.0)) > 1e-8:
-        cocycle = TwoCocycle(group, vals)
-        cocycle.validate(tol=1e-6)
-    rep = Representation(group=group, dim=k, matrices=mats, unitary=False,
-                        cocycle=cocycle, name=name)
-    validate(rep, tol=1e-6)
-    return rep
 
 
 def cocycle_consistency(fact, w_rep, group=None):

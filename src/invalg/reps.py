@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (EQ_TOL, INT_TOL, RANK_TOL, cluster_real, nullspace,
+from ._linalg import (INT_TOL, RANK_TOL, cluster_real, intertwiners,
                       random_hermitian, round_to_gaussian_int,
                       scalar_multiple_of_identity)
-from .errors import (AssertionFailure, NonSimpleAction, NotAnAutomorphism,
-                     NotARepresentation, ToleranceFailure)
+from .errors import (AssertionFailure, FactorRecoveryFailure, NonSimpleAction,
+                     NotAnAutomorphism, NotARepresentation, ToleranceFailure)
 from .groups import (FiniteGroup, Subgroup, class_index_array,
                      conjugacy_classes, left_transversal)
 
@@ -218,12 +218,7 @@ def is_irreducible(rep):
 
 def commutant_dimension(rep, tol=RANK_TOL):
     """Dimension of ``{X : X rho(g) = rho(g) X for all g}``."""
-    d = rep.dim
-    eye = np.eye(d)
-    rows = []
-    for m in rep.matrices:
-        rows.append(np.kron(eye, m.T) - np.kron(m, eye))
-    return int(nullspace(np.vstack(rows), tol).shape[0])
+    return len(intertwiners(rep.matrices, rep.matrices, tol))
 
 
 def adjoint_rep(rep):
@@ -457,12 +452,7 @@ def equivariant_hom_space(v_rep, w_rep, tol=RANK_TOL):
     """Orthonormal basis of ``{f : f rho_V(g) = rho_W(g) f}`` (maps V -> W)."""
     if v_rep.group is not w_rep.group:
         raise ValueError("representations of different groups")
-    dv, dw = v_rep.dim, w_rep.dim
-    rows = []
-    for mv, mw in zip(v_rep.matrices, w_rep.matrices):
-        rows.append(np.kron(np.eye(dw), mv.T) - np.kron(mw, np.eye(dv)))
-    basis = nullspace(np.vstack(rows), tol)
-    return basis.reshape(-1, dw, dv)
+    return intertwiners(v_rep.matrices, w_rep.matrices, tol)
 
 
 def skolem_noether_lift(group, action, tol=RANK_TOL):
@@ -478,8 +468,9 @@ def skolem_noether_lift(group, action, tol=RANK_TOL):
 
     Returns a :class:`Representation` with ``rho(1) = I`` whose conjugation
     action reproduces the input, together with the 2-cocycle recovered from
-    ``rho(g) rho(h) = alpha(g, h) rho(g h)``.  The intertwiner solution space
-    is required to be one-dimensional (:class:`NonSimpleAction` otherwise).
+    ``rho(g) rho(h) = alpha(g, h) rho(g h)`` (``None`` when that cocycle is
+    trivial).  The intertwiner solution space is required to be
+    one-dimensional (:class:`NonSimpleAction` otherwise).
     """
     action = np.asarray(action, dtype=complex)
     n = group.order
@@ -488,13 +479,9 @@ def skolem_noether_lift(group, action, tol=RANK_TOL):
     if action.shape != (n, d2, d2) or d * d != d2:
         raise ValueError("action must be an (n, d^2, d^2) array")
     eye = np.eye(d, dtype=complex)
-
-    units = np.zeros((d2, d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            units[i * d + j, i, j] = 1.0
-
-    images = np.einsum("gab,ub->gua", action, units.reshape(d2, d2)).reshape(n, d2, d, d)
+    units = np.eye(d2).reshape(d2, d, d)
+    # images[g, u] = T_g(E_u): column u of the action
+    images = action.transpose(0, 2, 1).reshape(n, d2, d, d)
 
     for g in range(n):
         t_im = images[g]
@@ -510,46 +497,66 @@ def skolem_noether_lift(group, action, tol=RANK_TOL):
 
     mats = np.zeros((n, d, d), dtype=complex)
     for g in range(n):
-        if g == group.identity:
-            mats[g] = eye
-            continue
-        rows = []
-        for u in range(d2):
-            rows.append(np.kron(images[g, u], eye) - np.kron(eye, units[u].T))
-        sol = nullspace(np.vstack(rows), tol)
-        if sol.shape[0] != 1:
+        sol = intertwiners(units, images[g], tol)
+        if len(sol) != 1:
             raise NonSimpleAction(
-                f"intertwiner space for element {g} has dimension {sol.shape[0]}")
-        m = sol[0].reshape(d, d)
-        # deterministic normalization: unit modulus determinant, then a
-        # positive-real leading entry
-        det = np.linalg.det(m)
-        m = m / (abs(det) ** (1.0 / d))
-        lead = m.ravel()[int(np.argmax(np.abs(m.ravel())))]
-        m = m * (np.conj(lead) / abs(lead))
-        mats[g] = m
-
-    inv_mats = np.linalg.inv(mats)
-    alpha = np.zeros((n, n), dtype=complex)
-    for g in range(n):
-        prod = mats[g] @ mats
-        residue = prod @ inv_mats[group.mult[g]]
-        for h in range(n):
-            c = scalar_multiple_of_identity(residue[h], tol=1e-6)
-            if c is None:
-                raise ToleranceFailure(
-                    f"rho(g)rho(h)rho(gh)^-1 is not scalar at ({g}, {h})")
-            alpha[g, h] = c
-    cocycle = TwoCocycle(group, alpha)
-    rep = Representation(group=group, dim=d, matrices=mats, unitary=False,
-                         cocycle=cocycle, name=None)
-    validate(rep, tol=1e-6)
+                f"intertwiner space for element {g} has dimension {len(sol)}")
+        mats[g] = _normalize_projective(sol[0])
+    rep = _as_projective_rep(group, mats, None)
 
     # round trip: conjugation by the lift reproduces the action
+    inv_mats = np.linalg.inv(mats)
     worst = 0.0
     for g in range(n):
         rebuilt = np.einsum("ij,ujk,kl->uil", mats[g], units, inv_mats[g])
         worst = max(worst, float(np.linalg.norm(rebuilt - images[g])))
     if worst > 1e-6:
         raise ToleranceFailure(f"lift round-trip residual {worst:.3g}")
+    return rep
+
+
+def _normalize_projective(m):
+    """Scale to |det| = 1, then make the largest-modulus entry positive real."""
+    k = m.shape[0]
+    det = np.linalg.det(m)
+    if abs(det) < 1e-12:
+        raise FactorRecoveryFailure("recovered projective matrix is singular")
+    m = m / abs(det) ** (1.0 / k)
+    flat = np.abs(m).reshape(-1)
+    pos = int(np.argmax(np.round(flat, 10)))
+    entry = m.reshape(-1)[pos]
+    return m * (entry.conjugate() / abs(entry))
+
+
+def _as_projective_rep(group, mats, name):
+    """Wrap matrices as a representation, recovering the cocycle table.
+
+    ``rho(1)`` is set to exactly ``I`` in place when it is within 1e-8 of
+    it, as the normalized cocycle assumes.  ``alpha(g, h)`` is the scalar
+    ``rho(g) rho(h) rho(gh)^-1``; a product that is not scalar raises
+    :class:`ToleranceFailure`.  A cocycle within 1e-8 of one everywhere is
+    dropped, leaving a linear representation.
+    """
+    n, k = group.order, mats.shape[1]
+    if np.linalg.norm(mats[group.identity] - np.eye(k)) < 1e-8:
+        mats[group.identity] = np.eye(k)
+    inv_mats = np.linalg.inv(mats)
+    vals = np.ones((n, n), dtype=complex)
+    for g in range(n):
+        prods = np.einsum("ij,hjk->hik", mats[g], mats)
+        for h in range(n):
+            c = scalar_multiple_of_identity(prods[h] @ inv_mats[group.mult[g, h]],
+                                            tol=1e-6)
+            if c is None:
+                raise ToleranceFailure(
+                    f"rho(g)rho(h)rho(gh)^-1 is not scalar at ({g}, {h})")
+            vals[g, h] = c
+    vals[group.identity, :] = 1.0
+    vals[:, group.identity] = 1.0
+    cocycle = None
+    if np.max(np.abs(vals - 1.0)) > 1e-8:
+        cocycle = TwoCocycle(group, vals)
+    rep = Representation(group=group, dim=k, matrices=mats,
+                         unitary=False, cocycle=cocycle, name=name)
+    validate(rep, tol=1e-6)
     return rep

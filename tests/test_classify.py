@@ -10,6 +10,8 @@ from invalg import (MatrixSubspace, adjoint_rep, centralizer,
                     theta_lattice_check, theta_transitivity_check,
                     verify_classification)
 from invalg.classify import InductionDatum
+from invalg.groups import build_from_mult_table, conjugacy_classes
+from invalg.reps import Representation
 
 # expected (sorted subalgebra dims, classification certified) per catalog input;
 # frozen against the independent subset-scan oracle in test_factor.py
@@ -67,6 +69,33 @@ def test_enumeration_dims(key, rep_name):
         if s.induction_datum is not None:
             index = s.induction_datum.pair.subgroup.index
             assert s.num_components == index
+
+
+@pytest.mark.parametrize("key,rep_name", [("S3", "std"), ("Q8", "std")])
+def test_enumeration_any_identity_label(key, rep_name):
+    """The answer does not depend on which label the identity carries.
+
+    For each non-identity class, one of its elements swaps labels with the
+    identity; the enumeration must still find the catalog's subalgebras.
+    """
+    g, rep = catalog.get(key, rep_name)
+    dims, certified = EXPECTED[(key, rep_name)]
+    for cls in conjugacy_classes(g):
+        x = cls[0]
+        if x == g.identity:
+            continue
+        perm = np.arange(g.order)  # element i gets label perm[i]
+        perm[[g.identity, x]] = [x, g.identity]
+        mult = np.empty_like(g.mult)
+        mult[np.ix_(perm, perm)] = perm[g.mult]
+        mats = np.empty_like(rep.matrices)
+        mats[perm] = rep.matrices
+        moved = Representation(group=build_from_mult_table(mult), dim=rep.dim,
+                               matrices=mats, unitary=rep.unitary)
+        assert moved.group.identity == x
+        subs, complete = enumerate_invariant_subalgebras(moved, seed=0)
+        assert [s.dim for s in subs] == dims
+        assert complete == certified
 
 
 @pytest.mark.parametrize("key,rep_name", sorted(EXPECTED))
