@@ -12,6 +12,12 @@ INT_TOL = 1e-6
 EQ_TOL = 1e-6
 
 
+def _rank(s, tol):
+    """Count of singular values ``s`` (descending) above ``tol * max(1, s[0])``."""
+    cutoff = tol * max(1.0, s[0] if s.size else 0.0)
+    return int(np.sum(s > cutoff))
+
+
 def nullspace(a, tol=RANK_TOL):
     """Orthonormal rows spanning ``{x : a @ x = 0}``."""
     a = np.asarray(a, dtype=complex)
@@ -19,9 +25,7 @@ def nullspace(a, tol=RANK_TOL):
         return np.eye(a.shape[1], dtype=complex)
     # a wide system needs the full V for its null rows; U is never read
     _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    cutoff = tol * max(1.0, s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
-    return vh[rank:].conj()
+    return vh[_rank(s, tol):].conj()
 
 
 def intertwiners(a_mats, b_mats, tol=RANK_TOL):
@@ -45,9 +49,7 @@ def row_space(a, tol=RANK_TOL):
     if a.size == 0 or a.shape[0] == 0:
         return np.zeros((0, a.shape[1]), dtype=complex)
     _, s, vh = np.linalg.svd(a, full_matrices=False)
-    cutoff = tol * max(1.0, s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
-    return vh[:rank]
+    return vh[:_rank(s, tol)]
 
 
 def column_space(a, tol=RANK_TOL):
@@ -56,9 +58,7 @@ def column_space(a, tol=RANK_TOL):
     if a.size == 0 or a.shape[1] == 0:
         return np.zeros((a.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    cutoff = tol * max(1.0, s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
-    return u[:, :rank]
+    return u[:, :_rank(s, tol)]
 
 
 def round_to_int(x, tol=INT_TOL, what="value"):
@@ -75,29 +75,6 @@ def round_to_gaussian_int(z, tol=INT_TOL, what="value"):
     re = round_to_int(z.real, tol, what=f"Re {what}")
     im = round_to_int(z.imag, tol, what=f"Im {what}")
     return complex(re, im)
-
-
-def random_hermitian(dim, rng):
-    """A random Hermitian matrix with O(1) entries."""
-    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (x + x.conj().T) / 2.0
-
-
-def cluster_real(values, gap):
-    """Group sorted real values into clusters separated by more than ``gap``.
-
-    Returns a list of index arrays into the *sorted* order.
-    """
-    order = np.argsort(values)
-    sv = np.asarray(values)[order]
-    clusters = []
-    start = 0
-    for i in range(1, len(sv)):
-        if sv[i] - sv[i - 1] > gap:
-            clusters.append(order[start:i])
-            start = i
-    clusters.append(order[start:])
-    return clusters
 
 
 def cluster_complex(values, gap):

@@ -148,19 +148,22 @@ def central_primitive_idempotents(space, seed=0, tol=RANK_TOL):
     if l == 0:
         raise NotSemisimple("center is zero")
 
-    def complete_and_orthogonal(idems):
-        return (np.linalg.norm(np.sum(idems, axis=0) - unit) <= 1e-6
-                and all(np.linalg.norm(e @ f) < 1e-6
-                        for i, e in enumerate(idems)
-                        for j, f in enumerate(idems) if i != j))
-
-    idems = _spectral_split(space, z.basis(), l, seed, complete_and_orthogonal)
+    idems = _spectral_split(space, z.basis(), l, seed,
+                            lambda projs: _complete_and_orthogonal(projs, unit))
     if idems is None:
         raise NotSemisimple(
             f"could not separate central idempotents after {IDEMPOTENT_RETRIES} attempts")
     # deterministic order: by rounded fingerprint of the idempotent
     idems.sort(key=lambda p: np.round(p, 9).tobytes())
     return idems
+
+
+def _complete_and_orthogonal(idems, unit):
+    """Whether ``idems`` sum to ``unit`` and annihilate each other pairwise."""
+    return (np.linalg.norm(np.sum(idems, axis=0) - unit) <= 1e-6
+            and all(np.linalg.norm(e @ f) < 1e-6
+                    for i, e in enumerate(idems)
+                    for j, f in enumerate(idems) if i != j))
 
 
 def _spectral_split(space, basis, count, seed, accept):

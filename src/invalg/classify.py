@@ -142,12 +142,13 @@ def induction_pairs(v_rep, seed=0, tol=RANK_TOL):
             w_mats = np.einsum("ai,gab,bj->gij", basis.conj(), res.matrices, basis)
             w_rep = Representation(group=h_group, dim=w_dim, matrices=w_mats,
                                    unitary=v_rep.unitary, name=None)
-            assert is_induced_from(v_rep, sub, w_rep)
+            if not is_induced_from(v_rep, sub, w_rep):
+                raise AssertionFailure("V is not induced from the distinguished copy")
             pairs.append(InductionPair(
                 subgroup=sub, w_rep=w_rep, copy_projector=proj,
                 transversal=left_transversal(sub), copy_basis=basis))
-    assert any(p.subgroup.order == group.order for p in pairs), \
-        "the trivial pair (G, V) went missing"
+    if not any(p.subgroup.order == group.order for p in pairs):
+        raise AssertionFailure("the trivial pair (G, V) went missing")
     return pairs
 
 
@@ -223,8 +224,10 @@ def enumerate_invariant_subalgebras(v_rep, seed=0, tol=RANK_TOL):
             raise AssertionFailure(
                 f"centralizer of a dim-{b.space.dim} output is missing from the list")
     d = v_rep.dim
-    assert any(o.space.dim == 1 for o in out), "scalar line missing"
-    assert any(o.space.dim == d * d for o in out), "full algebra missing"
+    if not any(o.space.dim == 1 for o in out):
+        raise AssertionFailure("scalar line missing")
+    if not any(o.space.dim == d * d for o in out):
+        raise AssertionFailure("full algebra missing")
     out.sort(key=lambda o: (o.space.dim, o.space.fingerprint()))
     return out, complete
 

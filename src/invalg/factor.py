@@ -21,7 +21,7 @@ import numpy as np
 from ._linalg import RANK_TOL, column_space
 from .algebras import (_spectral_split, center, centralizer,
                        semisimplicity_certificate)
-from .errors import FactorRecoveryFailure, NotCentralSimple
+from .errors import AssertionFailure, FactorRecoveryFailure, NotCentralSimple
 from .reps import (Representation, _as_projective_rep, _normalize_projective,
                    adjoint_rep, isotypic_decomposition)
 from .spaces import MatrixSubspace, generated_algebra
@@ -134,8 +134,10 @@ def central_simple_invariant_subalgebras(w_rep, seed=0, tol=RANK_TOL):
             out.append(z)
         i += 1
     d = w_rep.dim
-    assert any(sp.dim == 1 for sp in out), "scalar line missing"
-    assert any(sp.dim == d * d for sp in out), "full algebra missing"
+    if not any(sp.dim == 1 for sp in out):
+        raise AssertionFailure("scalar line missing")
+    if not any(sp.dim == d * d for sp in out):
+        raise AssertionFailure("full algebra missing")
     out.sort(key=lambda s: (s.dim, s.fingerprint()))
     return out, certified
 
@@ -260,9 +262,10 @@ def extract_factorization(b_space, w_rep, seed=0, tol=RANK_TOL):
     sigma_rep = _as_projective_rep(group, sig, f"{w_rep.name or 'W'}:left")
     tau_rep = _as_projective_rep(group, tau, f"{w_rep.name or 'W'}:right")
     z_space = centralizer(b_space, tol)
-    assert centralizer(z_space, tol).equals(b_space), "double centralizer moved"
-    assert b_space.dim * z_space.dim == d * d, \
-        "dual pair dimensions do not multiply up"
+    if not centralizer(z_space, tol).equals(b_space):
+        raise AssertionFailure("double centralizer moved")
+    if b_space.dim * z_space.dim != d * d:
+        raise AssertionFailure("dual pair dimensions do not multiply up")
     return DualPairFactorization(
         b_space=b_space, z_space=z_space, a=a, b=b,
         sigma=sigma_rep, tau=tau_rep, basis_change=s_mat, lambdas=lam,

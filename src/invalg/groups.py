@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapExceeded, NotAGroup
+from .errors import AssertionFailure, CapExceeded, NotAGroup
 
 #: largest group order accepted by subgroup enumeration
 SUBGROUP_ORDER_CAP = 500
@@ -350,7 +350,9 @@ def left_transversal(subgroup):
             continue
         reps.append(int(g))
         covered[group.mult[g, members]] = True
-    assert len(reps) == subgroup.index
+    if len(reps) != subgroup.index:
+        raise AssertionFailure(
+            f"{len(reps)} coset representatives for index {subgroup.index}")
     return Transversal(subgroup=subgroup, reps=tuple(reps))
 
 

@@ -158,7 +158,9 @@ def ann(subspace, codomain=None):
             rows[n] = m.reshape(-1)
             n += 1
     space = MatrixSubspace.from_spanning(rows.reshape(-1, dw, d), (dw, d))
-    assert space.dim == dw * (d - k)
+    if space.dim != dw * (d - k):
+        raise AssertionFailure(
+            f"annihilator has dimension {space.dim}, expected {dw * (d - k)}")
     return OneSidedIdeal("left", space, subspace)
 
 
@@ -181,7 +183,9 @@ def coann(subspace, domain=None):
             m[:, q] = subspace.basis[:, p]
             mats.append(m)
     space = MatrixSubspace.from_spanning(mats, (d, dv))
-    assert space.dim == k * dv
+    if space.dim != k * dv:
+        raise AssertionFailure(
+            f"coannihilator has dimension {space.dim}, expected {k * dv}")
     return OneSidedIdeal("right", space, subspace)
 
 

@@ -4,30 +4,27 @@ A representation assigns one ``d x d`` complex matrix to each group element
 (indexed ``0..n-1``).  Projective representations carry an explicit 2-cocycle
 table: ``rho(g) @ rho(h) = alpha(g, h) * rho(g*h)``.
 
-The irreducible character table of a group is computed numerically by
-splitting its regular representation with random invariant Hermitian
-operators; eigenspaces of a generic invariant operator are irreducible
-invariant subspaces, so iterating with character tests converges quickly.
+The irreducible character table of a group is read off the central
+primitive idempotents ``e_chi = (chi(1)/|G|) sum_g conj(chi(g)) g`` of the
+group algebra, found as the spectral projectors of a generic element of its
+center (the span of the class sums) in the regular representation.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (INT_TOL, RANK_TOL, cluster_real, intertwiners,
-                      random_hermitian, round_to_gaussian_int,
-                      scalar_multiple_of_identity)
+from ._linalg import (INT_TOL, RANK_TOL, intertwiners, round_to_gaussian_int,
+                      round_to_int, scalar_multiple_of_identity)
+from .algebras import _complete_and_orthogonal, _spectral_split
 from .errors import (AssertionFailure, FactorRecoveryFailure, NonSimpleAction,
                      NotAnAutomorphism, NotARepresentation, ToleranceFailure)
 from .groups import (FiniteGroup, Subgroup, class_index_array,
                      conjugacy_classes, left_transversal)
+from .spaces import MatrixSubspace
 
 #: dimension cap for induced representations
 INDUCE_DIM_CAP = 500
-#: eigenvalue gap threshold used when splitting with random invariant operators
-SPLIT_GAP = 1e-6
-#: retries with fresh randomness before giving up on a split
-SPLIT_RETRIES = 20
 
 
 @dataclass(frozen=True)
@@ -89,10 +86,6 @@ class ClassFunction:
 
     def at_element(self, g):
         return self.values[class_index_array(self.group)[g]]
-
-    def rounded(self, ndigits=8):
-        return tuple(complex(round(v.real, ndigits), round(v.imag, ndigits))
-                     for v in self.values)
 
 
 @dataclass(frozen=True)
@@ -246,69 +239,41 @@ def _regular_representation(group):
                           unitary=True, name="regular")
 
 
-def _character_of_isometry(rep, q, class_reps):
-    return tuple(complex(np.trace(q.conj().T @ rep.matrices[g] @ q))
-                 for g in class_reps)
-
-
-def _split_once(rep, q, rng, gap=SPLIT_GAP):
-    """Split the invariant subspace spanned by isometry columns ``q``.
-
-    Returns a list of isometries onto eigenspace clusters of a random
-    invariant Hermitian operator; a single cluster means no progress.
-    """
-    k = q.shape[1]
-    sub = np.einsum("ia,gij,jb->gab", q.conj(), rep.matrices, q)
-    x = random_hermitian(k, rng)
-    t = np.einsum("gab,bc,gdc->ad", sub, x, sub.conj()) / rep.group.order
-    t = (t + t.conj().T) / 2.0
-    w, v = np.linalg.eigh(t)
-    clusters = cluster_real(w, gap * max(1.0, float(np.max(np.abs(w)))))
-    return [q @ v[:, np.sort(ix)] for ix in clusters]
-
-
 def character_table(group, seed=0):
-    """All irreducible characters, via random splitting of the regular rep.
+    """All irreducible characters, from the center of the group algebra.
 
-    Deterministic for a fixed seed; characters are sorted by (dimension,
-    rounded values).  Labels ``chi0, chi1, ...`` follow that order.
+    The class sums, as matrices of the regular representation, have disjoint
+    supports, so scaled to unit norm they are an orthonormal basis of the
+    center.  The spectral projectors of a random central element (drawn from
+    ``seed``) are the ``e_chi``; column ``e`` of ``e_chi`` holds
+    ``(chi(1)/|G|) conj(chi(g))`` in row ``g``.  Characters are sorted by
+    (dimension, rounded values); labels ``chi0, chi1, ...`` follow that order.
     """
     cache_key = ("char_table", seed)
     if cache_key in group._cache:
         return group._cache[cache_key]
-    reg = _regular_representation(group)
+    n, e = group.order, group.identity
     classes = conjugacy_classes(group)
-    class_reps = [c[0] for c in classes]
-    class_sizes = np.array([len(c) for c in classes], dtype=float)
-
-    found = {}
-
-    def is_irr(chi_vals):
-        tot = np.sum(class_sizes * np.abs(np.array(chi_vals)) ** 2) / group.order
-        return abs(tot - 1.0) < 1e-6
-
-    rng = np.random.default_rng(seed)
-    worklist = [np.eye(group.order, dtype=complex)]
-    while worklist:
-        q = worklist.pop(0)
-        chi = _character_of_isometry(reg, q, class_reps)
-        if is_irr(chi):
-            key = tuple(np.round(np.array(chi), 6).tolist())
-            if key not in found:
-                found[key] = chi
-            continue
-        for attempt in range(SPLIT_RETRIES):
-            pieces = _split_once(reg, q, rng)
-            if len(pieces) > 1:
-                worklist.extend(pieces)
-                break
-        else:
-            raise ToleranceFailure(
-                "failed to split a reducible invariant subspace after "
-                f"{SPLIT_RETRIES} attempts")
-
-    chars = [ClassFunction(group=group, values=v) for v in found.values()]
-    ident_cls = int(class_index_array(group)[group.identity])
+    k = len(classes)
+    cls = class_index_array(group)
+    sums = np.zeros((k, n, n))
+    # the regular matrix of g has a one at (g*j, j)
+    sums[cls[:, None], group.mult, np.arange(n)] = 1.0
+    norms = np.sqrt(n * np.array([len(c) for c in classes], dtype=float))
+    center = MatrixSubspace(sums.reshape(k, -1) / norms[:, None], (n, n))
+    projs = _spectral_split(center, center.basis(), k, seed,
+                            lambda ps: _complete_and_orthogonal(ps, np.eye(n)))
+    if projs is None:
+        raise ToleranceFailure("could not separate the class-sum spectrum")
+    chars = []
+    for p in projs:
+        dim = int(np.sqrt(round_to_int(n * p[e, e].real, what="squared degree")))
+        chi = ClassFunction(group=group, values=tuple(
+            complex(n * np.conj(p[c[0], e]) / dim) for c in classes))
+        if inner_product(chi, chi) != 1:
+            raise ToleranceFailure("a spectral projector gives a reducible character")
+        chars.append(chi)
+    ident_cls = int(cls[e])
     chars.sort(key=lambda c: (round(c.values[ident_cls].real),
                               tuple((round(v.real, 8), round(v.imag, 8)) for v in c.values)))
     dims = [int(round(c.values[ident_cls].real)) for c in chars]
@@ -316,16 +281,6 @@ def character_table(group, seed=0):
         raise ToleranceFailure("character table incomplete or inconsistent")
     group._cache[cache_key] = chars
     return chars
-
-
-def irrep_label(group, chi, seed=0):
-    """Canonical label of an irreducible character in the sorted table."""
-    table = character_table(group, seed=seed)
-    key = chi.rounded(6)
-    for i, c in enumerate(table):
-        if c.rounded(6) == key:
-            return f"chi{i}"
-    raise ValueError("character not found in table")
 
 
 def isotypic_decomposition(rep, seed=0, tol=RANK_TOL):
@@ -484,16 +439,17 @@ def skolem_noether_lift(group, action, tol=RANK_TOL):
     images = action.transpose(0, 2, 1).reshape(n, d2, d, d)
 
     for g in range(n):
-        t_im = images[g]
         t_eye = (action[g] @ eye.reshape(d2)).reshape(d, d)
         if np.linalg.norm(t_eye - eye) > 1e-6:
             raise NotAnAutomorphism(f"action of element {g} does not fix the identity")
-        for a in range(d2):
-            for b in range(d2):
-                prod_img = action[g] @ (units[a] @ units[b]).reshape(d2)
-                if np.linalg.norm(prod_img.reshape(d, d) - t_im[a] @ t_im[b]) > 1e-6:
-                    raise NotAnAutomorphism(
-                        f"action of element {g} is not multiplicative")
+        # T(E_ij) T(E_kl) against T(E_ij E_kl) = delta_jk T(E_il), all pairs at once
+        t = images[g]
+        prods = (t.reshape(d2 * d, d) @ t.transpose(1, 0, 2).reshape(d, d2 * d)
+                 ).reshape(d2, d, d2, d).transpose(0, 2, 1, 3)
+        want = np.einsum("jk,ilac->ijklac", eye, t.reshape(d, d, d, d))
+        want = want.reshape(prods.shape)
+        if np.max(np.linalg.norm(prods - want, axis=(2, 3))) > 1e-6:
+            raise NotAnAutomorphism(f"action of element {g} is not multiplicative")
 
     mats = np.zeros((n, d, d), dtype=complex)
     for g in range(n):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+import invalg.classify
 from invalg import catalog
-from invalg import (MatrixSubspace, adjoint_rep, centralizer,
+from invalg import (AssertionFailure, MatrixSubspace, adjoint_rep, centralizer,
                     enumerate_invariant_subalgebras, induction_pairs,
                     is_induced_from, nonunital_scan, theta,
                     theta_lattice_check, theta_transitivity_check,
@@ -54,6 +55,14 @@ def test_induction_pairs(key, rep_name):
             assert np.linalg.norm(m @ q - q @ m) < 1e-8
     # the trivial datum (G, V) is always present, listed last
     assert pairs[-1].subgroup.order == g.order
+
+
+def test_induction_pairs_checks_induction(monkeypatch):
+    """The induced-character check is an exception, so ``python -O`` keeps it."""
+    _, rep = catalog.get("S3", "std")
+    monkeypatch.setattr(invalg.classify, "is_induced_from", lambda *args: False)
+    with pytest.raises(AssertionFailure):
+        induction_pairs(rep, seed=0)
 
 
 @pytest.mark.parametrize("key,rep_name", sorted(EXPECTED))

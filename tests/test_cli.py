@@ -1,6 +1,10 @@
 """Command-line interface: payload shapes, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,8 @@ import pytest
 from invalg import catalog
 from invalg.catalog import pair_to_json
 from invalg.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 COMMANDS = {
     "validate": ["validate", "catalog:S3:std"],
@@ -175,3 +181,15 @@ def test_seed_flag_changes_nothing_material(tmp_path):
     d1 = json.loads(out1.read_text())
     d2 = json.loads(out2.read_text())
     assert [s["dim"] for s in d1["subalgebras"]] == [s["dim"] for s in d2["subalgebras"]]
+
+
+def test_optimized_interpreter_output_unchanged():
+    """Checks raise exceptions rather than assert, so ``python -O`` runs them."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    args = ["-m", "invalg.cli", "subalgebras", "catalog:S3xS3:stdXstd"]
+    plain, optimized = (subprocess.run([sys.executable, *flags, *args], env=env,
+                                       capture_output=True, timeout=120)
+                        for flags in ([], ["-O"]))
+    assert plain.returncode == 0 and optimized.returncode == 0, optimized.stderr
+    assert optimized.stdout == plain.stdout

@@ -10,7 +10,9 @@ from invalg import (NotAnAutomorphism, NotARepresentation,
                     inner_product, is_induced_from, is_irreducible,
                     isotypic_decomposition, restrict, skolem_noether_lift,
                     unitarize, validate)
-from invalg.groups import all_subgroups, product_index, subgroup_generated_by
+from invalg.groups import (all_subgroups, build_from_mult_table,
+                           build_from_permutations, product_index,
+                           subgroup_generated_by)
 from invalg.reps import Representation
 from invalg._linalg import scalar_multiple_of_identity
 
@@ -65,18 +67,33 @@ def test_character_orthogonality():
             assert abs(ip - (1.0 if i == j else 0.0)) < 1e-9
 
 
-@pytest.mark.parametrize("key,nrows", [("S3", 3), ("Q8", 5), ("D4", 5),
-                                       ("A4", 4), ("S4", 5), ("SL23", 7)])
-def test_character_table_rows(key, nrows):
-    g = catalog.get(key).group
+PERMUTATION_GROUPS = {"A5": [(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)],
+                      "S5": [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]}
+
+
+@pytest.mark.parametrize("key,dims", [
+    pytest.param(key, dims, id=f"{key}-{len(dims)}") for key, dims in [
+        ("S3", [1, 1, 2]), ("Q8", [1, 1, 1, 1, 2]), ("D4", [1, 1, 1, 1, 2]),
+        ("A4", [1, 1, 1, 3]), ("S4", [1, 1, 2, 3, 3]),
+        ("SL23", [1, 1, 1, 2, 2, 2, 3]), ("S3xS3", [1, 1, 1, 1, 2, 2, 2, 2, 4]),
+        ("A5", [1, 3, 3, 4, 5]), ("S5", [1, 1, 4, 4, 5, 5, 6])]])
+def test_character_table_rows(key, dims):
+    if key in PERMUTATION_GROUPS:
+        g = build_from_permutations(PERMUTATION_GROUPS[key], name=key)
+    else:
+        g = catalog.get(key).group
     table = character_table(g, seed=0)
-    assert len(table) == nrows
     for i, a in enumerate(table):
         for j, b in enumerate(table):
             ip = inner_product(a, b)
             assert abs(ip - (1.0 if i == j else 0.0)) < 1e-8
-    dims = sorted(int(round(np.real(c.at_element(g.identity)))) for c in table)
+    # rows are sorted by degree
+    assert [int(round(np.real(c.at_element(g.identity)))) for c in table] == dims
     assert sum(d * d for d in dims) == g.order
+    for seed in (1, 2):
+        other = character_table(g, seed=seed)
+        assert np.max(np.abs(np.array([c.values for c in other])
+                             - np.array([c.values for c in table]))) < 1e-8
 
 
 def test_is_irreducible():
@@ -207,6 +224,16 @@ def test_skolem_noether_rejects_non_automorphism():
     action[2] *= 1.5  # scaling breaks multiplicativity
     with pytest.raises(NotAnAutomorphism):
         skolem_noether_lift(g, action)
+
+
+def test_skolem_noether_rejects_anti_automorphism():
+    """Transposition fixes I but reverses products."""
+    c2 = build_from_mult_table([[0, 1], [1, 0]])
+    d = 3
+    transpose = np.eye(d * d).reshape(d, d, d, d).transpose(1, 0, 2, 3)
+    transpose = transpose.reshape(d * d, d * d)
+    with pytest.raises(NotAnAutomorphism, match="not multiplicative"):
+        skolem_noether_lift(c2, np.stack([np.eye(d * d), transpose]))
 
 
 def test_skolem_noether_non_faithful_action():
