@@ -3,8 +3,8 @@
 Every such subalgebra arises from an induction datum: a subgroup H whose
 constituent W induces V, together with an invariant subalgebra C of End(W).
 The block-diagonal image of Ind(C) is the subalgebra; the construction below
-recovers the full list and cross-checks it against a brute-force scan of
-isotypic subset sums.
+recovers the full list and cross-checks it against a scan of the sums of
+isotypic components.
 """
 
 import numpy as np
@@ -37,7 +37,7 @@ for key, rep_name in [("S3", "std"), ("Q8", "std"), ("A4", "std3"),
     unital, nonunital, certified = multfree_scan(adjoint_rep(rep), seed=0)
     match = len(unital) == len(subs) and all(
         any(u.equals(s.space) for s in subs) for u in unital)
-    print(f"brute-force scan: {len(unital)} unital (certified={certified}), "
+    print(f"subset scan: {len(unital)} unital (certified={certified}), "
           f"match={match}")
 
     report = verify_classification(subs, rep, seed=0)

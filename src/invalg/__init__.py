@@ -10,10 +10,10 @@ groups via exact Weyl dimension arithmetic.
 
 from .errors import (AssertionFailure, BlocksNotDirect, CapExceeded,
                      FactorRecoveryFailure, InfiniteLattice, InvalgError,
-                     MatchFailure, NonIntegerDimension, NonSimpleAction,
-                     NotAGroup, NotAnAutomorphism, NotAnIdeal,
-                     NotARepresentation, NotCentralSimple, NotSemisimple,
-                     RoundingAmbiguous, ToleranceFailure)
+                     MatchFailure, NonIntegerDimension, NotAGroup,
+                     NotAnAutomorphism, NotAnIdeal, NotARepresentation,
+                     NotCentralSimple, NotSemisimple, RoundingAmbiguous,
+                     ToleranceFailure)
 from .groups import (FiniteGroup, Subgroup, Transversal, all_subgroups,
                      are_conjugate_subgroups, build_from_mult_table,
                      build_from_permutations, conjugacy_classes,

@@ -19,7 +19,7 @@ from .algebras import (InvariantSubalgebra, centralizer,
                        is_invariant, is_symmetrically_embedded,
                        permutation_action, semisimplicity_certificate,
                        wedderburn_decompose, z0)
-from .errors import AssertionFailure, BlocksNotDirect
+from .errors import AssertionFailure, BlocksNotDirect, InvalgError
 from .factor import central_simple_invariant_subalgebras, multfree_scan
 from .groups import (Subgroup, all_subgroups, are_conjugate_subgroups,
                      class_index_array, conjugacy_classes, left_transversal)
@@ -239,8 +239,8 @@ def verify_classification(subalgebras, v_rep, seed=0, tol=RANK_TOL):
     centralizer, centralizer membership in the list, transitivity of the
     block permutation action, inertia group conjugate to the recorded H, and
     the span of the central idempotents being the block construction of the
-    scalar subalgebra for the same pair.  Violations are collected, not
-    raised.
+    scalar subalgebra for the same pair.  Violations, including the domain
+    errors a check raises, are collected, not raised.
     """
     ad = adjoint_rep(v_rep)
     spaces = [b.space if isinstance(b, InvariantSubalgebra) else b
@@ -283,7 +283,8 @@ def verify_classification(subalgebras, v_rep, seed=0, tol=RANK_TOL):
                 if not idem_span.equals(cartan.space):
                     violations.append(
                         f"{label}: idempotent span differs from the scalar-block span")
-        except Exception as exc:  # noqa: BLE001 - report, do not mask siblings
+        except (InvalgError, ValueError, np.linalg.LinAlgError) as exc:
+            # a domain failure is this entry's violation; a bug propagates
             violations.append(f"{label}: {type(exc).__name__}: {exc}")
     return ClassificationReport(violations=violations, checked=len(subalgebras))
 

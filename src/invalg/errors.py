@@ -76,10 +76,6 @@ class NotAnAutomorphism(InvalgError):
     """An action matrix is not an algebra automorphism of the matrix algebra."""
 
 
-class NonSimpleAction(InvalgError):
-    """The intertwiner equation has solution space of dimension != 1."""
-
-
 class MatchFailure(InvalgError):
     """A permuted idempotent could not be matched to any list member."""
 

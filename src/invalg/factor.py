@@ -8,8 +8,10 @@ numerical — matrix units of B give a basis change to Kronecker form, after
 which each group element's matrix is rank one under the row/column
 rearrangement and splits by SVD.
 
-The subset scan over sums of isotypic components of the conjugation action is
-certified complete exactly when that action is multiplicity-free; otherwise
+The subset scan over sums of isotypic components of the conjugation action
+reads the closure of every sum off one table of the components each product
+of two components reaches, and builds only the closed sums.  It is certified
+complete exactly when that action is multiplicity-free; otherwise
 generated-algebra closures are added as uncertified heuristic candidates.
 """
 
@@ -44,57 +46,55 @@ class DualPairFactorization:
     residual: float
 
 
-def isotypic_matrix_components(adjoint, seed=0, tol=RANK_TOL):
-    """Isotypic components of a conjugation action, as matrix subspaces."""
-    comps = isotypic_decomposition(adjoint, seed=seed, tol=tol)
-    w = int(round(np.sqrt(adjoint.dim)))
-    if w * w != adjoint.dim:
-        raise ValueError("conjugation action dimension is not a square")
-    spaces = []
-    for c in comps:
-        cols = column_space(c.projector, tol)
-        spaces.append(MatrixSubspace(cols.T, (w, w)))
-    return comps, spaces
-
-
 def multfree_scan(adjoint, seed=0, tol=RANK_TOL):
     """Scan sums of isotypic components for product closure.
 
     Returns ``(unital, nonunital, certified)``: product-closed sums that do /
     do not contain the identity matrix, and whether the scan is exhaustive
     (true exactly when the conjugation action is multiplicity-free, where
-    every invariant subspace is such a sum).
+    every invariant subspace is such a sum).  A sum over S is closed exactly
+    when no product of two of its components has a part outside S, so one
+    table of the components each product reaches decides every subset.
     """
-    comps, spaces = isotypic_matrix_components(adjoint, seed=seed, tol=tol)
+    comps = isotypic_decomposition(adjoint, seed=seed, tol=tol)
+    w = int(round(np.sqrt(adjoint.dim)))
+    if w * w != adjoint.dim:
+        raise ValueError("conjugation action dimension is not a square")
+    spaces = [MatrixSubspace(column_space(c.projector, tol).T, (w, w))
+              for c in comps]
     m = len(comps)
-    certified = all(c.multiplicity <= 1 for c in comps)
-    w = spaces[0].shape[0]
-    found = []
-
-    def record(space):
-        for other in found:
-            if other.equals(space):
-                return
-        found.append(space)
+    certified = m <= SUBSET_SCAN_CAP and all(c.multiplicity <= 1 for c in comps)
+    found = [MatrixSubspace.zero((w, w))]
 
     if m <= SUBSET_SCAN_CAP:
-        for r in range(m + 1):
+        # reach[i][j]: bitmask of the components C_i C_j has a part in; the
+        # isotypic projectors split along the other components even when
+        # they are not orthogonal
+        projs = np.stack([c.projector for c in comps])
+        reach = [[0] * m for _ in range(m)]
+        for i, j in itertools.product(range(m), repeat=2):
+            prods = np.einsum("aij,bjk->abik", spaces[i].basis(),
+                              spaces[j].basis()).reshape(-1, w * w)
+            parts = np.linalg.norm(projs @ prods.T, axis=1)
+            hit = np.any(parts > tol * 10 * np.linalg.norm(prods, axis=1), axis=1)
+            reach[i][j] = sum(1 << k for k in np.flatnonzero(hit))
+        for r in range(1, m + 1):
             for subset in itertools.combinations(range(m), r):
-                if not subset:
-                    record(MatrixSubspace.zero((w, w)))
+                outside = ~sum(1 << i for i in subset)
+                if any(reach[i][j] & outside for i in subset for j in subset):
                     continue
                 total = spaces[subset[0]]
                 for i in subset[1:]:
                     total = total.add(spaces[i], tol)
-                if total.is_product_closed(tol * 10):
-                    record(total)
-    else:
-        certified = False
-        record(MatrixSubspace.zero((w, w)))
+                found.append(total)
 
     if not certified:
         # heuristic candidates: close each component (with the unit adjoined)
         # under products; sound but not exhaustive
+        def record(space):
+            if not any(other.equals(space) for other in found):
+                found.append(space)
+
         eye_line = MatrixSubspace.identity_line(w)
         record(eye_line)
         record(MatrixSubspace.full((w, w)))
@@ -210,9 +210,9 @@ def extract_factorization(b_space, w_rep, seed=0, tol=RANK_TOL):
     _, witness = semisimplicity_certificate(b_space, tol)
     if witness is not None:
         raise NotCentralSimple("subalgebra is not semisimple")
-    if center(b_space, tol).dim != 1:
-        raise NotCentralSimple(
-            f"center has dimension {center(b_space, tol).dim}, expected 1")
+    center_dim = center(b_space, tol).dim
+    if center_dim != 1:
+        raise NotCentralSimple(f"center has dimension {center_dim}, expected 1")
     a = int(round(np.sqrt(b_space.dim)))
     if a * a != b_space.dim:
         raise NotCentralSimple(f"dimension {b_space.dim} is not a perfect square")

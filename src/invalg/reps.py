@@ -17,8 +17,8 @@ import numpy as np
 from ._linalg import (INT_TOL, RANK_TOL, intertwiners, round_to_gaussian_int,
                       round_to_int, scalar_multiple_of_identity)
 from .algebras import _complete_and_orthogonal, _spectral_split
-from .errors import (AssertionFailure, FactorRecoveryFailure, NonSimpleAction,
-                     NotAnAutomorphism, NotARepresentation, ToleranceFailure)
+from .errors import (AssertionFailure, FactorRecoveryFailure, NotAnAutomorphism,
+                     NotARepresentation, ToleranceFailure)
 from .groups import (FiniteGroup, Subgroup, class_index_array,
                      conjugacy_classes, left_transversal)
 from .spaces import MatrixSubspace
@@ -424,8 +424,9 @@ def skolem_noether_lift(group, action, tol=RANK_TOL):
     Returns a :class:`Representation` with ``rho(1) = I`` whose conjugation
     action reproduces the input, together with the 2-cocycle recovered from
     ``rho(g) rho(h) = alpha(g, h) rho(g h)`` (``None`` when that cocycle is
-    trivial).  The intertwiner solution space is required to be
-    one-dimensional (:class:`NonSimpleAction` otherwise).
+    trivial).  A unital multiplicative T is inner (Skolem–Noether), so
+    rho(g) is read off the images of the first column's matrix units; the
+    round trip certifies it (:class:`ToleranceFailure` otherwise).
     """
     action = np.asarray(action, dtype=complex)
     n = group.order
@@ -451,13 +452,13 @@ def skolem_noether_lift(group, action, tol=RANK_TOL):
         if np.max(np.linalg.norm(prods - want, axis=(2, 3))) > 1e-6:
             raise NotAnAutomorphism(f"action of element {g} is not multiplicative")
 
+    # T(E_11) projects onto the line of rho(g) e_1 and T(E_j1) carries that
+    # line to rho(g) e_j, so its largest column v gives rho(g) up to scale
     mats = np.zeros((n, d, d), dtype=complex)
     for g in range(n):
-        sol = intertwiners(units, images[g], tol)
-        if len(sol) != 1:
-            raise NonSimpleAction(
-                f"intertwiner space for element {g} has dimension {len(sol)}")
-        mats[g] = _normalize_projective(sol[0])
+        first = images[g, 0]
+        v = first[:, np.argmax(np.linalg.norm(first, axis=0))]
+        mats[g] = _normalize_projective((images[g, ::d] @ v).T)
     rep = _as_projective_rep(group, mats, None)
 
     # round trip: conjugation by the lift reproduces the action

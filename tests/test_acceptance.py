@@ -3,7 +3,7 @@
 Each criterion prints one [PASS]/[FAIL] line (collected again in the terminal
 summary) and pins its own tolerance.  The expected counts are structural: they
 are forced by the classification theory and double-checked here against the
-independent brute-force oracle.
+independent subset-scan oracle.
 """
 
 import itertools

@@ -117,6 +117,28 @@ def test_verify_classification_clean(key, rep_name):
     assert report.checked == len(subs)
 
 
+def test_verify_classification_reports_unclosed_entry():
+    """The span of a rotation generator J is invariant, but J^2 = -I."""
+    _, rep = catalog.get("S3", "std")
+    j_line = MatrixSubspace.from_spanning([np.array([[0.0, -1.0], [1.0, 0.0]])])
+    report = verify_classification([j_line], rep, seed=0)
+    assert report.violations == [
+        "entry 0 (dim 1): ValueError: subspace is not closed under products"]
+
+
+def test_verify_classification_propagates_bugs(monkeypatch):
+    """Only domain errors become violations; a TypeError is a bug."""
+    _, rep = catalog.get("S3", "std")
+    subs, _ = enumerate_invariant_subalgebras(rep, seed=0)
+
+    def broken(*args, **kwargs):
+        raise TypeError("injected")
+
+    monkeypatch.setattr(invalg.classify, "is_symmetrically_embedded", broken)
+    with pytest.raises(TypeError, match="injected"):
+        verify_classification(subs, rep, seed=0)
+
+
 def test_theta_cartan_from_rotation_datum():
     """The invariant Cartan in the 2-dim rep comes from the index-2 datum."""
     _, rep = catalog.get("S3", "std")

@@ -1,13 +1,14 @@
-"""Brute-force subset-scan oracle and tensor factor recovery."""
+"""Isotypic subset-scan oracle and tensor factor recovery."""
 
 import numpy as np
 import pytest
 
 from invalg import catalog
-from invalg import (MatrixSubspace, NotCentralSimple, adjoint_rep, centralizer,
+from invalg import (MatrixSubspace, NotCentralSimple, Representation,
+                    TwoCocycle, adjoint_rep, centralizer,
                     central_simple_invariant_subalgebras, cocycle_consistency,
-                    enumerate_invariant_subalgebras, extract_factorization,
-                    multfree_scan)
+                    direct_product, enumerate_invariant_subalgebras,
+                    extract_factorization, multfree_scan)
 
 IRREDUCIBLE = [("S3", "std"), ("Q8", "std"), ("D4", "std"), ("A4", "std3"),
                ("S4", "std3"), ("SL23", "std"), ("S3xS3", "stdXstd")]
@@ -34,6 +35,42 @@ def test_multfree_scan_dims(key, rep_name):
     for s in unital:
         assert s.is_product_closed()
         assert s.contains_identity()
+
+
+def test_multfree_scan_projective_tensor():
+    """Projective S3 std x Pauli: 27 closed sums out of 2^12 subsets."""
+    s3, std = catalog.get("S3", "std")
+    k4, pauli = catalog.get("C2xC2", "pauli")
+    group = direct_product(s3, k4)
+    mats = np.stack([np.kron(std.matrices[a], pauli.matrices[b])
+                     for a in range(s3.order) for b in range(k4.order)])
+    # alpha((a, b), (c, e)) = alpha_pauli(b, e)
+    alpha = np.tile(pauli.cocycle.values, (s3.order, s3.order))
+    rep = Representation(group=group, dim=4, matrices=mats, unitary=True,
+                         cocycle=TwoCocycle(group, alpha))
+    unital, nonunital, certified = multfree_scan(adjoint_rep(rep), seed=0)
+    assert [s.dim for s in unital] == [1] + [2] * 7 + [4] * 11 + [8] * 7 + [16]
+    assert [s.dim for s in nonunital] == [0]
+    assert certified
+
+
+def test_multfree_scan_non_unitary():
+    """A non-unitary basis change moves every closed sum along with it."""
+    _, rep = catalog.get("S3xS3", "stdXstd")
+    rng = np.random.default_rng(7)
+    t = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) + 2 * np.eye(4)
+    t_inv = np.linalg.inv(t)
+    moved = Representation(group=rep.group, dim=4,
+                           matrices=np.einsum("ij,gjk,kl->gil", t, rep.matrices, t_inv),
+                           unitary=False)
+    unital, _, certified = multfree_scan(adjoint_rep(rep), seed=0)
+    got, got_non, got_cert = multfree_scan(adjoint_rep(moved), seed=0)
+    assert [s.dim for s in got] == [s.dim for s in unital]
+    assert [s.dim for s in got_non] == [0]
+    assert got_cert and certified
+    for s in unital:
+        image = MatrixSubspace.from_spanning([t @ b @ t_inv for b in s.basis()])
+        assert sum(image.equals(o) for o in got) == 1
 
 
 @pytest.mark.parametrize("key,rep_name", sorted(SCAN_EXPECTED))
