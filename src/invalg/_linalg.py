@@ -108,10 +108,13 @@ def cluster_complex(values, gap):
 
 
 def scalar_multiple_of_identity(m, tol=RANK_TOL):
-    """Return ``c`` with ``m = c*I`` if it is one (within tol), else ``None``."""
+    """Test a stack of square matrices ``m[..., k, k]`` for being ``c*I``.
+
+    Returns ``(c, ok)`` over the leading axes: ``c`` is trace/k and ``ok``
+    marks the matrices with ``|m - c*I| <= tol * max(1, |c| sqrt(k))``.
+    """
     m = np.asarray(m)
-    d = m.shape[0]
-    c = np.trace(m) / d
-    if np.linalg.norm(m - c * np.eye(d)) <= tol * max(1.0, abs(c) * np.sqrt(d)):
-        return complex(c)
-    return None
+    k = m.shape[-1]
+    c = np.trace(m, axis1=-2, axis2=-1) / k
+    resid = np.linalg.norm(m - c[..., None, None] * np.eye(k), axis=(-2, -1))
+    return c, resid <= tol * np.maximum(1.0, np.abs(c) * np.sqrt(k))

@@ -115,6 +115,8 @@ def central_simple_invariant_subalgebras(w_rep, seed=0, tol=RANK_TOL):
 
     Returns ``(list, certified)``.  The list is closed under taking
     centralizers and always contains the scalar line and the full algebra.
+    It is certified complete when the subset scan is, or when dim W is 1 or
+    prime.
     """
     ad = adjoint_rep(w_rep)
     unital, _, certified = multfree_scan(ad, seed=seed, tol=tol)
@@ -138,6 +140,13 @@ def central_simple_invariant_subalgebras(w_rep, seed=0, tol=RANK_TOL):
         raise AssertionFailure("scalar line missing")
     if not any(sp.dim == d * d for sp in out):
         raise AssertionFailure("full algebra missing")
+    # a central simple C = M_a inside End(W) makes W a sum of copies of C^a,
+    # so a | d: for d = 1 or prime only the scalars and End(W) exist
+    if all(d % p for p in range(2, d)):
+        if any(sp.dim not in (1, d * d) for sp in out):
+            raise AssertionFailure(
+                f"central simple subalgebra of a prime-dimensional End(W), d = {d}")
+        certified = True
     out.sort(key=lambda s: (s.dim, s.fingerprint()))
     return out, certified
 

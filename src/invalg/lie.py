@@ -10,7 +10,7 @@ weight, plus the zero algebra.
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import AssertionFailure, NonIntegerDimension
 
@@ -87,6 +87,23 @@ class RootSystem:
     positive_roots: tuple
     fundamental_weights2: tuple  # doubled, so half-integer weights stay integral
     rho2: tuple
+    # derived per instance in __post_init__: one row (<alpha, 2 rho>,
+    # (<alpha, 2 omega_i>)_i) per positive root, the denominator
+    # prod <alpha, 2 rho>, and the coords -> dimension memo of weyl_dim
+    pairings: tuple = field(init=False, repr=False, compare=False)
+    den: int = field(init=False, repr=False, compare=False)
+    dim_memo: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
+
+    def __post_init__(self):
+        pairings = tuple((_dot(alpha, self.rho2),
+                          tuple(_dot(alpha, w) for w in self.fundamental_weights2))
+                         for alpha in self.positive_roots)
+        den = 1
+        for rho_pairing, _ in pairings:
+            den *= rho_pairing
+        object.__setattr__(self, "pairings", pairings)
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def build(cls, family, rank):
@@ -106,12 +123,13 @@ class RootSystem:
                 f"expected {_ROOT_COUNTS[family](rank)}")
         dim = len(roots[0])
         rho2 = tuple(sum(w[k] for w in fw2) for k in range(dim))
-        for alpha in roots:
-            if _dot(alpha, rho2) <= 0:
+        system = cls(family=family, rank=rank, positive_roots=tuple(roots),
+                     fundamental_weights2=tuple(fw2), rho2=rho2)
+        for alpha, (rho_pairing, _) in zip(roots, system.pairings):
+            if rho_pairing <= 0:
                 raise AssertionFailure(
                     f"{family}{rank}: root {alpha} pairs nonpositively with rho")
-        return cls(family=family, rank=rank, positive_roots=tuple(roots),
-                   fundamental_weights2=tuple(fw2), rho2=rho2)
+        return system
 
     @classmethod
     def from_name(cls, name):
@@ -148,15 +166,6 @@ class HighestWeight:
     def is_zero(self):
         return all(c == 0 for c in self.coords)
 
-    def vector2(self):
-        """The weight in the coordinate model, doubled."""
-        dim = len(self.system.rho2)
-        out = [0] * dim
-        for c, w in zip(self.coords, self.system.fundamental_weights2):
-            for k in range(dim):
-                out[k] += c * w[k]
-        return tuple(out)
-
     def __add__(self, other):
         if other.system != self.system:
             raise ValueError("weights live on different root systems")
@@ -165,20 +174,24 @@ class HighestWeight:
 
 
 def weyl_dim(weight):
-    """Dimension of the irreducible with this highest weight, exactly."""
+    """Dimension of the irreducible with this highest weight, exactly.
+
+    Weyl's formula prod <lam + rho, alpha> / <rho, alpha> over the positive
+    roots, read off the system's pairing table and memoized on the system.
+    """
     sys_ = weight.system
-    lam2 = weight.vector2()
-    shifted = tuple(a + b for a, b in zip(lam2, sys_.rho2))
-    num = 1
-    den = 1
-    for alpha in sys_.positive_roots:
-        num *= _dot(alpha, shifted)
-        den *= _dot(alpha, sys_.rho2)
-    if num % den != 0:
-        raise NonIntegerDimension(
-            f"{sys_.name}, weight {weight.coords}: product {num}/{den} "
-            "is not an integer")
-    return num // den
+    coords = weight.coords
+    dim = sys_.dim_memo.get(coords)
+    if dim is None:
+        num = 1
+        for rho_pairing, row in sys_.pairings:
+            num *= rho_pairing + sum(c * p for c, p in zip(coords, row))
+        if num % sys_.den != 0:
+            raise NonIntegerDimension(
+                f"{sys_.name}, weight {coords}: product {num}/{sys_.den} "
+                "is not an integer")
+        dim = sys_.dim_memo[coords] = num // sys_.den
+    return dim
 
 
 def tensor_irreducible(lam, mu):

@@ -500,14 +500,12 @@ def _as_projective_rep(group, mats, name):
     inv_mats = np.linalg.inv(mats)
     vals = np.ones((n, n), dtype=complex)
     for g in range(n):
-        prods = np.einsum("ij,hjk->hik", mats[g], mats)
-        for h in range(n):
-            c = scalar_multiple_of_identity(prods[h] @ inv_mats[group.mult[g, h]],
-                                            tol=1e-6)
-            if c is None:
-                raise ToleranceFailure(
-                    f"rho(g)rho(h)rho(gh)^-1 is not scalar at ({g}, {h})")
-            vals[g, h] = c
+        c, ok = scalar_multiple_of_identity(
+            mats[g] @ mats @ inv_mats[group.mult[g]], tol=1e-6)
+        if not ok.all():
+            raise ToleranceFailure(
+                f"rho(g)rho(h)rho(gh)^-1 is not scalar at ({g}, {np.argmin(ok)})")
+        vals[g] = c
     vals[group.identity, :] = 1.0
     vals[:, group.identity] = 1.0
     cocycle = None

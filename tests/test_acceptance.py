@@ -191,16 +191,16 @@ def test_criterion_7_skolem_noether():
         for x in g.elements():
             ok = ok and np.linalg.norm(np.kron(lifted.matrices[x], inv[x].T)
                                        - action[x]) < LIFT_TOL
-            c = scalar_multiple_of_identity(
+            _, scalar = scalar_multiple_of_identity(
                 lifted.matrices[x] @ np.linalg.inv(rep.matrices[x]))
-            ok = ok and c is not None
+            ok = ok and bool(scalar)
     g, rep = catalog.get("C2xC2", "pauli")
     lifted = skolem_noether_lift(g, adjoint_rep(rep).matrices)
     mx = lifted.matrices[product_index(2, 1, 0)]
     mz = lifted.matrices[product_index(2, 0, 1)]
-    comm = scalar_multiple_of_identity(mx @ mz @ np.linalg.inv(mx)
-                                       @ np.linalg.inv(mz))
-    ok = ok and comm is not None and abs(comm - (-1.0)) < LIFT_TOL
+    comm, scalar = scalar_multiple_of_identity(mx @ mz @ np.linalg.inv(mx)
+                                               @ np.linalg.inv(mz))
+    ok = ok and bool(scalar) and abs(comm - (-1.0)) < LIFT_TOL
     _criterion(7, "Skolem-Noether lifts reproduce every conjugation action "
                   "(residual < 1e-8); Pauli commutator is -1", ok)
 

@@ -20,11 +20,15 @@ EXPECTED = {
     ("S3", "std"): ([1, 2, 4], True),
     ("Q8", "std"): ([1, 2, 2, 2, 4], True),
     ("D4", "std"): ([1, 2, 2, 2, 4], True),
-    ("A4", "std3"): ([1, 3, 9], False),  # adjoint rep is not multiplicity-free
+    ("A4", "std3"): ([1, 3, 9], True),  # every W has dimension 1 or 3, a prime
     ("S4", "std3"): ([1, 3, 9], True),
     ("SL23", "std"): ([1, 4], True),
     ("S3xS3", "stdXstd"): ([1, 2, 2, 2, 4, 4, 4, 4, 4, 8, 8, 8, 16], True),
 }
+
+# inputs whose adjoint rep is not multiplicity-free, so the subset scan alone
+# (and with it nonunital_scan) is not certified
+SCAN_NOT_MULTFREE = {("A4", "std3")}
 
 # (subgroup order, constituent dim) of every induction pair, |H| ascending
 EXPECTED_PAIRS = {
@@ -199,7 +203,7 @@ def test_nonunital_scan(key, rep_name):
     nonunital, certified = nonunital_scan(rep, seed=0)
     # only the zero algebra: invariant subalgebras of End(V) are unital or zero
     assert [s.dim for s in nonunital] == [0]
-    assert certified == EXPECTED[(key, rep_name)][1]
+    assert certified == ((key, rep_name) not in SCAN_NOT_MULTFREE)
 
 
 def test_enumeration_rejects_reducible():

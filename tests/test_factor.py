@@ -92,6 +92,15 @@ def test_central_simple_s3():
     assert certified
 
 
+def test_central_simple_prime_dimension_certified():
+    """A4 std3: the scan is not certified, but d = 3 admits only M_1 and M_3."""
+    _, rep = catalog.get("A4", "std3")
+    _, _, scan_certified = multfree_scan(adjoint_rep(rep), seed=0)
+    cs, certified = central_simple_invariant_subalgebras(rep, seed=0)
+    assert [s.dim for s in cs] == [1, 9]
+    assert certified and not scan_certified
+
+
 def test_central_simple_s3xs3():
     _, rep = catalog.get("S3xS3", "stdXstd")
     cs, certified = central_simple_invariant_subalgebras(rep, seed=0)

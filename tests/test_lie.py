@@ -1,11 +1,13 @@
 """Exact Weyl dimensions, tensor irreducibility, power-set classification."""
 
 import itertools
+import math
+from fractions import Fraction
 
 import pytest
 
-from invalg import (HighestWeight, RootSystem, etingof_enumerate,
-                    tensor_irreducible, weyl_dim)
+from invalg import (HighestWeight, NonIntegerDimension, RootSystem,
+                    etingof_enumerate, tensor_irreducible, weyl_dim)
 from invalg.lie import parse_product_type
 
 POSITIVE_ROOT_COUNTS = {
@@ -143,3 +145,99 @@ def test_parse_product_type():
     assert [s.name for s in systems] == ["A1", "B3", "G2"]
     with pytest.raises(ValueError):
         parse_product_type("A1xZ9")
+
+
+def _textbook_data(family, n):
+    """Positive roots and fundamental weights in the epsilon basis.
+
+    Bourbaki's planches, written out independently of ``invalg.lie``: type A
+    uses traceless weights in n + 1 coordinates, G2 the plane x + y + z = 0.
+    """
+    half = Fraction(1, 2)
+
+    def vec(*pairs, dim):
+        v = [Fraction(0)] * dim
+        for i, x in pairs:
+            v[i] += x
+        return v
+
+    if family == "G":
+        a1, a2 = vec((0, 1), (1, -1), dim=3), vec((0, -2), (1, 1), (2, 1), dim=3)
+        comb = [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)]
+        roots = [[p * x + q * y for x, y in zip(a1, a2)] for p, q in comb]
+        return roots, [roots[3], roots[5]]  # 2a1 + a2, 3a1 + 2a2
+    dim = n + 1 if family == "A" else n
+    pairs = itertools.combinations(range(dim), 2)
+    if family == "A":
+        roots = [vec((i, 1), (j, -1), dim=dim) for i, j in pairs]
+        weights = [vec(*[(k, 1 - Fraction(i + 1, dim)) for k in range(i + 1)],
+                       *[(k, -Fraction(i + 1, dim)) for k in range(i + 1, dim)],
+                       dim=dim) for i in range(n)]
+        return roots, weights
+    roots = [r for i, j in pairs
+             for r in (vec((i, 1), (j, -1), dim=dim), vec((i, 1), (j, 1), dim=dim))]
+    weights = [vec(*[(k, 1) for k in range(i + 1)], dim=dim) for i in range(n)]
+    if family == "B":
+        roots += [vec((i, 1), dim=dim) for i in range(n)]
+        weights[n - 1] = vec(*[(k, half) for k in range(n)], dim=dim)
+    elif family == "C":
+        roots += [vec((i, 2), dim=dim) for i in range(n)]
+    else:  # D
+        weights[n - 2] = vec(*[(k, half) for k in range(n - 1)], (n - 1, -half),
+                             dim=dim)
+        weights[n - 1] = vec(*[(k, half) for k in range(n)], dim=dim)
+    return roots, weights
+
+
+def _textbook_dim(roots, weights, coords):
+    """Weyl's formula prod <lam + rho, alpha> / <rho, alpha>, on vectors."""
+    rho = [sum(col) for col in zip(*weights)]
+    lam = [sum(c * w[k] for c, w in zip(coords, weights)) for k in range(len(rho))]
+    num = den = 1
+    for alpha in roots:
+        num *= sum(a * (x + r) for a, x, r in zip(alpha, lam, rho))
+        den *= sum(a * r for a, r in zip(alpha, rho))
+    assert num % den == 0
+    return num // den
+
+
+ALL_TYPES = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+             + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(3, 9)]
+             + ["G2"])
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_weyl_dim_matches_vector_formula(name):
+    rs = RootSystem.from_name(name)
+    roots, weights = _textbook_data(rs.family, rs.rank)
+    assert len(roots) == len(rs.positive_roots)
+    # clear denominators: scaling the weights scales both sides of the ratio
+    scale = math.lcm(*(x.denominator for w in weights for x in w))
+    weights = [[int(x * scale) for x in w] for w in weights]
+    roots = [[int(x) for x in alpha] for alpha in roots]
+    box = range(3) if rs.rank <= 4 else range(2)
+    for coords in itertools.product(box, repeat=rs.rank):
+        want = _textbook_dim(roots, weights, coords)
+        assert weyl_dim(HighestWeight(rs, coords)) == want
+        assert weyl_dim(HighestWeight(rs, coords)) == want  # from the memo
+
+
+def test_weyl_dim_memo_is_per_system():
+    """Each system memoizes its own dimensions; equality and hashing ignore it."""
+    first, second = RootSystem.from_name("B4"), RootSystem.from_name("B4")
+    assert first == second and hash(first) == hash(second)
+    assert first.dim_memo is not second.dim_memo
+    w1, w2 = HighestWeight(first, (1, 0, 2, 1)), HighestWeight(second, (1, 0, 2, 1))
+    hashes = hash(first), hash(w1)
+    assert weyl_dim(w1) == weyl_dim(HighestWeight(first, (1, 0, 2, 1)))
+    assert first.dim_memo == {(1, 0, 2, 1): weyl_dim(w1)}
+    assert second.dim_memo == {}
+    assert first == second and w1 == w2
+    assert (hash(first), hash(w1)) == hashes == (hash(second), hash(w2))
+
+
+def test_weyl_dim_hand_built_system_non_integer():
+    """A direct dataclass call gets the pairing table too; 5/3 is rejected."""
+    rs = RootSystem("A", 2, ((2, 1),), ((1, 0), (0, 1)), (1, 1))
+    with pytest.raises(NonIntegerDimension):
+        weyl_dim(HighestWeight(rs, (1, 0)))

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from invalg import catalog
-from invalg import (NotAnAutomorphism, NotARepresentation,
+from invalg import (NotAnAutomorphism, NotARepresentation, ToleranceFailure,
                     adjoint_rep, character, character_table,
                     equivariant_hom_space, induce, induced_character,
                     inner_product, is_induced_from, is_irreducible,
                     isotypic_decomposition, restrict, skolem_noether_lift,
                     unitarize, validate)
 from invalg.groups import (all_subgroups, build_from_mult_table,
-                           build_from_permutations, product_index,
-                           subgroup_generated_by)
-from invalg.reps import Representation
+                           build_from_permutations, direct_product,
+                           product_index, subgroup_generated_by)
+from invalg.reps import Representation, _as_projective_rep
 from invalg._linalg import scalar_multiple_of_identity
 
 IRREDUCIBLE = [("S3", "std"), ("Q8", "std"), ("D4", "std"), ("A4", "std3"),
@@ -193,9 +193,9 @@ def test_skolem_noether_round_trip(key, rep_name):
     for x in g.elements():
         got = np.kron(lifted.matrices[x], inv[x].T)
         assert np.linalg.norm(got - action[x]) < 1e-8
-        c = scalar_multiple_of_identity(lifted.matrices[x]
-                                        @ np.linalg.inv(rep.matrices[x]))
-        assert c is not None
+        c, ok = scalar_multiple_of_identity(lifted.matrices[x]
+                                            @ np.linalg.inv(rep.matrices[x]))
+        assert ok
         assert abs(abs(c) - 1.0) < 1e-8
     # linear input: any recovered cocycle is a coboundary, values on the circle
     if alpha is not None:
@@ -212,8 +212,8 @@ def test_skolem_noether_pauli_commutator():
     z = product_index(2, 0, 1)
     mx, mz = lifted.matrices[x], lifted.matrices[z]
     comm = mx @ mz @ np.linalg.inv(mx) @ np.linalg.inv(mz)
-    c = scalar_multiple_of_identity(comm)
-    assert c is not None
+    c, ok = scalar_multiple_of_identity(comm)
+    assert ok
     assert abs(c - (-1.0)) < 1e-8
     assert alpha is not None  # genuinely projective
 
@@ -243,5 +243,51 @@ def test_skolem_noether_non_faithful_action():
     lifted = skolem_noether_lift(g, action)
     for x in g.elements():
         if np.linalg.norm(action[x] - np.eye(4)) < 1e-9:
-            c = scalar_multiple_of_identity(lifted.matrices[x])
-            assert c is not None and abs(abs(c) - 1.0) < 1e-8
+            c, ok = scalar_multiple_of_identity(lifted.matrices[x])
+            assert ok and abs(abs(c) - 1.0) < 1e-8
+
+
+def _cocycle_by_pairs(group, mats):
+    """Reference recovery: one scalar test per (g, h), in row-major order.
+
+    Returns the table, or the first pair whose product is not scalar.
+    """
+    n, k = group.order, mats.shape[1]
+    vals = np.ones((n, n), dtype=complex)
+    for g in range(n):
+        for h in range(n):
+            m = mats[g] @ mats[h] @ np.linalg.inv(mats[group.mult[g, h]])
+            c = np.trace(m) / k
+            if np.linalg.norm(m - c * np.eye(k)) > 1e-6 * max(1.0, abs(c) * np.sqrt(k)):
+                return (g, h)
+            vals[g, h] = c
+    vals[group.identity, :] = 1.0
+    vals[:, group.identity] = 1.0
+    return vals
+
+
+def test_cocycle_recovery_matches_pairwise_reference():
+    """Projective S3 std x Pauli: the batched table equals the pair loop."""
+    s3, std = catalog.get("S3", "std")
+    k4, pauli = catalog.get("C2xC2", "pauli")
+    group = direct_product(s3, k4)
+    mats = np.stack([np.kron(std.matrices[a], pauli.matrices[b])
+                     for a in range(s3.order) for b in range(k4.order)])
+    want = _cocycle_by_pairs(group, mats)
+    rep = _as_projective_rep(group, mats.copy(), None)
+    assert rep.cocycle is not None
+    assert np.max(np.abs(rep.cocycle.values - want)) < 1e-12
+    # alpha((a, b), (c, e)) = alpha_pauli(b, e)
+    alpha = np.tile(pauli.cocycle.values, (s3.order, s3.order))
+    assert np.max(np.abs(rep.cocycle.values - alpha)) < 1e-12
+
+
+def test_cocycle_recovery_names_first_non_scalar_pair():
+    g, rep = catalog.get("S3", "std")
+    mats = np.array(rep.matrices)
+    mats[[1, 2]] = mats[[2, 1]]  # no longer multiplicative up to scalars
+    pair = _cocycle_by_pairs(g, mats)
+    assert isinstance(pair, tuple)
+    with pytest.raises(ToleranceFailure,
+                       match=rf"not scalar at \({pair[0]}, {pair[1]}\)$"):
+        _as_projective_rep(g, mats, None)
