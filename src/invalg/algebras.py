@@ -286,35 +286,24 @@ def permutation_action(meta, adjoint, tol=EQ_TOL):
     :class:`MatchFailure`.
     """
     group = adjoint.group
-    idems = meta.idempotents
-    l = len(idems)
-    n = group.order
-    sigma = np.zeros((n, l), dtype=np.intp)
-    for g in range(n):
-        act = adjoint.matrices[g]
-        for i, e in enumerate(idems):
-            moved = (act @ e.reshape(-1)).reshape(e.shape)
-            dists = [np.linalg.norm(moved - f) for f in idems]
-            j = int(np.argmin(dists))
-            if dists[j] > tol * max(1.0, np.linalg.norm(e)):
-                raise MatchFailure(
-                    f"conjugate of idempotent {i} by element {g} matches nothing "
-                    f"(best distance {dists[j]:.3g})")
-            sigma[g, i] = j
-    for g in range(n):
-        for h in range(n):
-            if not np.array_equal(sigma[g][sigma[h]], sigma[group.mult[g, h]]):
-                raise AssertionFailure("idempotent permutations do not compose")
-    orbit = {0}
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        for g in range(n):
-            j = int(sigma[g, i])
-            if j not in orbit:
-                orbit.add(j)
-                frontier.append(j)
-    return sigma, len(orbit) == l
+    idems = np.array([e.reshape(-1) for e in meta.idempotents])
+    bound = tol * np.maximum(1.0, np.linalg.norm(idems, axis=1))
+    sigma = np.zeros((group.order, len(idems)), dtype=np.intp)
+    for g in range(group.order):
+        moved = idems @ adjoint.matrices[g].T
+        dists = np.linalg.norm(moved[:, None, :] - idems[None, :, :], axis=2)
+        sigma[g] = np.argmin(dists, axis=1)
+        best = dists[np.arange(len(idems)), sigma[g]]
+        bad = np.flatnonzero(best > bound)
+        if bad.size:
+            i = int(bad[0])
+            raise MatchFailure(
+                f"conjugate of idempotent {i} by element {g} matches nothing "
+                f"(best distance {best[i]:.3g})")
+    if not np.array_equal(sigma[:, sigma], sigma[group.mult]):
+        raise AssertionFailure("idempotent permutations do not compose")
+    # the permutations form an action, so the orbit of 0 is its column of images
+    return sigma, len(np.unique(sigma[:, 0])) == len(idems)
 
 
 def inertia_subgroup(meta, adjoint, i=0, tol=EQ_TOL):

@@ -21,8 +21,9 @@ from .algebras import (InvariantSubalgebra, centralizer,
                        wedderburn_decompose, z0)
 from .errors import AssertionFailure, BlocksNotDirect, InvalgError
 from .factor import central_simple_invariant_subalgebras, multfree_scan
-from .groups import (Subgroup, all_subgroups, are_conjugate_subgroups,
-                     class_index_array, conjugacy_classes, left_transversal)
+from .groups import (Subgroup, _conjugates, all_subgroups,
+                     are_conjugate_subgroups, class_index_array,
+                     conjugacy_classes, left_transversal)
 from .reps import (Representation, adjoint_rep, character, character_table,
                    induced_character, inner_product, is_induced_from,
                    is_irreducible, restrict)
@@ -60,13 +61,8 @@ class ClassificationReport:
 
 
 def _normalizer_members(group, sub):
-    memb = set(sub.members)
-    out = []
-    for g in range(group.order):
-        gi = group.inv[g]
-        if all(int(group.mult[group.mult[g, h], gi]) in memb for h in sub.members):
-            out.append(g)
-    return out
+    rows = _conjugates(group, sub.members)
+    return np.flatnonzero((rows == np.array(sub.members)).all(axis=1))
 
 
 def _conjugate_character_tuple(group, sub, chi, n):
@@ -354,15 +350,16 @@ def nonunital_scan(v_rep, seed=0, tol=RANK_TOL):
     """Product-closed invariant subspaces without the identity.
 
     Returns ``(list, certified)`` from the isotypic subset scan of the
-    conjugation action.  When V admits no proper induction pair the zero
-    space must be the only entry, and that is asserted.
+    conjugation action.  For irreducible V the zero space is proved to be the
+    only entry, so the result is always certified: a nonzero invariant
+    subalgebra has an invariant radical R, and RV is a G-submodule, so R = 0;
+    its unit e then makes eV a nonzero submodule, so e = I.  The scan checks
+    this and any other entry raises :class:`AssertionFailure`.
     """
-    ad = adjoint_rep(v_rep)
-    _, nonunital, certified = multfree_scan(ad, seed=seed, tol=tol)
-    primitive = len(induction_pairs(v_rep, seed=seed, tol=tol)) == 1
-    if primitive and certified:
-        if len(nonunital) != 1 or nonunital[0].dim != 0:
-            raise AssertionFailure(
-                "a rep with no proper induction pair produced a nonzero "
-                "nonunital closed subspace")
-    return nonunital, certified
+    if not is_irreducible(v_rep):
+        raise ValueError("the nonunital scan is defined for irreducible input")
+    _, nonunital, _ = multfree_scan(adjoint_rep(v_rep), seed=seed, tol=tol)
+    if len(nonunital) != 1 or nonunital[0].dim != 0:
+        raise AssertionFailure(
+            "an irreducible rep produced a nonzero nonunital closed subspace")
+    return nonunital, True

@@ -271,27 +271,43 @@ def class_index_array(group):
     return group._cache["class_index"]
 
 
-def _closure(group, seed_elems):
-    """Subgroup generated by ``seed_elems`` as a sorted int array."""
-    cur = np.unique(np.concatenate([[group.identity], np.asarray(seed_elems, dtype=np.intp)]))
-    while True:
-        prods = np.unique(group.mult[np.ix_(cur, cur)])
-        new = np.union1d(cur, prods)
-        if new.size == cur.size:
-            return new
-        cur = new
+def _generated(group, gens):
+    """Sorted members of the subgroup generated by ``gens``.
+
+    A breadth-first sweep of right multiplications by ``gens`` from the
+    identity over a membership mask.  In a finite group every inverse is a
+    positive power, so words without inverses already reach the subgroup.
+    """
+    gens = np.unique(np.asarray(gens, dtype=np.intp))
+    inside = np.zeros(group.order, dtype=bool)
+    frontier = np.array([group.identity], dtype=np.intp)
+    inside[frontier] = True
+    while frontier.size:
+        reached = group.mult[frontier[:, None], gens].ravel()
+        frontier = np.unique(reached[~inside[reached]])
+        inside[frontier] = True
+    return np.flatnonzero(inside)
+
+
+def _conjugates(group, members):
+    """Row ``g`` holds the sorted members of ``g H g^-1``: an (order, |H|) array."""
+    members = np.asarray(members, dtype=np.intp)
+    return np.sort(group.mult[group.mult[:, members], group.inv[:, None]], axis=1)
 
 
 def subgroup_generated_by(group, elems):
-    return Subgroup(group, tuple(int(x) for x in _closure(group, list(elems))))
+    return Subgroup(group, tuple(int(x) for x in _generated(group, list(elems))))
 
 
 def all_subgroups(group):
     """One representative per conjugacy class of subgroups, sorted by order.
 
-    Works by layered closure: all cyclic subgroups first, then repeatedly
-    extending each known subgroup by one outside element, until no new
-    subgroup appears.  Only groups of order <= 500 are accepted.
+    Every subgroup U other than 1 is <M, x> for a maximal subgroup M of U and
+    any x in U outside M, and conjugating U conjugates M.  So it suffices to
+    extend one representative H per class, by one x per double coset HxH
+    (<H, hxh'> = <H, x>), until no new class appears.  Each class is stored
+    under its lexicographically least sorted conjugate.  Only groups of order
+    <= 500 are accepted.
     """
     if group.order > SUBGROUP_ORDER_CAP:
         raise CapExceeded(
@@ -300,40 +316,30 @@ def all_subgroups(group):
     if "subgroup_classes" in group._cache:
         return group._cache["subgroup_classes"]
 
-    all_sets = set()
-    frontier = []
-    for g in range(group.order):
-        s = tuple(int(x) for x in _closure(group, [g]))
-        if s not in all_sets:
-            all_sets.add(s)
-            frontier.append(s)
+    mult = group.mult
+    keys, seen, work = [], set(), []
 
-    while frontier:
-        nxt = []
-        for s in frontier:
-            sarr = np.array(s, dtype=np.intp)
-            inside = np.zeros(group.order, dtype=bool)
-            inside[sarr] = True
-            for x in range(group.order):
-                if inside[x]:
-                    continue
-                t = tuple(int(v) for v in _closure(group, list(s) + [x]))
-                if t not in all_sets:
-                    all_sets.add(t)
-                    nxt.append(t)
-        frontier = nxt
+    def admit(members):
+        conj = _conjugates(group, members)
+        # every conjugate is recorded (sorted intp rows, like each closure),
+        # so a later closure opens a new class exactly when it is unseen
+        seen.update(row.tobytes() for row in conj)
+        keys.append(tuple(int(v) for v in conj[np.lexsort(conj.T[::-1])[0]]))
+        work.append(members)
 
-    # group the subgroups into conjugacy classes
-    reps = {}
-    for s in all_sets:
-        sarr = np.array(s, dtype=np.intp)
-        orbit = set()
-        for g in range(group.order):
-            conj = group.mult[group.mult[g, sarr], group.inv[g]]
-            orbit.add(tuple(int(v) for v in np.sort(conj)))
-        canon = min(orbit)
-        reps[canon] = canon
-    out = [Subgroup(group, s) for s in sorted(reps, key=lambda s: (len(s), s))]
+    admit(np.array([group.identity], dtype=np.intp))
+    while work:
+        h = work.pop()
+        todo = np.ones(group.order, dtype=bool)
+        todo[h] = False
+        for x in range(group.order):
+            if not todo[x]:
+                continue
+            todo[mult[mult[h, x][:, None], h]] = False
+            k = _generated(group, np.append(h, x))
+            if k.tobytes() not in seen:
+                admit(k)
+    out = [Subgroup(group, s) for s in sorted(keys, key=lambda s: (len(s), s))]
     group._cache["subgroup_classes"] = out
     return out
 
@@ -380,14 +386,8 @@ def are_conjugate_subgroups(h1, h2):
         raise ValueError("subgroups of different parents")
     if h1.order != h2.order:
         return False
-    g = h1.parent
-    s1 = np.array(h1.members, dtype=np.intp)
-    target = h2.members
-    for x in range(g.order):
-        conj = tuple(int(v) for v in np.sort(g.mult[g.mult[x, s1], g.inv[x]]))
-        if conj == target:
-            return True
-    return False
+    rows = _conjugates(h1.parent, h1.members)
+    return bool((rows == np.array(h2.members)).all(axis=1).any())
 
 
 def group_to_json(group):

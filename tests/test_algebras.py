@@ -1,15 +1,19 @@
 """Wedderburn structure: idempotents, centralizers, embedding invariants."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from invalg import catalog
-from invalg import (MatrixSubspace, NotSemisimple, adjoint_rep, center,
-                    centralizer, central_primitive_idempotents,
+from invalg import (MatchFailure, MatrixSubspace, NotSemisimple, adjoint_rep,
+                    center, centralizer, central_primitive_idempotents,
                     double_centralizer_check, enumerate_invariant_subalgebras,
                     inertia_subgroup, is_invariant, is_symmetrically_embedded,
                     permutation_action, semisimplicity_certificate,
                     wedderburn_decompose, z0)
+from invalg._linalg import EQ_TOL
+from invalg.reps import Representation
 
 
 def _unit(i, j, d):
@@ -148,3 +152,28 @@ def test_z0_spans_the_idempotents():
         assert line.dim == s.num_components
         assert s.space.contains_space(line)
         assert center(s.space).equals(line)
+
+
+def test_permutation_action_names_first_unmatched_idempotent():
+    """Coordinate projectors are not permuted by S3 std in a rotated basis.
+
+    The identity is listed first: it is fixed, so the first failure is at a
+    later index.
+    """
+    _, rep = catalog.get("S3", "std")
+    c, s = np.cos(0.3), np.sin(0.3)
+    rot = np.array([[c, -s], [s, c]])
+    mats = np.array([rot @ m @ rot.T for m in rep.matrices])
+    ad = adjoint_rep(Representation(group=rep.group, dim=2, matrices=mats,
+                                    unitary=rep.unitary))
+    idems = [np.eye(2, dtype=complex), np.diag([1.0, 0.0]).astype(complex),
+             np.diag([0.0, 1.0]).astype(complex)]
+    first = None
+    for g in rep.group.elements():
+        for i, e in enumerate(idems):
+            moved = mats[g] @ e @ np.linalg.inv(mats[g])
+            if min(np.linalg.norm(moved - f) for f in idems) > EQ_TOL * np.linalg.norm(e):
+                first = first or (g, i)
+    assert first is not None and first[0] != rep.group.identity and first[1] > 0
+    with pytest.raises(MatchFailure, match=f"idempotent {first[1]} by element {first[0]} "):
+        permutation_action(SimpleNamespace(idempotents=idems), ad)

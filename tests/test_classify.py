@@ -26,10 +26,6 @@ EXPECTED = {
     ("S3xS3", "stdXstd"): ([1, 2, 2, 2, 4, 4, 4, 4, 4, 8, 8, 8, 16], True),
 }
 
-# inputs whose adjoint rep is not multiplicity-free, so the subset scan alone
-# (and with it nonunital_scan) is not certified
-SCAN_NOT_MULTFREE = {("A4", "std3")}
-
 # (subgroup order, constituent dim) of every induction pair, |H| ascending
 EXPECTED_PAIRS = {
     ("S3", "std"): [(3, 1), (6, 2)],
@@ -203,7 +199,13 @@ def test_nonunital_scan(key, rep_name):
     nonunital, certified = nonunital_scan(rep, seed=0)
     # only the zero algebra: invariant subalgebras of End(V) are unital or zero
     assert [s.dim for s in nonunital] == [0]
-    assert certified == ((key, rep_name) not in SCAN_NOT_MULTFREE)
+    assert certified
+
+
+def test_nonunital_scan_rejects_reducible():
+    _, rep = catalog.get("S3", "trivPlusSign")
+    with pytest.raises(ValueError):
+        nonunital_scan(rep, seed=0)
 
 
 def test_enumeration_rejects_reducible():

@@ -5,8 +5,9 @@ import pytest
 
 from invalg import (CapExceeded, NotAGroup, all_subgroups,
                     are_conjugate_subgroups, build_from_mult_table,
-                    build_from_permutations, conjugacy_classes, direct_product,
-                    left_transversal)
+                    build_from_permutations, catalog, conjugacy_classes,
+                    direct_product, left_transversal)
+from invalg.classify import _normalizer_members
 from invalg.groups import Subgroup, subgroup_generated_by
 
 
@@ -83,6 +84,90 @@ def test_all_subgroups_cap():
     g = build_from_mult_table(mult)
     with pytest.raises(CapExceeded):
         all_subgroups(g)
+
+
+def _dihedral(n):
+    """D_n of order 2n: rotation i -> i + 1 and reflection i -> -i on n points."""
+    return build_from_permutations([tuple((i + 1) % n for i in range(n)),
+                                    tuple(-i % n for i in range(n))], name=f"D{n}")
+
+
+def _oracle_closure(group, seed_elems):
+    cur = np.unique(np.concatenate([[group.identity], np.asarray(seed_elems, dtype=np.intp)]))
+    while True:
+        new = np.union1d(cur, np.unique(group.mult[np.ix_(cur, cur)]))
+        if new.size == cur.size:
+            return new
+        cur = new
+
+
+def _oracle_subgroup_classes(group):
+    """Brute force: every subgroup by layered closure, then grouped by conjugacy.
+
+    Returns the least sorted conjugate of each class, sorted by (order, members).
+    """
+    all_sets = set()
+    frontier = []
+    for g in range(group.order):
+        s = tuple(int(x) for x in _oracle_closure(group, [g]))
+        if s not in all_sets:
+            all_sets.add(s)
+            frontier.append(s)
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for x in sorted(set(range(group.order)) - set(s)):
+                t = tuple(int(v) for v in _oracle_closure(group, list(s) + [x]))
+                if t not in all_sets:
+                    all_sets.add(t)
+                    nxt.append(t)
+        frontier = nxt
+    reps = set()
+    for s in all_sets:
+        sarr = np.array(s, dtype=np.intp)
+        reps.add(min(tuple(int(v) for v in np.sort(group.mult[group.mult[g, sarr], group.inv[g]]))
+                     for g in range(group.order)))
+    return sorted(reps, key=lambda s: (len(s), s))
+
+
+def _oracle_groups():
+    cat = catalog.catalog()
+    out = {key: entry.group for key, entry in cat.items()}
+    for n in (6, 10, 12, 15, 18, 24):
+        out[f"D{n}"] = _dihedral(n)
+    out["Q8xS3"] = direct_product(cat["Q8"].group, cat["S3"].group)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_oracle_groups()))
+def test_all_subgroups_matches_brute_force(name):
+    g = _oracle_groups()[name]
+    assert g.order <= 48
+    assert [s.members for s in all_subgroups(g)] == _oracle_subgroup_classes(g)
+
+
+def test_all_subgroups_known_class_counts():
+    cat = catalog.catalog()
+    s3, s4 = cat["S3"].group, cat["S4"].group
+    a5 = build_from_permutations([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)], name="A5")
+    s5 = build_from_permutations([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)], name="S5")
+    assert a5.order == 60 and s5.order == 120
+    assert len(all_subgroups(a5)) == 9
+    subs = all_subgroups(s5)
+    assert len(subs) == 19
+    # the perfect subgroup A5 is reached although it is no cyclic extension
+    assert sum(s.order == 60 for s in subs) == 1
+    assert len(all_subgroups(direct_product(s4, s3))) == 70
+    assert len(all_subgroups(direct_product(direct_product(s3, s3), s3))) == 162
+
+
+def test_normalizers_s4_brute_force():
+    g = catalog.catalog()["S4"].group
+    for sub in all_subgroups(g):
+        brute = [x for x in g.elements()
+                 if sorted(g.conj(x, h) for h in sub.members) == list(sub.members)]
+        assert list(_normalizer_members(g, sub)) == brute
+        assert set(sub.members) <= set(brute)
 
 
 def test_left_transversal_partitions():
