@@ -9,7 +9,7 @@ as a scalar on each Wedderburn block, so its spectral projectors *are* the
 block idempotents whenever the scalars separate.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from ._linalg import (EQ_TOL, RANK_TOL, cluster_complex, intertwiners,
 from .errors import (AssertionFailure, MatchFailure, NotSemisimple,
                      ToleranceFailure)
 from .groups import Subgroup
-from .spaces import MatrixSubspace, span_product
+from .spaces import MatrixSubspace
 
 IDEMPOTENT_RETRIES = 20
 IDEMPOTENT_GAP = 1e-6
@@ -234,12 +234,11 @@ def wedderburn_decompose(space, seed=0, tol=RANK_TOL):
 def is_invariant(space, adjoint, tol=RANK_TOL):
     """Whether the conjugation action maps the subspace into itself.
 
-    ``adjoint`` is the conjugation representation on flattened matrices; the
-    check runs over recorded generators when available, else all elements.
+    ``adjoint`` is the conjugation representation on flattened matrices; a
+    subspace mapped into itself by every generator is mapped into itself by
+    the group, so the check runs over the generating set.
     """
-    group = adjoint.group
-    gens = group.generators if group.generators else range(group.order)
-    for g in gens:
+    for g in adjoint.group.generators:
         act = adjoint.matrices[g]
         for b in space.basis():
             moved = (act @ b.reshape(-1)).reshape(space.shape)

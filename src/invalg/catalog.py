@@ -13,10 +13,9 @@ import json
 import numpy as np
 
 from .errors import InvalgError
-from .groups import (FiniteGroup, build_from_mult_table,
-                     build_from_permutations, direct_product, group_from_json,
-                     group_to_json)
-from .reps import Representation, TwoCocycle, _regular_representation, validate
+from .groups import (build_from_mult_table, build_from_permutations,
+                     direct_product, group_from_json, group_to_json)
+from .reps import Representation, TwoCocycle, _regular_representation
 
 CLOSURE_CAP = 200
 
@@ -57,8 +56,7 @@ def _matrix_group(gens, name):
     for a in range(n):
         for b in range(n):
             mult[a, b] = index[_fingerprint(elems[a] @ elems[b])]
-    gen_ids = tuple(index[_fingerprint(g)] for g in gens)
-    group = build_from_mult_table(mult, name=name, generators=gen_ids)
+    group = build_from_mult_table(mult, name=name)
     return group, np.stack(elems)
 
 

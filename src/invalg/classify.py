@@ -9,21 +9,20 @@ pairs, pulls the central simple subalgebras from :mod:`.factor`, and dedupes
 by subspace equality (conjugate data give literally equal subalgebras).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import EQ_TOL, RANK_TOL, column_space
-from .algebras import (InvariantSubalgebra, centralizer,
-                       double_centralizer_check, inertia_subgroup,
+from ._linalg import RANK_TOL, column_space
+from .algebras import (InvariantSubalgebra, centralizer, inertia_subgroup,
                        is_invariant, is_symmetrically_embedded,
                        permutation_action, semisimplicity_certificate,
-                       wedderburn_decompose, z0)
+                       wedderburn_decompose)
 from .errors import AssertionFailure, BlocksNotDirect, InvalgError
 from .factor import central_simple_invariant_subalgebras, multfree_scan
 from .groups import (Subgroup, _conjugates, all_subgroups,
                      are_conjugate_subgroups, class_index_array,
-                     conjugacy_classes, left_transversal)
+                     left_transversal)
 from .reps import (Representation, adjoint_rep, character, character_table,
                    induced_character, inner_product, is_induced_from,
                    is_irreducible, restrict)
@@ -132,7 +131,7 @@ def induction_pairs(v_rep, seed=0, tol=RANK_TOL):
                 raise AssertionFailure(
                     f"distinguished copy has dimension {basis.shape[1]}, "
                     f"expected {w_dim}")
-            for h in range(h_group.order):
+            for h in h_group.generators:
                 if np.linalg.norm(res.matrices[h] @ proj - proj @ res.matrices[h]) > 1e-6:
                     raise AssertionFailure("copy projector fails to commute")
             w_mats = np.einsum("ai,gab,bj->gij", basis.conj(), res.matrices, basis)
@@ -257,9 +256,9 @@ def verify_classification(subalgebras, v_rep, seed=0, tol=RANK_TOL):
                     else wedderburn_decompose(space, seed=seed, tol=tol))
             if not is_symmetrically_embedded(meta, seed=seed, tol=tol):
                 violations.append(f"{label}: embedding is not symmetric")
-            if not double_centralizer_check(space, tol):
-                violations.append(f"{label}: double centralizer moved")
             z = centralizer(space, tol)
+            if not centralizer(z, tol).equals(space):
+                violations.append(f"{label}: double centralizer moved")
             if not any(z.equals(o) for o in spaces):
                 violations.append(f"{label}: centralizer missing from the list")
             sigma, transitive = permutation_action(meta, ad)
@@ -275,7 +274,8 @@ def verify_classification(subalgebras, v_rep, seed=0, tol=RANK_TOL):
                     InductionDatum(datum.pair,
                                    MatrixSubspace.identity_line(datum.pair.w_rep.dim)),
                     v_rep, seed=seed, tol=tol)
-                idem_span = z0(space, seed=seed, tol=tol)
+                idem_span = MatrixSubspace.from_spanning(
+                    meta.idempotents, space.shape, tol)
                 if not idem_span.equals(cartan.space):
                     violations.append(
                         f"{label}: idempotent span differs from the scalar-block span")

@@ -34,8 +34,6 @@ class FiniteGroup:
         ``mult[g, h]`` is the product ``g*h``.
     inv : (order,) int array
         ``inv[g]`` is the inverse of ``g``.
-    generators : tuple of int, optional
-        A known generating set (indices), if one was recorded.
     name : str, optional
         Display name.
     permutations : tuple of tuples, optional
@@ -46,7 +44,6 @@ class FiniteGroup:
     identity: int
     mult: np.ndarray
     inv: np.ndarray
-    generators: tuple = None
     name: str = None
     permutations: tuple = None
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -63,6 +60,23 @@ class FiniteGroup:
     def conj(self, g, x):
         """Conjugate ``g * x * g^-1``."""
         return int(self.mult[self.mult[g, x], self.inv[g]])
+
+    @property
+    def generators(self):
+        """Greedy generating set: each element, in label order, outside the
+        subgroup generated so far.  Each one at least doubles that subgroup, so
+        there are at most log2(order); the trivial group has ``()``.
+        """
+        if "generators" not in self._cache:
+            gens = []
+            inside = np.zeros(self.order, dtype=bool)
+            inside[self.identity] = True
+            for x in range(self.order):
+                if not inside[x]:
+                    gens.append(x)
+                    inside[_generated(self, gens)] = True
+            self._cache["generators"] = tuple(gens)
+        return self._cache["generators"]
 
 
 @dataclass(frozen=True)
@@ -82,16 +96,6 @@ class Subgroup:
     @property
     def index(self):
         return self.parent.order // len(self.members)
-
-    def contains(self, g):
-        return int(g) in self._member_set()
-
-    def _member_set(self):
-        cache = self.parent._cache.setdefault("subgroup_sets", {})
-        key = self.members
-        if key not in cache:
-            cache[key] = frozenset(self.members)
-        return cache[key]
 
     def as_group(self):
         """Realize this subgroup as a standalone :class:`FiniteGroup`.
@@ -129,7 +133,7 @@ class Transversal:
     reps: tuple
 
 
-def build_from_mult_table(table, name=None, generators=None, permutations=None):
+def build_from_mult_table(table, name=None, permutations=None):
     """Construct and fully validate a group from a Cayley table.
 
     Raises :class:`NotAGroup` with a witness triple if associativity fails,
@@ -165,7 +169,6 @@ def build_from_mult_table(table, name=None, generators=None, permutations=None):
     _check_associativity(mult, n)
 
     return FiniteGroup(order=n, identity=ident, mult=mult, inv=inv,
-                       generators=tuple(generators) if generators else None,
                        name=name, permutations=permutations)
 
 
@@ -236,9 +239,7 @@ def build_from_permutations(perm_gens, name=None, cap=PERM_CLOSURE_CAP):
     for i, p in enumerate(elems):
         for j, q in enumerate(elems):
             mult[i, j] = pos[_compose(p, q)]
-    gen_idx = tuple(pos[g] for g in gens)
-    return build_from_mult_table(mult, name=name, generators=gen_idx,
-                                 permutations=tuple(elems))
+    return build_from_mult_table(mult, name=name, permutations=tuple(elems))
 
 
 def conjugacy_classes(group):

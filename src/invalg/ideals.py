@@ -10,7 +10,7 @@ one; those are returned as a parametrization instead of a list.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,7 +79,7 @@ class SubspaceOfV:
         if self.dim in (0, self.ambient):
             return True
         p = self.projector()
-        for g in (rep.group.generators or range(rep.group.order)):
+        for g in rep.group.generators:
             moved = rep.matrices[g] @ self.basis
             if np.linalg.norm(moved - p @ moved) > tol * max(1.0, self.ambient):
                 return False

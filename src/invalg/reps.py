@@ -10,7 +10,7 @@ group algebra, found as the spectral projectors of a generic element of its
 center (the span of the class sums) in the regular representation.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,8 +19,8 @@ from ._linalg import (INT_TOL, RANK_TOL, intertwiners, round_to_gaussian_int,
 from .algebras import _complete_and_orthogonal, _spectral_split
 from .errors import (AssertionFailure, FactorRecoveryFailure, NotAnAutomorphism,
                      NotARepresentation, ToleranceFailure)
-from .groups import (FiniteGroup, Subgroup, class_index_array,
-                     conjugacy_classes, left_transversal)
+from .groups import (FiniteGroup, class_index_array, conjugacy_classes,
+                     left_transversal)
 from .spaces import MatrixSubspace
 
 #: dimension cap for induced representations
@@ -54,9 +54,6 @@ class TwoCocycle:
             raise ValueError(f"cocycle identity fails by {dev:.3g}")
         return float(dev)
 
-    def value(self, g, h):
-        return complex(self.values[g, h])
-
 
 @dataclass(frozen=True)
 class Representation:
@@ -68,9 +65,7 @@ class Representation:
     unitary: bool = False
     cocycle: TwoCocycle = None
     name: str = None
-
-    def matrix(self, g):
-        return self.matrices[g]
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def is_projective(self):
@@ -210,24 +205,33 @@ def is_irreducible(rep):
 
 
 def commutant_dimension(rep, tol=RANK_TOL):
-    """Dimension of ``{X : X rho(g) = rho(g) X for all g}``."""
-    return len(intertwiners(rep.matrices, rep.matrices, tol))
+    """Dimension of ``{X : X rho(g) = rho(g) X for all g}``.
+
+    Solved on the generators only: X commuting with each generator commutes
+    with every product of them, and cocycle scalars do not matter.
+    """
+    gens = rep.matrices[list(rep.group.generators)]
+    return len(intertwiners(gens, gens, tol))
 
 
 def adjoint_rep(rep):
     """The conjugation action on ``d x d`` matrices, as a ``d^2``-dim rep.
 
     Matrices act on row-major flattened arguments; for projective input the
-    scalars cancel and the result is an honest linear representation.
+    scalars cancel and the result is an honest linear representation.  It is
+    built once per representation and kept in ``rep._cache``.
     """
-    mats = rep.matrices
-    if rep.unitary:
-        invs = np.conj(np.transpose(mats, (0, 2, 1)))
-    else:
-        invs = np.linalg.inv(mats)
-    big = np.stack([np.kron(m, vi.T) for m, vi in zip(mats, invs)])
-    return Representation(group=rep.group, dim=rep.dim ** 2, matrices=big,
-                          unitary=rep.unitary, name=None)
+    if "adjoint" not in rep._cache:
+        mats = rep.matrices
+        if rep.unitary:
+            invs = np.conj(np.transpose(mats, (0, 2, 1)))
+        else:
+            invs = np.linalg.inv(mats)
+        big = np.stack([np.kron(m, vi.T) for m, vi in zip(mats, invs)])
+        rep._cache["adjoint"] = Representation(
+            group=rep.group, dim=rep.dim ** 2, matrices=big,
+            unitary=rep.unitary, name=None)
+    return rep._cache["adjoint"]
 
 
 def _regular_representation(group):
@@ -296,7 +300,6 @@ def isotypic_decomposition(rep, seed=0, tol=RANK_TOL):
     chi_v = character(rep)
     ident_cls = int(cls_idx[group.identity])
     comps = []
-    total = np.zeros((rep.dim, rep.dim), dtype=complex)
     for i, chi in enumerate(table):
         mult = inner_product(chi_v, chi)
         if mult.imag != 0 or mult.real < 0:
@@ -307,18 +310,13 @@ def isotypic_decomposition(rep, seed=0, tol=RANK_TOL):
         d_i = int(round(chi.values[ident_cls].real))
         vals = np.conj(np.array([chi.values[cls_idx[g]] for g in range(group.order)]))
         proj = np.einsum("g,gij->ij", vals, rep.matrices) * (d_i / group.order)
-        total += proj
         comps.append(IsotypicComponent(projector=proj, irrep_label=f"chi{i}",
                                        multiplicity=m, dim=m * d_i, character=chi))
-    dev = np.linalg.norm(total - np.eye(rep.dim))
-    if dev > 1e-6:
-        raise ToleranceFailure(f"isotypic projectors do not sum to identity ({dev:.3g})")
-    for a in range(len(comps)):
-        for b in range(len(comps)):
-            prod = comps[a].projector @ comps[b].projector
-            want = comps[a].projector if a == b else 0.0
-            if np.linalg.norm(prod - want) > 1e-6:
-                raise ToleranceFailure("isotypic projectors are not orthogonal idempotents")
+    projs = [c.projector for c in comps]
+    if not (all(np.linalg.norm(p @ p - p) <= 1e-6 for p in projs)
+            and _complete_and_orthogonal(projs, np.eye(rep.dim))):
+        raise ToleranceFailure(
+            "isotypic projectors are not orthogonal idempotents summing to the identity")
     return comps
 
 

@@ -13,6 +13,7 @@ from invalg import (MatchFailure, MatrixSubspace, NotSemisimple, adjoint_rep,
                     permutation_action, semisimplicity_certificate,
                     wedderburn_decompose, z0)
 from invalg._linalg import EQ_TOL
+from invalg.groups import all_subgroups
 from invalg.reps import Representation
 
 
@@ -108,6 +109,31 @@ def test_is_invariant_s3():
     # a coordinate-axis projector is moved by the rotations
     axis = MatrixSubspace.from_spanning([np.diag([1.0, 0.0])])
     assert not is_invariant(axis, ad)
+
+
+def _invariant_under_every_element(space, ad, tol=1e-8):
+    """Reference: the conjugate of every basis matrix by every element stays."""
+    return all(space.contains((m @ b.reshape(-1)).reshape(space.shape), tol)
+               for m in ad.matrices for b in space.basis())
+
+
+def test_is_invariant_matches_all_elements():
+    """The generator check agrees with the check over all 36 elements."""
+    g, rep = catalog.get("S3xS3", "stdXstd")
+    ad = adjoint_rep(rep)
+    subs, _ = enumerate_invariant_subalgebras(rep)
+    spaces = [s.space for s in subs]
+    # commutants of subgroups: preserved by some elements, not by all
+    for sub in all_subgroups(g)[1:-1]:
+        spaces.append(centralizer(MatrixSubspace.from_spanning(
+            rep.matrices[list(sub.members)])))
+    rng = np.random.default_rng(0)
+    for k in (1, 3, 8):
+        spaces.append(MatrixSubspace.from_spanning(
+            rng.standard_normal((k, 4, 4)) + 1j * rng.standard_normal((k, 4, 4))))
+    got = [is_invariant(s, ad) for s in spaces]
+    assert got == [_invariant_under_every_element(s, ad) for s in spaces]
+    assert True in got and False in got
 
 
 def test_symmetric_embedding_flags():

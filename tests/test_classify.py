@@ -1,7 +1,11 @@
 """Classification of invariant subalgebras through induction data."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import invalg.classify
 from invalg import catalog
@@ -105,6 +109,38 @@ def test_enumeration_any_identity_label(key, rep_name):
         subs, complete = enumerate_invariant_subalgebras(moved, seed=0)
         assert [s.dim for s in subs] == dims
         assert complete == certified
+
+
+RELABEL_INPUTS = [("S3", "std"), ("Q8", "std"), ("D4", "std"), ("A4", "std3"),
+                  ("S3xS3", "stdXstd")]
+
+
+@functools.lru_cache(maxsize=None)
+def _unrelabelled(key, rep_name):
+    _, rep = catalog.get(key, rep_name)
+    subs, complete = enumerate_invariant_subalgebras(rep, seed=0)
+    return [s.space.fingerprint() for s in subs], complete
+
+
+@pytest.mark.parametrize("key,rep_name", RELABEL_INPUTS)
+@given(data=st.data())
+@settings(max_examples=5, deadline=None)
+def test_enumeration_any_labelling(key, rep_name, data):
+    """Any relabelling of the elements gives the same subalgebras in order.
+
+    The greedy generating set depends on the labels; the answer must not.
+    """
+    g, rep = catalog.get(key, rep_name)
+    perm = np.array(data.draw(st.permutations(range(g.order))))
+    mult = np.empty_like(g.mult)
+    mult[np.ix_(perm, perm)] = perm[g.mult]
+    mats = np.empty_like(rep.matrices)
+    mats[perm] = rep.matrices
+    moved = Representation(group=build_from_mult_table(mult), dim=rep.dim,
+                           matrices=mats, unitary=rep.unitary)
+    subs, complete = enumerate_invariant_subalgebras(moved, seed=0)
+    assert ([s.space.fingerprint() for s in subs], complete) == \
+        _unrelabelled(key, rep_name)
 
 
 @pytest.mark.parametrize("key,rep_name", sorted(EXPECTED))

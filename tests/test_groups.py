@@ -220,3 +220,23 @@ def test_subgroup_as_group_embedding():
     for i in range(h.order):
         for j in range(h.order):
             assert emb[h.mult[i, j]] == g.mult[emb[i], emb[j]]
+
+
+def test_generators_generate_within_log2_order():
+    """Every group, however built, carries a greedy generating set.
+
+    Each generator at least doubles the subgroup generated so far, so there
+    are at most floor(log2 n) of them; the trivial group has none.
+    """
+    s3 = _s3()
+    s3s3 = direct_product(s3, s3)
+    groups = [e.group for e in catalog.catalog().values()]
+    groups += [s3s3, direct_product(s3s3, s3)]
+    for g in groups:
+        for h in [g] + [sub.as_group() for sub in all_subgroups(g)]:
+            gens = h.generators
+            assert len(gens) <= h.order.bit_length() - 1
+            assert subgroup_generated_by(h, gens).order == h.order
+            assert h.generators is gens  # cached
+            if h.order == 1:
+                assert gens == ()

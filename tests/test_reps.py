@@ -13,8 +13,9 @@ from invalg import (NotAnAutomorphism, NotARepresentation, ToleranceFailure,
 from invalg.groups import (all_subgroups, build_from_mult_table,
                            build_from_permutations, direct_product,
                            product_index, subgroup_generated_by)
-from invalg.reps import Representation, _as_projective_rep
-from invalg._linalg import scalar_multiple_of_identity
+from invalg.reps import (Representation, _as_projective_rep,
+                         commutant_dimension)
+from invalg._linalg import intertwiners, scalar_multiple_of_identity
 
 IRREDUCIBLE = [("S3", "std"), ("Q8", "std"), ("D4", "std"), ("A4", "std3"),
                ("S4", "std3"), ("SL23", "std"), ("S3xS3", "stdXstd")]
@@ -28,6 +29,23 @@ def test_catalog_reps_validate(key, rep_name):
     report = validate(rep)
     assert report.max_deviation < 1e-10
     assert report.identity_deviation < 1e-10
+
+
+CATALOG_REPS = [(key, name) for key, entry in sorted(catalog.catalog().items())
+                for name in sorted(entry.reps)]
+
+
+@pytest.mark.parametrize("key,rep_name", CATALOG_REPS)
+def test_commutant_dimension_on_generators(key, rep_name):
+    """Solving on the generating set gives the all-elements commutant."""
+    _, rep = catalog.get(key, rep_name)
+    assert commutant_dimension(rep) == len(intertwiners(rep.matrices, rep.matrices))
+
+
+@pytest.mark.parametrize("key,rep_name", CATALOG_REPS)
+def test_adjoint_rep_built_once(key, rep_name):
+    _, rep = catalog.get(key, rep_name)
+    assert adjoint_rep(rep) is adjoint_rep(rep)
 
 
 def test_validate_raises_on_corruption():
