@@ -28,6 +28,31 @@ def nullspace(a, tol=RANK_TOL):
     return vh[_rank(s, tol):].conj()
 
 
+def row_norms(a):
+    """Euclidean (Frobenius) norm of each ``a[i]`` of a stack of rows or matrices.
+
+    The squares are summed by one ``einsum`` over the interleaved real and
+    imaginary parts, so no temporary as large as ``a`` is made.
+    """
+    a = np.ascontiguousarray(a)
+    a = a.reshape(len(a), int(np.prod(a.shape[1:])))
+    if np.iscomplexobj(a):
+        a = a.view(a.real.dtype)
+    return np.sqrt(np.einsum("ij,ij->i", a, a))
+
+
+def kron_stack(a, b):
+    """``np.kron(a_i, b_i)`` over stacks of matrices, broadcast on leading axes.
+
+    One broadcast product with the factors in ``np.kron``'s order, so each
+    result is bit-identical to the ``np.kron`` of its pair.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(*lead, a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
+
+
 def intertwiners(a_mats, b_mats, tol=RANK_TOL):
     """Orthonormal basis of ``{X : X a_i = b_i X for all i}``, shape ``(k, p, q)``.
 
@@ -37,10 +62,11 @@ def intertwiners(a_mats, b_mats, tol=RANK_TOL):
     """
     a_mats, b_mats = np.asarray(a_mats), np.asarray(b_mats)
     q, p = a_mats.shape[-1], b_mats.shape[-1]
-    rows = [np.kron(np.eye(p), a.T) - np.kron(b, np.eye(q))
-            for a, b in zip(a_mats, b_mats, strict=True)]
-    system = np.vstack(rows) if rows else np.zeros((0, p * q))
-    return nullspace(system, tol).reshape(-1, p, q)
+    if len(a_mats) != len(b_mats):
+        raise ValueError(f"{len(a_mats)} matrices a_i but {len(b_mats)} matrices b_i")
+    system = (kron_stack(np.eye(p), np.swapaxes(a_mats, -1, -2))
+              - kron_stack(b_mats, np.eye(q)))
+    return nullspace(system.reshape(-1, p * q), tol).reshape(-1, p, q)
 
 
 def row_space(a, tol=RANK_TOL):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import (EQ_TOL, RANK_TOL, cluster_complex, intertwiners,
-                      round_to_int)
+                      round_to_int, row_norms)
 from .errors import (AssertionFailure, MatchFailure, NotSemisimple,
                      ToleranceFailure)
 from .groups import Subgroup
@@ -56,24 +56,26 @@ def center(space, tol=RANK_TOL):
     return space.intersect(centralizer(space, tol), tol)
 
 
+def _basis_products(space):
+    """All basis products ``b_i @ b_j`` as one ``(k, k, d, d)`` stack."""
+    basis = space.basis()
+    return basis[:, None] @ basis[None]
+
+
 def left_multiplication_operators(space, tol=RANK_TOL):
     """Matrices of left multiplication on the space's own basis.
 
     Requires product closure; the residual of re-projecting each product is
     checked against ``tol`` and a ValueError raised on violation.
     """
-    basis = space.basis()
     k = space.dim
-    ops = np.zeros((k, k, k), dtype=complex)
-    for i, bi in enumerate(basis):
-        for j, bj in enumerate(basis):
-            prod = bi @ bj
-            coeff = space.flat.conj() @ prod.reshape(-1)
-            resid = np.linalg.norm(prod - (coeff @ space.flat).reshape(space.shape))
-            if resid > tol * max(1.0, np.linalg.norm(prod)):
-                raise ValueError("subspace is not closed under products")
-            ops[i, :, j] = coeff
-    return ops
+    prods = _basis_products(space).reshape(k, k, -1)
+    coeff = prods @ space.flat.conj().T
+    resid = np.linalg.norm(prods - coeff @ space.flat, axis=2)
+    if np.any(resid > tol * np.maximum(1.0, np.linalg.norm(prods, axis=2))):
+        raise ValueError("subspace is not closed under products")
+    # column j of L_{b_i} holds the coordinates of b_i b_j
+    return np.ascontiguousarray(coeff.transpose(0, 2, 1))
 
 
 def trace_form_gram(space, tol=RANK_TOL):
@@ -106,20 +108,18 @@ def algebra_unit(space, tol=RANK_TOL):
         return None
     basis = space.basis()
     k = space.dim
-    # solve u @ b_j = b_j and b_j @ u = b_j in the coordinates of the basis
-    rows = []
-    rhs = []
-    for bj in basis:
-        rows.append(np.stack([(bi @ bj).reshape(-1) for bi in basis], axis=1))
-        rhs.append(bj.reshape(-1))
-        rows.append(np.stack([(bj @ bi).reshape(-1) for bi in basis], axis=1))
-        rhs.append(bj.reshape(-1))
-    a = np.vstack(rows)
-    b = np.concatenate(rhs)
+    flat = space.flat
+    # solve u @ b_j = b_j and b_j @ u = b_j in the coordinates of the basis:
+    # for each j, the rows of b_i b_j and then of b_j b_i, one column per i
+    prods = _basis_products(space).reshape(k, k, -1)
+    left = prods.transpose(1, 2, 0)    # [j, :, i] = b_i b_j
+    right = prods.transpose(0, 2, 1)   # [j, :, i] = b_j b_i
+    a = np.stack([left, right], axis=1).reshape(-1, k)
+    b = np.stack([flat, flat], axis=1).reshape(-1)
     coeff, *_ = np.linalg.lstsq(a, b, rcond=None)
     u = np.tensordot(coeff, basis, axes=(0, 0))
-    resid = max(np.linalg.norm(u @ bj - bj) + np.linalg.norm(bj @ u - bj)
-                for bj in basis)
+    resid = np.max(np.linalg.norm(u @ basis - basis, axis=(1, 2))
+                   + np.linalg.norm(basis @ u - basis, axis=(1, 2)))
     if resid > 1e-6:
         return None
     return u
@@ -158,12 +158,27 @@ def central_primitive_idempotents(space, seed=0, tol=RANK_TOL):
     return idems
 
 
+def _all_idempotent(projs):
+    """Whether every matrix ``p`` of the stack has ``|p p - p| <= 1e-6``."""
+    projs = np.asarray(projs)
+    return bool(np.all(row_norms(projs @ projs - projs) <= 1e-6))
+
+
 def _complete_and_orthogonal(idems, unit):
-    """Whether ``idems`` sum to ``unit`` and annihilate each other pairwise."""
-    return (np.linalg.norm(np.sum(idems, axis=0) - unit) <= 1e-6
-            and all(np.linalg.norm(e @ f) < 1e-6
-                    for i, e in enumerate(idems)
-                    for j, f in enumerate(idems) if i != j))
+    """Whether ``idems`` sum to ``unit`` and annihilate each other pairwise.
+
+    Row ``i`` is one stacked product ``e_i @ [e_1, ..., e_k]``, so no more
+    than ``k n^2`` products are held at once.
+    """
+    idems = np.asarray(idems)
+    if np.linalg.norm(np.sum(idems, axis=0) - unit) > 1e-6:
+        return False
+    k = len(idems)
+    for i in range(k):
+        norms = row_norms(idems[i] @ idems)
+        if np.any(np.delete(norms, i) >= 1e-6):
+            return False
+    return True
 
 
 def _spectral_split(space, basis, count, seed, accept):
@@ -186,10 +201,9 @@ def _spectral_split(space, basis, count, seed, accept):
         clusters = cluster_complex(vals, IDEMPOTENT_GAP * max(1.0, float(np.max(np.abs(vals)))))
         if len(clusters) != count:
             continue
-        projs = [vecs[:, ix] @ vinv[ix] for ix in clusters]
-        if all(np.linalg.norm(p @ p - p) <= 1e-6 and space.contains(p, 1e-6)
-               for p in projs) and accept(projs):
-            return projs
+        projs = np.stack([vecs[:, ix] @ vinv[ix] for ix in clusters])
+        if _all_idempotent(projs) and space.contains_all(projs, 1e-6) and accept(projs):
+            return list(projs)
     return None
 
 
@@ -211,7 +225,7 @@ def wedderburn_decompose(space, seed=0, tol=RANK_TOL):
     dims = []
     mults = []
     for e in idems:
-        comp = MatrixSubspace.from_spanning([e @ b for b in basis], space.shape, tol)
+        comp = MatrixSubspace.from_spanning(e @ basis, space.shape, tol)
         k2 = comp.dim
         k = int(round(np.sqrt(k2)))
         if k * k != k2:
@@ -238,13 +252,8 @@ def is_invariant(space, adjoint, tol=RANK_TOL):
     subspace mapped into itself by every generator is mapped into itself by
     the group, so the check runs over the generating set.
     """
-    for g in adjoint.group.generators:
-        act = adjoint.matrices[g]
-        for b in space.basis():
-            moved = (act @ b.reshape(-1)).reshape(space.shape)
-            if not space.contains(moved, tol):
-                return False
-    return True
+    return all(space.contains_all(space.flat @ adjoint.matrices[g].T, tol)
+               for g in adjoint.group.generators)
 
 
 def is_symmetrically_embedded(space, seed=0, tol=RANK_TOL):
@@ -256,7 +265,12 @@ def is_symmetrically_embedded(space, seed=0, tol=RANK_TOL):
     isomorphic simple algebras.  A mismatch raises :class:`AssertionFailure`.
     """
     meta = space if isinstance(space, InvariantSubalgebra) else wedderburn_decompose(space, seed, tol)
-    cent = centralizer(meta.space, tol)
+    return _symmetric_embedding(meta, centralizer(meta.space, tol), seed, tol)
+
+
+def _symmetric_embedding(meta, cent, seed, tol):
+    """:func:`is_symmetrically_embedded` on Wedderburn data ``meta`` whose
+    centralizer ``cent`` the caller has already computed."""
     cmeta = wedderburn_decompose(cent, seed, tol)
     flag = len(set(meta.component_dims)) == 1 and len(set(meta.multiplicities)) == 1
     if sorted(cmeta.component_dims) != sorted(meta.multiplicities) or \
@@ -287,18 +301,19 @@ def permutation_action(meta, adjoint, tol=EQ_TOL):
     group = adjoint.group
     idems = np.array([e.reshape(-1) for e in meta.idempotents])
     bound = tol * np.maximum(1.0, np.linalg.norm(idems, axis=1))
-    sigma = np.zeros((group.order, len(idems)), dtype=np.intp)
-    for g in range(group.order):
-        moved = idems @ adjoint.matrices[g].T
-        dists = np.linalg.norm(moved[:, None, :] - idems[None, :, :], axis=2)
-        sigma[g] = np.argmin(dists, axis=1)
-        best = dists[np.arange(len(idems)), sigma[g]]
-        bad = np.flatnonzero(best > bound)
-        if bad.size:
-            i = int(bad[0])
-            raise MatchFailure(
-                f"conjugate of idempotent {i} by element {g} matches nothing "
-                f"(best distance {best[i]:.3g})")
+    # moved[g, i] is idempotent i conjugated by g; for l <= d orthogonal
+    # idempotents the (n, l, l, d^2) differences are no larger than the
+    # adjoint's own (n, d^2, d^2) matrices
+    moved = idems @ adjoint.matrices.transpose(0, 2, 1)
+    dists = np.linalg.norm(moved[:, :, None, :] - idems[None, None, :, :], axis=3)
+    sigma = np.argmin(dists, axis=2)
+    best = np.take_along_axis(dists, sigma[:, :, None], axis=2)[:, :, 0]
+    bad = np.flatnonzero(best > bound)
+    if bad.size:
+        g, i = divmod(int(bad[0]), len(idems))
+        raise MatchFailure(
+            f"conjugate of idempotent {i} by element {g} matches nothing "
+            f"(best distance {best[g, i]:.3g})")
     if not np.array_equal(sigma[:, sigma], sigma[group.mult]):
         raise AssertionFailure("idempotent permutations do not compose")
     # the permutations form an action, so the orbit of 0 is its column of images

@@ -14,15 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import RANK_TOL, column_space
-from .algebras import (InvariantSubalgebra, centralizer, inertia_subgroup,
-                       is_invariant, is_symmetrically_embedded,
-                       permutation_action, semisimplicity_certificate,
-                       wedderburn_decompose)
+from .algebras import (InvariantSubalgebra, _symmetric_embedding, centralizer,
+                       inertia_subgroup, is_invariant, permutation_action,
+                       semisimplicity_certificate, wedderburn_decompose)
 from .errors import AssertionFailure, BlocksNotDirect, InvalgError
 from .factor import central_simple_invariant_subalgebras, multfree_scan
 from .groups import (Subgroup, _conjugates, all_subgroups,
                      are_conjugate_subgroups, class_index_array,
-                     left_transversal)
+                     conjugacy_classes, left_transversal)
 from .reps import (Representation, adjoint_rep, character, character_table,
                    induced_character, inner_product, is_induced_from,
                    is_irreducible, restrict)
@@ -64,18 +63,21 @@ def _normalizer_members(group, sub):
     return np.flatnonzero((rows == np.array(sub.members)).all(axis=1))
 
 
-def _conjugate_character_tuple(group, sub, chi, n):
-    """Per-element values of ``h -> chi(n^-1 h n)``, rounded for comparison."""
+def _conjugation_class_maps(group, sub, normalizer):
+    """Distinct rows ``c -> class of n^-1 h_c n`` over ``n`` in the normalizer.
+
+    ``h_c`` is the least member of class ``c`` of H.  Conjugation by ``n``
+    permutes the classes of H, so a row fixes the conjugate of a character;
+    all rows come from one gather over the normalizer.
+    """
     h_group = sub.as_group()
-    cls = class_index_array(h_group)
-    pos = {m: i for i, m in enumerate(sub.members)}
-    ni = group.inv[n]
-    vals = []
-    for h in sub.members:
-        moved = int(group.mult[group.mult[ni, h], n])
-        v = chi.values[cls[pos[moved]]]
-        vals.append((round(v.real, 8), round(v.imag, 8)))
-    return tuple(vals)
+    members = np.array(sub.members)
+    pos = np.full(group.order, -1, dtype=np.intp)
+    pos[members] = np.arange(len(members))
+    reps = members[[c[0] for c in conjugacy_classes(h_group)]]
+    n = np.asarray(normalizer)
+    moved = group.mult[group.mult[group.inv[n][:, None], reps[None, :]], n[:, None]]
+    return np.unique(class_index_array(h_group)[pos[moved]], axis=0)
 
 
 def induction_pairs(v_rep, seed=0, tol=RANK_TOL):
@@ -102,7 +104,8 @@ def induction_pairs(v_rep, seed=0, tol=RANK_TOL):
         res = restrict(v_rep, sub)
         res_char = character(res)
         table = character_table(h_group, seed=seed)
-        normalizer = _normalizer_members(group, sub)
+        class_maps = _conjugation_class_maps(
+            group, sub, _normalizer_members(group, sub))
         seen_orbits = set()
         for chi in table:
             if abs(chi.at_element(h_group.identity) - w_dim) > 0.5:
@@ -113,8 +116,8 @@ def induction_pairs(v_rep, seed=0, tol=RANK_TOL):
             chi_v = character(v_rep)
             if max(abs(a - b) for a, b in zip(ind.values, chi_v.values)) > 1e-6:
                 continue
-            orbit = frozenset(_conjugate_character_tuple(group, sub, chi, n)
-                              for n in normalizer)
+            rounded = [(round(v.real, 8), round(v.imag, 8)) for v in chi.values]
+            orbit = frozenset(tuple(rounded[c] for c in row) for row in class_maps)
             if orbit in seen_orbits:
                 continue
             seen_orbits.add(orbit)
@@ -161,21 +164,16 @@ def theta(datum, v_rep, seed=0, tol=RANK_TOL):
     w = pair.w_rep.dim
     d = v_rep.dim
     q = pair.copy_basis
-    blocks = [v_rep.matrices[g] @ q for g in pair.transversal.reps]
+    blocks = v_rep.matrices[list(pair.transversal.reps)] @ q
     s = np.hstack(blocks)
     svals = np.linalg.svd(s, compute_uv=False)
     if svals[-1] < tol * max(1.0, svals[0]):
         raise BlocksNotDirect(
             "transversal translates of the W-copy do not span independently")
     s_inv = np.linalg.inv(s)
-    c_basis = datum.c_space.basis()
-    mats = []
-    for i in range(l):
-        left = blocks[i]
-        right = s_inv[i * w:(i + 1) * w]
-        for c in c_basis:
-            mats.append(left @ c @ right)
-    space = MatrixSubspace.from_spanning(mats, (d, d), tol)
+    # block i of C is blocks[i] @ c @ (rows i*w:(i+1)*w of s_inv)
+    mats = blocks[:, None] @ datum.c_space.basis()[None] @ s_inv.reshape(l, 1, w, d)
+    space = MatrixSubspace.from_spanning(mats.reshape(-1, d, d), (d, d), tol)
     if space.dim != l * datum.c_space.dim:
         raise AssertionFailure(
             f"block span has dimension {space.dim}, expected {l * datum.c_space.dim}")
@@ -241,6 +239,7 @@ def verify_classification(subalgebras, v_rep, seed=0, tol=RANK_TOL):
     spaces = [b.space if isinstance(b, InvariantSubalgebra) else b
               for b in subalgebras]
     violations = []
+    cartans = {}  # id(pair) -> scalar-block span of the pair, built once
     for idx, entry in enumerate(subalgebras):
         space = spaces[idx]
         label = f"entry {idx} (dim {space.dim})"
@@ -254,9 +253,9 @@ def verify_classification(subalgebras, v_rep, seed=0, tol=RANK_TOL):
                 continue
             meta = (entry if isinstance(entry, InvariantSubalgebra)
                     else wedderburn_decompose(space, seed=seed, tol=tol))
-            if not is_symmetrically_embedded(meta, seed=seed, tol=tol):
-                violations.append(f"{label}: embedding is not symmetric")
             z = centralizer(space, tol)
+            if not _symmetric_embedding(meta, z, seed=seed, tol=tol):
+                violations.append(f"{label}: embedding is not symmetric")
             if not centralizer(z, tol).equals(space):
                 violations.append(f"{label}: double centralizer moved")
             if not any(z.equals(o) for o in spaces):
@@ -270,13 +269,17 @@ def verify_classification(subalgebras, v_rep, seed=0, tol=RANK_TOL):
                 if not are_conjugate_subgroups(inert, datum.pair.subgroup):
                     violations.append(
                         f"{label}: inertia group not conjugate to the recorded subgroup")
-                cartan = theta(
-                    InductionDatum(datum.pair,
-                                   MatrixSubspace.identity_line(datum.pair.w_rep.dim)),
-                    v_rep, seed=seed, tol=tol)
+                cartan = cartans.get(id(datum.pair))
+                if cartan is None:
+                    # a failed build is not stored, so each entry of the
+                    # pair reports the same error
+                    cartan = cartans[id(datum.pair)] = theta(
+                        InductionDatum(datum.pair, MatrixSubspace.identity_line(
+                            datum.pair.w_rep.dim)),
+                        v_rep, seed=seed, tol=tol).space
                 idem_span = MatrixSubspace.from_spanning(
                     meta.idempotents, space.shape, tol)
-                if not idem_span.equals(cartan.space):
+                if not idem_span.equals(cartan):
                     violations.append(
                         f"{label}: idempotent span differs from the scalar-block span")
         except (InvalgError, ValueError, np.linalg.LinAlgError) as exc:

@@ -171,13 +171,13 @@ def _matrix_units(b_space, a, seed, tol):
     units = {(0, 0): diag[0]}
     for p in range(1, a):
         corner = MatrixSubspace.from_spanning(
-            [diag[0] @ bb @ diag[p] for bb in basis], (d, d), tol)
+            diag[0] @ basis @ diag[p], (d, d), tol)
         if corner.dim != 1:
             raise FactorRecoveryFailure(
                 f"corner space 1-{p} has dimension {corner.dim}, expected 1")
         u = corner.basis()[0]
         back = MatrixSubspace.from_spanning(
-            [diag[p] @ bb @ diag[0] for bb in basis], (d, d), tol)
+            diag[p] @ basis @ diag[0], (d, d), tol)
         if back.dim != 1:
             raise FactorRecoveryFailure(
                 f"corner space {p}-1 has dimension {back.dim}, expected 1")

@@ -179,8 +179,11 @@ def weyl_dim(weight):
     Weyl's formula prod <lam + rho, alpha> / <rho, alpha> over the positive
     roots, read off the system's pairing table and memoized on the system.
     """
-    sys_ = weight.system
-    coords = weight.coords
+    return _coords_dim(weight.system, weight.coords)
+
+
+def _coords_dim(sys_, coords):
+    """:func:`weyl_dim` of the weight with nonnegative integer ``coords``."""
     dim = sys_.dim_memo.get(coords)
     if dim is None:
         num = 1
@@ -201,10 +204,12 @@ def tensor_irreducible(lam, mu):
     tensor product exactly when the dimensions match.  The answer is checked
     against the clean criterion — one of the two weights is zero.
     """
-    if lam.system != mu.system:
+    sys_ = lam.system
+    if mu.system is not sys_ and mu.system != sys_:
         raise ValueError("weights live on different root systems")
     product = weyl_dim(lam) * weyl_dim(mu)
-    combined = weyl_dim(lam + mu)
+    # the coords of lam + mu, without building and re-validating a weight
+    combined = _coords_dim(sys_, tuple(a + b for a, b in zip(lam.coords, mu.coords)))
     if combined > product:
         raise AssertionFailure("Cartan component exceeds the tensor product")
     result = combined == product

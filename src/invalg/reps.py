@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import (INT_TOL, RANK_TOL, intertwiners, round_to_gaussian_int,
-                      round_to_int, scalar_multiple_of_identity)
-from .algebras import _complete_and_orthogonal, _spectral_split
+from ._linalg import (INT_TOL, RANK_TOL, intertwiners, kron_stack,
+                      round_to_gaussian_int, round_to_int,
+                      scalar_multiple_of_identity)
+from .algebras import _all_idempotent, _complete_and_orthogonal, _spectral_split
 from .errors import (AssertionFailure, FactorRecoveryFailure, NotAnAutomorphism,
                      NotARepresentation, ToleranceFailure)
 from .groups import (FiniteGroup, class_index_array, conjugacy_classes,
@@ -227,7 +228,7 @@ def adjoint_rep(rep):
             invs = np.conj(np.transpose(mats, (0, 2, 1)))
         else:
             invs = np.linalg.inv(mats)
-        big = np.stack([np.kron(m, vi.T) for m, vi in zip(mats, invs)])
+        big = kron_stack(mats, np.swapaxes(invs, 1, 2))
         rep._cache["adjoint"] = Representation(
             group=rep.group, dim=rep.dim ** 2, matrices=big,
             unitary=rep.unitary, name=None)
@@ -312,9 +313,8 @@ def isotypic_decomposition(rep, seed=0, tol=RANK_TOL):
         proj = np.einsum("g,gij->ij", vals, rep.matrices) * (d_i / group.order)
         comps.append(IsotypicComponent(projector=proj, irrep_label=f"chi{i}",
                                        multiplicity=m, dim=m * d_i, character=chi))
-    projs = [c.projector for c in comps]
-    if not (all(np.linalg.norm(p @ p - p) <= 1e-6 for p in projs)
-            and _complete_and_orthogonal(projs, np.eye(rep.dim))):
+    projs = np.array([c.projector for c in comps])
+    if not (_all_idempotent(projs) and _complete_and_orthogonal(projs, np.eye(rep.dim))):
         raise ToleranceFailure(
             "isotypic projectors are not orthogonal idempotents summing to the identity")
     return comps

@@ -7,7 +7,7 @@ relative to the matrix norm.
 
 import numpy as np
 
-from ._linalg import EQ_TOL, RANK_TOL, nullspace, row_space
+from ._linalg import EQ_TOL, RANK_TOL, nullspace, row_norms, row_space
 
 
 class MatrixSubspace:
@@ -28,15 +28,15 @@ class MatrixSubspace:
 
     @classmethod
     def from_spanning(cls, mats, shape=None, tol=RANK_TOL):
-        mats = [np.asarray(m, dtype=complex) for m in mats]
+        """Span of a stack (or list) of matrices."""
+        mats = np.asarray(mats, dtype=complex)
         if shape is None:
-            if not mats:
+            if not len(mats):
                 raise ValueError("need a shape for an empty spanning set")
-            shape = mats[0].shape
-        if not mats:
+            shape = mats.shape[1:]
+        if not len(mats):
             return cls.zero(shape)
-        stacked = np.stack([m.reshape(-1) for m in mats])
-        return cls(row_space(stacked, tol), shape)
+        return cls(row_space(mats.reshape(len(mats), -1), tol), shape)
 
     @classmethod
     def zero(cls, shape):
@@ -78,14 +78,23 @@ class MatrixSubspace:
         return (coeff @ self.flat).reshape(self.shape)
 
     def contains(self, m, tol=RANK_TOL):
-        m = np.asarray(m, dtype=complex)
-        norm = np.linalg.norm(m)
-        if norm == 0.0:
-            return True
-        return np.linalg.norm(m - self.project(m)) <= tol * norm
+        """Whether ``|m - project(m)| <= tol * |m|``; the zero matrix passes."""
+        return self.contains_all(m, tol)
+
+    def contains_all(self, mats, tol=RANK_TOL):
+        """Whether every matrix of the stack ``mats`` passes :meth:`contains`.
+
+        One projection of the whole stack (a single matrix is a stack of
+        one); each matrix keeps its own bound.  A zero matrix projects to
+        exactly zero, so it passes, and so does an empty stack.
+        """
+        flat = np.asarray(mats, dtype=complex).reshape(-1, self.flat.shape[1])
+        diff = (flat @ self.flat.conj().T) @ self.flat
+        diff -= flat
+        return bool(np.all(row_norms(diff) <= tol * row_norms(flat)))
 
     def contains_space(self, other, tol=EQ_TOL):
-        return all(self.contains(b, tol) for b in other.basis())
+        return self.contains_all(other.flat, tol)
 
     def equals(self, other, tol=EQ_TOL):
         if self.shape != other.shape or self.dim != other.dim:
@@ -101,7 +110,7 @@ class MatrixSubspace:
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
         return MatrixSubspace.from_spanning(
-            list(self.basis()) + list(other.basis()), self.shape, tol)
+            np.concatenate([self.flat, other.flat]), self.shape, tol)
 
     def intersect(self, other, tol=RANK_TOL):
         """Intersection via the nullspace of stacked coordinate equations."""
@@ -113,21 +122,15 @@ class MatrixSubspace:
         c2 = other.flat.T
         stacked = np.hstack([c1, -c2])
         null_rows = nullspace(stacked, tol)
-        vecs = [c1 @ r[: self.dim] for r in null_rows]
-        if not vecs:
-            return MatrixSubspace.zero(self.shape)
         return MatrixSubspace.from_spanning(
-            [v.reshape(self.shape) for v in vecs], self.shape, tol)
+            null_rows[:, :self.dim] @ self.flat, self.shape, tol)
 
     def is_product_closed(self, tol=RANK_TOL):
         """Whether all pairwise basis products re-project into the space."""
         if self.shape[0] != self.shape[1]:
             raise ValueError("products need square matrices")
-        for a in self.basis():
-            for b in self.basis():
-                if not self.contains(a @ b, tol):
-                    return False
-        return True
+        basis = self.basis()
+        return self.contains_all(basis[:, None] @ basis[None], tol)
 
     def fingerprint(self, ndigits=9):
         """Basis-independent sort key: the rounded orthogonal projector."""
@@ -142,8 +145,8 @@ def span_product(s1, s2, tol=RANK_TOL):
     if s1.shape[1] != s2.shape[0]:
         raise ValueError("inner dimensions do not match")
     out_shape = (s1.shape[0], s2.shape[1])
-    prods = [a @ b for a in s1.basis() for b in s2.basis()]
-    return MatrixSubspace.from_spanning(prods, out_shape, tol)
+    prods = s1.basis()[:, None] @ s2.basis()[None]
+    return MatrixSubspace.from_spanning(prods.reshape(-1, *out_shape), out_shape, tol)
 
 
 def generated_algebra(space, include_identity=False, tol=RANK_TOL):

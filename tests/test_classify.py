@@ -170,7 +170,8 @@ def test_verify_classification_propagates_bugs(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("injected")
 
-    monkeypatch.setattr(invalg.classify, "is_symmetrically_embedded", broken)
+    # the symmetric-embedding check, fed the entry's centralizer
+    monkeypatch.setattr(invalg.classify, "_symmetric_embedding", broken)
     with pytest.raises(TypeError, match="injected"):
         verify_classification(subs, rep, seed=0)
 

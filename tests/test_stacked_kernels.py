@@ -1,0 +1,472 @@
+"""Stacked kernels against the per-matrix loops they replace.
+
+Each test keeps the earlier loop as an oracle.  Where the stacked kernel
+does the same arithmetic (the Kronecker systems, the products behind the
+algebra unit) the results must be bit-identical; where the summation order
+changed (batched projections) decisions must agree and values must agree to
+a tolerance fixed from complex128 rounding.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+import invalg.classify
+from invalg import (MatchFailure, MatrixSubspace, adjoint_rep, catalog,
+                    enumerate_invariant_subalgebras, is_invariant,
+                    permutation_action, verify_classification)
+from invalg._linalg import kron_stack, intertwiners, nullspace, row_norms
+from invalg.algebras import (_all_idempotent, _complete_and_orthogonal,
+                             algebra_unit, left_multiplication_operators)
+from invalg.classify import _conjugation_class_maps, _normalizer_members
+from invalg.groups import all_subgroups, class_index_array
+from invalg.lie import HighestWeight, RootSystem, tensor_irreducible
+from invalg.reps import character_table
+from invalg.spaces import span_product
+
+IRREDUCIBLE = [("S3", "std"), ("Q8", "std"), ("D4", "std"), ("A4", "std3"),
+               ("S4", "std3"), ("SL23", "std"), ("S3xS3", "stdXstd")]
+# values that went through a different summation order
+VALUE_TOL = 1e-12
+
+
+@pytest.fixture(scope="module")
+def catalog_subalgebras():
+    out = []
+    for key, rep_name in IRREDUCIBLE:
+        _, rep = catalog.get(key, rep_name)
+        subs, _ = enumerate_invariant_subalgebras(rep, seed=0)
+        out.extend((f"{key}:{rep_name}", rep, s) for s in subs)
+    return out
+
+
+def _random_stack(rng, k, p, q):
+    return rng.standard_normal((k, p, q)) + 1j * rng.standard_normal((k, p, q))
+
+
+# -- the intertwiner system ------------------------------------------------------
+
+def _kron_system(a_mats, b_mats):
+    """The system as it was built before: 2k ``np.kron`` calls."""
+    q, p = a_mats.shape[-1], b_mats.shape[-1]
+    rows = [np.kron(np.eye(p), a.T) - np.kron(b, np.eye(q))
+            for a, b in zip(a_mats, b_mats, strict=True)]
+    return np.vstack(rows) if rows else np.zeros((0, p * q))
+
+
+@pytest.mark.parametrize("k,p,q", [(0, 2, 3), (0, 3, 3), (3, 2, 3), (4, 3, 3),
+                                   (2, 4, 1), (5, 1, 1), (3, 4, 2)])
+def test_intertwiners_match_kron_system_bit_for_bit(k, p, q):
+    rng = np.random.default_rng(100 * k + 10 * p + q)
+    a, b = _random_stack(rng, k, q, q), _random_stack(rng, k, p, p)
+    want = nullspace(_kron_system(a, b)).reshape(-1, p, q)
+    got = intertwiners(a, b)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_intertwiners_real_and_commuting_input():
+    """Real input takes the same path; the commutant of a scalar is everything."""
+    _, rep = catalog.get("S3", "std")
+    mats = rep.matrices.real
+    want = nullspace(_kron_system(mats, mats)).reshape(-1, 2, 2)
+    assert intertwiners(mats, mats).tobytes() == want.tobytes()
+    assert len(intertwiners(np.eye(3)[None], np.eye(3)[None])) == 9
+
+
+def test_intertwiners_reject_unpaired_stacks():
+    with pytest.raises(ValueError):
+        intertwiners(np.zeros((1, 2, 2)), np.zeros((3, 2, 2)))
+
+
+def test_kron_stack_is_np_kron():
+    rng = np.random.default_rng(5)
+    a, b = _random_stack(rng, 4, 2, 3), _random_stack(rng, 4, 3, 2)
+    want = np.stack([np.kron(x, y) for x, y in zip(a, b)])
+    assert kron_stack(a, b).tobytes() == want.tobytes()
+    # an unstacked factor broadcasts against the stack
+    want = np.stack([np.kron(np.eye(2), y) for y in b])
+    assert kron_stack(np.eye(2), b).tobytes() == want.tobytes()
+
+
+def test_adjoint_rep_is_the_kron_loop():
+    for key, rep_name in IRREDUCIBLE:
+        _, rep = catalog.get(key, rep_name)
+        mats = rep.matrices
+        invs = (np.conj(np.transpose(mats, (0, 2, 1))) if rep.unitary
+                else np.linalg.inv(mats))
+        want = np.stack([np.kron(m, vi.T) for m, vi in zip(mats, invs)])
+        assert adjoint_rep(rep).matrices.tobytes() == want.tobytes()
+
+
+# -- membership -------------------------------------------------------------------
+
+def _contains_loop(space, m, tol):
+    """The per-matrix membership rule before it was stacked."""
+    m = np.asarray(m, dtype=complex)
+    norm = np.linalg.norm(m)
+    if norm == 0.0:
+        return True
+    return np.linalg.norm(m - space.project(m)) <= tol * norm
+
+
+def _spaces(rng):
+    yield MatrixSubspace.zero(3)
+    yield MatrixSubspace.full((3, 3))
+    yield MatrixSubspace.identity_line(3)
+    for k in (1, 4, 7):
+        yield MatrixSubspace.from_spanning(_random_stack(rng, k, 3, 3))
+    yield MatrixSubspace.from_spanning(_random_stack(rng, 2, 2, 4))
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-6])
+def test_contains_all_matches_the_loop(tol):
+    rng = np.random.default_rng(7)
+    for space in _spaces(rng):
+        rows, cols = space.shape
+        perp = _random_stack(rng, 5, rows, cols)
+        perp -= np.array([space.project(m) for m in perp])
+        inside = (rng.standard_normal((5, space.dim)) @ space.flat).reshape(-1, rows, cols)
+        # residuals at a tenth and ten times the bound, away from its edge
+        near = inside + perp * (np.array([0.1, 10.0, 0.1, 10.0, 0.1])[:, None, None]
+                                * tol * np.linalg.norm(inside, axis=(1, 2))[:, None, None]
+                                / np.maximum(np.linalg.norm(perp, axis=(1, 2)),
+                                             1e-300)[:, None, None])
+        zero = np.zeros((2, rows, cols))
+        stacks = [np.zeros((0, rows, cols)), [], zero, inside, near,
+                  _random_stack(rng, 3, rows, cols), np.concatenate([zero, near])]
+        stacks += [near[i:i + 1] for i in range(len(near))]
+        for stack in stacks:
+            want = all(_contains_loop(space, m, tol) for m in stack)
+            assert space.contains_all(stack, tol) == want
+        for m in np.concatenate([inside, near, zero]):
+            assert space.contains(m, tol) == _contains_loop(space, m, tol)
+
+
+def test_contains_all_empty_stack_and_zero_space():
+    zero = MatrixSubspace.zero((2, 3))
+    assert zero.contains_all(np.zeros((0, 2, 3)))
+    assert zero.contains_all([])
+    assert zero.contains_all(np.zeros((4, 2, 3)))
+    assert not zero.contains_all(np.ones((1, 2, 3)))
+    assert zero.contains_space(zero)
+    assert MatrixSubspace.full((2, 3)).contains_space(zero)
+
+
+def test_row_norms_match_linalg_norm():
+    rng = np.random.default_rng(11)
+    a = _random_stack(rng, 1, 6, 40)[0]
+    np.testing.assert_allclose(row_norms(a), np.linalg.norm(a, axis=1), rtol=VALUE_TOL)
+    np.testing.assert_allclose(row_norms(a.real), np.linalg.norm(a.real, axis=1),
+                               rtol=VALUE_TOL)
+    assert row_norms(np.zeros((0, 5))).shape == (0,)
+
+
+def _is_product_closed_loop(space, tol):
+    return all(_contains_loop(space, a @ b, tol)
+               for a in space.basis() for b in space.basis())
+
+
+def _is_invariant_loop(space, adjoint, tol):
+    for g in adjoint.group.generators:
+        for b in space.basis():
+            moved = (adjoint.matrices[g] @ b.reshape(-1)).reshape(space.shape)
+            if not _contains_loop(space, moved, tol):
+                return False
+    return True
+
+
+def test_product_closure_and_invariance_match_the_loops(catalog_subalgebras):
+    rng = np.random.default_rng(13)
+    seen = set()
+    for name, rep, sub in catalog_subalgebras:
+        space = sub.space
+        ad = adjoint_rep(rep)
+        # the rule has no absolute floor, so a product of orthogonal
+        # idempotents (zero up to rounding) can fail it; only agreement counts
+        assert space.is_product_closed() == _is_product_closed_loop(space, 1e-8)
+        assert is_invariant(space, ad, 1e-6) and _is_invariant_loop(space, ad, 1e-6)
+        if name in seen:
+            continue
+        seen.add(name)
+        d = space.ambient_dim
+        for k in (1, 2, 3):
+            rnd = MatrixSubspace.from_spanning(_random_stack(rng, k, d, d))
+            assert rnd.is_product_closed() == _is_product_closed_loop(rnd, 1e-8)
+            assert is_invariant(rnd, ad, 1e-6) == _is_invariant_loop(rnd, ad, 1e-6)
+
+
+def test_span_product_matches_the_loop():
+    rng = np.random.default_rng(17)
+    s1 = MatrixSubspace.from_spanning(_random_stack(rng, 2, 2, 3))
+    s2 = MatrixSubspace.from_spanning(_random_stack(rng, 3, 3, 4))
+    want = MatrixSubspace.from_spanning([a @ b for a in s1.basis() for b in s2.basis()])
+    got = span_product(s1, s2)
+    assert got.shape == (2, 4) and got.equals(want)
+
+
+# -- left multiplication and the unit ---------------------------------------------
+
+def _left_multiplication_loop(space, tol):
+    basis = space.basis()
+    k = space.dim
+    ops = np.zeros((k, k, k), dtype=complex)
+    for i, bi in enumerate(basis):
+        for j, bj in enumerate(basis):
+            prod = bi @ bj
+            coeff = space.flat.conj() @ prod.reshape(-1)
+            resid = np.linalg.norm(prod - (coeff @ space.flat).reshape(space.shape))
+            if resid > tol * max(1.0, np.linalg.norm(prod)):
+                raise ValueError("subspace is not closed under products")
+            ops[i, :, j] = coeff
+    return ops
+
+
+def _algebra_unit_loop(space):
+    if space.dim == 0:
+        return None
+    basis = space.basis()
+    rows, rhs = [], []
+    for bj in basis:
+        rows.append(np.stack([(bi @ bj).reshape(-1) for bi in basis], axis=1))
+        rhs.append(bj.reshape(-1))
+        rows.append(np.stack([(bj @ bi).reshape(-1) for bi in basis], axis=1))
+        rhs.append(bj.reshape(-1))
+    coeff, *_ = np.linalg.lstsq(np.vstack(rows), np.concatenate(rhs), rcond=None)
+    u = np.tensordot(coeff, basis, axes=(0, 0))
+    resid = max(np.linalg.norm(u @ bj - bj) + np.linalg.norm(bj @ u - bj)
+                for bj in basis)
+    return None if resid > 1e-6 else u
+
+
+def test_left_multiplication_and_unit_on_catalog_subalgebras(catalog_subalgebras):
+    for _, _, sub in catalog_subalgebras:
+        space = sub.space
+        want = _left_multiplication_loop(space, 1e-8)
+        got = left_multiplication_operators(space)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=VALUE_TOL)
+        unit = algebra_unit(space)
+        assert unit is not None
+        np.testing.assert_allclose(unit, _algebra_unit_loop(space), rtol=0, atol=VALUE_TOL)
+        np.testing.assert_allclose(unit, np.eye(space.ambient_dim), rtol=0, atol=1e-8)
+
+
+def test_left_multiplication_rejects_a_non_closed_space():
+    offdiag = MatrixSubspace.from_spanning([np.array([[0.0, 1.0], [1.0, 0.0]])])
+    with pytest.raises(ValueError, match="not closed"):
+        _left_multiplication_loop(offdiag, 1e-8)
+    with pytest.raises(ValueError, match="not closed"):
+        left_multiplication_operators(offdiag)
+
+
+def test_algebra_unit_of_nonunital_and_zero_spaces():
+    upper = MatrixSubspace.from_spanning([np.array([[0.0, 1.0], [0.0, 0.0]])])
+    assert algebra_unit(upper) is None and _algebra_unit_loop(upper) is None
+    corner = MatrixSubspace.from_spanning([np.diag([1.0, 0.0, 0.0])])
+    np.testing.assert_allclose(algebra_unit(corner), _algebra_unit_loop(corner),
+                               rtol=0, atol=VALUE_TOL)
+    assert algebra_unit(MatrixSubspace.zero(2)) is None
+
+
+# -- idempotents ------------------------------------------------------------------
+
+def _complete_and_orthogonal_loop(idems, unit):
+    return (np.linalg.norm(np.sum(idems, axis=0) - unit) <= 1e-6
+            and all(np.linalg.norm(e @ f) < 1e-6
+                    for i, e in enumerate(idems)
+                    for j, f in enumerate(idems) if i != j))
+
+
+def test_complete_and_orthogonal_matches_the_loop():
+    rng = np.random.default_rng(19)
+    n = 6
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    v = q @ np.diag(rng.uniform(1.0, 2.0, n))        # non-unitary eigenvectors
+    vinv = np.linalg.inv(v)
+    splits = [[range(0, 2), range(2, 5), range(5, 6)], [range(0, 6)],
+              [range(i, i + 1) for i in range(6)]]
+    for parts in splits:
+        good = [v[:, list(ix)] @ vinv[list(ix)] for ix in parts]
+        cases = [good, np.stack(good),
+                 good[:-1],                                   # incomplete
+                 [good[0] + 1e-3 * good[-1]] + good[1:],      # does not sum to I
+                 ]
+        if len(good) > 1:
+            shift = 1e-3 * rng.standard_normal((n, n))
+            cases.append([good[0] + shift, good[1] - shift] + good[2:])   # sums to I
+        for idems in cases:
+            assert (_complete_and_orthogonal(idems, np.eye(n))
+                    == _complete_and_orthogonal_loop(idems, np.eye(n)))
+    assert _complete_and_orthogonal([np.eye(3)], np.eye(3))
+
+
+def test_all_idempotent_matches_the_loop():
+    rng = np.random.default_rng(29)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    good = np.stack([q[:, :k] @ q[:, :k].conj().T for k in range(5)])
+    for eps in (0.0, 1e-8, 1e-5):
+        stack = good.copy()
+        stack[2] += eps * rng.standard_normal((4, 4))
+        want = all(np.linalg.norm(p @ p - p) <= 1e-6 for p in stack)
+        assert _all_idempotent(stack) == want == (eps < 1e-6)
+        assert _all_idempotent(list(stack)) == want
+    assert _all_idempotent(np.zeros((0, 3, 3)))
+    np.testing.assert_allclose(row_norms(good), np.linalg.norm(good, axis=(1, 2)),
+                               rtol=VALUE_TOL)
+
+
+def test_complete_and_orthogonal_checks_both_orders():
+    """Sums to I, but e_i e_j != 0 only for some i < j in one ordering."""
+    c = 0.5
+    e0 = np.diag([1.0, 0.0, 0.0])
+    e1 = np.array([[0.0, 0.0, 0.0], [c, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    e2 = np.eye(3) - e0 - e1
+    for order in ([e1, e2, e0], [e0, e2, e1], [e0, e1, e2]):
+        assert not _complete_and_orthogonal_loop(order, np.eye(3))
+        assert not _complete_and_orthogonal(order, np.eye(3))
+
+
+def _permutation_loop(idems, adjoint, tol):
+    idems = np.array([e.reshape(-1) for e in idems])
+    bound = tol * np.maximum(1.0, np.linalg.norm(idems, axis=1))
+    sigma = np.zeros((adjoint.group.order, len(idems)), dtype=np.intp)
+    for g in range(adjoint.group.order):
+        moved = idems @ adjoint.matrices[g].T
+        dists = np.linalg.norm(moved[:, None, :] - idems[None, :, :], axis=2)
+        sigma[g] = np.argmin(dists, axis=1)
+        best = dists[np.arange(len(idems)), sigma[g]]
+        bad = np.flatnonzero(best > bound)
+        if bad.size:
+            return g, int(bad[0])
+    return sigma
+
+
+def test_permutation_action_matches_the_loop(catalog_subalgebras):
+    for _, rep, sub in catalog_subalgebras:
+        ad = adjoint_rep(rep)
+        sigma, transitive = permutation_action(sub, ad)
+        want = _permutation_loop(sub.idempotents, ad, 1e-6)
+        assert np.array_equal(sigma, want)
+        assert transitive
+
+
+def test_permutation_action_first_failure_is_row_major():
+    """The failure named is the loop's first, in (g, i) order.
+
+    Each list holds the identity (matched by every g) and matrices that only
+    some elements map into the list, so failures start at varying (g, i).
+    """
+    _, rep = catalog.get("S3", "std")
+    ad = adjoint_rep(rep)
+    rng = np.random.default_rng(23)
+    mats = rep.matrices
+    named = set()
+    for _ in range(30):
+        x = _random_stack(rng, 1, 2, 2)[0]
+        # x is fixed by the elements commuting with mats[h] for a random h
+        h = int(rng.integers(len(mats)))
+        fixed = sum(mats[g] @ x @ np.linalg.inv(mats[g]) for g in range(len(mats))
+                    if np.allclose(mats[g] @ mats[h], mats[h] @ mats[g]))
+        idems = [np.eye(2, dtype=complex)]
+        idems.insert(int(rng.integers(2)), fixed if rng.integers(2) else mats[h] + 0j)
+        idems.append(x)
+        first = _permutation_loop(idems, ad, 1e-6)
+        assert isinstance(first, tuple)
+        named.add(first)
+        g, i = first
+        with pytest.raises(MatchFailure, match=f"idempotent {i} by element {g} "):
+            permutation_action(SimpleNamespace(idempotents=idems), ad)
+    assert len(named) > 2
+
+
+# -- conjugate characters -----------------------------------------------------------
+
+def _conjugate_character_tuple(group, sub, chi, n):
+    """The per-element conjugate character, as it was compared before."""
+    h_group = sub.as_group()
+    cls = class_index_array(h_group)
+    pos = {m: i for i, m in enumerate(sub.members)}
+    ni = group.inv[n]
+    vals = []
+    for h in sub.members:
+        moved = int(group.mult[group.mult[ni, h], n])
+        v = chi.values[cls[pos[moved]]]
+        vals.append((round(v.real, 8), round(v.imag, 8)))
+    return tuple(vals)
+
+
+@pytest.mark.parametrize("key", ["S3", "D4", "A4", "S4", "SL23"])
+def test_conjugation_class_maps_give_the_same_orbits(key):
+    group = catalog.get(key).group
+    for sub in all_subgroups(group):
+        normalizer = _normalizer_members(group, sub)
+        maps = _conjugation_class_maps(group, sub, normalizer)
+        table = character_table(sub.as_group())
+        old, new = [], []
+        for chi in table:
+            old.append(frozenset(_conjugate_character_tuple(group, sub, chi, n)
+                                 for n in normalizer))
+            rounded = [(round(v.real, 8), round(v.imag, 8)) for v in chi.values]
+            new.append(frozenset(tuple(rounded[c] for c in row) for row in maps))
+        for a in range(len(table)):
+            assert len(old[a]) == len(new[a])
+            for b in range(len(table)):
+                assert (old[a] == old[b]) == (new[a] == new[b])
+
+
+# -- verification reuse ---------------------------------------------------------------
+
+def test_verify_builds_one_scalar_block_span_per_pair(monkeypatch):
+    _, rep = catalog.get("S3xS3", "stdXstd")
+    subs, _ = enumerate_invariant_subalgebras(rep, seed=0)
+    pairs = {id(s.induction_datum.pair) for s in subs if s.induction_datum is not None}
+    calls = []
+    original = invalg.classify.theta
+
+    def counting(datum, *args, **kwargs):
+        calls.append(id(datum.pair))
+        return original(datum, *args, **kwargs)
+
+    monkeypatch.setattr(invalg.classify, "theta", counting)
+    assert verify_classification(subs, rep, seed=0).ok
+    assert sorted(calls) == sorted(pairs)
+    assert len(pairs) < len(subs)
+
+
+def test_verify_computes_each_centralizer_once(monkeypatch):
+    """The symmetric-embedding check reuses the entry's centralizer."""
+    _, rep = catalog.get("Q8", "std")
+    subs, _ = enumerate_invariant_subalgebras(rep, seed=0)
+    calls = []
+    original = invalg.classify.centralizer
+
+    def counting(space, *args, **kwargs):
+        calls.append(id(space))
+        return original(space, *args, **kwargs)
+
+    monkeypatch.setattr(invalg.classify, "centralizer", counting)
+    monkeypatch.setattr(invalg.algebras, "centralizer", counting)
+    assert verify_classification(subs, rep, seed=0).ok
+    assert [calls.count(id(s.space)) for s in subs] == [1] * len(subs)
+
+
+# -- Lie ----------------------------------------------------------------------------------
+
+def test_tensor_irreducible_builds_no_weight(monkeypatch):
+    rs = RootSystem.from_name("B3")
+    lam, mu = HighestWeight(rs, (1, 0, 2)), HighestWeight(rs, (0, 3, 0))
+    twin = RootSystem.from_name("B3")                    # equal, not identical
+    mu_twin = HighestWeight(twin, (0, 3, 0))
+
+    def no_sum(self, other):
+        raise AssertionError("a weight was summed")
+
+    monkeypatch.setattr(HighestWeight, "__add__", no_sum)
+    assert tensor_irreducible(lam, mu) is False
+    assert tensor_irreducible(lam, mu_twin) is False
+    assert tensor_irreducible(lam, HighestWeight(rs, (0, 0, 0))) is True
+    assert (1, 3, 2) in rs.dim_memo
+    with pytest.raises(ValueError, match="different root systems"):
+        tensor_irreducible(lam, HighestWeight(RootSystem.from_name("C3"), (0, 3, 0)))
