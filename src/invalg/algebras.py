@@ -70,11 +70,10 @@ def left_multiplication_operators(space, tol=RANK_TOL):
     """
     k = space.dim
     prods = _basis_products(space).reshape(k, k, -1)
-    coeff = prods @ space.flat.conj().T
-    resid = np.linalg.norm(prods - coeff @ space.flat, axis=2)
-    if np.any(resid > tol * np.maximum(1.0, np.linalg.norm(prods, axis=2))):
+    if not space.contains_all(prods, tol):
         raise ValueError("subspace is not closed under products")
     # column j of L_{b_i} holds the coordinates of b_i b_j
+    coeff = prods @ space.flat.conj().T
     return np.ascontiguousarray(coeff.transpose(0, 2, 1))
 
 

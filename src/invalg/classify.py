@@ -260,7 +260,7 @@ def verify_classification(subalgebras, v_rep, seed=0, tol=RANK_TOL):
                 violations.append(f"{label}: double centralizer moved")
             if not any(z.equals(o) for o in spaces):
                 violations.append(f"{label}: centralizer missing from the list")
-            sigma, transitive = permutation_action(meta, ad)
+            _, transitive = permutation_action(meta, ad)
             if not transitive:
                 violations.append(f"{label}: block permutation action not transitive")
             datum = meta.induction_datum

@@ -14,10 +14,9 @@ import numpy as np
 
 from . import catalog as cat
 from ._linalg import RANK_TOL
-from .algebras import center, centralizer
+from .algebras import center
 from .classify import enumerate_invariant_subalgebras, verify_classification
-from .errors import (CapExceeded, InfiniteLattice, InvalgError,
-                     NotARepresentation)
+from .errors import CapExceeded, InvalgError, NotARepresentation
 from .factor import (central_simple_invariant_subalgebras, cocycle_consistency,
                      extract_factorization)
 from .ideals import Parametrization, invariant_ideals, invariant_subspaces
@@ -210,10 +209,8 @@ def _parser():
                     "under finite group actions")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, with_input=True):
-        if with_input:
-            sp.add_argument("input",
-                            help="catalog:KEY:REP or a JSON file path")
+    def add_common(sp):
+        sp.add_argument("input", help="catalog:KEY:REP or a JSON file path")
         sp.add_argument("--tol", type=float, default=RANK_TOL)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None,

@@ -8,13 +8,15 @@ numerical — matrix units of B give a basis change to Kronecker form, after
 which each group element's matrix is rank one under the row/column
 rearrangement and splits by SVD.
 
-The subset scan over sums of isotypic components of the conjugation action
-reads the closure of every sum off one table of the components each product
-of two components reaches, and builds only the closed sums.  It is certified
-complete exactly when that action is multiplicity-free; otherwise
-generated-algebra closures are added as uncertified heuristic candidates.
+The scan over sums of isotypic components of the conjugation action reads
+closure off one table of the components each product of two components
+reaches.  A nonzero closed sum is a largest closed proper subsum plus one
+component, closed, so a sweep lists them all at m closures each, not 2^m.
+It is certified complete exactly when that action is multiplicity-free;
+otherwise generated-algebra closures are added as uncertified candidates.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -27,8 +29,6 @@ from .errors import AssertionFailure, FactorRecoveryFailure, NotCentralSimple
 from .reps import (Representation, _as_projective_rep, _normalize_projective,
                    adjoint_rep, isotypic_decomposition)
 from .spaces import MatrixSubspace, generated_algebra
-
-SUBSET_SCAN_CAP = 20  # components; 2^m subsets beyond this is out of reach
 
 
 @dataclass
@@ -46,15 +46,36 @@ class DualPairFactorization:
     residual: float
 
 
+def _closed_sets(reach):
+    """Every bitmask S with ``reach[i][j]`` inside S for all i, j in S; 0 first."""
+    m = len(reach)
+    closed_sets, seen = [0], {0}
+    for closed in closed_sets:  # grows as the sweep finds more
+        members = [j for j in range(m) if closed >> j & 1]
+        for k in range(m):
+            # only products with a new member can leave the closed set
+            done, mask, grown = closed, closed | 1 << k, list(members)
+            while mask != done:
+                i = (mask & ~done).bit_length() - 1
+                done |= 1 << i
+                grown.append(i)
+                for j in grown:
+                    mask |= reach[i][j] | reach[j][i]
+            if mask not in seen:
+                seen.add(mask)
+                closed_sets.append(mask)
+    return closed_sets
+
+
 def multfree_scan(adjoint, seed=0, tol=RANK_TOL):
     """Scan sums of isotypic components for product closure.
 
     Returns ``(unital, nonunital, certified)``: product-closed sums that do /
-    do not contain the identity matrix, and whether the scan is exhaustive
-    (true exactly when the conjugation action is multiplicity-free, where
-    every invariant subspace is such a sum).  A sum over S is closed exactly
-    when no product of two of its components has a part outside S, so one
-    table of the components each product reaches decides every subset.
+    do not contain the identity matrix, and whether the lists are exhaustive:
+    true exactly when every isotypic multiplicity is at most one (then every
+    invariant subspace is such a sum), for any number of components.  A sum
+    over S is closed when no product of two of its components has a part
+    outside S; one closure sweep over that reach table lists every closed S.
     """
     comps = isotypic_decomposition(adjoint, seed=seed, tol=tol)
     w = int(round(np.sqrt(adjoint.dim)))
@@ -63,30 +84,22 @@ def multfree_scan(adjoint, seed=0, tol=RANK_TOL):
     spaces = [MatrixSubspace(column_space(c.projector, tol).T, (w, w))
               for c in comps]
     m = len(comps)
-    certified = m <= SUBSET_SCAN_CAP and all(c.multiplicity <= 1 for c in comps)
-    found = [MatrixSubspace.zero((w, w))]
+    certified = all(c.multiplicity <= 1 for c in comps)
+    # reach[i][j]: bitmask of the components C_i C_j has a part in (the
+    # isotypic projectors split along them even when they are not orthogonal)
+    projs = np.stack([c.projector for c in comps])
+    reach = [[0] * m for _ in range(m)]
+    for i, j in itertools.product(range(m), repeat=2):
+        prods = np.einsum("aij,bjk->abik", spaces[i].basis(),
+                          spaces[j].basis()).reshape(-1, w * w)
+        parts = np.linalg.norm(projs @ prods.T, axis=1)
+        hit = np.any(parts > tol * 10 * np.linalg.norm(prods, axis=1), axis=1)
+        reach[i][j] = sum(1 << int(k) for k in np.flatnonzero(hit))
 
-    if m <= SUBSET_SCAN_CAP:
-        # reach[i][j]: bitmask of the components C_i C_j has a part in; the
-        # isotypic projectors split along the other components even when
-        # they are not orthogonal
-        projs = np.stack([c.projector for c in comps])
-        reach = [[0] * m for _ in range(m)]
-        for i, j in itertools.product(range(m), repeat=2):
-            prods = np.einsum("aij,bjk->abik", spaces[i].basis(),
-                              spaces[j].basis()).reshape(-1, w * w)
-            parts = np.linalg.norm(projs @ prods.T, axis=1)
-            hit = np.any(parts > tol * 10 * np.linalg.norm(prods, axis=1), axis=1)
-            reach[i][j] = sum(1 << k for k in np.flatnonzero(hit))
-        for r in range(1, m + 1):
-            for subset in itertools.combinations(range(m), r):
-                outside = ~sum(1 << i for i in subset)
-                if any(reach[i][j] & outside for i in subset for j in subset):
-                    continue
-                total = spaces[subset[0]]
-                for i in subset[1:]:
-                    total = total.add(spaces[i], tol)
-                found.append(total)
+    found = [MatrixSubspace.zero((w, w))] + [
+        functools.reduce(lambda a, b: a.add(b, tol),
+                         [spaces[i] for i in range(m) if mask >> i & 1])
+        for mask in sorted(_closed_sets(reach))[1:]]
 
     if not certified:
         # heuristic candidates: close each component (with the unit adjoined)
@@ -97,7 +110,6 @@ def multfree_scan(adjoint, seed=0, tol=RANK_TOL):
 
         eye_line = MatrixSubspace.identity_line(w)
         record(eye_line)
-        record(MatrixSubspace.full((w, w)))
         for sp in spaces:
             cand = generated_algebra(sp.add(eye_line, tol), tol=tol)
             if cand.is_product_closed(tol * 10):
@@ -115,7 +127,7 @@ def central_simple_invariant_subalgebras(w_rep, seed=0, tol=RANK_TOL):
 
     Returns ``(list, certified)``.  The list is closed under taking
     centralizers and always contains the scalar line and the full algebra.
-    It is certified complete when the subset scan is, or when dim W is 1 or
+    It is certified complete when the isotypic scan is, or when dim W is 1 or
     prime.
     """
     ad = adjoint_rep(w_rep)
@@ -281,7 +293,7 @@ def extract_factorization(b_space, w_rep, seed=0, tol=RANK_TOL):
         residual=residual)
 
 
-def cocycle_consistency(fact, w_rep, group=None):
+def cocycle_consistency(fact, w_rep):
     """Max deviation of the cocycle balance over all element pairs.
 
     The product of the recovered factors' cocycles, corrected by the scalar
@@ -289,7 +301,7 @@ def cocycle_consistency(fact, w_rep, group=None):
     ``alpha_rho(g,h) = alpha_sigma(g,h) alpha_tau(g,h) lambda_g lambda_h /
     lambda_{gh}``.
     """
-    g = w_rep.group if group is None else group
+    g = w_rep.group
     n = g.order
 
     def table(rep):

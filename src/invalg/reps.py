@@ -153,16 +153,13 @@ def unitarize(rep):
     which the averaging argument requires.
     """
     g = rep.group
-    mats = np.asarray(rep.matrices, dtype=complex).copy()
+    mats = np.asarray(rep.matrices, dtype=complex)
     cocycle = rep.cocycle
     if cocycle is not None:
         logmod = np.log(np.abs(cocycle.values))
         c = np.exp(logmod.mean(axis=1))  # c_g = geometric mean over h of |alpha(g,h)|
         mats = mats / c[:, None, None]
-        new_vals = cocycle.values.copy()
-        n = g.order
-        new_vals = new_vals * c[g.mult] / (c[:, None] * c[None, :])
-        cocycle = TwoCocycle(g, new_vals)
+        cocycle = TwoCocycle(g, cocycle.values * c[g.mult] / (c[:, None] * c[None, :]))
     h = np.einsum("gji,gjk->ik", mats.conj(), mats) / g.order
     t = np.linalg.cholesky(h).conj().T  # h = t^* t
     tinv = np.linalg.inv(t)
@@ -364,20 +361,15 @@ def induce(subgroup, w_rep, cap=INDUCE_DIM_CAP):
 def induced_character(subgroup, chi_w):
     """Character of the induced representation, by the averaging formula."""
     group = subgroup.parent
-    h_group = subgroup.as_group()
-    pos = {m: i for i, m in enumerate(subgroup.members)}
-    h_cls = class_index_array(h_group)
-    classes = conjugacy_classes(group)
-    vals = []
-    for cls in classes:
-        g = cls[0]
-        total = 0.0 + 0.0j
-        for x in range(group.order):
-            y = int(group.mult[group.mult[group.inv[x], g], x])
-            if y in pos:
-                total += chi_w.values[h_cls[pos[y]]]
-        vals.append(total / subgroup.order)
-    return ClassFunction(group=group, values=tuple(vals))
+    # chi_w extended to G by zero, read at x^-1 g x for every x and every
+    # class representative g
+    ext = np.zeros(group.order, dtype=complex)
+    ext[list(subgroup.members)] = np.asarray(chi_w.values)[
+        class_index_array(subgroup.as_group())]
+    reps = [cls[0] for cls in conjugacy_classes(group)]
+    x = np.arange(group.order)[:, None]
+    vals = ext[group.mult[group.mult[group.inv[x], reps], x]].sum(axis=0)
+    return ClassFunction(group=group, values=tuple(vals / subgroup.order))
 
 
 def is_induced_from(v_rep, subgroup, w_rep, tol=INT_TOL):

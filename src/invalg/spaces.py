@@ -2,7 +2,7 @@
 
 All membership and equality decisions are residual-based: a matrix belongs to
 a subspace when the norm of its component orthogonal to the subspace is small
-relative to the matrix norm.
+relative to the matrix norm, floored at one.
 """
 
 import numpy as np
@@ -78,20 +78,20 @@ class MatrixSubspace:
         return (coeff @ self.flat).reshape(self.shape)
 
     def contains(self, m, tol=RANK_TOL):
-        """Whether ``|m - project(m)| <= tol * |m|``; the zero matrix passes."""
+        """Whether ``|m - project(m)| <= tol * max(1, |m|)``."""
         return self.contains_all(m, tol)
 
     def contains_all(self, mats, tol=RANK_TOL):
         """Whether every matrix of the stack ``mats`` passes :meth:`contains`.
 
         One projection of the whole stack (a single matrix is a stack of
-        one); each matrix keeps its own bound.  A zero matrix projects to
-        exactly zero, so it passes, and so does an empty stack.
+        one); each matrix keeps its own bound.  The floor lets a product that
+        is zero up to rounding pass; so does an empty stack.
         """
         flat = np.asarray(mats, dtype=complex).reshape(-1, self.flat.shape[1])
         diff = (flat @ self.flat.conj().T) @ self.flat
         diff -= flat
-        return bool(np.all(row_norms(diff) <= tol * row_norms(flat)))
+        return bool(np.all(row_norms(diff) <= tol * np.maximum(1.0, row_norms(flat))))
 
     def contains_space(self, other, tol=EQ_TOL):
         return self.contains_all(other.flat, tol)

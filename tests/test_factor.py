@@ -1,7 +1,11 @@
 """Isotypic subset-scan oracle and tensor factor recovery."""
 
+import itertools
+
 import numpy as np
 import pytest
+
+import invalg.factor
 
 from invalg import catalog
 from invalg import (MatrixSubspace, NotCentralSimple, Representation,
@@ -9,6 +13,7 @@ from invalg import (MatrixSubspace, NotCentralSimple, Representation,
                     central_simple_invariant_subalgebras, cocycle_consistency,
                     direct_product, enumerate_invariant_subalgebras,
                     extract_factorization, multfree_scan)
+from invalg.factor import _closed_sets
 
 IRREDUCIBLE = [("S3", "std"), ("Q8", "std"), ("D4", "std"), ("A4", "std3"),
                ("S4", "std3"), ("SL23", "std"), ("S3xS3", "stdXstd")]
@@ -71,6 +76,126 @@ def test_multfree_scan_non_unitary():
     for s in unital:
         image = MatrixSubspace.from_spanning([t @ b @ t_inv for b in s.basis()])
         assert sum(image.equals(o) for o in got) == 1
+
+
+def _closed_sets_walk(reach):
+    """The 2^m subset walk the closure sweep replaced, as a set of masks."""
+    m = len(reach)
+    out = {0}
+    for r in range(1, m + 1):
+        for subset in itertools.combinations(range(m), r):
+            outside = ~sum(1 << i for i in subset)
+            if not any(reach[i][j] & outside for i in subset for j in subset):
+                out.add(sum(1 << i for i in subset))
+    return out
+
+
+def _tensor_power(key, rep_name, k):
+    """The k-fold outer tensor power of a catalog rep, over the direct product."""
+    g1, r1 = catalog.get(key, rep_name)
+    alpha1 = r1.cocycle.values if r1.cocycle is not None else None
+    group, mats, alpha = g1, r1.matrices, alpha1
+    for _ in range(k - 1):
+        group = direct_product(group, g1)
+        mats = np.stack([np.kron(a, b) for a in mats for b in r1.matrices])
+        alpha = None if alpha1 is None else np.kron(alpha, alpha1)
+    return Representation(group=group, dim=mats.shape[1], matrices=mats, unitary=True,
+                          cocycle=None if alpha is None else TwoCocycle(group, alpha))
+
+
+def _random_reach(rng, m, density):
+    return [[sum(1 << k for k in range(m) if rng.random() < density)
+             for _ in range(m)] for _ in range(m)]
+
+
+def test_closed_sets_match_the_subset_walk():
+    rng = np.random.default_rng(29)
+    tables = []
+    for m in range(13):
+        tables.append([[0] * m for _ in range(m)])
+        tables.append([[(1 << m) - 1] * m for _ in range(m)])
+    for _ in range(374):
+        m = int(rng.integers(1, 13))
+        tables.append(_random_reach(rng, m, float(rng.choice([0.02, 0.08, 0.2, 0.5]))))
+    for reach in tables:
+        got = _closed_sets(reach)
+        assert got[0] == 0
+        assert len(set(got)) == len(got)
+        assert set(got) == _closed_sets_walk(reach)
+    # all-zero: every subset is closed; full: only the empty and full sets
+    assert len(_closed_sets([[0] * 12] * 12)) == 2 ** 12
+    assert sorted(_closed_sets([[2 ** 12 - 1] * 12] * 12)) == [0, 2 ** 12 - 1]
+
+
+def test_closed_sets_of_a_group_table_are_its_subgroups():
+    """reach[i][j] = {i xor j}: the closed sets are the empty set and the
+    subgroups of F_2^n, counted by Gaussian binomials."""
+    for n, subgroups in ((1, 2), (2, 5), (3, 16), (4, 67), (5, 374)):
+        reach = [[1 << (i ^ j) for j in range(2 ** n)] for i in range(2 ** n)]
+        assert len(_closed_sets(reach)) == subgroups + 1
+
+
+def test_closed_sets_past_64_members():
+    """A chain i -> i + 1 on 70 members: masks are Python ints past bit 63."""
+    m = 70
+    reach = [[(1 << i + 1 if i == j and i + 1 < m else 0) for j in range(m)]
+             for i in range(m)]
+    full = (1 << m) - 1
+    assert sorted(_closed_sets(reach)) == sorted(
+        [0] + [full & ~((1 << k) - 1) for k in range(m)])
+
+
+def test_closed_sets_on_catalog_reach_tables(monkeypatch):
+    tables = []
+
+    def record(reach):
+        tables.append(reach)
+        return _closed_sets(reach)
+
+    monkeypatch.setattr(invalg.factor, "_closed_sets", record)
+    for key, entry in sorted(catalog.catalog().items()):
+        for rep in entry.reps.values():
+            multfree_scan(adjoint_rep(rep), seed=0)
+    assert len(tables) == 13
+    for reach in tables:
+        assert set(_closed_sets(reach)) == _closed_sets_walk(reach)
+
+
+def test_multfree_scan_s3_cubed_is_certified():
+    """S3^3 std x std x std: 27 components, past the old 2^20 subset cap."""
+    rep = _tensor_power("S3", "std", 3)
+    unital, nonunital, certified = multfree_scan(adjoint_rep(rep), seed=0)
+    assert len(unital) == 79
+    assert [s.dim for s in nonunital] == [0]
+    assert certified
+
+
+def test_reach_masks_past_64_components(monkeypatch):
+    """Pauli^3 has 64 one-dimensional components, and the product of two
+    Pauli strings is one Pauli string up to phase: every reach entry is one
+    bit, as a Python int, and every bit up to 63 occurs."""
+    tables = []
+
+    class Stop(Exception):
+        pass
+
+    def stop(reach):
+        tables.append(reach)
+        raise Stop
+
+    monkeypatch.setattr(invalg.factor, "_closed_sets", stop)
+    with pytest.raises(Stop):
+        multfree_scan(adjoint_rep(_tensor_power("C2xC2", "pauli", 3)), seed=0)
+    (reach,) = tables
+    assert len(reach) == 64
+    entries = [r for row in reach for r in row]
+    assert all(type(r) is int for r in entries)
+    assert set(entries) == {1 << k for k in range(64)}
+    # the closed sets of Pauli^2 are the empty set and the subgroups of F_2^4
+    monkeypatch.setattr(invalg.factor, "_closed_sets", _closed_sets)
+    unital, nonunital, certified = multfree_scan(
+        adjoint_rep(_tensor_power("C2xC2", "pauli", 2)), seed=0)
+    assert len(unital) == 67 and [s.dim for s in nonunital] == [0] and certified
 
 
 @pytest.mark.parametrize("key,rep_name", sorted(SCAN_EXPECTED))

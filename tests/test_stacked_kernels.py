@@ -20,9 +20,10 @@ from invalg._linalg import kron_stack, intertwiners, nullspace, row_norms
 from invalg.algebras import (_all_idempotent, _complete_and_orthogonal,
                              algebra_unit, left_multiplication_operators)
 from invalg.classify import _conjugation_class_maps, _normalizer_members
-from invalg.groups import all_subgroups, class_index_array
+from invalg.groups import all_subgroups, class_index_array, conjugacy_classes
 from invalg.lie import HighestWeight, RootSystem, tensor_irreducible
-from invalg.reps import character_table
+from invalg.reps import (Representation, character, character_table, induce,
+                         induced_character, restrict)
 from invalg.spaces import span_product
 
 IRREDUCIBLE = [("S3", "std"), ("Q8", "std"), ("D4", "std"), ("A4", "std3"),
@@ -103,12 +104,14 @@ def test_adjoint_rep_is_the_kron_loop():
 # -- membership -------------------------------------------------------------------
 
 def _contains_loop(space, m, tol):
-    """The per-matrix membership rule before it was stacked."""
+    """The per-matrix membership rule, one matrix at a time.
+
+    The bound is floored at one, as in ``left_multiplication_operators``
+    and ``permutation_action``; without the floor a product that is zero up
+    to rounding failed membership.
+    """
     m = np.asarray(m, dtype=complex)
-    norm = np.linalg.norm(m)
-    if norm == 0.0:
-        return True
-    return np.linalg.norm(m - space.project(m)) <= tol * norm
+    return np.linalg.norm(m - space.project(m)) <= tol * max(1.0, np.linalg.norm(m))
 
 
 def _spaces(rng):
@@ -183,9 +186,10 @@ def test_product_closure_and_invariance_match_the_loops(catalog_subalgebras):
     for name, rep, sub in catalog_subalgebras:
         space = sub.space
         ad = adjoint_rep(rep)
-        # the rule has no absolute floor, so a product of orthogonal
-        # idempotents (zero up to rounding) can fail it; only agreement counts
-        assert space.is_product_closed() == _is_product_closed_loop(space, 1e-8)
+        # the floor lets a product of orthogonal idempotents (zero up to
+        # rounding) pass, so every subalgebra is product-closed by the rule
+        assert space.is_product_closed()
+        assert _is_product_closed_loop(space, 1e-8)
         assert is_invariant(space, ad, 1e-6) and _is_invariant_loop(space, ad, 1e-6)
         if name in seen:
             continue
@@ -414,6 +418,49 @@ def test_conjugation_class_maps_give_the_same_orbits(key):
             assert len(old[a]) == len(new[a])
             for b in range(len(table)):
                 assert (old[a] == old[b]) == (new[a] == new[b])
+
+
+# -- induced characters -------------------------------------------------------------
+
+def _induced_character_loop(sub, chi_w):
+    """The averaging formula as it was computed before: class by element."""
+    group = sub.parent
+    pos = {m: i for i, m in enumerate(sub.members)}
+    h_cls = class_index_array(sub.as_group())
+    vals = []
+    for cls in conjugacy_classes(group):
+        total = 0.0 + 0.0j
+        for x in range(group.order):
+            y = int(group.mult[group.mult[group.inv[x], cls[0]], x])
+            if y in pos:
+                total += chi_w.values[h_cls[pos[y]]]
+        vals.append(total / sub.order)
+    return vals
+
+
+@pytest.mark.parametrize("key", ["S3", "D4", "A4", "S4", "SL23"])
+def test_induced_character_matches_the_loop_and_induce(key):
+    entry = catalog.get(key)
+    group = entry.group
+    reps = [cls[0] for cls in conjugacy_classes(group)]
+    for sub in all_subgroups(group):
+        h_group = sub.as_group()
+        for chi in character_table(h_group):
+            got = induced_character(sub, chi).values
+            np.testing.assert_allclose(got, _induced_character_loop(sub, chi),
+                                       rtol=0, atol=VALUE_TOL)
+            if round(chi.at_element(h_group.identity).real) == 1:
+                # a linear character is its own 1 x 1 representation
+                w = Representation(group=h_group, dim=1, matrices=np.array(
+                    [[[chi.at_element(h)]] for h in range(h_group.order)]))
+                traces = np.trace(induce(sub, w).matrices[reps], axis1=1, axis2=2)
+                np.testing.assert_allclose(got, traces, rtol=0, atol=1e-9)
+        # higher-dimensional W: the restrictions of the catalog reps
+        for rep in entry.reps.values():
+            w = restrict(rep, sub)
+            traces = np.trace(induce(sub, w).matrices[reps], axis1=1, axis2=2)
+            np.testing.assert_allclose(induced_character(sub, character(w)).values,
+                                       traces, rtol=0, atol=1e-9)
 
 
 # -- verification reuse ---------------------------------------------------------------
