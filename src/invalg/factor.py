@@ -18,11 +18,12 @@ otherwise generated-algebra closures are added as uncertified candidates.
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import RANK_TOL, column_space
+from ._linalg import RANK_TOL, column_space, kron_stack, row_norms
 from .algebras import (_spectral_split, center, centralizer,
                        semisimplicity_certificate)
 from .errors import AssertionFailure, FactorRecoveryFailure, NotCentralSimple
@@ -132,28 +133,41 @@ def central_simple_invariant_subalgebras(w_rep, seed=0, tol=RANK_TOL):
     """
     ad = adjoint_rep(w_rep)
     unital, _, certified = multfree_scan(ad, seed=seed, tol=tol)
+    d = w_rep.dim
     out = []
     for sp in unital:
+        # a central simple C = M_a inside End(W) makes W a sum of copies of
+        # C^a, so dim C = a^2 with a | d; no other sum needs a solve
+        a = math.isqrt(sp.dim)
+        if a * a != sp.dim or d % a:
+            continue
         _, witness = semisimplicity_certificate(sp, tol)
         if witness is not None:
             continue
         if center(sp, tol).dim == 1:
             out.append(sp)
     # close under centralizer (the partner of a dual pair is again central
-    # simple and invariant; for certified scans this is a no-op)
+    # simple and invariant; for certified scans this is a no-op).  A new
+    # centralizer is looked up by fingerprint, then compared with the
+    # entries of its dimension only (equal spaces have equal dimensions).
+    keys = {(sp.dim, sp.fingerprint()) for sp in out}
+    by_dim = {}
+    for sp in out:
+        by_dim.setdefault(sp.dim, []).append(sp)
     i = 0
     while i < len(out):
         z = centralizer(out[i], tol)
-        if not any(z.equals(sp) for sp in out):
+        key = (z.dim, z.fingerprint())
+        if key not in keys and not any(z.equals(sp) for sp in by_dim.get(z.dim, ())):
             out.append(z)
+            keys.add(key)
+            by_dim.setdefault(z.dim, []).append(z)
         i += 1
-    d = w_rep.dim
     if not any(sp.dim == 1 for sp in out):
         raise AssertionFailure("scalar line missing")
     if not any(sp.dim == d * d for sp in out):
         raise AssertionFailure("full algebra missing")
-    # a central simple C = M_a inside End(W) makes W a sum of copies of C^a,
-    # so a | d: for d = 1 or prime only the scalars and End(W) exist
+    # for d = 1 or prime only the scalars and End(W) are central simple
     if all(d % p for p in range(2, d)):
         if any(sp.dim not in (1, d * d) for sp in out):
             raise AssertionFailure(
@@ -259,26 +273,30 @@ def extract_factorization(b_space, w_rep, seed=0, tol=RANK_TOL):
     group = w_rep.group
     n = group.order
     rho = np.einsum("ij,gjk,kl->gil", s_inv, w_rep.matrices, s_mat)
-    sig = np.zeros((n, a, a), dtype=complex)
-    tau = np.zeros((n, b, b), dtype=complex)
-    lam = np.zeros(n, dtype=complex)
-    residual = 0.0
-    for g in range(n):
-        r = rho[g].reshape(a, b, a, b).transpose(0, 2, 1, 3).reshape(a * a, b * b)
-        u_, s_, vh_ = np.linalg.svd(r)
-        if s_[0] < tol:
-            raise FactorRecoveryFailure(f"element {g} transforms to zero")
-        if min(a, b) > 1 and s_[1] > 1e-6 * s_[0]:
-            raise FactorRecoveryFailure(
-                f"element {g} is not rank one in the product basis "
-                f"(second singular value {s_[1]:.3g})")
-        scale = np.sqrt(s_[0])
-        sig[g] = _normalize_projective((scale * u_[:, 0]).reshape(a, a))
-        tau[g] = _normalize_projective((scale * vh_[0]).reshape(b, b))
-        kr = np.kron(sig[g], tau[g])
-        lam[g] = np.vdot(kr.reshape(-1), rho[g].reshape(-1)) / np.vdot(
-            kr.reshape(-1), kr.reshape(-1))
-        residual = max(residual, float(np.linalg.norm(rho[g] - lam[g] * kr)))
+    # rho(g) = lambda sigma kron tau exactly when its (a^2, b^2)
+    # rearrangement is rank one, with the two factors as its singular pair
+    r = rho.reshape(n, a, b, a, b).transpose(0, 1, 3, 2, 4).reshape(n, a * a, b * b)
+    u_, s_, vh_ = np.linalg.svd(r)
+    zero = s_[:, 0] < tol
+    bad = zero | ((s_[:, 1] > 1e-6 * s_[:, 0]) if min(a, b) > 1 else False)
+    stop = int(np.argmax(bad)) if bad.any() else n
+    scale = np.sqrt(s_[:stop, 0])[:, None]
+    # elements before the first failing one are normalized (and may fail) first
+    sig = _normalize_projective((scale * u_[:stop, :, 0]).reshape(stop, a, a))
+    tau = _normalize_projective((scale * vh_[:stop, 0]).reshape(stop, b, b))
+    if stop < n:
+        if zero[stop]:
+            raise FactorRecoveryFailure(f"element {stop} transforms to zero")
+        raise FactorRecoveryFailure(
+            f"element {stop} is not rank one in the product basis "
+            f"(second singular value {s_[stop, 1]:.3g})")
+    kr = kron_stack(sig, tau).reshape(n, 1, d * d)
+    flat = rho.reshape(n, 1, d * d)
+    # <kr, rho> / <kr, kr> as stacked (1, d^2) @ (d^2, 1) products, which sum
+    # like np.vdot of each pair
+    krh = kr.conj()
+    lam = (krh @ flat.transpose(0, 2, 1) / (krh @ kr.transpose(0, 2, 1)))[:, 0, 0]
+    residual = float(np.max(row_norms(flat - lam[:, None, None] * kr)))
 
     sigma_rep = _as_projective_rep(group, sig, f"{w_rep.name or 'W'}:left")
     tau_rep = _as_projective_rep(group, tau, f"{w_rep.name or 'W'}:right")

@@ -26,6 +26,15 @@ from .spaces import MatrixSubspace
 
 #: dimension cap for induced representations
 INDUCE_DIM_CAP = 500
+#: matrix entries one block of the (g, h) pair checks holds
+_PAIR_BLOCK = 1 << 16
+
+
+def _pair_blocks(n, per_row):
+    """Slices of ``range(n)``: rows of an n x n pair table, each block
+    holding about ``_PAIR_BLOCK`` entries at ``per_row`` entries a row."""
+    step = max(1, _PAIR_BLOCK // per_row)
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
 @dataclass(frozen=True)
@@ -47,10 +56,14 @@ class TwoCocycle:
         if np.max(np.abs(a[e, :] - 1.0)) > tol or np.max(np.abs(a[:, e] - 1.0)) > tol:
             raise ValueError("cocycle is not normalized: alpha(1,x)=alpha(x,1)=1")
         m = self.group.mult
-        # alpha(x,y) alpha(xy,z) = alpha(y,z) alpha(x, yz) for all x, y, z
-        lhs = a[:, :, None] * a[m]          # [x,y,z] = a(x,y) a(xy,z)
-        rhs = a[None, :, :] * a[:, m]       # [x,y,z] = a(y,z) a(x,yz)
-        dev = np.max(np.abs(lhs - rhs))
+        # alpha(x,y) alpha(xy,z) = alpha(y,z) alpha(x, yz) for all x, y, z,
+        # a block of x rows at a time, so no n^3 table is ever held
+        devs = []
+        for xs in _pair_blocks(n, n * n):
+            lhs = a[xs, :, None] * a[m[xs]]      # [x,y,z] = a(x,y) a(xy,z)
+            rhs = a[None, :, :] * a[xs][:, m]    # [x,y,z] = a(y,z) a(x,yz)
+            devs.append(np.max(np.abs(lhs - rhs)))
+        dev = np.max(devs)
         if dev > tol:
             raise ValueError(f"cocycle identity fails by {dev:.3g}")
         return float(dev)
@@ -120,16 +133,17 @@ def validate(rep, tol=RANK_TOL):
         rep.cocycle.validate(tol=max(tol, 1e-8))
     worst = (g.identity, g.identity)
     worst_dev = id_dev
-    for a in range(n):
-        prod = mats[a] @ mats  # (n, d, d): rho(a) rho(b)
-        target = mats[g.mult[a]]
+    for rows in _pair_blocks(n, n * d * d):
+        prod = mats[rows, None] @ mats  # [a, b] = rho(a) rho(b)
+        target = mats[g.mult[rows]]
         if rep.cocycle is not None:
-            target = target * rep.cocycle.values[a][:, None, None]
-        devs = np.linalg.norm((prod - target).reshape(n, -1), axis=1)
-        b = int(np.argmax(devs))
-        if devs[b] > worst_dev:
-            worst_dev = float(devs[b])
-            worst = (a, b)
+            target = target * rep.cocycle.values[rows, :, None, None]
+        devs = np.linalg.norm((prod - target).reshape(len(prod), n, -1), axis=2)
+        # the strict test keeps the first worst pair in row-major order
+        for i, b in enumerate(np.argmax(devs, axis=1)):
+            if devs[i, b] > worst_dev:
+                worst_dev = float(devs[i, b])
+                worst = (rows.start + i, int(b))
     unit_dev = 0.0
     if rep.unitary:
         uhu = np.einsum("gji,gjk->gik", mats.conj(), mats)
@@ -448,7 +462,8 @@ def skolem_noether_lift(group, action, tol=RANK_TOL):
     for g in range(n):
         first = images[g, 0]
         v = first[:, np.argmax(np.linalg.norm(first, axis=0))]
-        mats[g] = _normalize_projective((images[g, ::d] @ v).T)
+        mats[g] = (images[g, ::d] @ v).T
+    mats = _normalize_projective(mats)
     rep = _as_projective_rep(group, mats, None)
 
     # round trip: conjugation by the lift reproduces the action
@@ -462,17 +477,20 @@ def skolem_noether_lift(group, action, tol=RANK_TOL):
     return rep
 
 
-def _normalize_projective(m):
-    """Scale to |det| = 1, then make the largest-modulus entry positive real."""
-    k = m.shape[0]
-    det = np.linalg.det(m)
-    if abs(det) < 1e-12:
+def _normalize_projective(mats):
+    """Scale each matrix of a stack to |det| = 1, then make its
+    largest-modulus entry positive real."""
+    n, k = mats.shape[0], mats.shape[-1]
+    det = np.linalg.det(mats)
+    # moduli by hypot and roots by scalar pow: the vectorized complex abs
+    # and power may differ from them in the last bit
+    det = np.hypot(det.real, det.imag)
+    if np.any(det < 1e-12):
         raise FactorRecoveryFailure("recovered projective matrix is singular")
-    m = m / abs(det) ** (1.0 / k)
-    flat = np.abs(m).reshape(-1)
-    pos = int(np.argmax(np.round(flat, 10)))
-    entry = m.reshape(-1)[pos]
-    return m * (entry.conjugate() / abs(entry))
+    mats = mats / np.array([x ** (1.0 / k) for x in det.tolist()])[:, None, None]
+    flat = mats.reshape(n, k * k)
+    entry = flat[np.arange(n), np.argmax(np.round(np.abs(flat), 10), axis=1)]
+    return mats * (entry.conjugate() / np.hypot(entry.real, entry.imag))[:, None, None]
 
 
 def _as_projective_rep(group, mats, name):
@@ -489,13 +507,14 @@ def _as_projective_rep(group, mats, name):
         mats[group.identity] = np.eye(k)
     inv_mats = np.linalg.inv(mats)
     vals = np.ones((n, n), dtype=complex)
-    for g in range(n):
+    for rows in _pair_blocks(n, n * k * k):
         c, ok = scalar_multiple_of_identity(
-            mats[g] @ mats @ inv_mats[group.mult[g]], tol=1e-6)
+            mats[rows, None] @ mats @ inv_mats[group.mult[rows]], tol=1e-6)
         if not ok.all():
+            g, h = divmod(int(np.argmin(ok)), n)  # first failure, row-major
             raise ToleranceFailure(
-                f"rho(g)rho(h)rho(gh)^-1 is not scalar at ({g}, {np.argmin(ok)})")
-        vals[g] = c
+                f"rho(g)rho(h)rho(gh)^-1 is not scalar at ({rows.start + g}, {h})")
+        vals[rows] = c
     vals[group.identity, :] = 1.0
     vals[:, group.identity] = 1.0
     cocycle = None
