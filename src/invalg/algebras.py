@@ -152,9 +152,12 @@ def central_primitive_idempotents(space, seed=0, tol=RANK_TOL):
     if idems is None:
         raise NotSemisimple(
             f"could not separate central idempotents after {IDEMPOTENT_RETRIES} attempts")
-    # deterministic order: by rounded fingerprint of the idempotent
-    idems.sort(key=lambda p: np.round(p, 9).tobytes())
-    return idems
+    return _sorted_idempotents(idems)
+
+
+def _sorted_idempotents(idems):
+    """Idempotents in a deterministic order: by rounded fingerprint."""
+    return sorted(idems, key=lambda p: np.round(p, 9).tobytes())
 
 
 def _all_idempotent(projs):

@@ -9,12 +9,14 @@ pairs, pulls the central simple subalgebras from :mod:`.factor`, and dedupes
 by subspace equality (conjugate data give literally equal subalgebras).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._linalg import RANK_TOL, column_space
-from .algebras import (InvariantSubalgebra, _symmetric_embedding, centralizer,
+from .algebras import (InvariantSubalgebra, _all_idempotent, _complete_and_orthogonal,
+                       _sorted_idempotents, _symmetric_embedding, centralizer,
                        inertia_subgroup, is_invariant, permutation_action,
                        semisimplicity_certificate, wedderburn_decompose)
 from .errors import AssertionFailure, BlocksNotDirect, InvalgError
@@ -94,6 +96,7 @@ def induction_pairs(v_rep, seed=0, tol=RANK_TOL):
         raise ValueError("induction pairs are defined for irreducible input")
     group = v_rep.group
     d = v_rep.dim
+    chi_v = character(v_rep)
     pairs = []
     for sub in all_subgroups(group):
         index = sub.index
@@ -113,7 +116,6 @@ def induction_pairs(v_rep, seed=0, tol=RANK_TOL):
             if inner_product(res_char, chi) != 1:
                 continue
             ind = induced_character(sub, chi)
-            chi_v = character(v_rep)
             if max(abs(a - b) for a, b in zip(ind.values, chi_v.values)) > 1e-6:
                 continue
             rounded = [(round(v.real, 8), round(v.imag, 8)) for v in chi.values]
@@ -122,9 +124,7 @@ def induction_pairs(v_rep, seed=0, tol=RANK_TOL):
                 continue
             seen_orbits.add(orbit)
             # distinguished copy of W: image of the isotypic projector
-            proj = np.einsum("g,gij->ij",
-                             np.array([chi.values[c].conjugate()
-                                       for c in class_index_array(h_group)]),
+            proj = np.einsum("g,gij->ij", np.conj(chi.values)[class_index_array(h_group)],
                              res.matrices) * (w_dim / sub.order)
             if w_dim == d:
                 basis = np.eye(d, dtype=complex)
@@ -150,43 +150,56 @@ def induction_pairs(v_rep, seed=0, tol=RANK_TOL):
     return pairs
 
 
-def theta(datum, v_rep, seed=0, tol=RANK_TOL):
-    """Spread C over the transversal blocks of its induction pair.
+def _block_span(pair, c_space, v_rep, tol=RANK_TOL):
+    """Span of C conjugated into each transversal translate of the W-copy.
 
-    The output acts as (a conjugate of) C on each translate of the W-copy and
-    as zero between translates; it is the invariant subalgebra attached to
-    the datum.  Abstractly it is a direct sum of [G:H] copies of C, which is
-    checked on the component dimensions.
+    Returns ``(space, blocks, s_inv)`` with ``blocks[i] = rho(t_i) Q`` and
+    block ``i`` of ``c`` equal to ``blocks[i] @ c @ s_inv[i]``.  Raises
+    :class:`BlocksNotDirect` unless the translates span V independently, and
+    :class:`AssertionFailure` unless the span is invariant of dim [G:H] dim C.
     """
-    pair = datum.pair
-    sub = pair.subgroup
-    l = sub.index
-    w = pair.w_rep.dim
-    d = v_rep.dim
-    q = pair.copy_basis
-    blocks = v_rep.matrices[list(pair.transversal.reps)] @ q
+    l, w, d = pair.subgroup.index, pair.w_rep.dim, v_rep.dim
+    blocks = v_rep.matrices[list(pair.transversal.reps)] @ pair.copy_basis
     s = np.hstack(blocks)
     svals = np.linalg.svd(s, compute_uv=False)
     if svals[-1] < tol * max(1.0, svals[0]):
         raise BlocksNotDirect(
             "transversal translates of the W-copy do not span independently")
-    s_inv = np.linalg.inv(s)
-    # block i of C is blocks[i] @ c @ (rows i*w:(i+1)*w of s_inv)
-    mats = blocks[:, None] @ datum.c_space.basis()[None] @ s_inv.reshape(l, 1, w, d)
+    s_inv = np.linalg.inv(s).reshape(l, w, d)
+    mats = blocks[:, None] @ c_space.basis()[None] @ s_inv[:, None]
     space = MatrixSubspace.from_spanning(mats.reshape(-1, d, d), (d, d), tol)
-    if space.dim != l * datum.c_space.dim:
+    if space.dim != l * c_space.dim:
         raise AssertionFailure(
-            f"block span has dimension {space.dim}, expected {l * datum.c_space.dim}")
+            f"block span has dimension {space.dim}, expected {l * c_space.dim}")
     if not is_invariant(space, adjoint_rep(v_rep), tol * 100):
         raise AssertionFailure("block construction lost invariance")
-    meta = wedderburn_decompose(space, seed=seed, tol=tol)
-    c_meta = wedderburn_decompose(datum.c_space, seed=seed, tol=tol)
-    if sorted(meta.component_dims) != sorted(c_meta.component_dims * l):
-        raise AssertionFailure(
-            f"components {meta.component_dims} are not {l} copies of "
-            f"{c_meta.component_dims}")
-    meta.induction_datum = datum
-    return meta
+    return space, blocks, s_inv
+
+
+def theta(datum, v_rep, seed=0, tol=RANK_TOL):
+    """Spread a central simple C = M_a over the transversal blocks of its pair.
+
+    The output acts as (a conjugate of) C on each translate of the W-copy and
+    as zero between translates: [G:H] copies of C, so its Wedderburn data are
+    read off the datum (``seed`` is unused).  The central primitive
+    idempotents are the blocks of the identity of End(W), certified
+    idempotent, complete, orthogonal and inside the span; each component has
+    size ``a`` (``datum.quad[0]``, else ``sqrt(dim C)``) and multiplicity
+    ``dim W / a``.  Any other C goes through :func:`_block_span` alone.
+    """
+    w, k = datum.pair.w_rep.dim, datum.c_space.dim
+    a = datum.quad[0] if datum.quad else math.isqrt(k)
+    if a * a != k or w % a:
+        raise ValueError(f"a dim-{k} C is not M_a for any a dividing dim W = {w}")
+    space, blocks, s_inv = _block_span(datum.pair, datum.c_space, v_rep, tol)
+    idems = blocks @ s_inv
+    if not (_all_idempotent(idems) and space.contains_all(idems, 1e-6)
+            and _complete_and_orthogonal(idems, np.eye(v_rep.dim))):
+        raise AssertionFailure("block projectors fail as central idempotents of the span")
+    return InvariantSubalgebra(
+        space=space, unital=True, idempotents=_sorted_idempotents(idems),
+        component_dims=[a] * len(idems), multiplicities=[w // a] * len(idems),
+        induction_datum=datum)
 
 
 def enumerate_invariant_subalgebras(v_rep, seed=0, tol=RANK_TOL):
@@ -231,9 +244,9 @@ def verify_classification(subalgebras, v_rep, seed=0, tol=RANK_TOL):
     Checks per entry: invariance, semisimplicity, symmetric embedding, double
     centralizer, centralizer membership in the list, transitivity of the
     block permutation action, inertia group conjugate to the recorded H, and
-    the span of the central idempotents being the block construction of the
-    scalar subalgebra for the same pair.  Violations, including the domain
-    errors a check raises, are collected, not raised.
+    the center (the entry meet its centralizer) being the block construction
+    of the scalar subalgebra for the same pair.  Violations, including the
+    domain errors a check raises, are collected, not raised.
     """
     ad = adjoint_rep(v_rep)
     spaces = [b.space if isinstance(b, InvariantSubalgebra) else b
@@ -273,15 +286,12 @@ def verify_classification(subalgebras, v_rep, seed=0, tol=RANK_TOL):
                 if cartan is None:
                     # a failed build is not stored, so each entry of the
                     # pair reports the same error
-                    cartan = cartans[id(datum.pair)] = theta(
-                        InductionDatum(datum.pair, MatrixSubspace.identity_line(
-                            datum.pair.w_rep.dim)),
-                        v_rep, seed=seed, tol=tol).space
-                idem_span = MatrixSubspace.from_spanning(
-                    meta.idempotents, space.shape, tol)
-                if not idem_span.equals(cartan):
+                    cartan = cartans[id(datum.pair)] = _block_span(
+                        datum.pair, MatrixSubspace.identity_line(datum.pair.w_rep.dim),
+                        v_rep, tol)[0]
+                if not space.intersect(z, tol).equals(cartan):
                     violations.append(
-                        f"{label}: idempotent span differs from the scalar-block span")
+                        f"{label}: center differs from the scalar-block span")
         except (InvalgError, ValueError, np.linalg.LinAlgError) as exc:
             # a domain failure is this entry's violation; a bug propagates
             violations.append(f"{label}: {type(exc).__name__}: {exc}")
@@ -291,10 +301,8 @@ def verify_classification(subalgebras, v_rep, seed=0, tol=RANK_TOL):
 def theta_lattice_check(pair, c1, c2, v_rep, seed=0, tol=RANK_TOL):
     """Intersections and inclusions must commute with the block construction."""
     violations = []
-    t1 = theta(InductionDatum(pair, c1), v_rep, seed=seed, tol=tol).space
-    t2 = theta(InductionDatum(pair, c2), v_rep, seed=seed, tol=tol).space
-    meet = c1.intersect(c2, tol)
-    tmeet = theta(InductionDatum(pair, meet), v_rep, seed=seed, tol=tol).space
+    t1, t2, tmeet = (_block_span(pair, c, v_rep, tol)[0]
+                     for c in (c1, c2, c1.intersect(c2, tol)))
     if not tmeet.equals(t1.intersect(t2, tol)):
         violations.append("block construction does not commute with intersection")
     for x, y, tx, ty, tag in ((c1, c2, t1, t2, "C in C'"),
@@ -317,6 +325,8 @@ def theta_transitivity_check(v_rep, seed=0, tol=RANK_TOL):
     violations = []
     checked = 0
     group = v_rep.group
+    kinds = {"scalars": MatrixSubspace.identity_line,
+             "full": lambda w: MatrixSubspace.full((w, w))}
     for outer in pairs:
         if outer.subgroup.order == group.order:
             continue
@@ -324,23 +334,13 @@ def theta_transitivity_check(v_rep, seed=0, tol=RANK_TOL):
         for inner in inner_pairs:
             if inner.subgroup.order == outer.subgroup.order:
                 continue
-            wdim = inner.w_rep.dim
-            for c_w, kind in ((MatrixSubspace.identity_line(wdim), "scalars"),
-                              (MatrixSubspace.full((wdim, wdim)), "full")):
-                step = theta(InductionDatum(inner, c_w), outer.w_rep,
-                             seed=seed, tol=tol)
-                composed = theta(InductionDatum(outer, step.space), v_rep,
-                                 seed=seed, tol=tol)
+            for kind, c_of in kinds.items():
+                step = _block_span(inner, c_of(inner.w_rep.dim), outer.w_rep, tol)[0]
+                composed = _block_span(outer, step, v_rep, tol)[0]
                 target_order = inner.subgroup.order
-                direct_hits = []
-                for p in pairs:
-                    if p.subgroup.order != target_order:
-                        continue
-                    pdim = p.w_rep.dim
-                    c_v = (MatrixSubspace.identity_line(pdim) if kind == "scalars"
-                           else MatrixSubspace.full((pdim, pdim)))
-                    cand = theta(InductionDatum(p, c_v), v_rep, seed=seed, tol=tol)
-                    direct_hits.append(cand.space.equals(composed.space))
+                direct_hits = [
+                    _block_span(p, c_of(p.w_rep.dim), v_rep, tol)[0].equals(composed)
+                    for p in pairs if p.subgroup.order == target_order]
                 if not any(direct_hits):
                     violations.append(
                         f"chain through order-{outer.subgroup.order} subgroup, "

@@ -7,6 +7,7 @@ so repeated runs are byte-identical.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -202,6 +203,7 @@ def cmd_catalog(args):
     return payload, 0
 
 
+@functools.cache
 def _parser():
     p = argparse.ArgumentParser(
         prog="invalg",

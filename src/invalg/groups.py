@@ -105,18 +105,14 @@ class Subgroup:
         """
         cache = self.parent._cache.setdefault("subgroup_groups", {})
         if self.members not in cache:
-            members = np.array(self.members)
-            pos = {int(m): i for i, m in enumerate(members)}
+            members = np.array(self.members, dtype=np.intp)
             k = len(members)
-            mult = np.zeros((k, k), dtype=np.intp)
-            for i, a in enumerate(members):
-                row = self.parent.mult[a, members]
-                mult[i] = [pos[int(x)] for x in row]
-            inv = np.array([pos[int(self.parent.inv[m])] for m in members], dtype=np.intp)
-            ident = pos[self.parent.identity]
+            pos = np.full(self.parent.order, -1, dtype=np.intp)
+            pos[members] = np.arange(k)
             cache[self.members] = FiniteGroup(
-                order=k, identity=ident, mult=mult, inv=inv,
-                name=f"subgroup<{k}>",
+                order=k, identity=int(pos[self.parent.identity]),
+                mult=pos[self.parent.mult[np.ix_(members, members)]],
+                inv=pos[self.parent.inv[members]], name=f"subgroup<{k}>",
             )
         return cache[self.members]
 
@@ -243,32 +239,24 @@ def build_from_permutations(perm_gens, name=None, cap=PERM_CLOSURE_CAP):
 
 
 def conjugacy_classes(group):
-    """Conjugacy classes as sorted tuples, ordered by their minimal element."""
-    if "classes" in group._cache:
-        return group._cache["classes"]
-    n = group.order
-    seen = np.zeros(n, dtype=bool)
-    classes = []
-    for x in range(n):
-        if seen[x]:
-            continue
-        orbit = np.unique(group.mult[group.mult[:, x], group.inv[np.arange(n)]])
-        # orbit above computes g*x*g^-1 for all g at once
-        seen[orbit] = True
-        classes.append(tuple(int(v) for v in orbit))
-    classes.sort(key=lambda c: c[0])
-    group._cache["classes"] = classes
-    return classes
+    """Conjugacy classes as sorted tuples, ordered by their minimal element.
+
+    Column ``x`` of ``mult[mult[g, x], inv[g]]`` over all ``g`` is the class
+    of ``x``, so its least entry names the class: one gather gives every
+    class, and the class index is cached with them.
+    """
+    if "classes" not in group._cache:
+        least = group.mult[group.mult, group.inv[:, None]].min(axis=0)
+        _, idx = np.unique(least, return_inverse=True)
+        members = np.split(np.argsort(idx, kind="stable"), np.cumsum(np.bincount(idx))[:-1])
+        group._cache["classes"] = [tuple(c.tolist()) for c in members]
+        group._cache["class_index"] = idx.astype(np.intp)
+    return group._cache["classes"]
 
 
 def class_index_array(group):
     """Array mapping each element to the index of its conjugacy class."""
-    if "class_index" not in group._cache:
-        idx = np.zeros(group.order, dtype=np.intp)
-        for i, cls in enumerate(conjugacy_classes(group)):
-            for g in cls:
-                idx[g] = i
-        group._cache["class_index"] = idx
+    conjugacy_classes(group)
     return group._cache["class_index"]
 
 
@@ -284,9 +272,9 @@ def _generated(group, gens):
     frontier = np.array([group.identity], dtype=np.intp)
     inside[frontier] = True
     while frontier.size:
-        reached = group.mult[frontier[:, None], gens].ravel()
-        frontier = np.unique(reached[~inside[reached]])
-        inside[frontier] = True
+        before = inside.copy()
+        inside[group.mult[frontier[:, None], gens]] = True
+        frontier = np.flatnonzero(inside & ~before)
     return np.flatnonzero(inside)
 
 

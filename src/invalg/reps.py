@@ -4,10 +4,11 @@ A representation assigns one ``d x d`` complex matrix to each group element
 (indexed ``0..n-1``).  Projective representations carry an explicit 2-cocycle
 table: ``rho(g) @ rho(h) = alpha(g, h) * rho(g*h)``.
 
-The irreducible character table of a group is read off the central
-primitive idempotents ``e_chi = (chi(1)/|G|) sum_g conj(chi(g)) g`` of the
-group algebra, found as the spectral projectors of a generic element of its
-center (the span of the class sums) in the regular representation.
+The irreducible character table of a group is read off its class algebra
+(Burnside's method as in Dixon 1967): the class sums multiply by integer
+structure constants, and the central characters ``|C| chi / chi(1)`` are the
+common eigenvectors of the k x k matrices of that multiplication, found as
+the spectral projectors of a generic element of their span.
 """
 
 from dataclasses import dataclass, field
@@ -256,44 +257,50 @@ def _regular_representation(group):
 
 
 def character_table(group, seed=0):
-    """All irreducible characters, from the center of the group algebra.
+    """All irreducible characters, from the class algebra's structure constants.
 
-    The class sums, as matrices of the regular representation, have disjoint
-    supports, so scaled to unit norm they are an orthonormal basis of the
-    center.  The spectral projectors of a random central element (drawn from
-    ``seed``) are the ``e_chi``; column ``e`` of ``e_chi`` holds
-    ``(chi(1)/|G|) conj(chi(g))`` in row ``g``.  Characters are sorted by
-    (dimension, rounded values); labels ``chi0, chi1, ...`` follow that order.
+    ``K_i K_l = sum_j N[i, l, j] K_j`` for the class sums, with
+    ``N[i, l, j] = #{x in C_i : x^-1 r_j in C_l}``, and each central character
+    ``w_j = |C_j| chi(r_j) / chi(1)`` solves ``N_i w = w_i w``.  Conjugated by
+    ``diag(sqrt|C_j|)`` the ``N_i`` are commuting normal matrices; column
+    ``e`` (the identity class) of each rank-one spectral projector of a random
+    element of their span (drawn from ``seed``), scaled to 1 at ``e``, is
+    ``sqrt|C_j| chi(r_j) / chi(1)``, and ``sum_j |C_j| |chi(r_j)|^2 = |G|``
+    fixes ``chi(1)``.  The table must pass the row and column orthogonality
+    relations.  Characters are sorted by (dimension, rounded values); labels
+    ``chi0, chi1, ...`` follow that order.
     """
     cache_key = ("char_table", seed)
     if cache_key in group._cache:
         return group._cache[cache_key]
-    n, e = group.order, group.identity
+    n = group.order
     classes = conjugacy_classes(group)
     k = len(classes)
     cls = class_index_array(group)
-    sums = np.zeros((k, n, n))
-    # the regular matrix of g has a one at (g*j, j)
-    sums[cls[:, None], group.mult, np.arange(n)] = 1.0
-    norms = np.sqrt(n * np.array([len(c) for c in classes], dtype=float))
-    center = MatrixSubspace(sums.reshape(k, -1) / norms[:, None], (n, n))
-    projs = _spectral_split(center, center.basis(), k, seed,
-                            lambda ps: _complete_and_orthogonal(ps, np.eye(n)))
+    root = np.sqrt([len(c) for c in classes])
+    consts = np.zeros((k, k, k))
+    heads = cls[group.mult[group.inv[:, None], [c[0] for c in classes]]]
+    np.add.at(consts, (cls[:, None], heads, np.arange(k)), 1.0)
+    mats = consts * root / root[:, None]
+    # column e of mats[i] is sqrt|C_i| at the inverse class, so the mats are
+    # independent and one QR gives their span an orthonormal basis
+    span = MatrixSubspace(np.linalg.qr(mats.reshape(k, -1).T)[0].T, (k, k))
+    projs = _spectral_split(span, mats, k, seed,
+                            lambda ps: _complete_and_orthogonal(ps, np.eye(k)))
     if projs is None:
-        raise ToleranceFailure("could not separate the class-sum spectrum")
-    chars = []
-    for p in projs:
-        dim = int(np.sqrt(round_to_int(n * p[e, e].real, what="squared degree")))
-        chi = ClassFunction(group=group, values=tuple(
-            complex(n * np.conj(p[c[0], e]) / dim) for c in classes))
-        if inner_product(chi, chi) != 1:
-            raise ToleranceFailure("a spectral projector gives a reducible character")
-        chars.append(chi)
-    ident_cls = int(cls[e])
-    chars.sort(key=lambda c: (round(c.values[ident_cls].real),
+        raise ToleranceFailure("could not separate the class-algebra spectrum")
+    e = int(cls[group.identity])
+    table = np.array([p[:, e] / p[e, e] for p in projs])
+    table *= np.array([round_to_int(np.sqrt(n / np.vdot(u, u).real), what="degree")
+                       for u in table])[:, None] / root
+    unit = table * (root / np.sqrt(n))
+    if max(np.linalg.norm(unit @ unit.conj().T - np.eye(k)),
+           np.linalg.norm(unit.conj().T @ unit - np.eye(k))) > INT_TOL:
+        raise ToleranceFailure("character table fails the orthogonality relations")
+    chars = [ClassFunction(group=group, values=tuple(row.tolist())) for row in table]
+    chars.sort(key=lambda c: (round(c.values[e].real),
                               tuple((round(v.real, 8), round(v.imag, 8)) for v in c.values)))
-    dims = [int(round(c.values[ident_cls].real)) for c in chars]
-    if sum(d * d for d in dims) != group.order or len(chars) != len(classes):
+    if sum(round(c.values[e].real) ** 2 for c in chars) != n:
         raise ToleranceFailure("character table incomplete or inconsistent")
     group._cache[cache_key] = chars
     return chars
@@ -320,7 +327,7 @@ def isotypic_decomposition(rep, seed=0, tol=RANK_TOL):
         if m == 0:
             continue
         d_i = int(round(chi.values[ident_cls].real))
-        vals = np.conj(np.array([chi.values[cls_idx[g]] for g in range(group.order)]))
+        vals = np.conj(chi.values)[cls_idx]
         proj = np.einsum("g,gij->ij", vals, rep.matrices) * (d_i / group.order)
         comps.append(IsotypicComponent(projector=proj, irrep_label=f"chi{i}",
                                        multiplicity=m, dim=m * d_i, character=chi))

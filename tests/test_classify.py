@@ -1,5 +1,6 @@
 """Classification of invariant subalgebras through induction data."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -7,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import invalg.algebras
 import invalg.classify
 from invalg import catalog
 from invalg import (AssertionFailure, MatrixSubspace, adjoint_rep, centralizer,
                     enumerate_invariant_subalgebras, induction_pairs,
                     is_induced_from, nonunital_scan, theta,
                     theta_lattice_check, theta_transitivity_check,
-                    verify_classification)
+                    verify_classification, wedderburn_decompose)
 from invalg.classify import InductionDatum
 from invalg.groups import build_from_mult_table, conjugacy_classes
 from invalg.reps import Representation
@@ -261,3 +263,101 @@ def test_quad_recorded_on_data():
             continue
         a, b = datum.quad
         assert a * b == datum.pair.w_rep.dim
+
+
+def _theta_oracle(datum, v_rep):
+    """Wedderburn data of the block span by two full spectral splits, as
+    ``theta`` found them before it read them off the datum."""
+    space = invalg.classify._block_span(datum.pair, datum.c_space, v_rep)[0]
+    meta = wedderburn_decompose(space, seed=0)
+    c_meta = wedderburn_decompose(datum.c_space, seed=0)
+    assert sorted(meta.component_dims) == \
+        sorted(c_meta.component_dims * datum.pair.subgroup.index)
+    return meta
+
+
+@pytest.mark.parametrize("key,rep_name", sorted(EXPECTED))
+def test_theta_data_match_the_spectral_split(key, rep_name):
+    _, rep = catalog.get(key, rep_name)
+    subs, _ = enumerate_invariant_subalgebras(rep, seed=0)
+    for s in subs:
+        oracle = _theta_oracle(s.induction_datum, rep)
+        assert oracle.space.equals(s.space)
+        assert s.unital == oracle.unital
+        assert sorted(zip(s.component_dims, s.multiplicities)) == \
+            sorted(zip(oracle.component_dims, oracle.multiplicities))
+        # central primitive idempotents are unique: the same ones, one for one
+        assert len(s.idempotents) == len(oracle.idempotents)
+        for e in s.idempotents:
+            assert min(np.linalg.norm(e - f) for f in oracle.idempotents) < 1e-8
+        assert MatrixSubspace.from_spanning(s.idempotents).equals(
+            MatrixSubspace.from_spanning(oracle.idempotents))
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("must not be called here")
+
+
+def test_theta_runs_no_spectral_split(monkeypatch):
+    _, rep = catalog.get("S3xS3", "stdXstd")
+    pairs = induction_pairs(rep, seed=0)
+    monkeypatch.setattr(invalg.classify, "wedderburn_decompose", _forbidden)
+    monkeypatch.setattr(invalg.algebras, "_spectral_split", _forbidden)
+    for pair in pairs:
+        w, l = pair.w_rep.dim, pair.subgroup.index
+        for c_space, a in ((MatrixSubspace.identity_line(w), 1),
+                           (MatrixSubspace.full((w, w)), w)):
+            b = theta(InductionDatum(pair, c_space), rep, seed=0)
+            assert (b.component_dims, b.multiplicities) == ([a] * l, [w // a] * l)
+            assert len(b.idempotents) == l
+
+
+def test_theta_rejects_a_c_that_is_not_m_a():
+    _, rep = catalog.get("S3", "std")
+    pair = induction_pairs(rep, seed=0)[-1]  # (G, V), W = V of dim 2
+    cartan = MatrixSubspace.from_spanning([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    with pytest.raises(ValueError, match="not M_a"):
+        theta(InductionDatum(pair, cartan), rep, seed=0)
+
+
+def test_verify_reports_a_wrong_recorded_pair():
+    """An entry recorded under another pair's datum: its center is not that
+    pair's scalar-block span."""
+    _, rep = catalog.get("S3xS3", "stdXstd")
+    subs, _ = enumerate_invariant_subalgebras(rep, seed=0)
+    assert verify_classification(subs, rep, seed=0).ok
+    pairs = induction_pairs(rep, seed=0)
+    for idx, entry in enumerate(subs):
+        datum = entry.induction_datum
+        if datum.pair.subgroup.order != 18:
+            continue
+        other = next(p for p in pairs if p.subgroup.order == 18
+                     and p.subgroup.members != datum.pair.subgroup.members)
+        wrong = dataclasses.replace(entry, induction_datum=dataclasses.replace(
+            datum, pair=other))
+        report = verify_classification(subs[:idx] + [wrong] + subs[idx + 1:], rep, seed=0)
+        label = f"entry {idx} (dim {entry.dim})"
+        assert f"{label}: center differs from the scalar-block span" in report.violations
+        assert all(v.startswith(label) for v in report.violations)
+
+
+def test_theta_checks_use_the_span_helper(monkeypatch):
+    _, rep = catalog.get("S3xS3", "stdXstd")
+    pair = induction_pairs(rep, seed=0)[-1]
+    inner, _ = enumerate_invariant_subalgebras(pair.w_rep, seed=0)
+    c1, c2 = [s.space for s in inner if s.dim in (2, 4)][:2]
+    calls = []
+    original = invalg.classify._block_span
+
+    def counting(pair, c_space, *args, **kwargs):
+        calls.append(c_space.dim)
+        return original(pair, c_space, *args, **kwargs)
+
+    monkeypatch.setattr(invalg.classify, "_block_span", counting)
+    monkeypatch.setattr(invalg.classify, "theta", _forbidden)
+    assert theta_lattice_check(pair, c1, c2, rep, seed=0).ok
+    assert sorted(calls) == sorted([c1.dim, c2.dim, c1.intersect(c2).dim])
+    calls.clear()
+    report = theta_transitivity_check(rep, seed=0)
+    assert report.ok and report.checked == 6
+    assert calls

@@ -193,3 +193,25 @@ def test_optimized_interpreter_output_unchanged():
                         for flags in ([], ["-O"]))
     assert plain.returncode == 0 and optimized.returncode == 0, optimized.stderr
     assert optimized.stdout == plain.stdout
+
+
+def test_parser_built_once_keeps_no_state(tmp_path, capsys):
+    """One parser serves every call: defaults, help and errors are a fresh one's."""
+    import invalg.cli
+    parser = invalg.cli._parser()
+    assert invalg.cli._parser() is parser
+    fresh = invalg.cli._parser.__wrapped__()
+    assert parser.format_help() == fresh.format_help()
+    _, raw = _run(["validate", "catalog:S3:std", "--seed", "7", "--tol", "1e-6"], tmp_path)
+    assert (json.loads(raw)["seed"], json.loads(raw)["tol"]) == (7, 1e-6)
+    _, raw = _run(["validate", "catalog:S3:std"], tmp_path)
+    assert (json.loads(raw)["seed"], json.loads(raw)["tol"]) == (0, 1e-8)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["subalgebras"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        fresh.parse_args(["subalgebras"])
+    assert capsys.readouterr().err == err
+    assert "the following arguments are required: input" in err

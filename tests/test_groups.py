@@ -240,3 +240,30 @@ def test_generators_generate_within_log2_order():
             assert h.generators is gens  # cached
             if h.order == 1:
                 assert gens == ()
+
+
+def test_subgroup_as_group_matches_the_parent():
+    """The realized subgroup's tables are the parent's, renumbered by position."""
+    for key in ("S4", "SL23", "S3xS3"):
+        parent = catalog.get(key).group
+        for sub in all_subgroups(parent):
+            h = sub.as_group()
+            emb = sub.embedding()
+            assert np.array_equal(emb[h.mult], parent.mult[np.ix_(emb, emb)])
+            assert np.array_equal(emb[h.inv], parent.inv[emb])
+            assert emb[h.identity] == parent.identity
+
+
+def test_generated_matches_a_set_closure():
+    rng = np.random.default_rng(3)
+    for key in ("S4", "SL23", "S3xS3", "D4"):
+        g = catalog.get(key).group
+        for _ in range(25):
+            gens = [int(x) for x in rng.choice(g.order, size=rng.integers(1, 4))]
+            closure = {g.identity}
+            while True:
+                grown = closure | {int(g.mult[a, b]) for a in closure for b in gens}
+                if grown == closure:
+                    break
+                closure = grown
+            assert subgroup_generated_by(g, gens).members == tuple(sorted(closure))

@@ -470,13 +470,13 @@ def test_verify_builds_one_scalar_block_span_per_pair(monkeypatch):
     subs, _ = enumerate_invariant_subalgebras(rep, seed=0)
     pairs = {id(s.induction_datum.pair) for s in subs if s.induction_datum is not None}
     calls = []
-    original = invalg.classify.theta
+    original = invalg.classify._block_span
 
-    def counting(datum, *args, **kwargs):
-        calls.append(id(datum.pair))
-        return original(datum, *args, **kwargs)
+    def counting(pair, *args, **kwargs):
+        calls.append(id(pair))
+        return original(pair, *args, **kwargs)
 
-    monkeypatch.setattr(invalg.classify, "theta", counting)
+    monkeypatch.setattr(invalg.classify, "_block_span", counting)
     assert verify_classification(subs, rep, seed=0).ok
     assert sorted(calls) == sorted(pairs)
     assert len(pairs) < len(subs)
