@@ -45,10 +45,12 @@ class InvariantSubalgebra:
 
 
 def centralizer(space, tol=RANK_TOL):
-    """Matrices commuting with every element of ``space`` (in the full algebra)."""
-    d = space.ambient_dim
-    basis = space.basis()
-    return MatrixSubspace(intertwiners(basis, basis, tol).reshape(-1, d * d), (d, d))
+    """Matrices commuting with all of ``space``; solved once per tolerance."""
+    if tol not in space._centralizers:
+        d, basis = space.ambient_dim, space.basis()
+        space._centralizers[tol] = MatrixSubspace(
+            intertwiners(basis, basis, tol).reshape(-1, d * d), (d, d))
+    return space._centralizers[tol]
 
 
 def center(space, tol=RANK_TOL):

@@ -3,13 +3,17 @@
 Subcommands wire the library together over catalog keys (``catalog:S3:std``)
 or JSON files carrying a group and a representation.  All output is JSON with
 a schema marker, the seed and tolerance echoed, and deterministic ordering,
-so repeated runs are byte-identical.
+so repeated runs are byte-identical.  Payloads keep matrices as arrays; the
+writer streams the bytes of ``json.dumps(payload, indent=2, sort_keys=True)``
+with one ``float.__repr__`` pass per array, not a tree of Python floats.
 """
 
 import argparse
 import functools
+import itertools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -29,10 +33,33 @@ SCHEMA = 1
 
 def _complex_json(arr, ndigits=12):
     arr = np.asarray(arr, dtype=complex)
-    out = np.empty(arr.shape + (2,))
-    out[..., 0] = np.round(arr.real, ndigits) + 0.0
-    out[..., 1] = np.round(arr.imag, ndigits) + 0.0
-    return out.tolist()
+    return np.round(np.stack([arr.real, arr.imag], axis=-1), ndigits) + 0.0
+
+
+def _json_chunks(obj, indent=2, depth=0):
+    """The text of ``json.dumps(obj, indent=indent, sort_keys=True)``, in
+    pieces; a nonempty finite float array is spelled innermost axis first."""
+    if isinstance(obj, np.ndarray) and not (obj.size and obj.dtype.kind == "f"
+                                            and np.isfinite(obj).all()):
+        obj = obj.tolist()
+    if isinstance(obj, np.ndarray):
+        items = list(map(float.__repr__, obj.ravel().tolist()))
+        for axis in range(obj.ndim - 1, -1, -1):
+            inner, n = "\n" + " " * indent * (depth + axis + 1), obj.shape[axis]
+            items = ["[" + inner + ("," + inner).join(items[i:i + n])
+                     + inner[:-indent or None] + "]" for i in range(0, len(items), n)]
+        yield items[0]
+    elif not obj or not isinstance(obj, (dict, list, tuple)):
+        yield json.dumps(obj)
+    else:
+        inner = "\n" + " " * indent * (depth + 1)
+        keyed = isinstance(obj, dict)
+        for i, item in enumerate(sorted(obj.items()) if keyed else obj):
+            yield ("," if i else "{" if keyed else "[") + inner
+            if keyed:
+                yield encode_basestring_ascii(item[0]) + ": "
+            yield from _json_chunks(item[1] if keyed else item, indent, depth + 1)
+        yield inner[:-indent or None] + ("}" if keyed else "]")
 
 
 def _base_payload(args):
@@ -89,8 +116,7 @@ def cmd_ideals(args):
             "side": ideal.side,
             "dim": ideal.dim,
             "source": _subspace_json(ideal.source),
-            "basis": _complex_json(np.stack(ideal.space.basis())
-                                   if ideal.dim else np.zeros((0, rep.dim, rep.dim))),
+            "basis": _complex_json(ideal.space.basis()),
         } for ideal in ideals]
     payload["ideals"] = out
     payload["counts"] = {side: len(out[side]) for side in out}
@@ -116,7 +142,7 @@ def cmd_subalgebras(args):
             "unital": bool(s.unital),
             "simple": simple,
             "central_simple": bool(simple and center(s.space, args.tol).dim == 1),
-            "basis": _complex_json(np.stack(s.space.basis())),
+            "basis": _complex_json(s.space.basis()),
             "datum": {
                 "subgroup_order": datum.pair.subgroup.order,
                 "subgroup_members": list(map(int, datum.pair.subgroup.members)),
@@ -149,14 +175,8 @@ def cmd_factor(args):
             "b": fact.b,
             "residual": float(round(fact.residual, 12)),
             "cocycle_deviation": float(round(cocycle_consistency(fact, rep), 12)),
-            "sigma": {
-                "matrices": _complex_json(fact.sigma.matrices),
-                "projective": fact.sigma.is_projective,
-            },
-            "tau": {
-                "matrices": _complex_json(fact.tau.matrices),
-                "projective": fact.tau.is_projective,
-            },
+            **{side: {"matrices": _complex_json(r.matrices), "projective": r.is_projective}
+               for side, r in (("sigma", fact.sigma), ("tau", fact.tau))},
             "lambdas": _complex_json(fact.lambdas),
             "basis_change": _complex_json(fact.basis_change),
         })
@@ -258,12 +278,12 @@ def main(argv=None):
     except (InvalgError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    chunks = itertools.chain(_json_chunks(payload), ["\n"])
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     return code
 
 

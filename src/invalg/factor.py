@@ -17,7 +17,6 @@ otherwise generated-algebra closures are added as uncertified candidates.
 """
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,7 +27,7 @@ from .algebras import (_spectral_split, center, centralizer,
                        semisimplicity_certificate)
 from .errors import AssertionFailure, FactorRecoveryFailure, NotCentralSimple
 from .reps import (Representation, _as_projective_rep, _normalize_projective,
-                   adjoint_rep, isotypic_decomposition)
+                   _pair_blocks, adjoint_rep, isotypic_decomposition)
 from .spaces import MatrixSubspace, generated_algebra
 
 
@@ -68,6 +67,26 @@ def _closed_sets(reach):
     return closed_sets
 
 
+def _reach_table(spaces, comps, tol):
+    """``reach[i][j]``: bitmask of the components ``C_i C_j`` has a part in, by
+    the isotypic projectors (which split along them even when not orthogonal)."""
+    m, ww = len(spaces), spaces[0].flat.shape[1]
+    projs = np.stack([c.projector for c in comps]).reshape(m * ww, ww)
+    stacked = np.concatenate([sp.basis() for sp in spaces])
+    starts = np.cumsum([0] + [sp.dim for sp in spaces[:-1]])
+    reach = []
+    for sp in spaces:
+        prods = (sp.basis()[:, None] @ stacked[None]).reshape(-1, ww)
+        hit = np.empty((m, len(prods)), dtype=bool)
+        for cols in _pair_blocks(len(prods), m * ww):
+            parts = np.linalg.norm((projs @ prods[cols].T).reshape(m, ww, -1), axis=1)
+            hit[:, cols] = parts > tol * 10 * np.linalg.norm(prods[cols], axis=1)
+        # [k, j]: some product of C_i with C_j has a part in C_k
+        hit = np.logical_or.reduceat(hit.reshape(m, sp.dim, -1).any(axis=1), starts, axis=1)
+        reach.append([sum(1 << k for k in np.flatnonzero(col).tolist()) for col in hit.T])
+    return reach
+
+
 def multfree_scan(adjoint, seed=0, tol=RANK_TOL):
     """Scan sums of isotypic components for product closure.
 
@@ -86,16 +105,7 @@ def multfree_scan(adjoint, seed=0, tol=RANK_TOL):
               for c in comps]
     m = len(comps)
     certified = all(c.multiplicity <= 1 for c in comps)
-    # reach[i][j]: bitmask of the components C_i C_j has a part in (the
-    # isotypic projectors split along them even when they are not orthogonal)
-    projs = np.stack([c.projector for c in comps])
-    reach = [[0] * m for _ in range(m)]
-    for i, j in itertools.product(range(m), repeat=2):
-        prods = np.einsum("aij,bjk->abik", spaces[i].basis(),
-                          spaces[j].basis()).reshape(-1, w * w)
-        parts = np.linalg.norm(projs @ prods.T, axis=1)
-        hit = np.any(parts > tol * 10 * np.linalg.norm(prods, axis=1), axis=1)
-        reach[i][j] = sum(1 << int(k) for k in np.flatnonzero(hit))
+    reach = _reach_table(spaces, comps, tol)
 
     found = [MatrixSubspace.zero((w, w))] + [
         functools.reduce(lambda a, b: a.add(b, tol),
@@ -194,20 +204,17 @@ def _matrix_units(b_space, a, seed, tol):
     if diag is None:
         raise FactorRecoveryFailure(
             f"could not split a generic element into {a} equal-rank projectors")
+
+    def corner(x, y, label):
+        space = MatrixSubspace.from_spanning(diag[x] @ basis @ diag[y], (d, d), tol)
+        if space.dim != 1:
+            raise FactorRecoveryFailure(
+                f"corner space {label} has dimension {space.dim}, expected 1")
+        return space.basis()[0]
+
     units = {(0, 0): diag[0]}
     for p in range(1, a):
-        corner = MatrixSubspace.from_spanning(
-            diag[0] @ basis @ diag[p], (d, d), tol)
-        if corner.dim != 1:
-            raise FactorRecoveryFailure(
-                f"corner space 1-{p} has dimension {corner.dim}, expected 1")
-        u = corner.basis()[0]
-        back = MatrixSubspace.from_spanning(
-            diag[p] @ basis @ diag[0], (d, d), tol)
-        if back.dim != 1:
-            raise FactorRecoveryFailure(
-                f"corner space {p}-1 has dimension {back.dim}, expected 1")
-        v = back.basis()[0]
+        u, v = corner(0, p, f"1-{p}"), corner(p, 0, f"{p}-1")
         c = np.trace(u @ v) / np.trace(diag[0])
         if abs(c) < 1e-10:
             raise FactorRecoveryFailure("corner generators multiply to zero")
@@ -260,11 +267,7 @@ def extract_factorization(b_space, w_rep, seed=0, tol=RANK_TOL):
     if w_cols.shape[1] != b:
         raise FactorRecoveryFailure(
             f"diagonal unit has rank {w_cols.shape[1]}, expected {b}")
-    cols = []
-    for p in range(a):
-        block = (units[(p, 0)] if p else units[(0, 0)]) @ w_cols
-        cols.append(block)
-    s_mat = np.hstack(cols)
+    s_mat = np.hstack([units[(p, 0)] @ w_cols for p in range(a)])
     svals = np.linalg.svd(s_mat, compute_uv=False)
     if svals[-1] < tol * max(1.0, svals[0]):
         raise FactorRecoveryFailure("block basis change is singular")

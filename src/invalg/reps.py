@@ -118,6 +118,27 @@ class ValidationReport:
     projective: bool
 
 
+def _fold_law(worst, mats, mult, rows, prod, alpha=None):
+    """Fold ``|prod[a, b] - alpha(a, b) rho(ab)|`` over a row block into
+    ``worst = (deviation, pair)``, keeping the first worst pair row-major."""
+    target = mats[mult[rows]]
+    if alpha is not None:
+        target = target * alpha[rows, :, None, None]
+    devs = np.linalg.norm((prod - target).reshape(len(prod), len(mats), -1), axis=2)
+    for i, b in enumerate(np.argmax(devs, axis=1)):
+        if devs[i, b] > worst[0]:
+            worst = (float(devs[i, b]), (rows.start + i, int(b)))
+    return worst
+
+
+def _check_law(worst, tol):
+    dev, pair = worst
+    if dev > tol:
+        raise NotARepresentation(
+            f"multiplication law fails by {dev:.3g} at pair {pair}",
+            worst_pair=pair, deviation=dev)
+
+
 def validate(rep, tol=RANK_TOL):
     """Verify the homomorphism (or cocycle) law and the identity matrix.
 
@@ -132,28 +153,16 @@ def validate(rep, tol=RANK_TOL):
     id_dev = float(np.linalg.norm(mats[g.identity] - np.eye(d)))
     if rep.cocycle is not None:
         rep.cocycle.validate(tol=max(tol, 1e-8))
-    worst = (g.identity, g.identity)
-    worst_dev = id_dev
+    alpha = None if rep.cocycle is None else rep.cocycle.values
+    worst = (id_dev, (g.identity, g.identity))
     for rows in _pair_blocks(n, n * d * d):
-        prod = mats[rows, None] @ mats  # [a, b] = rho(a) rho(b)
-        target = mats[g.mult[rows]]
-        if rep.cocycle is not None:
-            target = target * rep.cocycle.values[rows, :, None, None]
-        devs = np.linalg.norm((prod - target).reshape(len(prod), n, -1), axis=2)
-        # the strict test keeps the first worst pair in row-major order
-        for i, b in enumerate(np.argmax(devs, axis=1)):
-            if devs[i, b] > worst_dev:
-                worst_dev = float(devs[i, b])
-                worst = (rows.start + i, int(b))
+        worst = _fold_law(worst, mats, g.mult, rows, mats[rows, None] @ mats, alpha)
     unit_dev = 0.0
     if rep.unitary:
         uhu = np.einsum("gji,gjk->gik", mats.conj(), mats)
         unit_dev = float(np.max(np.linalg.norm(uhu - np.eye(d), axis=(1, 2))))
-    if worst_dev > tol:
-        raise NotARepresentation(
-            f"multiplication law fails by {worst_dev:.3g} at pair {worst}",
-            worst_pair=worst, deviation=worst_dev)
-    return ValidationReport(max_deviation=worst_dev, worst_pair=worst,
+    _check_law(worst, tol)
+    return ValidationReport(max_deviation=worst[0], worst_pair=worst[1],
                             identity_deviation=id_dev, unitary_deviation=unit_dev,
                             projective=rep.is_projective)
 
@@ -509,25 +518,29 @@ def _as_projective_rep(group, mats, name):
     :class:`ToleranceFailure`.  A cocycle within 1e-8 of one everywhere is
     dropped, leaving a linear representation.
     """
-    n, k = group.order, mats.shape[1]
-    if np.linalg.norm(mats[group.identity] - np.eye(k)) < 1e-8:
-        mats[group.identity] = np.eye(k)
+    n, k, e = group.order, mats.shape[1], group.identity
+    if np.linalg.norm(mats[e] - np.eye(k)) < 1e-8:
+        mats[e] = np.eye(k)
     inv_mats = np.linalg.inv(mats)
     vals = np.ones((n, n), dtype=complex)
+    # validate's law check on the same products, without the cocycle too
+    twisted = plain = (float(np.linalg.norm(mats[e] - np.eye(k))), (e, e))
     for rows in _pair_blocks(n, n * k * k):
-        c, ok = scalar_multiple_of_identity(
-            mats[rows, None] @ mats @ inv_mats[group.mult[rows]], tol=1e-6)
+        prod = mats[rows, None] @ mats
+        c, ok = scalar_multiple_of_identity(prod @ inv_mats[group.mult[rows]], tol=1e-6)
         if not ok.all():
             g, h = divmod(int(np.argmin(ok)), n)  # first failure, row-major
             raise ToleranceFailure(
                 f"rho(g)rho(h)rho(gh)^-1 is not scalar at ({rows.start + g}, {h})")
         vals[rows] = c
-    vals[group.identity, :] = 1.0
-    vals[:, group.identity] = 1.0
+        vals[e, :] = vals[:, e] = 1.0
+        twisted = _fold_law(twisted, mats, group.mult, rows, prod, vals)
+        plain = (_fold_law(plain, mats, group.mult, rows, prod)
+                 if plain and np.max(np.abs(vals[rows] - 1.0)) <= 1e-8 else None)
     cocycle = None
     if np.max(np.abs(vals - 1.0)) > 1e-8:
         cocycle = TwoCocycle(group, vals)
-    rep = Representation(group=group, dim=k, matrices=mats,
-                         unitary=False, cocycle=cocycle, name=name)
-    validate(rep, tol=1e-6)
-    return rep
+        cocycle.validate(tol=1e-6)
+    _check_law(twisted if cocycle is not None else plain, 1e-6)
+    return Representation(group=group, dim=k, matrices=mats,
+                          unitary=False, cocycle=cocycle, name=name)

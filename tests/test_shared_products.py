@@ -1,0 +1,275 @@
+"""Work the ``factor`` path now does once, against the code that did it twice.
+
+``_as_projective_rep`` recovers the cocycle and checks the law from one
+table of pair products; the old two-pass code (recovery, then ``validate``)
+is kept here as the oracle.  The reach table is built a row at a time; the
+per-pair loop is the oracle.  Centralizers are solved once per space.
+"""
+
+import itertools
+import json
+
+import numpy as np
+import pytest
+
+import invalg.algebras
+import invalg.factor
+import invalg.reps
+from invalg import (NotARepresentation, Representation, TwoCocycle, catalog,
+                    direct_product, validate)
+from invalg._linalg import column_space, scalar_multiple_of_identity
+from invalg.algebras import center, centralizer
+from invalg.catalog import pair_to_json
+from invalg.cli import main
+from invalg.errors import ToleranceFailure
+from invalg.factor import _reach_table
+from invalg.reps import _as_projective_rep, _pair_blocks, adjoint_rep, isotypic_decomposition
+from invalg.spaces import MatrixSubspace
+
+
+def _outer(*parts):
+    """Outer tensor product of catalog reps over the direct product."""
+    group, mats, alpha = None, None, None
+    for part in parts:
+        g, rep = catalog.get(*part.split(":"))
+        a = rep.cocycle.values if rep.cocycle is not None else np.ones((g.order,) * 2)
+        if group is None:
+            group, mats, alpha = g, rep.matrices, a
+            continue
+        group = direct_product(group, g)
+        mats = np.stack([np.kron(x, y) for x in mats for y in rep.matrices])
+        alpha = np.kron(alpha, a)
+    cocycle = None if np.all(alpha == 1) else TwoCocycle(group, alpha)
+    return Representation(group=group, dim=mats.shape[1], matrices=mats,
+                          unitary=True, cocycle=cocycle)
+
+# -- one pair table for the cocycle and the law ------------------------------------
+
+
+def _two_pass(group, mats, name=None):
+    """The cocycle recovery followed by a separate ``validate`` run."""
+    n, k = group.order, mats.shape[1]
+    if np.linalg.norm(mats[group.identity] - np.eye(k)) < 1e-8:
+        mats[group.identity] = np.eye(k)
+    inv_mats = np.linalg.inv(mats)
+    vals = np.ones((n, n), dtype=complex)
+    for rows in _pair_blocks(n, n * k * k):
+        c, ok = scalar_multiple_of_identity(
+            mats[rows, None] @ mats @ inv_mats[group.mult[rows]], tol=1e-6)
+        if not ok.all():
+            g, h = divmod(int(np.argmin(ok)), n)
+            raise ToleranceFailure(
+                f"rho(g)rho(h)rho(gh)^-1 is not scalar at ({rows.start + g}, {h})")
+        vals[rows] = c
+    vals[group.identity, :] = 1.0
+    vals[:, group.identity] = 1.0
+    cocycle = None
+    if np.max(np.abs(vals - 1.0)) > 1e-8:
+        cocycle = TwoCocycle(group, vals)
+    rep = Representation(group=group, dim=k, matrices=mats,
+                         unitary=False, cocycle=cocycle, name=name)
+    validate(rep, tol=1e-6)
+    return rep
+
+
+def _scrambled(rep, seed, phase_size):
+    """The matrices in a random basis, each times a scalar near one or not."""
+    rng = np.random.default_rng(seed)
+    d, n = rep.dim, rep.group.order
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    phases = np.exp(1j * phase_size * rng.standard_normal(n))
+    phases[rep.group.identity] = 1.0
+    return phases[:, None, None] * (q.conj().T @ rep.matrices @ q)
+
+
+def _pair_inputs():
+    """(name, rep): linear and projective, with the group identity at 0."""
+    out = [(f"{k}:{r}", catalog.get(k, r)[1])
+           for k, r in (("S3", "std"), ("Q8", "std"), ("A4", "std3"),
+                        ("S3xS3", "stdXstd"), ("C2xC2", "pauli"))]
+    return out + [("S3xPauli", _outer("S3:std", "C2xC2:pauli"))]
+
+
+@pytest.fixture
+def law_results(monkeypatch):
+    """Every ``(deviation, pair)`` that reaches ``reps._check_law``."""
+    seen, check = [], invalg.reps._check_law
+
+    def record(worst, tol):
+        seen.append(worst)
+        return check(worst, tol)
+
+    monkeypatch.setattr(invalg.reps, "_check_law", record)
+    return seen
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3])
+@pytest.mark.parametrize("phase_size", [0.0, 1e-11, 1.0])
+@pytest.mark.parametrize("name,rep", _pair_inputs(), ids=[n for n, _ in _pair_inputs()])
+def test_one_pass_matches_the_two_pass_recovery(name, rep, phase_size, rows,
+                                                monkeypatch, law_results):
+    """Phases of 1e-11 leave a cocycle within 1e-8 of one, which is dropped:
+    the law is then checked without it, as ``validate`` of the result does."""
+    n, k = rep.group.order, rep.dim
+    if rows is not None:
+        monkeypatch.setattr(invalg.reps, "_PAIR_BLOCK", rows * n * k * k)
+    mats = _scrambled(rep, 11, phase_size)
+    want = _two_pass(rep.group, mats.copy())
+    law_results.clear()
+    got = _as_projective_rep(rep.group, mats.copy(), None)
+    assert np.array_equal(got.matrices, want.matrices)
+    assert (got.cocycle is None) == (want.cocycle is None)
+    if phase_size == 1e-11 and not rep.is_projective:
+        assert got.cocycle is None
+    if got.cocycle is not None:
+        assert np.array_equal(got.cocycle.values, want.cocycle.values)
+    report = validate(got, tol=1e-6)
+    assert law_results[0] == (report.max_deviation, report.worst_pair)
+
+
+def _raised(fn, *args):
+    with pytest.raises((ToleranceFailure, ValueError, NotARepresentation)) as exc:
+        fn(*args)
+    return exc
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3])
+@pytest.mark.parametrize("case", ["later_non_scalar", "law", "cocycle_and_law"])
+def test_errors_come_in_the_two_pass_order(case, rows, monkeypatch):
+    """A non-scalar pair beats a law failure in an earlier block (row 17
+    against the identity's row 0, at one and three rows a block); a failing
+    cocycle identity beats a failing law."""
+    rep = _outer("S3:std", "C2xC2:pauli")
+    n, k, e = rep.group.order, rep.dim, rep.group.identity
+    if rows is not None:
+        monkeypatch.setattr(invalg.reps, "_PAIR_BLOCK", rows * n * k * k)
+    mats = np.array(rep.matrices)
+    # rho(1) = (1 + delta) I: every product stays scalar, but the identity
+    # row of the law fails by delta sqrt(k) and the cocycle picks up delta
+    delta = {"later_non_scalar": 7e-7, "law": 7e-7, "cocycle_and_law": 5e-6}[case]
+    mats[e] = (1 + delta) * np.eye(k)
+    if case == "later_non_scalar":
+        mats[17] = mats[17] @ np.diag([1.0, 2.0, 3.0, 4.0])
+    want = _raised(_two_pass, rep.group, mats.copy())
+    got = _raised(_as_projective_rep, rep.group, mats.copy(), None)
+    assert got.type is want.type
+    assert str(got.value) == str(want.value)
+    expected_type = {"later_non_scalar": ToleranceFailure, "law": NotARepresentation,
+                     "cocycle_and_law": ValueError}[case]
+    assert got.type is expected_type
+    if case == "law":
+        assert got.value.worst_pair == want.value.worst_pair
+        assert got.value.deviation == want.value.deviation
+
+
+# -- the reach table ----------------------------------------------------------------
+
+
+def _reach_loop(spaces, comps, tol):
+    """One einsum, one projection and two norms per ordered pair."""
+    m, w = len(spaces), spaces[0].shape[0]
+    projs = np.stack([c.projector for c in comps])
+    reach = [[0] * m for _ in range(m)]
+    for i, j in itertools.product(range(m), repeat=2):
+        prods = np.einsum("aij,bjk->abik", spaces[i].basis(),
+                          spaces[j].basis()).reshape(-1, w * w)
+        parts = np.linalg.norm(projs @ prods.T, axis=1)
+        hit = np.any(parts > tol * 10 * np.linalg.norm(prods, axis=1), axis=1)
+        reach[i][j] = sum(1 << int(k) for k in np.flatnonzero(hit))
+    return reach
+
+
+def _components(rep, tol=1e-8):
+    """The spaces and projectors ``multfree_scan`` builds its table from."""
+    ad = adjoint_rep(rep)
+    comps = isotypic_decomposition(ad, seed=0, tol=tol)
+    spaces = [MatrixSubspace(column_space(c.projector, tol).T, (rep.dim, rep.dim))
+              for c in comps]
+    return spaces, comps
+
+
+def _reach_inputs():
+    out = [f"{k}:{r}" for k, entry in sorted(catalog.catalog().items())
+           for r in sorted(entry.reps)]
+    return out + ["S3xPauli"]
+
+
+def _rep(name):
+    if name == "S3xPauli":
+        return _outer("S3:std", "C2xC2:pauli")
+    return catalog.get(*name.split(":"))[1]
+
+
+@pytest.mark.parametrize("name", _reach_inputs())
+def test_row_batched_reach_matches_the_pair_loop(name, monkeypatch):
+    spaces, comps = _components(_rep(name))
+    want = _reach_loop(spaces, comps, 1e-8)
+    assert _reach_table(spaces, comps, 1e-8) == want
+    monkeypatch.setattr(invalg.reps, "_PAIR_BLOCK", 1)  # one product a block
+    assert _reach_table(spaces, comps, 1e-8) == want
+
+
+def test_row_batched_reach_on_pauli_cubed(monkeypatch):
+    """m = 64 one-dimensional components: 4096 pairs."""
+    spaces, comps = _components(_outer(*["C2xC2:pauli"] * 3))
+    assert len(spaces) == 64
+    want = _reach_loop(spaces, comps, 1e-8)
+    assert _reach_table(spaces, comps, 1e-8) == want
+    monkeypatch.setattr(invalg.reps, "_PAIR_BLOCK", 5 * 64 * 64)  # 5 products a block
+    assert _reach_table(spaces, comps, 1e-8) == want
+
+
+# -- centralizers solved once ---------------------------------------------------------
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Counts the commutant solves behind ``centralizer``."""
+    count = [0]
+    solve = invalg.algebras.intertwiners
+
+    def counted(*args):
+        count[0] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(invalg.algebras, "intertwiners", counted)
+    return count
+
+
+def test_centralizer_is_solved_once_per_tolerance(solves):
+    sp = MatrixSubspace.identity_line(3)
+    z = centralizer(sp)
+    assert centralizer(sp) is z and centralizer(sp, 1e-8) is z
+    assert solves[0] == 1
+    assert center(sp).dim == 1 and solves[0] == 1
+    other = centralizer(sp, 1e-6)
+    assert other is not z and other.equals(z)
+    assert solves[0] == 2
+
+
+def test_flat_is_read_only_and_the_input_is_not():
+    basis = np.eye(4, dtype=complex)[:2]
+    sp = MatrixSubspace(basis, (2, 2))
+    with pytest.raises(ValueError, match="read-only"):
+        sp.flat[0, 0] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        sp.basis()[0] *= 2
+    basis[0, 0] = 3.0  # the caller's array stays writable
+    assert basis.flags.writeable
+
+
+def test_factor_reuses_the_scan_solves(solves, monkeypatch, tmp_path):
+    """S3 x Pauli: ``extract_factorization`` finds the centralizers and
+    centers the scan solved.  Before the memo each call was one solve."""
+    calls = [0]
+    for module in (invalg.algebras, invalg.factor):
+        def counted(sp, tol=1e-8, _inner=module.centralizer):
+            calls[0] += 1
+            return _inner(sp, tol)
+
+        monkeypatch.setattr(module, "centralizer", counted)
+    rep = _outer("S3:std", "C2xC2:pauli")
+    path = tmp_path / "s3xpauli.json"
+    path.write_text(json.dumps(pair_to_json(rep.group, rep)))
+    assert main(["factor", str(path), "--out", str(tmp_path / "out.json")]) == 0
+    assert 0 < solves[0] < calls[0]
