@@ -1,5 +1,7 @@
 """Small shared linear-algebra helpers (SVD-based ranks, nullspaces, rounding)."""
 
+import math
+
 import numpy as np
 
 from .errors import RoundingAmbiguous
@@ -35,7 +37,7 @@ def row_norms(a):
     imaginary parts, so no temporary as large as ``a`` is made.
     """
     a = np.ascontiguousarray(a)
-    a = a.reshape(len(a), int(np.prod(a.shape[1:])))
+    a = a.reshape(len(a), math.prod(a.shape[1:]))
     if np.iscomplexobj(a):
         a = a.view(a.real.dtype)
     return np.sqrt(np.einsum("ij,ij->i", a, a))

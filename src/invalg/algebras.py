@@ -9,12 +9,13 @@ as a scalar on each Wedderburn block, so its spectral projectors *are* the
 block idempotents whenever the scalars separate.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._linalg import (EQ_TOL, RANK_TOL, cluster_complex, intertwiners,
-                      round_to_int, row_norms)
+                      nullspace, round_to_int, row_norms)
 from .errors import (AssertionFailure, MatchFailure, NotSemisimple,
                      ToleranceFailure)
 from .groups import Subgroup
@@ -44,18 +45,39 @@ class InvariantSubalgebra:
         return len(self.component_dims)
 
 
+def _memoized(fn):
+    """Memoize ``fn(space, tol)`` per tolerance on the read-only space."""
+    @functools.wraps(fn)
+    def memo(space, tol=RANK_TOL):
+        key = (fn.__name__, tol)
+        if key not in space._memo:
+            space._memo[key] = fn(space, tol)
+        return space._memo[key]
+    return memo
+
+
+@_memoized
 def centralizer(space, tol=RANK_TOL):
     """Matrices commuting with all of ``space``; solved once per tolerance."""
-    if tol not in space._centralizers:
-        d, basis = space.ambient_dim, space.basis()
-        space._centralizers[tol] = MatrixSubspace(
-            intertwiners(basis, basis, tol).reshape(-1, d * d), (d, d))
-    return space._centralizers[tol]
+    d, basis = space.ambient_dim, space.basis()
+    return MatrixSubspace(intertwiners(basis, basis, tol).reshape(-1, d * d), (d, d))
 
 
+@_memoized
 def center(space, tol=RANK_TOL):
-    """Elements of ``space`` commuting with all of ``space``."""
-    return space.intersect(centralizer(space, tol), tol)
+    """Elements of a product-closed ``space`` commuting with all of it.
+
+    Solved in the space's own coordinates: ``sum_i c_i (b_i b_j - b_j b_i)
+    = 0`` for every j is a (k^2, k) system on the structure constants of
+    :func:`left_multiplication_operators`, which raises ValueError when the
+    space is not closed.  Memoized per tolerance.
+    """
+    if space.dim == 0:
+        return space
+    ops = left_multiplication_operators(space, tol)
+    # row (j, l), column i: coordinate l of b_i b_j - b_j b_i
+    comm = (ops.transpose(2, 1, 0) - ops).reshape(-1, space.dim)
+    return MatrixSubspace(nullspace(comm, tol) @ space.flat, space.shape)
 
 
 def _basis_products(space):
@@ -64,11 +86,14 @@ def _basis_products(space):
     return basis[:, None] @ basis[None]
 
 
+@_memoized
 def left_multiplication_operators(space, tol=RANK_TOL):
-    """Matrices of left multiplication on the space's own basis.
+    """Matrices of left multiplication on the space's own basis (read-only).
 
-    Requires product closure; the residual of re-projecting each product is
-    checked against ``tol`` and a ValueError raised on violation.
+    These are the structure constants: ``ops[i, l, j]`` is coordinate l of
+    ``b_i b_j``.  Requires product closure; the residual of re-projecting
+    each product is checked against ``tol`` and a ValueError raised on
+    violation.  Memoized per tolerance.
     """
     k = space.dim
     prods = _basis_products(space).reshape(k, k, -1)
@@ -76,7 +101,9 @@ def left_multiplication_operators(space, tol=RANK_TOL):
         raise ValueError("subspace is not closed under products")
     # column j of L_{b_i} holds the coordinates of b_i b_j
     coeff = prods @ space.flat.conj().T
-    return np.ascontiguousarray(coeff.transpose(0, 2, 1))
+    ops = np.ascontiguousarray(coeff.transpose(0, 2, 1))
+    ops.flags.writeable = False
+    return ops
 
 
 def trace_form_gram(space, tol=RANK_TOL):
@@ -85,11 +112,13 @@ def trace_form_gram(space, tol=RANK_TOL):
     return np.einsum("iab,jba->ij", ops, ops)
 
 
+@_memoized
 def semisimplicity_certificate(space, tol=RANK_TOL):
     """Smallest singular value of the trace-form Gram matrix.
 
     A value above ``tol`` certifies semisimplicity.  Returns the pair
-    ``(smallest_sv, radical_witness_or_None)``.
+    ``(smallest_sv, radical_witness_or_None)``; memoized per tolerance, so
+    the witness is read-only.
     """
     if space.dim == 0:
         return np.inf, None
@@ -100,6 +129,7 @@ def semisimplicity_certificate(space, tol=RANK_TOL):
     if smallest > tol * scale:
         return smallest, None
     witness = (vh[-1].conj() @ space.flat).reshape(space.shape)
+    witness.flags.writeable = False
     return smallest, witness
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._linalg import RANK_TOL, column_space
 from .algebras import (InvariantSubalgebra, _all_idempotent, _complete_and_orthogonal,
-                       _sorted_idempotents, _symmetric_embedding, centralizer,
+                       _sorted_idempotents, _symmetric_embedding, center, centralizer,
                        inertia_subgroup, is_invariant, permutation_action,
                        semisimplicity_certificate, wedderburn_decompose)
 from .errors import AssertionFailure, BlocksNotDirect, InvalgError
@@ -289,7 +289,7 @@ def verify_classification(subalgebras, v_rep, seed=0, tol=RANK_TOL):
                     cartan = cartans[id(datum.pair)] = _block_span(
                         datum.pair, MatrixSubspace.identity_line(datum.pair.w_rep.dim),
                         v_rep, tol)[0]
-                if not space.intersect(z, tol).equals(cartan):
+                if not center(space, tol).equals(cartan):
                     violations.append(
                         f"{label}: center differs from the scalar-block span")
         except (InvalgError, ValueError, np.linalg.LinAlgError) as exc:

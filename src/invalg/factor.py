@@ -126,8 +126,9 @@ def multfree_scan(adjoint, seed=0, tol=RANK_TOL):
             if cand.is_product_closed(tol * 10):
                 record(cand)
 
-    unital = [s for s in found if s.contains_identity(tol * 10)]
-    nonunital = [s for s in found if not s.contains_identity(tol * 10)]
+    unital, nonunital = [], []
+    for s in found:
+        (unital if s.contains_identity(tol * 10) else nonunital).append(s)
     unital.sort(key=lambda s: (s.dim, s.fingerprint()))
     nonunital.sort(key=lambda s: (s.dim, s.fingerprint()))
     return unital, nonunital, certified
@@ -226,14 +227,33 @@ def _matrix_units(b_space, a, seed, tol):
     for p in range(1, a):
         if np.linalg.norm(units[(p, p)] - diag[p]) > 1e-6:
             raise FactorRecoveryFailure("diagonal units disagree with projectors")
-    for (p, q) in units:
-        for (r, s) in units:
-            prod = units[(p, q)] @ units[(r, s)]
-            want = units[(p, s)] if q == r else 0.0
-            if np.linalg.norm(prod - want) > 1e-6:
-                raise FactorRecoveryFailure(
-                    f"unit relations fail at ({p},{q})x({r},{s})")
+    _check_unit_relations(units)
     return units
+
+
+def _check_unit_relations(units):
+    """Raise for the first pair, in the dict's order, that breaks
+    ``e_pq e_rs = [q == r] e_ps`` by more than 1e-6.
+
+    All a^4 products are formed as stacked rows ``e_pq [e_11, ...]``, a
+    block of (p, q) rows at a time.
+    """
+    keys = list(units)
+    stack = np.stack([units[k] for k in keys])
+    at = {k: i for i, k in enumerate(keys)}
+    # want[i, j]: the unit (p_i, s_j) when q_i = r_j, else no unit (-1)
+    want = np.array([[at[(p, s)] if q == r else -1 for (r, s) in keys]
+                     for (p, q) in keys])
+    d = stack.shape[-1]
+    for rows in _pair_blocks(len(keys), len(keys) * d * d):
+        diff = stack[rows, None] @ stack
+        hit = want[rows] >= 0
+        diff[hit] -= stack[want[rows][hit]]
+        bad = np.flatnonzero(row_norms(diff.reshape(-1, d, d)) > 1e-6)
+        if bad.size:
+            i, j = divmod(int(bad[0]), len(keys))
+            (p, q), (r, s) = keys[rows.start + i], keys[j]
+            raise FactorRecoveryFailure(f"unit relations fail at ({p},{q})x({r},{s})")
 
 
 def extract_factorization(b_space, w_rep, seed=0, tol=RANK_TOL):

@@ -9,6 +9,7 @@ weight, plus the zero algebra.
 """
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -151,6 +152,9 @@ def _dot(a, b):
 class HighestWeight:
     system: RootSystem
     coords: tuple
+    # derived in __post_init__; _dim is filled by the first weyl_dim call
+    is_zero: bool = field(init=False, repr=False, compare=False)
+    _dim: int = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coords = tuple(int(c) for c in self.coords)
@@ -161,25 +165,27 @@ class HighestWeight:
         if any(c < 0 for c in coords):
             raise ValueError("highest weight coordinates must be nonnegative")
         object.__setattr__(self, "coords", coords)
-
-    @property
-    def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        object.__setattr__(self, "is_zero", not any(coords))
 
     def __add__(self, other):
         if other.system != self.system:
             raise ValueError("weights live on different root systems")
         return HighestWeight(self.system,
-                             tuple(a + b for a, b in zip(self.coords, other.coords)))
+                             tuple(map(operator.add, self.coords, other.coords)))
 
 
 def weyl_dim(weight):
     """Dimension of the irreducible with this highest weight, exactly.
 
     Weyl's formula prod <lam + rho, alpha> / <rho, alpha> over the positive
-    roots, read off the system's pairing table and memoized on the system.
+    roots, read off the system's pairing table and memoized on the system;
+    the weight keeps its own dimension too.
     """
-    return _coords_dim(weight.system, weight.coords)
+    dim = weight._dim
+    if dim is None:
+        dim = _coords_dim(weight.system, weight.coords)
+        object.__setattr__(weight, "_dim", dim)
+    return dim
 
 
 def _coords_dim(sys_, coords):
@@ -209,7 +215,7 @@ def tensor_irreducible(lam, mu):
         raise ValueError("weights live on different root systems")
     product = weyl_dim(lam) * weyl_dim(mu)
     # the coords of lam + mu, without building and re-validating a weight
-    combined = _coords_dim(sys_, tuple(a + b for a, b in zip(lam.coords, mu.coords)))
+    combined = _coords_dim(sys_, tuple(map(operator.add, lam.coords, mu.coords)))
     if combined > product:
         raise AssertionFailure("Cartan component exceeds the tensor product")
     result = combined == product

@@ -15,13 +15,15 @@ class MatrixSubspace:
 
     The basis is stored flattened as orthonormal rows of ``self.flat`` (the
     Hilbert-Schmidt inner product on matrices is the standard one on the
-    flattened vectors).  It is read-only, so memos on the space stay valid.
+    flattened vectors).  It is read-only, so memos on the space stay valid:
+    ``_memo`` maps ``(function name, tol)`` to the space's centralizer,
+    center, structure constants and semisimplicity certificate.
     """
 
     def __init__(self, flat, shape):
         self.flat = np.asarray(flat, dtype=complex).view()
         self.flat.flags.writeable = False
-        self._centralizers = {}
+        self._memo = {}
         self.shape = (int(shape[0]), int(shape[1]))
         if self.flat.ndim != 2 or self.flat.shape[1] != self.shape[0] * self.shape[1]:
             raise ValueError("flattened basis has wrong width for shape")

@@ -255,10 +255,11 @@ def test_validate_names_the_worst_pair_of_a_corrupted_projective_rep(block, monk
 
 
 def test_cocycle_identity_is_checked_in_row_blocks():
-    """Order 128: the identity needs n^3 products, never an n^3 table."""
+    """Order 128: the identity needs n^2 |S| products over the generators S,
+    held in row blocks, never an n^2 |S| table (let alone an n^3 one)."""
     rep = _outer("D4:std", "C2xC2:pauli", "C2xC2:pauli")
-    cocycle, n = rep.cocycle, rep.group.order
-    assert n == 128
+    cocycle, n, gens = rep.cocycle, rep.group.order, rep.group.generators
+    assert n == 128 and len(gens) == 6
     tracemalloc.start()
     try:
         dev = cocycle.validate()
@@ -266,7 +267,7 @@ def test_cocycle_identity_is_checked_in_row_blocks():
     finally:
         tracemalloc.stop()
     assert dev == 0.0
-    assert peak < 16 * n ** 3 / 4
+    assert peak < 2 * 16 * n * n * len(gens)
     bad = np.array(cocycle.values)
     bad[5, 9] *= -1
     with pytest.raises(ValueError, match="cocycle identity fails by 2$"):

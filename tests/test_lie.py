@@ -241,3 +241,21 @@ def test_weyl_dim_hand_built_system_non_integer():
     rs = RootSystem("A", 2, ((2, 1),), ((1, 0), (0, 1)), (1, 1))
     with pytest.raises(NonIntegerDimension):
         weyl_dim(HighestWeight(rs, (1, 0)))
+
+
+def test_weight_keeps_is_zero_and_its_dimension():
+    """``is_zero`` is decided once at construction; the dimension is filled
+    by the first ``weyl_dim`` call and then read off the weight.  Neither
+    takes part in equality, hashing or repr."""
+    rs = RootSystem.from_name("C3")
+    zero, lam = HighestWeight(rs, (0, 0, 0)), HighestWeight(rs, (0, 1, 0))
+    assert zero.is_zero is True and lam.is_zero is False
+    assert vars(lam)["is_zero"] is False  # an instance field, not a property
+    assert lam._dim is None and rs.dim_memo == {}
+    assert weyl_dim(lam) == 14 and lam._dim == 14
+    rs.dim_memo.clear()
+    assert weyl_dim(lam) == 14 and rs.dim_memo == {}  # read off the weight
+    twin = HighestWeight(rs, (0, 1, 0))
+    assert twin._dim is None and twin == lam and hash(twin) == hash(lam)
+    assert repr(twin) == repr(lam)
+    assert (lam + zero) == lam and (lam + zero)._dim is None

@@ -164,6 +164,11 @@ def test_row_norms_match_linalg_norm():
     np.testing.assert_allclose(row_norms(a.real), np.linalg.norm(a.real, axis=1),
                                rtol=VALUE_TOL)
     assert row_norms(np.zeros((0, 5))).shape == (0,)
+    stack = _random_stack(rng, 4, 3, 5)
+    np.testing.assert_allclose(row_norms(stack), np.linalg.norm(stack, axis=(1, 2)),
+                               rtol=VALUE_TOL)
+    assert row_norms(np.zeros((3, 0, 2))).tolist() == [0.0] * 3
+    assert row_norms(np.array([-2.0, 3.0])).tolist() == [2.0, 3.0]
 
 
 def _is_product_closed_loop(space, tol):
