@@ -230,8 +230,14 @@ def _complex_to_json(m):
     return out.tolist()
 
 
-def _complex_from_json(data):
+def _complex_from_json(data, key, shape):
+    """The complex array of ``[re, im]`` pairs under ``key``; ValueError
+    naming both shapes unless it has ``shape``."""
     arr = np.asarray(data, dtype=float)
+    if arr.shape[-1:] != (2,):
+        raise ValueError(f"{key!r} entries must be [re, im] pairs; got shape {arr.shape}")
+    if arr.shape[:-1] != shape:
+        raise ValueError(f"{key!r} has shape {arr.shape[:-1]}, expected {shape}")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -249,11 +255,14 @@ def rep_to_json(rep):
 
 
 def rep_from_json(group, d):
+    """The representation a JSON dict describes; ValueError unless its
+    matrices are (order, dim, dim) and its cocycle, if any, (order, order)."""
+    n, dim = group.order, int(d["dim"])
     cocycle = None
     if "cocycle" in d:
-        cocycle = TwoCocycle(group, _complex_from_json(d["cocycle"]))
-    return Representation(group=group, dim=int(d["dim"]),
-                          matrices=_complex_from_json(d["matrices"]),
+        cocycle = TwoCocycle(group, _complex_from_json(d["cocycle"], "cocycle", (n, n)))
+    return Representation(group=group, dim=dim,
+                          matrices=_complex_from_json(d["matrices"], "matrices", (n, dim, dim)),
                           unitary=bool(d.get("unitary", False)),
                           cocycle=cocycle, name=d.get("name"))
 

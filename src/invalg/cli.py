@@ -3,17 +3,15 @@
 Subcommands wire the library together over catalog keys (``catalog:S3:std``)
 or JSON files carrying a group and a representation.  All output is JSON with
 a schema marker, the seed and tolerance echoed, and deterministic ordering,
-so repeated runs are byte-identical.  Payloads keep matrices as arrays; the
-writer streams the bytes of ``json.dumps(payload, indent=2, sort_keys=True)``
-with one ``float.__repr__`` pass per array, not a tree of Python floats.
+so repeated runs are byte-identical.  Output is one line of compact JSON with
+sorted keys (``python -m json.tool`` indents it).  Payloads keep matrices as
+arrays, which the encoder turns into lists one at a time as it reaches them.
 """
 
 import argparse
 import functools
-import itertools
 import json
 import sys
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -24,7 +22,7 @@ from .classify import enumerate_invariant_subalgebras, verify_classification
 from .errors import CapExceeded, InvalgError, NotARepresentation
 from .factor import (central_simple_invariant_subalgebras, cocycle_consistency,
                      extract_factorization)
-from .ideals import Parametrization, invariant_ideals, invariant_subspaces
+from .ideals import Parametrization, _ideal_lattice, invariant_subspaces
 from .lie import HighestWeight, etingof_enumerate, parse_product_type
 from .reps import is_irreducible, validate
 
@@ -36,30 +34,12 @@ def _complex_json(arr, ndigits=12):
     return np.round(np.stack([arr.real, arr.imag], axis=-1), ndigits) + 0.0
 
 
-def _json_chunks(obj, indent=2, depth=0):
-    """The text of ``json.dumps(obj, indent=indent, sort_keys=True)``, in
-    pieces; a nonempty finite float array is spelled innermost axis first."""
-    if isinstance(obj, np.ndarray) and not (obj.size and obj.dtype.kind == "f"
-                                            and np.isfinite(obj).all()):
-        obj = obj.tolist()
-    if isinstance(obj, np.ndarray):
-        items = list(map(float.__repr__, obj.ravel().tolist()))
-        for axis in range(obj.ndim - 1, -1, -1):
-            inner, n = "\n" + " " * indent * (depth + axis + 1), obj.shape[axis]
-            items = ["[" + inner + ("," + inner).join(items[i:i + n])
-                     + inner[:-indent or None] + "]" for i in range(0, len(items), n)]
-        yield items[0]
-    elif not obj or not isinstance(obj, (dict, list, tuple)):
-        yield json.dumps(obj)
-    else:
-        inner = "\n" + " " * indent * (depth + 1)
-        keyed = isinstance(obj, dict)
-        for i, item in enumerate(sorted(obj.items()) if keyed else obj):
-            yield ("," if i else "{" if keyed else "[") + inner
-            if keyed:
-                yield encode_basestring_ascii(item[0]) + ": "
-            yield from _json_chunks(item[1] if keyed else item, indent, depth + 1)
-        yield inner[:-indent or None] + ("}" if keyed else "]")
+def _dumps(payload):
+    """One line of compact JSON with sorted keys.  A one-shot ``dumps`` runs
+    the C encoder, and ``default`` lists each array or numpy scalar only when
+    the encoder reaches it, so no tree of Python floats is built."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                      default=lambda o: o.tolist()) + "\n"
 
 
 def _base_payload(args):
@@ -109,15 +89,12 @@ def cmd_ideals(args):
         return payload, 0
     payload["infinite"] = False
     payload["subspaces"] = [_subspace_json(s) for s in subs]
-    out = {}
-    for side in ("left", "right"):
-        ideals = invariant_ideals(rep, side, seed=args.seed, tol=args.tol)
-        out[side] = [{
-            "side": ideal.side,
-            "dim": ideal.dim,
-            "source": _subspace_json(ideal.source),
-            "basis": _complex_json(ideal.space.basis()),
-        } for ideal in ideals]
+    out = {side: [{
+        "side": ideal.side,
+        "dim": ideal.dim,
+        "source": _subspace_json(ideal.source),
+        "basis": _complex_json(ideal.space.basis()),
+    } for ideal in _ideal_lattice(subs, side, args.tol)] for side in ("left", "right")}
     payload["ideals"] = out
     payload["counts"] = {side: len(out[side]) for side in out}
     return payload, 0
@@ -278,12 +255,12 @@ def main(argv=None):
     except (InvalgError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    chunks = itertools.chain(_json_chunks(payload), ["\n"])
+    text = _dumps(payload)
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+            fh.write(text)
     else:
-        sys.stdout.writelines(chunks)
+        sys.stdout.write(text)
     return code
 
 

@@ -149,14 +149,9 @@ def ann(subspace, codomain=None):
     k = subspace.dim
     if comp.shape[1] == 0:
         return OneSidedIdeal("left", MatrixSubspace.zero((dw, d)), subspace)
-    rows = np.zeros((dw * comp.shape[1], dw * d), dtype=complex)
-    n = 0
-    for p in range(dw):
-        for q in range(comp.shape[1]):
-            m = np.zeros((dw, d), dtype=complex)
-            m[p, :] = comp[:, q].conj()
-            rows[n] = m.reshape(-1)
-            n += 1
+    # row p of a spanning map is a conjugated complement vector; + 0.0 clears
+    # the signed zeros kron leaves, which LAPACK can see
+    rows = np.kron(np.eye(dw), comp.conj().T) + 0.0
     space = MatrixSubspace.from_spanning(rows.reshape(-1, dw, d), (dw, d))
     if space.dim != dw * (d - k):
         raise AssertionFailure(
@@ -176,13 +171,9 @@ def coann(subspace, domain=None):
     k = subspace.dim
     if k == 0:
         return OneSidedIdeal("right", MatrixSubspace.zero((d, dv)), subspace)
-    mats = []
-    for p in range(k):
-        for q in range(dv):
-            m = np.zeros((d, dv), dtype=complex)
-            m[:, q] = subspace.basis[:, p]
-            mats.append(m)
-    space = MatrixSubspace.from_spanning(mats, (d, dv))
+    # column q of a spanning map is a basis vector
+    rows = np.kron(subspace.basis.T, np.eye(dv)) + 0.0
+    space = MatrixSubspace.from_spanning(rows.reshape(-1, d, dv), (d, dv))
     if space.dim != k * dv:
         raise AssertionFailure(
             f"coannihilator has dimension {space.dim}, expected {k * dv}")
@@ -231,21 +222,12 @@ def invariant_subspaces(rep, seed=0, tol=RANK_TOL):
     return out
 
 
-def invariant_ideals(rep, side, seed=0, tol=RANK_TOL):
-    """Invariant one-sided ideals of the full matrix algebra on V.
-
-    Left ideals come from the vanishing map (order-reversing), right ideals
-    from the image map (order-preserving); both order laws are verified on
-    every pair before returning.  Raises :class:`InfiniteLattice` when some
-    multiplicity exceeds one.
+def _ideal_lattice(subs, side, tol, other=None):
+    """The ideal of each subspace in ``subs``: vanishing (``ann``) for the
+    left side, image (``coann``) for the right, in the hom-space to or from
+    dimension ``other`` when given.  The order law is verified on every pair.
     """
-    subs = invariant_subspaces(rep, seed=seed, tol=tol)
-    if isinstance(subs, Parametrization):
-        raise InfiniteLattice(
-            "invariant subspace lattice is infinite: " + str(subs),
-            parametrization=subs)
-    make = ann if side == "left" else coann
-    ideals = [make(s) for s in subs]
+    ideals = [ann(s, other) if side == "left" else coann(s, other) for s in subs]
     for i, si in enumerate(subs):
         for j, sj in enumerate(subs):
             if not si.contains(sj, tol * 10):
@@ -261,6 +243,22 @@ def invariant_ideals(rep, side, seed=0, tol=RANK_TOL):
     return ideals
 
 
+def invariant_ideals(rep, side, seed=0, tol=RANK_TOL):
+    """Invariant one-sided ideals of the full matrix algebra on V.
+
+    Left ideals come from the vanishing map (order-reversing), right ideals
+    from the image map (order-preserving); both order laws are verified on
+    every pair before returning.  Raises :class:`InfiniteLattice` when some
+    multiplicity exceeds one.
+    """
+    subs = invariant_subspaces(rep, seed=seed, tol=tol)
+    if isinstance(subs, Parametrization):
+        raise InfiniteLattice(
+            "invariant subspace lattice is infinite: " + str(subs),
+            parametrization=subs)
+    return _ideal_lattice(subs, side, tol)
+
+
 def hom_lattice(v_rep, w_rep, side, seed=0, tol=RANK_TOL):
     """Invariant one-sided submodules of the hom-space from V to W.
 
@@ -268,18 +266,13 @@ def hom_lattice(v_rep, w_rep, side, seed=0, tol=RANK_TOL):
     invariant subspaces of V; right submodules (under the algebra on V) are
     image ideals of invariant subspaces of W.
     """
-    if side == "left":
-        subs = invariant_subspaces(v_rep, seed=seed, tol=tol)
-        if isinstance(subs, Parametrization):
-            raise InfiniteLattice(
-                "infinite lattice on the domain: " + str(subs), parametrization=subs)
-        out = [ann(s, codomain=w_rep.dim) for s in subs]
-    else:
-        subs = invariant_subspaces(w_rep, seed=seed, tol=tol)
-        if isinstance(subs, Parametrization):
-            raise InfiniteLattice(
-                "infinite lattice on the codomain: " + str(subs), parametrization=subs)
-        out = [coann(s, domain=v_rep.dim) for s in subs]
+    rep, other, where = ((v_rep, w_rep, "domain") if side == "left"
+                         else (w_rep, v_rep, "codomain"))
+    subs = invariant_subspaces(rep, seed=seed, tol=tol)
+    if isinstance(subs, Parametrization):
+        raise InfiniteLattice(
+            f"infinite lattice on the {where}: " + str(subs), parametrization=subs)
+    out = _ideal_lattice(subs, side, tol, other.dim)
     for ideal in out:
         ideal.verify(tol)
     return out

@@ -76,6 +76,27 @@ def test_projective_rep_json_keeps_cocycle():
     assert validate(rep2).max_deviation < 1e-10
 
 
+@pytest.mark.parametrize("field, cut, message", [
+    ("matrices", lambda m: m[:5], "'matrices' has shape (5, 2, 2), expected (6, 2, 2)"),
+    ("matrices", lambda m: [[row[:1] for row in mat] for mat in m],
+     "'matrices' has shape (6, 2, 1), expected (6, 2, 2)"),
+    ("matrices", lambda m: [[[z[:1] for z in row] for row in mat] for mat in m],
+     "'matrices' entries must be [re, im] pairs; got shape (6, 2, 2, 1)"),
+    ("dim", lambda _: 3, "'matrices' has shape (6, 2, 2), expected (6, 3, 3)"),
+    ("cocycle", lambda c: c[:5], "'cocycle' has shape (5, 6), expected (6, 6)"),
+    ("cocycle", lambda c: [row + row[:1] for row in c], "'cocycle' has shape (6, 7), expected (6, 6)"),
+])
+def test_rep_from_json_rejects_wrong_shapes(field, cut, message):
+    g, rep = catalog.get("S3", "std")
+    d = json.loads(json.dumps(rep_to_json(rep)))
+    d["cocycle"] = [[[1.0, 0.0]] * 6] * 6
+    assert rep_from_json(g, d).cocycle.values.shape == (6, 6)
+    d[field] = cut(d[field])
+    with pytest.raises(ValueError) as exc:
+        rep_from_json(g, d)
+    assert str(exc.value) == message
+
+
 def test_load_input_catalog_string():
     g, rep = load_input("catalog:S3:std")
     assert g.order == 6

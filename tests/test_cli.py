@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import invalg.cli
+import invalg.ideals
 from invalg import catalog
 from invalg.catalog import pair_to_json
 from invalg.cli import main
@@ -125,6 +127,62 @@ def test_stdout_matches_file_output(tmp_path, capsys):
     assert shown.encode() == raw
 
 
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_stdout_is_one_line_of_the_payload_tree(name, capsys):
+    args = invalg.cli._parser().parse_args(COMMANDS[name])
+    payload, code = args.func(args)
+    assert main(COMMANDS[name]) == code
+    shown = capsys.readouterr().out
+    assert shown.endswith("\n") and shown.count("\n") == 1
+    tree = json.loads(json.dumps(payload, default=lambda o: o.tolist()))
+    assert json.loads(shown) == tree
+    assert shown == json.dumps(tree, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _malformed_docs():
+    g, rep = catalog.get("S3", "std")
+    short = pair_to_json(g, rep)
+    short["representation"]["matrices"] = short["representation"]["matrices"][:5]
+    wide = pair_to_json(g, rep)
+    wide["representation"]["dim"] = 3
+    g, rep = catalog.get("C2xC2", "pauli")
+    cocycle = pair_to_json(g, rep)
+    cocycle["representation"]["cocycle"] = cocycle["representation"]["cocycle"][:3]
+    return {"five_of_six_matrices": (short, "(5, 2, 2), expected (6, 2, 2)"),
+            "dim_3_on_2x2": (wide, "(6, 2, 2), expected (6, 3, 3)"),
+            "short_cocycle": (cocycle, "(3, 4), expected (4, 4)")}
+
+
+@pytest.mark.parametrize("cmd", ["validate", "ideals", "subalgebras", "factor"])
+@pytest.mark.parametrize("name", sorted(_malformed_docs()))
+def test_malformed_representation_exits_1_at_load(name, cmd, tmp_path, capsys):
+    doc, shapes = _malformed_docs()[name]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main([cmd, str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert shapes in err
+
+
+def test_ideals_decomposes_once(monkeypatch, capsys):
+    """One isotypic decomposition serves the subspaces and both ideal lattices."""
+    calls = []
+    original = invalg.ideals.isotypic_decomposition
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(invalg.ideals, "isotypic_decomposition", counted)
+    for key in ("S3:trivPlusSignPlusStd", "S3:std", "S3:regular", "Q8:std"):
+        calls.clear()
+        assert main(["ideals", f"catalog:{key}"]) == 0
+        assert len(calls) == 1, key
+    capsys.readouterr()
+
+
 def test_no_negative_zero_in_output(tmp_path):
     _, raw = _run(COMMANDS["subalgebras"], tmp_path)
     assert b"-0.0," not in raw and b"-0.0]" not in raw
@@ -197,7 +255,6 @@ def test_optimized_interpreter_output_unchanged():
 
 def test_parser_built_once_keeps_no_state(tmp_path, capsys):
     """One parser serves every call: defaults, help and errors are a fresh one's."""
-    import invalg.cli
     parser = invalg.cli._parser()
     assert invalg.cli._parser() is parser
     fresh = invalg.cli._parser.__wrapped__()

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from invalg import catalog
+from invalg.errors import AssertionFailure
+from invalg.spaces import MatrixSubspace
 from invalg import (InfiniteLattice, Parametrization, SubspaceOfV, ann, coann,
                     hom_lattice, ideal_to_subspace, invariant_ideals,
                     invariant_subspaces, semisimple_ideal_lattice)
@@ -44,6 +46,37 @@ def test_ann_coann_dims_sum(k):
     d = 4
     l = _axis_subspace(d, *range(k))
     assert ann(l).space.dim + coann(l).space.dim == d * d
+
+
+def _loop_ann_coann(sub, other):
+    """Spanning maps of ann and coann built one matrix unit at a time."""
+    d, comp = sub.ambient, sub.complement()
+    left, right = [], []
+    for p in range(other):
+        for q in range(comp.shape[1]):
+            m = np.zeros((other, d), dtype=complex)
+            m[p, :] = comp[:, q].conj()
+            left.append(m)
+    for p in range(sub.dim):
+        for q in range(other):
+            m = np.zeros((d, other), dtype=complex)
+            m[:, q] = sub.basis[:, p]
+            right.append(m)
+    return left, right
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("other", [None, 2, 5])
+@pytest.mark.parametrize("real", [False, True])
+def test_kron_spans_are_the_loop_spans_bit_for_bit(k, other, real):
+    """The Kronecker construction yields the loop's bases exactly."""
+    rng = np.random.default_rng(k)
+    cols = rng.normal(size=(4, k)) + (0 if real else 1j) * rng.normal(size=(4, k))
+    sub = SubspaceOfV.from_columns(4, cols)
+    left, right = _loop_ann_coann(sub, 4 if other is None else other)
+    for ideal, mats in ((ann(sub, other), left), (coann(sub, other), right)):
+        want = MatrixSubspace.from_spanning(mats, ideal.space.shape)
+        assert np.array_equal(ideal.space.basis(), want.basis())
 
 
 def test_round_trip_and_order_reversal():
@@ -132,3 +165,15 @@ def test_hom_lattice_rectangular():
         assert h.space.shape == (2, 2)
     homs_r = hom_lattice(v, w, "right", seed=0)
     assert sorted(h.space.dim for h in homs_r) == [0, 4]
+
+
+def test_hom_lattice_checks_the_order_law(monkeypatch):
+    """hom_lattice runs the order-law check of invariant_ideals."""
+    _, v = catalog.get("S3", "trivPlusSign")
+    _, w = catalog.get("S3", "std")
+    monkeypatch.setattr(SubspaceOfV, "contains", lambda self, other, tol=0: True)
+    for side in ("left", "right"):
+        with pytest.raises(AssertionFailure, match="order"):
+            hom_lattice(v, w, side, seed=0)
+        with pytest.raises(AssertionFailure, match="order"):
+            invariant_ideals(v, side, seed=0)

@@ -1,8 +1,9 @@
-"""The CLI's JSON writer against ``json.dumps(indent=..., sort_keys=True)``.
+"""The CLI's JSON writer against the compact stdlib spelling of the payload tree.
 
 Payloads keep their matrices as numpy arrays; the writer must spell them
-exactly as the standard encoder spells the same payload with every array
-turned into nested lists.
+exactly as ``json.dumps(sort_keys=True, separators=(",", ":"))`` spells the
+same payload with every array and numpy scalar turned into Python values,
+on one line.
 """
 
 import json
@@ -14,12 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invalg import catalog
-from invalg.cli import _complex_json, _json_chunks, _parser
+from invalg.cli import _complex_json, _dumps, _parser
 
 
 def _tree(obj):
-    """The payload with every array as nested lists, as the encoder saw it."""
-    if isinstance(obj, np.ndarray):
+    """The payload with every array and numpy scalar as Python values."""
+    if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     if isinstance(obj, dict):
         return {k: _tree(v) for k, v in obj.items()}
@@ -28,9 +29,10 @@ def _tree(obj):
     return obj
 
 
-def _check(obj, indent=2):
-    text = "".join(_json_chunks(obj, indent))
-    assert text == json.dumps(_tree(obj), indent=indent, sort_keys=True)
+def _check(obj):
+    text = _dumps(obj)
+    assert text == json.dumps(_tree(obj), sort_keys=True, separators=(",", ":")) + "\n"
+    assert text.count("\n") == 1
 
 
 def _catalog_commands():
@@ -72,11 +74,10 @@ def test_empty_and_nested_containers():
     _check({"a": [], "b": {}, "c": [[], {}, [[]]], "d": {"e": {"f": []}}, "g": ()})
 
 
-@pytest.mark.parametrize("indent", [0, 1, 2, 4])
-def test_non_finite_and_signed_zero(indent):
+def test_non_finite_and_signed_zero():
     special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300]
     _check({"scalars": special, "array": np.array([special, special[::-1]]),
-            "nan": math.nan, "neg_zero": -0.0}, indent)
+            "nan": math.nan, "neg_zero": -0.0})
 
 
 def test_non_ascii_text_and_scalars():
@@ -88,6 +89,13 @@ def test_non_ascii_text_and_scalars():
 
 def test_zero_dim_and_float32_arrays():
     _check({"x": np.array(0.1), "y": np.array([0.1, 1e-7], dtype=np.float32)})
+
+
+def test_numpy_scalars():
+    scalars = [np.int64(-3), np.int32(7), np.uint8(255), np.bool_(True), np.bool_(False),
+               np.float64(-0.0), np.float32(0.1), np.float64(math.nan)]
+    _check({"scalars": scalars, "one": np.int64(1), "flag": np.bool_(True)})
+    assert _dumps([np.int64(2), np.bool_(False)]) == "[2,false]\n"
 
 
 _floats = st.floats(allow_nan=True, allow_infinity=True)
@@ -112,6 +120,6 @@ _payloads = st.recursive(
 
 
 @settings(max_examples=300, deadline=None)
-@given(_payloads, st.integers(0, 5))
-def test_writer_matches_the_encoder_on_random_payloads(payload, indent):
-    _check(payload, indent)
+@given(_payloads)
+def test_writer_matches_the_encoder_on_random_payloads(payload):
+    _check(payload)
