@@ -9,7 +9,7 @@ isotypic components.
 
 import numpy as np
 
-from invalg import (adjoint_rep, catalog, centralizer,
+from invalg import (catalog, centralizer,
                     enumerate_invariant_subalgebras, induction_pairs,
                     multfree_scan, verify_classification)
 
@@ -33,8 +33,8 @@ for key, rep_name in [("S3", "std"), ("Q8", "std"), ("A4", "std3"),
     print(f"classification complete: {complete}")
 
     # independent route: try every sum of isotypic components of the
-    # conjugation representation for product closure
-    unital, nonunital, certified = multfree_scan(adjoint_rep(rep), seed=0)
+    # conjugation action for product closure
+    unital, nonunital, certified = multfree_scan(rep, seed=0)
     match = len(unital) == len(subs) and all(
         any(u.equals(s.space) for s in subs) for u in unital)
     print(f"subset scan: {len(unital)} unital (certified={certified}), "

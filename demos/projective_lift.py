@@ -8,12 +8,19 @@ alpha(g, h) from rho(g) rho(h) rho(gh)^-1.
 
 import numpy as np
 
-from invalg import adjoint_rep, catalog, skolem_noether_lift, validate
+from invalg import catalog, skolem_noether_lift, validate
 from invalg.groups import product_index
+
+
+def conjugation_action(rep):
+    """``X -> rho(g) X rho(g)^-1`` on row-major flattened matrices: the
+    (n, d^2, d^2) stack ``rho(g) kron rho(g)^-T``."""
+    return np.stack([np.kron(m, np.linalg.inv(m).T) for m in rep.matrices])
+
 
 # linear case: the conjugation action of the S3 standard rep
 group, rep = catalog.get("S3", "std")
-action = adjoint_rep(rep).matrices
+action = conjugation_action(rep)
 lifted = skolem_noether_lift(group, action)
 worst = 0.0
 inv = np.linalg.inv(lifted.matrices)
@@ -25,7 +32,7 @@ print(f"  projective: {lifted.is_projective}")
 
 # projective case: sigma_x^a sigma_z^b only defines a rep of C2 x C2 up to sign
 group, pauli = catalog.get("C2xC2", "pauli")
-action = adjoint_rep(pauli).matrices
+action = conjugation_action(pauli)
 lifted = skolem_noether_lift(group, action)
 print(f"\nC2xC2 Pauli: projective = {lifted.is_projective}")
 report = validate(lifted)

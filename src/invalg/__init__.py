@@ -18,8 +18,8 @@ from .groups import (FiniteGroup, Subgroup, Transversal, all_subgroups,
                      are_conjugate_subgroups, build_from_mult_table,
                      build_from_permutations, conjugacy_classes,
                      direct_product, left_transversal)
-from .reps import (Representation, TwoCocycle, adjoint_rep, character,
-                   character_table, equivariant_hom_space, induce,
+from .reps import (Representation, TwoCocycle, character, character_table,
+                   conjugation_decomposition, equivariant_hom_space, induce,
                    induced_character, inner_product, is_induced_from,
                    is_irreducible, isotypic_decomposition, restrict,
                    skolem_noether_lift, unitarize, validate)

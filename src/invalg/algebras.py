@@ -279,15 +279,15 @@ def wedderburn_decompose(space, seed=0, tol=RANK_TOL):
                                component_dims=dims, multiplicities=mults)
 
 
-def is_invariant(space, adjoint, tol=RANK_TOL):
-    """Whether the conjugation action maps the subspace into itself.
+def is_invariant(space, rep, tol=RANK_TOL):
+    """Whether conjugation by ``rep``'s matrices maps the subspace into itself.
 
-    ``adjoint`` is the conjugation representation on flattened matrices; a
-    subspace mapped into itself by every generator is mapped into itself by
+    A subspace mapped into itself by every generator is mapped into itself by
     the group, so the check runs over the generating set.
     """
-    return all(space.contains_all(space.flat @ adjoint.matrices[g].T, tol)
-               for g in adjoint.group.generators)
+    gens = list(rep.group.generators)
+    moved = rep.matrices[gens, None] @ space.basis() @ rep.inverses(gens)[:, None]
+    return space.contains_all(moved, tol)
 
 
 def is_symmetrically_embedded(space, seed=0, tol=RANK_TOL):
@@ -324,40 +324,42 @@ def double_centralizer_check(space, tol=RANK_TOL):
     return centralizer(centralizer(space, tol), tol).equals(space)
 
 
-def permutation_action(meta, adjoint, tol=EQ_TOL):
+def permutation_action(meta, rep, tol=EQ_TOL):
     """The permutation of central idempotents induced by conjugation.
 
     Returns ``(sigma, transitive)`` where ``sigma[g]`` lists the image index
-    of each idempotent under the action of ``g``.  The integer permutations
-    are verified to compose like the group; unmatched images raise
-    :class:`MatchFailure`.
+    of each idempotent under conjugation by ``rep``'s matrix for ``g``.  The
+    integer permutations are verified to compose like the group; unmatched
+    images raise :class:`MatchFailure`.
     """
-    group = adjoint.group
-    idems = np.array([e.reshape(-1) for e in meta.idempotents])
-    bound = tol * np.maximum(1.0, np.linalg.norm(idems, axis=1))
-    # moved[g, i] is idempotent i conjugated by g; for l <= d orthogonal
-    # idempotents the (n, l, l, d^2) differences are no larger than the
-    # adjoint's own (n, d^2, d^2) matrices
-    moved = idems @ adjoint.matrices.transpose(0, 2, 1)
-    dists = np.linalg.norm(moved[:, :, None, :] - idems[None, None, :, :], axis=3)
-    sigma = np.argmin(dists, axis=2)
-    best = np.take_along_axis(dists, sigma[:, :, None], axis=2)[:, :, 0]
+    idems = np.array(meta.idempotents)
+    (n, d), l = rep.matrices.shape[:2], len(idems)
+    flat = idems.reshape(l, -1)
+    norms = row_norms(flat)
+    bound = tol * np.maximum(1.0, norms)
+    # row g*l + i of moved is rho(g) e_i rho(g)^-1; the nearest e_j minimizes
+    # |e_j|^2 - 2 Re <moved, e_j>, and its distance is then taken exactly
+    left = (rep.matrices @ np.hstack(idems)).reshape(n, d, l, d).swapaxes(1, 2)
+    moved = (left.reshape(n, l * d, d) @ rep.inverses()).reshape(n * l, d * d)
+    sigma = np.argmin(norms ** 2 - 2 * (moved @ flat.conj().T).real, axis=1)
+    best = row_norms(moved - flat[sigma]).reshape(n, l)
+    sigma = sigma.reshape(n, l)
     bad = np.flatnonzero(best > bound)
     if bad.size:
         g, i = divmod(int(bad[0]), len(idems))
         raise MatchFailure(
             f"conjugate of idempotent {i} by element {g} matches nothing "
             f"(best distance {best[g, i]:.3g})")
-    if not np.array_equal(sigma[:, sigma], sigma[group.mult]):
+    if not np.array_equal(sigma[:, sigma], sigma[rep.group.mult]):
         raise AssertionFailure("idempotent permutations do not compose")
     # the permutations form an action, so the orbit of 0 is its column of images
     return sigma, len(np.unique(sigma[:, 0])) == len(idems)
 
 
-def inertia_subgroup(meta, adjoint, i=0, tol=EQ_TOL):
+def inertia_subgroup(meta, rep, i=0, tol=EQ_TOL):
     """Stabilizer of the ``i``-th idempotent; its index must be the block count."""
-    sigma, _ = permutation_action(meta, adjoint, tol)
-    group = adjoint.group
+    sigma, _ = permutation_action(meta, rep, tol)
+    group = rep.group
     members = tuple(g for g in range(group.order) if sigma[g, i] == i)
     sub = Subgroup(group, members)
     if sub.index != len(meta.idempotents):

@@ -287,8 +287,9 @@ def load_input(text_or_path):
     with open(text_or_path, "r", encoding="utf-8") as fh:
         raw = fh.read()
     try:
-        data = json.loads(raw)
+        return pair_from_json(json.loads(raw))
     except json.JSONDecodeError as exc:
         raise ValueError(
             f"malformed JSON in {text_or_path} at byte {exc.pos}: {exc.msg}") from exc
-    return pair_from_json(data)
+    except (TypeError, AttributeError) as exc:  # a value of the wrong JSON type
+        raise ValueError(f"wrongly typed input in {text_or_path}: {exc}") from exc

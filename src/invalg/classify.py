@@ -24,7 +24,7 @@ from .factor import central_simple_invariant_subalgebras, multfree_scan
 from .groups import (Subgroup, _conjugates, all_subgroups,
                      are_conjugate_subgroups, class_index_array,
                      conjugacy_classes, left_transversal)
-from .reps import (Representation, adjoint_rep, character, character_table,
+from .reps import (Representation, character, character_table,
                    induced_character, inner_product, is_induced_from,
                    is_irreducible, restrict)
 from .spaces import MatrixSubspace
@@ -171,7 +171,7 @@ def _block_span(pair, c_space, v_rep, tol=RANK_TOL):
     if space.dim != l * c_space.dim:
         raise AssertionFailure(
             f"block span has dimension {space.dim}, expected {l * c_space.dim}")
-    if not is_invariant(space, adjoint_rep(v_rep), tol * 100):
+    if not is_invariant(space, v_rep, tol * 100):
         raise AssertionFailure("block construction lost invariance")
     return space, blocks, s_inv
 
@@ -248,7 +248,6 @@ def verify_classification(subalgebras, v_rep, seed=0, tol=RANK_TOL):
     of the scalar subalgebra for the same pair.  Violations, including the
     domain errors a check raises, are collected, not raised.
     """
-    ad = adjoint_rep(v_rep)
     spaces = [b.space if isinstance(b, InvariantSubalgebra) else b
               for b in subalgebras]
     violations = []
@@ -257,7 +256,7 @@ def verify_classification(subalgebras, v_rep, seed=0, tol=RANK_TOL):
         space = spaces[idx]
         label = f"entry {idx} (dim {space.dim})"
         try:
-            if not is_invariant(space, ad, tol * 100):
+            if not is_invariant(space, v_rep, tol * 100):
                 violations.append(f"{label}: not invariant under conjugation")
                 continue
             _, witness = semisimplicity_certificate(space, tol)
@@ -273,12 +272,12 @@ def verify_classification(subalgebras, v_rep, seed=0, tol=RANK_TOL):
                 violations.append(f"{label}: double centralizer moved")
             if not any(z.equals(o) for o in spaces):
                 violations.append(f"{label}: centralizer missing from the list")
-            _, transitive = permutation_action(meta, ad)
+            _, transitive = permutation_action(meta, v_rep)
             if not transitive:
                 violations.append(f"{label}: block permutation action not transitive")
             datum = meta.induction_datum
             if datum is not None:
-                inert = inertia_subgroup(meta, ad)
+                inert = inertia_subgroup(meta, v_rep)
                 if not are_conjugate_subgroups(inert, datum.pair.subgroup):
                     violations.append(
                         f"{label}: inertia group not conjugate to the recorded subgroup")
@@ -361,7 +360,7 @@ def nonunital_scan(v_rep, seed=0, tol=RANK_TOL):
     """
     if not is_irreducible(v_rep):
         raise ValueError("the nonunital scan is defined for irreducible input")
-    _, nonunital, _ = multfree_scan(adjoint_rep(v_rep), seed=seed, tol=tol)
+    _, nonunital, _ = multfree_scan(v_rep, seed=seed, tol=tol)
     if len(nonunital) != 1 or nonunital[0].dim != 0:
         raise AssertionFailure(
             "an irreducible rep produced a nonzero nonunital closed subspace")

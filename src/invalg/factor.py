@@ -16,7 +16,6 @@ It is certified complete exactly when that action is multiplicity-free;
 otherwise generated-algebra closures are added as uncertified candidates.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +26,7 @@ from .algebras import (_spectral_split, center, centralizer,
                        semisimplicity_certificate)
 from .errors import AssertionFailure, FactorRecoveryFailure, NotCentralSimple
 from .reps import (Representation, _as_projective_rep, _normalize_projective,
-                   _pair_blocks, adjoint_rep, isotypic_decomposition)
+                   _pair_blocks, conjugation_decomposition)
 from .spaces import MatrixSubspace, generated_algebra
 
 
@@ -87,8 +86,8 @@ def _reach_table(spaces, comps, tol):
     return reach
 
 
-def multfree_scan(adjoint, seed=0, tol=RANK_TOL):
-    """Scan sums of isotypic components for product closure.
+def multfree_scan(rep, seed=0, tol=RANK_TOL):
+    """Scan sums of isotypic components of conjugation for product closure.
 
     Returns ``(unital, nonunital, certified)``: product-closed sums that do /
     do not contain the identity matrix, and whether the lists are exhaustive:
@@ -97,10 +96,8 @@ def multfree_scan(adjoint, seed=0, tol=RANK_TOL):
     over S is closed when no product of two of its components has a part
     outside S; one closure sweep over that reach table lists every closed S.
     """
-    comps = isotypic_decomposition(adjoint, seed=seed, tol=tol)
-    w = int(round(np.sqrt(adjoint.dim)))
-    if w * w != adjoint.dim:
-        raise ValueError("conjugation action dimension is not a square")
+    comps = conjugation_decomposition(rep, seed=seed)
+    w = rep.dim
     spaces = [MatrixSubspace(column_space(c.projector, tol).T, (w, w))
               for c in comps]
     m = len(comps)
@@ -108,8 +105,8 @@ def multfree_scan(adjoint, seed=0, tol=RANK_TOL):
     reach = _reach_table(spaces, comps, tol)
 
     found = [MatrixSubspace.zero((w, w))] + [
-        functools.reduce(lambda a, b: a.add(b, tol),
-                         [spaces[i] for i in range(m) if mask >> i & 1])
+        MatrixSubspace.from_spanning(
+            np.concatenate([spaces[i].flat for i in range(m) if mask >> i & 1]), (w, w), tol)
         for mask in sorted(_closed_sets(reach))[1:]]
 
     if not certified:
@@ -142,8 +139,7 @@ def central_simple_invariant_subalgebras(w_rep, seed=0, tol=RANK_TOL):
     It is certified complete when the isotypic scan is, or when dim W is 1 or
     prime.
     """
-    ad = adjoint_rep(w_rep)
-    unital, _, certified = multfree_scan(ad, seed=seed, tol=tol)
+    unital, _, certified = multfree_scan(w_rep, seed=seed, tol=tol)
     d = w_rep.dim
     out = []
     for sp in unital:

@@ -11,7 +11,7 @@ common eigenvectors of the k x k matrices of that multiplication, found as
 the spectral projectors of a generic element of their span.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,11 +93,15 @@ class Representation:
     unitary: bool = False
     cocycle: TwoCocycle = None
     name: str = None
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def is_projective(self):
         return self.cocycle is not None
+
+    def inverses(self, elems=slice(None)):
+        """``rho(g)^-1`` for ``g`` in ``elems``; the conjugate transpose if unitary."""
+        mats = self.matrices[elems]
+        return np.conj(np.swapaxes(mats, -1, -2)) if self.unitary else np.linalg.inv(mats)
 
 
 @dataclass(frozen=True)
@@ -249,26 +253,6 @@ def commutant_dimension(rep, tol=RANK_TOL):
     return len(intertwiners(gens, gens, tol))
 
 
-def adjoint_rep(rep):
-    """The conjugation action on ``d x d`` matrices, as a ``d^2``-dim rep.
-
-    Matrices act on row-major flattened arguments; for projective input the
-    scalars cancel and the result is an honest linear representation.  It is
-    built once per representation and kept in ``rep._cache``.
-    """
-    if "adjoint" not in rep._cache:
-        mats = rep.matrices
-        if rep.unitary:
-            invs = np.conj(np.transpose(mats, (0, 2, 1)))
-        else:
-            invs = np.linalg.inv(mats)
-        big = kron_stack(mats, np.swapaxes(invs, 1, 2))
-        rep._cache["adjoint"] = Representation(
-            group=rep.group, dim=rep.dim ** 2, matrices=big,
-            unitary=rep.unitary, name=None)
-    return rep._cache["adjoint"]
-
-
 def _regular_representation(group):
     n = group.order
     mats = np.zeros((n, n, n))
@@ -329,35 +313,53 @@ def character_table(group, seed=0):
 
 
 def isotypic_decomposition(rep, seed=0, tol=RANK_TOL):
-    """Isotypic projectors of a linear representation.
+    """Isotypic projectors of a linear representation (see :func:`_isotypic`)."""
+    return _isotypic(rep.group, character(rep), rep.dim, lambda g: rep.matrices[g], seed)
 
-    Uses the averaging projector ``(d_i/|G|) sum_g conj(chi_i(g)) rho(g)``.
-    The projectors are validated (idempotent, mutually annihilating, summing
-    to the identity); :class:`ToleranceFailure` otherwise.
+
+def conjugation_decomposition(rep, seed=0):
+    """Isotypic projectors of ``X -> rho(g) X rho(g)^-1`` on row-major
+    flattened matrices, whose matrices ``rho(g) kron rho(g)^-T`` are formed a
+    block of elements at a time.  Its character ``tr rho(g) tr rho(g)^-1`` is
+    a class function also for projective ``rep``: the cocycle scalars cancel.
     """
-    group = rep.group
-    table = character_table(group, seed=seed)
+    heads = [c[0] for c in conjugacy_classes(rep.group)]
+    invs = rep.inverses()
+    chi = np.einsum("gii->g", rep.matrices[heads]) * np.einsum("gii->g", invs[heads])
+    return _isotypic(rep.group, ClassFunction(rep.group, tuple(chi.tolist())), rep.dim ** 2,
+                     lambda g: kron_stack(rep.matrices[g], np.swapaxes(invs[g], 1, 2)), seed)
+
+
+def _isotypic(group, chi_v, dim, mats_of, seed):
+    """Components of the ``dim``-dimensional representation with character
+    ``chi_v`` and matrices ``mats_of(elements)``: the averaging projectors
+    ``(d_i/|G|) sum_g conj(chi_i(g)) rho(g)``, one product of their class
+    coefficients with the class sums of the matrices, summed a block of
+    elements (sorted by class) at a time.  They must be orthogonal
+    idempotents summing to the identity (:class:`ToleranceFailure`)."""
     cls_idx = class_index_array(group)
-    chi_v = character(rep)
-    ident_cls = int(cls_idx[group.identity])
-    comps = []
-    for i, chi in enumerate(table):
+    found = []
+    for i, chi in enumerate(character_table(group, seed=seed)):
         mult = inner_product(chi_v, chi)
         if mult.imag != 0 or mult.real < 0:
             raise ToleranceFailure(f"impossible multiplicity {mult} for chi{i}")
-        m = int(mult.real)
-        if m == 0:
-            continue
-        d_i = int(round(chi.values[ident_cls].real))
-        vals = np.conj(chi.values)[cls_idx]
-        proj = np.einsum("g,gij->ij", vals, rep.matrices) * (d_i / group.order)
-        comps.append(IsotypicComponent(projector=proj, irrep_label=f"chi{i}",
-                                       multiplicity=m, dim=m * d_i, character=chi))
-    projs = np.array([c.projector for c in comps])
-    if not (_all_idempotent(projs) and _complete_and_orthogonal(projs, np.eye(rep.dim))):
+        if mult.real:
+            found.append((i, chi, int(mult.real), round(chi.at_element(group.identity).real)))
+    order = np.argsort(cls_idx, kind="stable")
+    sums = np.zeros((len(chi_v.values), dim * dim), dtype=complex)
+    for block in _pair_blocks(group.order, dim * dim):
+        g = order[block]
+        c = cls_idx[g]
+        starts = np.flatnonzero(np.r_[True, c[1:] != c[:-1]])  # the runs of one class
+        sums[c[starts]] += np.add.reduceat(mats_of(g).reshape(len(g), -1), starts)
+    coeffs = np.array([np.conj(chi.values) * (d_i / group.order) for _, chi, _, d_i in found])
+    projs = (coeffs @ sums).reshape(-1, dim, dim)
+    if not (_all_idempotent(projs) and _complete_and_orthogonal(projs, np.eye(dim))):
         raise ToleranceFailure(
             "isotypic projectors are not orthogonal idempotents summing to the identity")
-    return comps
+    return [IsotypicComponent(projector=p, irrep_label=f"chi{i}", multiplicity=m,
+                              dim=m * d_i, character=chi)
+            for p, (i, chi, m, d_i) in zip(projs, found)]
 
 
 def restrict(rep, subgroup):

@@ -12,8 +12,8 @@ import json
 import numpy as np
 
 from invalg import catalog
-from invalg import (HighestWeight, MatrixSubspace, RootSystem, adjoint_rep,
-                    ann, centralizer, central_simple_invariant_subalgebras,
+from invalg import (HighestWeight, MatrixSubspace, RootSystem, ann,
+                    centralizer, central_simple_invariant_subalgebras,
                     cocycle_consistency, enumerate_invariant_subalgebras,
                     etingof_enumerate, extract_factorization, ideal_to_subspace,
                     invariant_ideals, invariant_subspaces, multfree_scan,
@@ -40,10 +40,14 @@ def _criterion(n, desc, ok):
     assert ok, line
 
 
+def _conjugation_action(rep):
+    """``X -> rho X rho^-1`` on row-major flattened matrices, per element."""
+    return np.stack([np.kron(m, np.linalg.inv(m).T) for m in rep.matrices])
+
+
 def _invariance_residual(space, rep):
-    ad = adjoint_rep(rep)
     worst = 0.0
-    for act in ad.matrices:
+    for act in _conjugation_action(rep):
         for b in space.basis():
             moved = (act @ b.reshape(-1)).reshape(space.shape)
             worst = max(worst, np.linalg.norm(moved - space.project(moved)))
@@ -74,7 +78,7 @@ def test_criterion_1_s3_standard():
     ok = ok and datum is not None
     ok = ok and datum.pair.subgroup.order == 3  # the rotation subgroup C3
     ok = ok and datum.pair.w_rep.dim == 1       # a primitive character of it
-    unital, _, certified = multfree_scan(adjoint_rep(rep), seed=0)
+    unital, _, certified = multfree_scan(rep, seed=0)
     ok = ok and certified
     ok = ok and _same_space_sets([s.space for s in subs], unital)
     ok = ok and max(_invariance_residual(s.space, rep) for s in subs) < SUBSPACE_TOL
@@ -94,7 +98,7 @@ def test_criterion_2_q8_d4():
             ok = ok and centralizer(a.space).equals(a.space, SUBSPACE_TOL)
             for b in cartans[i + 1:]:
                 ok = ok and not a.space.equals(b.space, SUBSPACE_TOL)
-        unital, _, certified = multfree_scan(adjoint_rep(rep), seed=0)
+        unital, _, certified = multfree_scan(rep, seed=0)
         ok = ok and certified
         ok = ok and _same_space_sets([s.space for s in subs], unital)
     _criterion(2, "Q8 and D4: 5 subalgebras {1,2,2,2,4}, three distinct "
@@ -139,7 +143,7 @@ def test_criterion_4_s3xs3_dual_pair():
                                             fact.tau.matrices[g])
             ok = ok and np.linalg.norm(lhs - rhs) < FACTOR_TOL
         ok = ok and cocycle_consistency(fact, rep) < FACTOR_TOL
-    unital, _, certified = multfree_scan(adjoint_rep(rep), seed=0)
+    unital, _, certified = multfree_scan(rep, seed=0)
     ok = ok and certified and len(unital) == 13
     ok = ok and _same_space_sets([s.space for s in subs], unital)
     _criterion(4, "S3xS3: (4,4) dual pair, all 36 elements factor with "
@@ -185,7 +189,7 @@ def test_criterion_7_skolem_noether():
     ok = True
     for key, rep_name in IRREDUCIBLE:
         g, rep = catalog.get(key, rep_name)
-        action = adjoint_rep(rep).matrices
+        action = _conjugation_action(rep)
         lifted = skolem_noether_lift(g, action)
         inv = np.linalg.inv(lifted.matrices)
         for x in g.elements():
@@ -195,7 +199,7 @@ def test_criterion_7_skolem_noether():
                 lifted.matrices[x] @ np.linalg.inv(rep.matrices[x]))
             ok = ok and bool(scalar)
     g, rep = catalog.get("C2xC2", "pauli")
-    lifted = skolem_noether_lift(g, adjoint_rep(rep).matrices)
+    lifted = skolem_noether_lift(g, _conjugation_action(rep))
     mx = lifted.matrices[product_index(2, 1, 0)]
     mz = lifted.matrices[product_index(2, 0, 1)]
     comm, scalar = scalar_multiple_of_identity(mx @ mz @ np.linalg.inv(mx)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from invalg import catalog
-from invalg import (MatchFailure, MatrixSubspace, NotSemisimple, adjoint_rep,
+from invalg import (MatchFailure, MatrixSubspace, NotSemisimple,
                     center, centralizer, central_primitive_idempotents,
                     double_centralizer_check, enumerate_invariant_subalgebras,
                     inertia_subgroup, is_invariant, is_symmetrically_embedded,
@@ -102,25 +102,25 @@ def test_wedderburn_decompose_two_blocks():
 
 def test_is_invariant_s3():
     _, rep = catalog.get("S3", "std")
-    ad = adjoint_rep(rep)
     subs, _ = enumerate_invariant_subalgebras(rep)
     for s in subs:
-        assert is_invariant(s.space, ad)
+        assert is_invariant(s.space, rep)
     # a coordinate-axis projector is moved by the rotations
     axis = MatrixSubspace.from_spanning([np.diag([1.0, 0.0])])
-    assert not is_invariant(axis, ad)
+    assert not is_invariant(axis, rep)
 
 
-def _invariant_under_every_element(space, ad, tol=1e-8):
-    """Reference: the conjugate of every basis matrix by every element stays."""
-    return all(space.contains((m @ b.reshape(-1)).reshape(space.shape), tol)
-               for m in ad.matrices for b in space.basis())
+def _invariant_under_every_element(space, rep, tol=1e-8):
+    """Reference: the conjugate of every basis matrix by every element
+    stays, each conjugation one Kronecker product on the flattened matrix."""
+    return all(space.contains((np.kron(m, np.linalg.inv(m).T) @ b.reshape(-1))
+                              .reshape(space.shape), tol)
+               for m in rep.matrices for b in space.basis())
 
 
 def test_is_invariant_matches_all_elements():
     """The generator check agrees with the check over all 36 elements."""
     g, rep = catalog.get("S3xS3", "stdXstd")
-    ad = adjoint_rep(rep)
     subs, _ = enumerate_invariant_subalgebras(rep)
     spaces = [s.space for s in subs]
     # commutants of subgroups: preserved by some elements, not by all
@@ -131,8 +131,8 @@ def test_is_invariant_matches_all_elements():
     for k in (1, 3, 8):
         spaces.append(MatrixSubspace.from_spanning(
             rng.standard_normal((k, 4, 4)) + 1j * rng.standard_normal((k, 4, 4))))
-    got = [is_invariant(s, ad) for s in spaces]
-    assert got == [_invariant_under_every_element(s, ad) for s in spaces]
+    got = [is_invariant(s, rep) for s in spaces]
+    assert got == [_invariant_under_every_element(s, rep) for s in spaces]
     assert True in got and False in got
 
 
@@ -146,10 +146,9 @@ def test_symmetric_embedding_flags():
 def test_permutation_action_cartan():
     """Conjugation permutes the two components of the invariant Cartan transitively."""
     _, rep = catalog.get("S3", "std")
-    ad = adjoint_rep(rep)
     subs, _ = enumerate_invariant_subalgebras(rep)
     cartan = next(s for s in subs if s.dim == 2)
-    sigma, transitive = permutation_action(cartan, ad)
+    sigma, transitive = permutation_action(cartan, rep)
     assert sigma.shape == (6, 2)
     assert transitive
     ident = rep.group.identity
@@ -161,13 +160,12 @@ def test_permutation_action_cartan():
 
 def test_inertia_subgroup_cartan():
     _, rep = catalog.get("S3", "std")
-    ad = adjoint_rep(rep)
     subs, _ = enumerate_invariant_subalgebras(rep)
     cartan = next(s for s in subs if s.dim == 2)
-    h = inertia_subgroup(cartan, ad)
+    h = inertia_subgroup(cartan, rep)
     assert h.order == 3
     full = next(s for s in subs if s.dim == 4)
-    assert inertia_subgroup(full, ad).order == 6
+    assert inertia_subgroup(full, rep).order == 6
 
 
 def test_z0_spans_the_idempotents():
@@ -190,8 +188,7 @@ def test_permutation_action_names_first_unmatched_idempotent():
     c, s = np.cos(0.3), np.sin(0.3)
     rot = np.array([[c, -s], [s, c]])
     mats = np.array([rot @ m @ rot.T for m in rep.matrices])
-    ad = adjoint_rep(Representation(group=rep.group, dim=2, matrices=mats,
-                                    unitary=rep.unitary))
+    rotated = Representation(group=rep.group, dim=2, matrices=mats, unitary=rep.unitary)
     idems = [np.eye(2, dtype=complex), np.diag([1.0, 0.0]).astype(complex),
              np.diag([0.0, 1.0]).astype(complex)]
     first = None
@@ -202,4 +199,4 @@ def test_permutation_action_names_first_unmatched_idempotent():
                 first = first or (g, i)
     assert first is not None and first[0] != rep.group.identity and first[1] > 0
     with pytest.raises(MatchFailure, match=f"idempotent {first[1]} by element {first[0]} "):
-        permutation_action(SimpleNamespace(idempotents=idems), ad)
+        permutation_action(SimpleNamespace(idempotents=idems), rotated)

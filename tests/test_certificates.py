@@ -22,7 +22,7 @@ from invalg.algebras import (center, centralizer, left_multiplication_operators,
                              semisimplicity_certificate)
 from invalg.factor import _check_unit_relations, _matrix_units
 from invalg.groups import build_from_mult_table, subgroup_generated_by
-from invalg.reps import Representation, adjoint_rep
+from invalg.reps import Representation
 
 IRREDUCIBLE = [("S3", "std"), ("Q8", "std"), ("D4", "std"), ("A4", "std3"),
                ("S4", "std3"), ("SL23", "std"), ("S3xS3", "stdXstd")]
@@ -202,7 +202,7 @@ def closed_spaces():
         out += [s.space for s in subs]
     for rep in (catalog.get("S3xS3", "stdXstd")[1], catalog.get("C2xC2", "pauli")[1],
                 _outer("S3:std", "C2xC2:pauli")):
-        unital, nonunital, _ = multfree_scan(adjoint_rep(rep), seed=0)
+        unital, nonunital, _ = multfree_scan(rep, seed=0)
         out += unital + nonunital
     return out + [centralizer(sp) for sp in out]
 
@@ -283,7 +283,7 @@ def test_scan_decides_each_identity_once(monkeypatch):
         return original(self, tol)
 
     monkeypatch.setattr(MatrixSubspace, "contains_identity", counted)
-    unital, nonunital, _ = multfree_scan(adjoint_rep(catalog.get("S3xS3", "stdXstd")[1]))
+    unital, nonunital, _ = multfree_scan(catalog.get("S3xS3", "stdXstd")[1])
     assert sorted(calls) == sorted(id(s) for s in unital + nonunital)
     assert nonunital and unital
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import invalg.algebras
 import invalg.classify
 from invalg import catalog
-from invalg import (AssertionFailure, MatrixSubspace, adjoint_rep, centralizer,
+from invalg import (AssertionFailure, MatrixSubspace, centralizer,
                     enumerate_invariant_subalgebras, induction_pairs,
                     is_induced_from, nonunital_scan, theta,
                     theta_lattice_check, theta_transitivity_check,

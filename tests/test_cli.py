@@ -166,6 +166,28 @@ def test_malformed_representation_exits_1_at_load(name, cmd, tmp_path, capsys):
     assert shapes in err
 
 
+def _wrongly_typed_docs():
+    g, rep = catalog.get("S3", "std")
+    dim_null = pair_to_json(g, rep)
+    dim_null["representation"]["dim"] = None
+    rep_list = pair_to_json(g, rep)
+    rep_list["representation"] = [1]
+    return {"dim_null": dim_null, "representation_list": rep_list, "top_level_list": [1, 2]}
+
+
+@pytest.mark.parametrize("cmd", ["validate", "ideals", "subalgebras", "factor"])
+@pytest.mark.parametrize("name", sorted(_wrongly_typed_docs()))
+def test_wrongly_typed_input_exits_1_at_load(name, cmd, tmp_path, capsys):
+    """A JSON value of the wrong type is one error line naming the file."""
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(_wrongly_typed_docs()[name]))
+    assert main([cmd, str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
 def test_ideals_decomposes_once(monkeypatch, capsys):
     """One isotypic decomposition serves the subspaces and both ideal lattices."""
     calls = []

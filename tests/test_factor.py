@@ -9,7 +9,7 @@ import invalg.factor
 
 from invalg import catalog
 from invalg import (MatrixSubspace, NotCentralSimple, Representation,
-                    TwoCocycle, adjoint_rep, centralizer,
+                    TwoCocycle, centralizer,
                     central_simple_invariant_subalgebras, cocycle_consistency,
                     direct_product, enumerate_invariant_subalgebras,
                     extract_factorization, multfree_scan)
@@ -32,7 +32,7 @@ SCAN_EXPECTED = {
 @pytest.mark.parametrize("key,rep_name", sorted(SCAN_EXPECTED))
 def test_multfree_scan_dims(key, rep_name):
     _, rep = catalog.get(key, rep_name)
-    unital, nonunital, certified = multfree_scan(adjoint_rep(rep), seed=0)
+    unital, nonunital, certified = multfree_scan(rep, seed=0)
     dims, cert = SCAN_EXPECTED[(key, rep_name)]
     assert [s.dim for s in unital] == dims
     assert certified == cert
@@ -53,7 +53,7 @@ def test_multfree_scan_projective_tensor():
     alpha = np.tile(pauli.cocycle.values, (s3.order, s3.order))
     rep = Representation(group=group, dim=4, matrices=mats, unitary=True,
                          cocycle=TwoCocycle(group, alpha))
-    unital, nonunital, certified = multfree_scan(adjoint_rep(rep), seed=0)
+    unital, nonunital, certified = multfree_scan(rep, seed=0)
     assert [s.dim for s in unital] == [1] + [2] * 7 + [4] * 11 + [8] * 7 + [16]
     assert [s.dim for s in nonunital] == [0]
     assert certified
@@ -68,8 +68,8 @@ def test_multfree_scan_non_unitary():
     moved = Representation(group=rep.group, dim=4,
                            matrices=np.einsum("ij,gjk,kl->gil", t, rep.matrices, t_inv),
                            unitary=False)
-    unital, _, certified = multfree_scan(adjoint_rep(rep), seed=0)
-    got, got_non, got_cert = multfree_scan(adjoint_rep(moved), seed=0)
+    unital, _, certified = multfree_scan(rep, seed=0)
+    got, got_non, got_cert = multfree_scan(moved, seed=0)
     assert [s.dim for s in got] == [s.dim for s in unital]
     assert [s.dim for s in got_non] == [0]
     assert got_cert and certified
@@ -155,7 +155,7 @@ def test_closed_sets_on_catalog_reach_tables(monkeypatch):
     monkeypatch.setattr(invalg.factor, "_closed_sets", record)
     for key, entry in sorted(catalog.catalog().items()):
         for rep in entry.reps.values():
-            multfree_scan(adjoint_rep(rep), seed=0)
+            multfree_scan(rep, seed=0)
     assert len(tables) == 13
     for reach in tables:
         assert set(_closed_sets(reach)) == _closed_sets_walk(reach)
@@ -164,7 +164,7 @@ def test_closed_sets_on_catalog_reach_tables(monkeypatch):
 def test_multfree_scan_s3_cubed_is_certified():
     """S3^3 std x std x std: 27 components, past the old 2^20 subset cap."""
     rep = _tensor_power("S3", "std", 3)
-    unital, nonunital, certified = multfree_scan(adjoint_rep(rep), seed=0)
+    unital, nonunital, certified = multfree_scan(rep, seed=0)
     assert len(unital) == 79
     assert [s.dim for s in nonunital] == [0]
     assert certified
@@ -185,7 +185,7 @@ def test_reach_masks_past_64_components(monkeypatch):
 
     monkeypatch.setattr(invalg.factor, "_closed_sets", stop)
     with pytest.raises(Stop):
-        multfree_scan(adjoint_rep(_tensor_power("C2xC2", "pauli", 3)), seed=0)
+        multfree_scan(_tensor_power("C2xC2", "pauli", 3), seed=0)
     (reach,) = tables
     assert len(reach) == 64
     entries = [r for row in reach for r in row]
@@ -194,7 +194,7 @@ def test_reach_masks_past_64_components(monkeypatch):
     # the closed sets of Pauli^2 are the empty set and the subgroups of F_2^4
     monkeypatch.setattr(invalg.factor, "_closed_sets", _closed_sets)
     unital, nonunital, certified = multfree_scan(
-        adjoint_rep(_tensor_power("C2xC2", "pauli", 2)), seed=0)
+        _tensor_power("C2xC2", "pauli", 2), seed=0)
     assert len(unital) == 67 and [s.dim for s in nonunital] == [0] and certified
 
 
@@ -202,7 +202,7 @@ def test_reach_masks_past_64_components(monkeypatch):
 def test_scan_agrees_with_classifier(key, rep_name):
     """Independent routes: subset scan vs induction data, equal as sets."""
     _, rep = catalog.get(key, rep_name)
-    unital, _, _ = multfree_scan(adjoint_rep(rep), seed=0)
+    unital, _, _ = multfree_scan(rep, seed=0)
     subs, _ = enumerate_invariant_subalgebras(rep, seed=0)
     assert len(unital) == len(subs)
     fps_scan = sorted(s.fingerprint() for s in unital)
@@ -220,7 +220,7 @@ def test_central_simple_s3():
 def test_central_simple_prime_dimension_certified():
     """A4 std3: the scan is not certified, but d = 3 admits only M_1 and M_3."""
     _, rep = catalog.get("A4", "std3")
-    _, _, scan_certified = multfree_scan(adjoint_rep(rep), seed=0)
+    _, _, scan_certified = multfree_scan(rep, seed=0)
     cs, certified = central_simple_invariant_subalgebras(rep, seed=0)
     assert [s.dim for s in cs] == [1, 9]
     assert certified and not scan_certified

@@ -20,7 +20,7 @@ from invalg import (FactorRecoveryFailure, NotARepresentation, Representation,
 from invalg._linalg import scalar_multiple_of_identity
 from invalg.algebras import center, centralizer, semisimplicity_certificate
 from invalg.errors import AssertionFailure, ToleranceFailure
-from invalg.reps import _as_projective_rep, _normalize_projective, adjoint_rep
+from invalg.reps import _as_projective_rep, _normalize_projective
 
 FACTOR_INPUTS = [("S3", "std"), ("Q8", "std"), ("D4", "std"), ("A4", "std3"),
                  ("S4", "std3"), ("SL23", "std"), ("S3xS3", "stdXstd"),
@@ -278,7 +278,7 @@ def test_cocycle_identity_is_checked_in_row_blocks():
 
 def _central_simple_loop(w_rep):
     """Center test on every unital sum, pairwise closure under centralizers."""
-    unital, _, _ = multfree_scan(adjoint_rep(w_rep), seed=0)
+    unital, _, _ = multfree_scan(w_rep, seed=0)
     out = [sp for sp in unital if semisimplicity_certificate(sp, 1e-8)[1] is None
            and center(sp, 1e-8).dim == 1]
     i = 0

@@ -1,17 +1,20 @@
 """Representation validation, characters, induction, projective lifts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from invalg import catalog
 from invalg import (NotAnAutomorphism, NotARepresentation, ToleranceFailure,
-                    adjoint_rep, character, character_table,
-                    equivariant_hom_space, induce, induced_character,
+                    TwoCocycle, character, character_table,
+                    conjugation_decomposition, equivariant_hom_space, induce,
+                    induced_character,
                     inner_product, is_induced_from, is_irreducible,
                     isotypic_decomposition, restrict, skolem_noether_lift,
                     unitarize, validate)
 from invalg.groups import (all_subgroups, build_from_mult_table,
-                           build_from_permutations, direct_product,
+                           build_from_permutations, class_index_array, direct_product,
                            product_index, subgroup_generated_by)
 from invalg.reps import (Representation, _as_projective_rep,
                          commutant_dimension)
@@ -40,12 +43,6 @@ def test_commutant_dimension_on_generators(key, rep_name):
     """Solving on the generating set gives the all-elements commutant."""
     _, rep = catalog.get(key, rep_name)
     assert commutant_dimension(rep) == len(intertwiners(rep.matrices, rep.matrices))
-
-
-@pytest.mark.parametrize("key,rep_name", CATALOG_REPS)
-def test_adjoint_rep_built_once(key, rep_name):
-    _, rep = catalog.get(key, rep_name)
-    assert adjoint_rep(rep) is adjoint_rep(rep)
 
 
 def test_validate_raises_on_corruption():
@@ -139,6 +136,79 @@ def test_isotypic_decomposition_regular():
     assert np.linalg.norm(total - np.eye(6)) < 1e-8
 
 
+def _outer(*parts):
+    """Outer tensor product of catalog reps over the direct product."""
+    group, mats, alpha = None, None, None
+    for part in parts:
+        g, rep = catalog.get(*part.split(":"))
+        a = rep.cocycle.values if rep.cocycle is not None else np.ones((g.order,) * 2)
+        if group is None:
+            group, mats, alpha = g, rep.matrices, a
+            continue
+        group = direct_product(group, g)
+        mats = np.stack([np.kron(x, y) for x in mats for y in rep.matrices])
+        alpha = np.kron(alpha, a)
+    cocycle = None if np.all(alpha == 1) else TwoCocycle(group, alpha)
+    return Representation(group=group, dim=mats.shape[1], matrices=mats,
+                          unitary=True, cocycle=cocycle)
+
+
+def _kron_decomposition(rep):
+    """Oracle: ``(label, multiplicity, dim, projector)`` of every isotypic
+    component of the materialized action ``rho(g) kron rho(g)^-T``, each
+    projector summed over all elements at once."""
+    group = rep.group
+    action = np.stack([np.kron(m, np.linalg.inv(m).T) for m in rep.matrices])
+    traces = np.trace(action, axis1=1, axis2=2)
+    out = []
+    for i, chi in enumerate(character_table(group)):
+        vals = np.conj(chi.values)[class_index_array(group)]
+        mult = round((vals @ traces).real / group.order)
+        if mult:
+            d_i = round(chi.at_element(group.identity).real)
+            out.append((f"chi{i}", mult, mult * d_i,
+                        np.einsum("g,gij->ij", vals, action) * d_i / group.order))
+    return out
+
+
+def _conjugation_inputs():
+    out = [pytest.param(rep, id=f"{key}:{name}") for key, entry in sorted(catalog.catalog().items())
+           for name, rep in sorted(entry.reps.items())]
+    out.append(pytest.param(_outer("S3:std", "C2xC2:pauli"), id="S3xPauli"))
+    # d = 8: the action is summed in 14 blocks of 16 elements
+    out.append(pytest.param(_outer("S3:std", "S3:std", "S3:std"), id="S3^3"))
+    # a non-unitary conjugate, so the inverses come from np.linalg.inv
+    _, rep = catalog.get("S3xS3", "stdXstd")
+    t = np.eye(4) + 0.3 * np.random.default_rng(3).standard_normal((4, 4))
+    out.append(pytest.param(Representation(group=rep.group, dim=4, matrices=t @ rep.matrices
+                                           @ np.linalg.inv(t)), id="S3xS3:nonunitary"))
+    return out
+
+
+@pytest.mark.parametrize("rep", _conjugation_inputs())
+def test_conjugation_decomposition_matches_the_kronecker_action(rep):
+    got = conjugation_decomposition(rep, seed=0)
+    want = _kron_decomposition(rep)
+    assert [(c.irrep_label, c.multiplicity, c.dim) for c in got] == \
+        [w[:3] for w in want]
+    for c, w in zip(got, want):
+        assert np.max(np.abs(c.projector - w[3])) < 1e-10
+
+
+def test_conjugation_decomposition_holds_no_full_action():
+    """S3^3 on std^3 (n = 216, d = 8): the decomposition peaks below the
+    16 n d^4 bytes that the materialized action alone would take."""
+    rep = _outer("S3:std", "S3:std", "S3:std")
+    n, d = rep.group.order, rep.dim
+    tracemalloc.start()
+    try:
+        conjugation_decomposition(rep, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n * d ** 4
+
+
 def _one_dim_char_rep(h_group, chi):
     mats = np.array([[[chi.at_element(x)]] for x in h_group.elements()])
     return Representation(group=h_group, dim=1, matrices=mats,
@@ -200,11 +270,17 @@ def test_equivariant_hom_space_schur():
     assert equivariant_hom_space(std, direct).shape[0] == 1
 
 
+def _conjugation_action(rep):
+    """``X -> rho X rho^-1`` on row-major flattened matrices, one Kronecker
+    product per element: Skolem-Noether's input."""
+    return np.stack([np.kron(m, np.linalg.inv(m).T) for m in rep.matrices])
+
+
 @pytest.mark.parametrize("key,rep_name", IRREDUCIBLE)
 def test_skolem_noether_round_trip(key, rep_name):
     """Conjugation action -> lift -> same action, with scalar-related matrices."""
     g, rep = catalog.get(key, rep_name)
-    action = adjoint_rep(rep).matrices
+    action = _conjugation_action(rep)
     lifted = skolem_noether_lift(g, action)
     alpha = lifted.cocycle
     inv = np.linalg.inv(lifted.matrices)
@@ -223,7 +299,7 @@ def test_skolem_noether_round_trip(key, rep_name):
 def test_skolem_noether_pauli_commutator():
     """The Klein-four conjugation action lifts only projectively."""
     g, rep = catalog.get("C2xC2", "pauli")
-    action = adjoint_rep(rep).matrices
+    action = _conjugation_action(rep)
     lifted = skolem_noether_lift(g, action)
     alpha = lifted.cocycle
     x = product_index(2, 1, 0)
@@ -238,7 +314,7 @@ def test_skolem_noether_pauli_commutator():
 
 def test_skolem_noether_rejects_non_automorphism():
     g, rep = catalog.get("S3", "std")
-    action = np.array(adjoint_rep(rep).matrices)
+    action = _conjugation_action(rep)
     action[2] *= 1.5  # scaling breaks multiplicativity
     with pytest.raises(NotAnAutomorphism):
         skolem_noether_lift(g, action)
@@ -257,7 +333,7 @@ def test_skolem_noether_rejects_anti_automorphism():
 def test_skolem_noether_non_faithful_action():
     """Kernel elements act trivially; the lift sends them to the identity line."""
     g, rep = catalog.get("S3", "trivPlusSign")
-    action = adjoint_rep(rep).matrices
+    action = _conjugation_action(rep)
     lifted = skolem_noether_lift(g, action)
     for x in g.elements():
         if np.linalg.norm(action[x] - np.eye(4)) < 1e-9:

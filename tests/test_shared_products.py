@@ -23,7 +23,7 @@ from invalg.catalog import pair_to_json
 from invalg.cli import main
 from invalg.errors import ToleranceFailure
 from invalg.factor import _reach_table
-from invalg.reps import _as_projective_rep, _pair_blocks, adjoint_rep, isotypic_decomposition
+from invalg.reps import _as_projective_rep, _pair_blocks, conjugation_decomposition
 from invalg.spaces import MatrixSubspace
 
 
@@ -181,8 +181,7 @@ def _reach_loop(spaces, comps, tol):
 
 def _components(rep, tol=1e-8):
     """The spaces and projectors ``multfree_scan`` builds its table from."""
-    ad = adjoint_rep(rep)
-    comps = isotypic_decomposition(ad, seed=0, tol=tol)
+    comps = conjugation_decomposition(rep, seed=0)
     spaces = [MatrixSubspace(column_space(c.projector, tol).T, (rep.dim, rep.dim))
               for c in comps]
     return spaces, comps

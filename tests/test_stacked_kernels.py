@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import invalg.classify
-from invalg import (MatchFailure, MatrixSubspace, adjoint_rep, catalog,
+from invalg import (MatchFailure, MatrixSubspace, catalog,
                     enumerate_invariant_subalgebras, is_invariant,
                     permutation_action, verify_classification)
 from invalg._linalg import kron_stack, intertwiners, nullspace, row_norms
@@ -91,16 +91,6 @@ def test_kron_stack_is_np_kron():
     assert kron_stack(np.eye(2), b).tobytes() == want.tobytes()
 
 
-def test_adjoint_rep_is_the_kron_loop():
-    for key, rep_name in IRREDUCIBLE:
-        _, rep = catalog.get(key, rep_name)
-        mats = rep.matrices
-        invs = (np.conj(np.transpose(mats, (0, 2, 1))) if rep.unitary
-                else np.linalg.inv(mats))
-        want = np.stack([np.kron(m, vi.T) for m, vi in zip(mats, invs)])
-        assert adjoint_rep(rep).matrices.tobytes() == want.tobytes()
-
-
 # -- membership -------------------------------------------------------------------
 
 def _contains_loop(space, m, tol):
@@ -176,10 +166,15 @@ def _is_product_closed_loop(space, tol):
                for a in space.basis() for b in space.basis())
 
 
-def _is_invariant_loop(space, adjoint, tol):
-    for g in adjoint.group.generators:
+def _conjugation(m):
+    """``X -> m X m^-1`` on row-major flattened matrices, as one matrix."""
+    return np.kron(m, np.linalg.inv(m).T)
+
+
+def _is_invariant_loop(space, rep, tol):
+    for g in rep.group.generators:
         for b in space.basis():
-            moved = (adjoint.matrices[g] @ b.reshape(-1)).reshape(space.shape)
+            moved = (_conjugation(rep.matrices[g]) @ b.reshape(-1)).reshape(space.shape)
             if not _contains_loop(space, moved, tol):
                 return False
     return True
@@ -190,12 +185,11 @@ def test_product_closure_and_invariance_match_the_loops(catalog_subalgebras):
     seen = set()
     for name, rep, sub in catalog_subalgebras:
         space = sub.space
-        ad = adjoint_rep(rep)
         # the floor lets a product of orthogonal idempotents (zero up to
         # rounding) pass, so every subalgebra is product-closed by the rule
         assert space.is_product_closed()
         assert _is_product_closed_loop(space, 1e-8)
-        assert is_invariant(space, ad, 1e-6) and _is_invariant_loop(space, ad, 1e-6)
+        assert is_invariant(space, rep, 1e-6) and _is_invariant_loop(space, rep, 1e-6)
         if name in seen:
             continue
         seen.add(name)
@@ -203,7 +197,7 @@ def test_product_closure_and_invariance_match_the_loops(catalog_subalgebras):
         for k in (1, 2, 3):
             rnd = MatrixSubspace.from_spanning(_random_stack(rng, k, d, d))
             assert rnd.is_product_closed() == _is_product_closed_loop(rnd, 1e-8)
-            assert is_invariant(rnd, ad, 1e-6) == _is_invariant_loop(rnd, ad, 1e-6)
+            assert is_invariant(rnd, rep, 1e-6) == _is_invariant_loop(rnd, rep, 1e-6)
 
 
 def test_span_product_matches_the_loop():
@@ -337,12 +331,12 @@ def test_complete_and_orthogonal_checks_both_orders():
         assert not _complete_and_orthogonal(order, np.eye(3))
 
 
-def _permutation_loop(idems, adjoint, tol):
+def _permutation_loop(idems, rep, tol):
     idems = np.array([e.reshape(-1) for e in idems])
     bound = tol * np.maximum(1.0, np.linalg.norm(idems, axis=1))
-    sigma = np.zeros((adjoint.group.order, len(idems)), dtype=np.intp)
-    for g in range(adjoint.group.order):
-        moved = idems @ adjoint.matrices[g].T
+    sigma = np.zeros((rep.group.order, len(idems)), dtype=np.intp)
+    for g in range(rep.group.order):
+        moved = idems @ _conjugation(rep.matrices[g]).T
         dists = np.linalg.norm(moved[:, None, :] - idems[None, :, :], axis=2)
         sigma[g] = np.argmin(dists, axis=1)
         best = dists[np.arange(len(idems)), sigma[g]]
@@ -354,9 +348,8 @@ def _permutation_loop(idems, adjoint, tol):
 
 def test_permutation_action_matches_the_loop(catalog_subalgebras):
     for _, rep, sub in catalog_subalgebras:
-        ad = adjoint_rep(rep)
-        sigma, transitive = permutation_action(sub, ad)
-        want = _permutation_loop(sub.idempotents, ad, 1e-6)
+        sigma, transitive = permutation_action(sub, rep)
+        want = _permutation_loop(sub.idempotents, rep, 1e-6)
         assert np.array_equal(sigma, want)
         assert transitive
 
@@ -368,7 +361,6 @@ def test_permutation_action_first_failure_is_row_major():
     some elements map into the list, so failures start at varying (g, i).
     """
     _, rep = catalog.get("S3", "std")
-    ad = adjoint_rep(rep)
     rng = np.random.default_rng(23)
     mats = rep.matrices
     named = set()
@@ -381,12 +373,12 @@ def test_permutation_action_first_failure_is_row_major():
         idems = [np.eye(2, dtype=complex)]
         idems.insert(int(rng.integers(2)), fixed if rng.integers(2) else mats[h] + 0j)
         idems.append(x)
-        first = _permutation_loop(idems, ad, 1e-6)
+        first = _permutation_loop(idems, rep, 1e-6)
         assert isinstance(first, tuple)
         named.add(first)
         g, i = first
         with pytest.raises(MatchFailure, match=f"idempotent {i} by element {g} "):
-            permutation_action(SimpleNamespace(idempotents=idems), ad)
+            permutation_action(SimpleNamespace(idempotents=idems), rep)
     assert len(named) > 2
 
 
