@@ -27,8 +27,8 @@ for s in spaces:
     left.verify()
     right.verify()
     # the subspace is recoverable from either ideal
-    assert ideal_to_subspace(left).equals(s)
-    assert ideal_to_subspace(right).equals(s)
+    if not (ideal_to_subspace(left).equals(s) and ideal_to_subspace(right).equals(s)):
+        raise RuntimeError(f"subspace {s.label!r} is not recovered from its ideals")
 
 lattice_l = invariant_ideals(rep, "left", seed=0)
 lattice_r = invariant_ideals(rep, "right", seed=0)
@@ -38,8 +38,8 @@ print(f"\ntotal: {len(lattice_l)} left and {len(lattice_r)} right ideals "
 # order reversal: bigger subspace, smaller annihilator
 chain = sorted(spaces, key=lambda s: s.dim)
 for small, big in zip(chain, chain[1:]):
-    if big.contains(small):
-        assert ann(small).space.contains_space(ann(big).space)
+    if big.contains(small) and not ann(small).space.contains_space(ann(big).space):
+        raise RuntimeError(f"annihilators of {small.label!r} and {big.label!r} not reversed")
 print("order reversal verified along the lattice chain")
 
 # a representation with a repeated constituent has no finite lattice

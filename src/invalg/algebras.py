@@ -162,9 +162,10 @@ def central_primitive_idempotents(space, seed=0, tol=RANK_TOL):
     Strategy: certify semisimplicity with the trace form, then take a random
     generic element of the center and cluster its eigenvalues; spectral
     projectors of the clusters are the candidate idempotents, validated and
-    retried with fresh randomness on failure.  Raises :class:`NotSemisimple`
-    with a radical witness when the trace form is degenerate, or after the
-    retry budget is exhausted.
+    retried with fresh randomness on failure.  The projectors sum to I, so a
+    unit other than I is split together with ``I - unit``, which is then
+    dropped.  Raises :class:`NotSemisimple` with a radical witness when the
+    trace form is degenerate, or after the retry budget is exhausted.
     """
     smallest, witness = semisimplicity_certificate(space, tol)
     if witness is not None:
@@ -179,11 +180,16 @@ def central_primitive_idempotents(space, seed=0, tol=RANK_TOL):
     if l == 0:
         raise NotSemisimple("center is zero")
 
-    idems = _spectral_split(space, z.basis(), l, seed,
-                            lambda projs: _complete_and_orthogonal(projs, unit))
+    basis, whole, rest = z.basis(), space, np.eye(space.ambient_dim) - unit
+    if np.linalg.norm(rest) > 1e-6:
+        basis = np.concatenate([basis, rest[None]])
+        whole = space.add(MatrixSubspace.from_spanning([rest], space.shape, tol), tol)
+    idems = _spectral_split(whole, basis, len(basis), seed)
     if idems is None:
         raise NotSemisimple(
             f"could not separate central idempotents after {IDEMPOTENT_RETRIES} attempts")
+    if len(basis) > l:  # drop I - unit
+        idems.pop(int(np.argmin([np.linalg.norm(p - rest) for p in idems])))
     return _sorted_idempotents(idems)
 
 
@@ -198,30 +204,28 @@ def _all_idempotent(projs):
     return bool(np.all(row_norms(projs @ projs - projs) <= 1e-6))
 
 
-def _complete_and_orthogonal(idems, unit):
-    """Whether ``idems`` sum to ``unit`` and annihilate each other pairwise.
-
-    Row ``i`` is one stacked product ``e_i @ [e_1, ..., e_k]``, so no more
-    than ``k n^2`` products are held at once.
+def _certified_projectors(v, w, parts):
+    """Projectors ``v[:, ix] @ w[ix]`` over ``parts``, a partition of the
+    columns of ``v``; ``None`` unless ``max(|wv - I|, |vw - I|) max(1, |v||w|)
+    <= 1e-6``.  As ``P_i P_j - [i == j] P_i = v_i (wv - I)_ij w_j`` and
+    ``sum P - I = vw - I``, that one residual bounds every defect of a
+    complete system of orthogonal idempotents: two products, not k^2.
     """
-    idems = np.asarray(idems)
-    if np.linalg.norm(np.sum(idems, axis=0) - unit) > 1e-6:
-        return False
-    k = len(idems)
-    for i in range(k):
-        norms = row_norms(idems[i] @ idems)
-        if np.any(np.delete(norms, i) >= 1e-6):
-            return False
-    return True
+    res = max(np.linalg.norm(w @ v - np.eye(w.shape[0])),
+              np.linalg.norm(v @ w - np.eye(v.shape[0])))
+    if res * max(1.0, np.linalg.norm(v) * np.linalg.norm(w)) > 1e-6:
+        return None
+    return np.stack([v[:, ix] @ w[ix] for ix in parts])
 
 
-def _spectral_split(space, basis, count, seed, accept):
+def _spectral_split(space, basis, count, seed):
     """Spectral projectors of a random element of ``span(basis)``, or ``None``.
 
     Eigenvalues cluster at ``IDEMPOTENT_GAP`` times the spectral radius.  A
-    draw is kept when its ``count`` cluster projectors are idempotent, lie in
-    ``space`` and pass ``accept``; after ``IDEMPOTENT_RETRIES`` rejected draws
-    from ``seed``'s stream the result is ``None``.
+    draw is kept when its ``count`` cluster projectors lie in ``space`` and
+    are certified on the eigenvectors (:func:`_certified_projectors`); after
+    ``IDEMPOTENT_RETRIES`` rejected draws from ``seed``'s stream the result
+    is ``None``.
     """
     rng = np.random.default_rng(seed)
     for attempt in range(IDEMPOTENT_RETRIES):
@@ -235,8 +239,8 @@ def _spectral_split(space, basis, count, seed, accept):
         clusters = cluster_complex(vals, IDEMPOTENT_GAP * max(1.0, float(np.max(np.abs(vals)))))
         if len(clusters) != count:
             continue
-        projs = np.stack([vecs[:, ix] @ vinv[ix] for ix in clusters])
-        if _all_idempotent(projs) and space.contains_all(projs, 1e-6) and accept(projs):
+        projs = _certified_projectors(vecs, vinv, clusters)
+        if projs is not None and space.contains_all(projs, 1e-6):
             return list(projs)
     return None
 
@@ -358,11 +362,14 @@ def permutation_action(meta, rep, tol=EQ_TOL):
 
 def inertia_subgroup(meta, rep, i=0, tol=EQ_TOL):
     """Stabilizer of the ``i``-th idempotent; its index must be the block count."""
-    sigma, _ = permutation_action(meta, rep, tol)
-    group = rep.group
-    members = tuple(g for g in range(group.order) if sigma[g, i] == i)
-    sub = Subgroup(group, members)
-    if sub.index != len(meta.idempotents):
+    return _stabilizer(rep.group, permutation_action(meta, rep, tol)[0], i)
+
+
+def _stabilizer(group, sigma, i=0):
+    """Stabilizer of idempotent ``i`` under the permutations ``sigma`` of
+    :func:`permutation_action`; its index must be the block count."""
+    sub = Subgroup(group, tuple(np.flatnonzero(sigma[:, i] == i).tolist()))
+    if sub.index != sigma.shape[1]:
         raise AssertionFailure(
-            f"inertia subgroup has index {sub.index}, expected {len(meta.idempotents)}")
+            f"inertia subgroup has index {sub.index}, expected {sigma.shape[1]}")
     return sub

@@ -232,12 +232,15 @@ def _complex_to_json(m):
 
 def _complex_from_json(data, key, shape):
     """The complex array of ``[re, im]`` pairs under ``key``; ValueError
-    naming both shapes unless it has ``shape``."""
+    naming both shapes unless it has ``shape``, or naming ``key`` if an
+    entry is NaN or infinite."""
     arr = np.asarray(data, dtype=float)
     if arr.shape[-1:] != (2,):
         raise ValueError(f"{key!r} entries must be [re, im] pairs; got shape {arr.shape}")
     if arr.shape[:-1] != shape:
         raise ValueError(f"{key!r} has shape {arr.shape[:-1]}, expected {shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{key!r} has a non-finite entry")
     return arr[..., 0] + 1j * arr[..., 1]
 
 

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import RANK_TOL, column_space
-from .algebras import (InvariantSubalgebra, _all_idempotent, _complete_and_orthogonal,
-                       _sorted_idempotents, _symmetric_embedding, center, centralizer,
-                       inertia_subgroup, is_invariant, permutation_action,
-                       semisimplicity_certificate, wedderburn_decompose)
+from .algebras import (InvariantSubalgebra, _certified_projectors, _sorted_idempotents,
+                       _stabilizer, _symmetric_embedding, center, centralizer,
+                       is_invariant, permutation_action, semisimplicity_certificate,
+                       wedderburn_decompose)
 from .errors import AssertionFailure, BlocksNotDirect, InvalgError
 from .factor import central_simple_invariant_subalgebras, multfree_scan
 from .groups import (Subgroup, _conjugates, all_subgroups,
@@ -153,8 +153,8 @@ def induction_pairs(v_rep, seed=0, tol=RANK_TOL):
 def _block_span(pair, c_space, v_rep, tol=RANK_TOL):
     """Span of C conjugated into each transversal translate of the W-copy.
 
-    Returns ``(space, blocks, s_inv)`` with ``blocks[i] = rho(t_i) Q`` and
-    block ``i`` of ``c`` equal to ``blocks[i] @ c @ s_inv[i]``.  Raises
+    Returns ``(space, s, s_inv)``; block ``i`` of ``c`` is ``s[:, I] @ c @
+    s_inv[I]`` on the columns ``I`` of translate ``rho(t_i) Q`` in ``s``.  Raises
     :class:`BlocksNotDirect` unless the translates span V independently, and
     :class:`AssertionFailure` unless the span is invariant of dim [G:H] dim C.
     """
@@ -165,15 +165,15 @@ def _block_span(pair, c_space, v_rep, tol=RANK_TOL):
     if svals[-1] < tol * max(1.0, svals[0]):
         raise BlocksNotDirect(
             "transversal translates of the W-copy do not span independently")
-    s_inv = np.linalg.inv(s).reshape(l, w, d)
-    mats = blocks[:, None] @ c_space.basis()[None] @ s_inv[:, None]
+    s_inv = np.linalg.inv(s)
+    mats = blocks[:, None] @ c_space.basis()[None] @ s_inv.reshape(l, w, d)[:, None]
     space = MatrixSubspace.from_spanning(mats.reshape(-1, d, d), (d, d), tol)
     if space.dim != l * c_space.dim:
         raise AssertionFailure(
             f"block span has dimension {space.dim}, expected {l * c_space.dim}")
     if not is_invariant(space, v_rep, tol * 100):
         raise AssertionFailure("block construction lost invariance")
-    return space, blocks, s_inv
+    return space, s, s_inv
 
 
 def theta(datum, v_rep, seed=0, tol=RANK_TOL):
@@ -182,19 +182,17 @@ def theta(datum, v_rep, seed=0, tol=RANK_TOL):
     The output acts as (a conjugate of) C on each translate of the W-copy and
     as zero between translates: [G:H] copies of C, so its Wedderburn data are
     read off the datum (``seed`` is unused).  The central primitive
-    idempotents are the blocks of the identity of End(W), certified
-    idempotent, complete, orthogonal and inside the span; each component has
-    size ``a`` (``datum.quad[0]``, else ``sqrt(dim C)``) and multiplicity
+    idempotents are the blocks of the identity of End(W), certified on
+    ``s`` and ``s^-1`` and inside the span; each component has size ``a`` (``datum.quad[0]``, else ``sqrt(dim C)``) and multiplicity
     ``dim W / a``.  Any other C goes through :func:`_block_span` alone.
     """
     w, k = datum.pair.w_rep.dim, datum.c_space.dim
     a = datum.quad[0] if datum.quad else math.isqrt(k)
     if a * a != k or w % a:
         raise ValueError(f"a dim-{k} C is not M_a for any a dividing dim W = {w}")
-    space, blocks, s_inv = _block_span(datum.pair, datum.c_space, v_rep, tol)
-    idems = blocks @ s_inv
-    if not (_all_idempotent(idems) and space.contains_all(idems, 1e-6)
-            and _complete_and_orthogonal(idems, np.eye(v_rep.dim))):
+    space, s, s_inv = _block_span(datum.pair, datum.c_space, v_rep, tol)
+    idems = _certified_projectors(s, s_inv, np.arange(len(s)).reshape(-1, w))
+    if idems is None or not space.contains_all(idems, 1e-6):
         raise AssertionFailure("block projectors fail as central idempotents of the span")
     return InvariantSubalgebra(
         space=space, unital=True, idempotents=_sorted_idempotents(idems),
@@ -272,12 +270,12 @@ def verify_classification(subalgebras, v_rep, seed=0, tol=RANK_TOL):
                 violations.append(f"{label}: double centralizer moved")
             if not any(z.equals(o) for o in spaces):
                 violations.append(f"{label}: centralizer missing from the list")
-            _, transitive = permutation_action(meta, v_rep)
+            sigma, transitive = permutation_action(meta, v_rep)
             if not transitive:
                 violations.append(f"{label}: block permutation action not transitive")
             datum = meta.induction_datum
             if datum is not None:
-                inert = inertia_subgroup(meta, v_rep)
+                inert = _stabilizer(v_rep.group, sigma)
                 if not are_conjugate_subgroups(inert, datum.pair.subgroup):
                     violations.append(
                         f"{label}: inertia group not conjugate to the recorded subgroup")

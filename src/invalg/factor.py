@@ -189,15 +189,12 @@ def _matrix_units(b_space, a, seed, tol):
 
     A generic element of B has ``a`` distinct eigenvalues whose spectral
     projectors are the diagonal units; the off-diagonal units come from the
-    one-dimensional corner spaces ``f_11 B f_pp``.
+    one-dimensional corner spaces ``f_11 B f_pp``.  Being ``a`` orthogonal
+    idempotents summing to I = 1_B in B = M_a, each has rank one in B.
     """
     d = b_space.ambient_dim
     basis = b_space.basis()
-
-    def equal_ranks(projs):
-        return len({round(np.trace(p).real) for p in projs}) == 1
-
-    diag = _spectral_split(b_space, basis, a, seed, equal_ranks)
+    diag = _spectral_split(b_space, basis, a, seed)
     if diag is None:
         raise FactorRecoveryFailure(
             f"could not split a generic element into {a} equal-rank projectors")

@@ -18,7 +18,7 @@ import numpy as np
 from ._linalg import (INT_TOL, RANK_TOL, intertwiners, kron_stack,
                       round_to_gaussian_int, round_to_int,
                       scalar_multiple_of_identity)
-from .algebras import _all_idempotent, _complete_and_orthogonal, _spectral_split
+from .algebras import _all_idempotent, _spectral_split
 from .errors import (AssertionFailure, FactorRecoveryFailure, NotAnAutomorphism,
                      NotARepresentation, ToleranceFailure)
 from .groups import (FiniteGroup, class_index_array, conjugacy_classes,
@@ -142,6 +142,7 @@ def _fold_law(worst, mats, mult, rows, prod, alpha=None):
     if alpha is not None:
         target = target * alpha[rows, :, None, None]
     devs = np.linalg.norm((prod - target).reshape(len(prod), len(mats), -1), axis=2)
+    devs[np.isnan(devs)] = np.inf  # a non-finite entry is the worst deviation
     for i, b in enumerate(np.argmax(devs, axis=1)):
         if devs[i, b] > worst[0]:
             worst = (float(devs[i, b]), (rows.start + i, int(b)))
@@ -150,7 +151,7 @@ def _fold_law(worst, mats, mult, rows, prod, alpha=None):
 
 def _check_law(worst, tol):
     dev, pair = worst
-    if dev > tol:
+    if not dev <= tol:
         raise NotARepresentation(
             f"multiplication law fails by {dev:.3g} at pair {pair}",
             worst_pair=pair, deviation=dev)
@@ -291,8 +292,7 @@ def character_table(group, seed=0):
     # column e of mats[i] is sqrt|C_i| at the inverse class, so the mats are
     # independent and one QR gives their span an orthonormal basis
     span = MatrixSubspace(np.linalg.qr(mats.reshape(k, -1).T)[0].T, (k, k))
-    projs = _spectral_split(span, mats, k, seed,
-                            lambda ps: _complete_and_orthogonal(ps, np.eye(k)))
+    projs = _spectral_split(span, mats, k, seed)
     if projs is None:
         raise ToleranceFailure("could not separate the class-algebra spectrum")
     e = int(cls[group.identity])
@@ -335,8 +335,9 @@ def _isotypic(group, chi_v, dim, mats_of, seed):
     ``chi_v`` and matrices ``mats_of(elements)``: the averaging projectors
     ``(d_i/|G|) sum_g conj(chi_i(g)) rho(g)``, one product of their class
     coefficients with the class sums of the matrices, summed a block of
-    elements (sorted by class) at a time.  They must be orthogonal
-    idempotents summing to the identity (:class:`ToleranceFailure`)."""
+    elements (sorted by class) at a time.  They must be idempotents summing to
+    I with traces (ranks) ``m_i d_i`` adding up to ``dim``, which makes them
+    orthogonal (:class:`ToleranceFailure` otherwise)."""
     cls_idx = class_index_array(group)
     found = []
     for i, chi in enumerate(character_table(group, seed=seed)):
@@ -354,9 +355,11 @@ def _isotypic(group, chi_v, dim, mats_of, seed):
         sums[c[starts]] += np.add.reduceat(mats_of(g).reshape(len(g), -1), starts)
     coeffs = np.array([np.conj(chi.values) * (d_i / group.order) for _, chi, _, d_i in found])
     projs = (coeffs @ sums).reshape(-1, dim, dim)
-    if not (_all_idempotent(projs) and _complete_and_orthogonal(projs, np.eye(dim))):
+    ranks = [m * d_i for _, _, m, d_i in found]
+    if not (_all_idempotent(projs) and np.linalg.norm(projs.sum(axis=0) - np.eye(dim)) <= 1e-6
+            and np.all(np.abs(np.einsum("kii->k", projs) - ranks) <= INT_TOL)):
         raise ToleranceFailure(
-            "isotypic projectors are not orthogonal idempotents summing to the identity")
+            "isotypic projectors are not idempotents of traces m_i d_i summing to the identity")
     return [IsotypicComponent(projector=p, irrep_label=f"chi{i}", multiplicity=m,
                               dim=m * d_i, character=chi)
             for p, (i, chi, m, d_i) in zip(projs, found)]

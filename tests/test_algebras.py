@@ -91,6 +91,19 @@ def test_wedderburn_decompose_multiplicity():
     assert double_centralizer_check(b)
 
 
+@pytest.mark.parametrize("basis, dims, unit", [
+    ([_unit(0, 0, 2)], [1], [1, 0]),                                        # C E_11 in M2
+    ([_unit(i, j, 3) for i in range(2) for j in range(2)], [2], [1, 1, 0]),  # M2 + 0 in M3
+])
+def test_wedderburn_decompose_nonunital(basis, dims, unit):
+    """A unit other than I: a generic central element has an extra
+    0-cluster on (I - unit)V, which is split off and dropped."""
+    dec = wedderburn_decompose(MatrixSubspace.from_spanning(basis), seed=0)
+    assert (dec.component_dims, dec.multiplicities, dec.unital) == (dims, [1], False)
+    assert len(dec.idempotents) == 1
+    np.testing.assert_allclose(dec.idempotents[0], np.diag(unit), atol=1e-10)
+
+
 def test_wedderburn_decompose_two_blocks():
     # M2 + M1 with multiplicities 1 and 2 inside M4
     basis = [_unit(i, j, 4) for i in range(2) for j in range(2)]

@@ -97,6 +97,24 @@ def test_rep_from_json_rejects_wrong_shapes(field, cut, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("field, where", [("matrices", (1, 0, 1, 0)),
+                                          ("cocycle", (1, 2, 1))])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_rep_from_json_rejects_non_finite_entries(field, where, bad):
+    """NaN compares false, so a NaN matrix once validated with deviation 0."""
+    g, rep = catalog.get("S3", "std")
+    d = json.loads(json.dumps(rep_to_json(rep)))
+    d["cocycle"] = [[[1.0, 0.0] for _ in range(6)] for _ in range(6)]
+    *path, last = where
+    entry = d[field]
+    for i in path:
+        entry = entry[i]
+    entry[last] = bad
+    with pytest.raises(ValueError) as exc:
+        rep_from_json(g, d)
+    assert str(exc.value) == f"{field!r} has a non-finite entry"
+
+
 def test_load_input_catalog_string():
     g, rep = load_input("catalog:S3:std")
     assert g.order == 6

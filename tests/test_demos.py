@@ -20,6 +20,8 @@ def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
+    # under ``python -O`` the demos run optimized too, so none relies on assert
+    flags = ["-O"] if sys.flags.optimize else []
+    proc = subprocess.run([sys.executable, *flags, str(demo)], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

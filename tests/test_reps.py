@@ -16,7 +16,7 @@ from invalg import (NotAnAutomorphism, NotARepresentation, ToleranceFailure,
 from invalg.groups import (all_subgroups, build_from_mult_table,
                            build_from_permutations, class_index_array, direct_product,
                            product_index, subgroup_generated_by)
-from invalg.reps import (Representation, _as_projective_rep,
+from invalg.reps import (Representation, _as_projective_rep, _check_law,
                          commutant_dimension)
 from invalg._linalg import intertwiners, scalar_multiple_of_identity
 
@@ -56,6 +56,23 @@ def test_validate_raises_on_corruption():
     assert exc.value.worst_pair is not None
     g, h = exc.value.worst_pair
     assert 0 <= g < 6 and 0 <= h < 6
+
+
+def test_check_law_fails_a_nan_deviation():
+    with pytest.raises(NotARepresentation, match="fails by nan"):
+        _check_law((float("nan"), (0, 0)), 1e-8)
+
+
+def test_validate_raises_on_a_nan_matrix():
+    """NaN compares false; a NaN in the identity's matrix or in any other
+    element's must still fail the law."""
+    group, rep = catalog.get("S3", "std")
+    for g in (group.identity, (group.identity + 1) % group.order):
+        mats = np.array(rep.matrices)
+        mats[g, 1, 0] = np.nan
+        bad = Representation(group=group, dim=rep.dim, matrices=mats)
+        with pytest.raises(NotARepresentation):
+            validate(bad)
 
 
 def test_character_values_s3_std():

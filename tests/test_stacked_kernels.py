@@ -7,23 +7,27 @@ changed (batched projections) decisions must agree and values must agree to
 a tolerance fixed from complex128 rounding.
 """
 
+import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import invalg.classify
-from invalg import (MatchFailure, MatrixSubspace, catalog,
+from invalg import (MatchFailure, MatrixSubspace, ToleranceFailure, catalog,
                     enumerate_invariant_subalgebras, is_invariant,
                     permutation_action, verify_classification)
 from invalg._linalg import kron_stack, intertwiners, nullspace, row_norms
-from invalg.algebras import (_all_idempotent, _complete_and_orthogonal,
+from invalg.algebras import (_all_idempotent, _certified_projectors,
                              algebra_unit, left_multiplication_operators)
 from invalg.classify import _conjugation_class_maps, _normalizer_members
-from invalg.groups import all_subgroups, class_index_array, conjugacy_classes
+from invalg.groups import (all_subgroups, build_from_mult_table, class_index_array,
+                           conjugacy_classes)
 from invalg.lie import HighestWeight, RootSystem, tensor_irreducible
-from invalg.reps import (Representation, character, character_table, induce,
-                         induced_character, restrict)
+from invalg.reps import (ClassFunction, Representation, _isotypic, character,
+                         character_table, induce, induced_character, restrict)
 from invalg.spaces import span_product
 
 IRREDUCIBLE = [("S3", "std"), ("Q8", "std"), ("D4", "std"), ("A4", "std3"),
@@ -282,27 +286,63 @@ def _complete_and_orthogonal_loop(idems, unit):
                     for j, f in enumerate(idems) if i != j))
 
 
-def test_complete_and_orthogonal_matches_the_loop():
-    rng = np.random.default_rng(19)
-    n = 6
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    v = q @ np.diag(rng.uniform(1.0, 2.0, n))        # non-unitary eigenvectors
-    vinv = np.linalg.inv(v)
-    splits = [[range(0, 2), range(2, 5), range(5, 6)], [range(0, 6)],
-              [range(i, i + 1) for i in range(6)]]
-    for parts in splits:
-        good = [v[:, list(ix)] @ vinv[list(ix)] for ix in parts]
-        cases = [good, np.stack(good),
-                 good[:-1],                                   # incomplete
-                 [good[0] + 1e-3 * good[-1]] + good[1:],      # does not sum to I
-                 ]
-        if len(good) > 1:
-            shift = 1e-3 * rng.standard_normal((n, n))
-            cases.append([good[0] + shift, good[1] - shift] + good[2:])   # sums to I
-        for idems in cases:
-            assert (_complete_and_orthogonal(idems, np.eye(n))
-                    == _complete_and_orthogonal_loop(idems, np.eye(n)))
-    assert _complete_and_orthogonal([np.eye(3)], np.eye(3))
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 8), data=st.data(),
+       scale=st.floats(1.0, 100.0), eps=st.sampled_from(
+           [0.0, 1e-14, 1e-10, 1e-9, 1e-8, 3e-8, 1e-7, 1e-6, 1e-4]))
+def test_factor_certificate_implies_the_pairwise_rule(n, data, scale, eps):
+    """Whatever ``_certified_projectors`` accepts passes the all-pairs
+    oracle and is idempotent; exact inverses of non-unitary eigenvector
+    bases are accepted, incomplete or perturbed systems are not."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    labels = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    parts = [np.flatnonzero(labels == c) for c in np.unique(labels)]
+    q, _ = np.linalg.qr(_random_stack(rng, 1, n, n)[0])
+    v = q @ np.diag(rng.uniform(1.0, scale, n))                # non-unitary
+    w = np.linalg.inv(v)
+    w_eps = w + eps * _random_stack(rng, 1, n, n)[0]            # perturbed inverse
+    projs = _certified_projectors(v, w_eps, parts)
+    if projs is not None:
+        assert _complete_and_orthogonal_loop(projs, np.eye(n))
+        assert all(np.linalg.norm(p @ p - p) <= 1e-6 for p in projs)
+    if eps == 0.0:
+        assert projs is not None and len(projs) == len(parts)
+    bumped = w.copy()
+    bumped[0, 0] += 1e-4    # row 0 of v has norm >= 1, so |w v - I| >= 1e-4
+    assert _certified_projectors(v, bumped, parts) is None
+    if len(parts) > 1:      # drop one part: the rest cannot sum to I
+        keep = np.concatenate(parts[1:])
+        rest = [np.flatnonzero(np.isin(keep, ix)) for ix in parts[1:]]
+        assert _certified_projectors(v[:, keep], w[keep], rest) is None
+    assert _certified_projectors(1e-3 * v, 1e-3 * w, parts) is None
+
+
+def test_isotypic_rejects_a_trace_mismatch():
+    """An extra copy of a one-dimensional constituent in ``chi_v`` leaves
+    idempotents that sum to I, but one projector of rank 1 is named
+    multiplicity 2, and only its trace tells."""
+    group, rep = catalog.get("S3", "trivPlusSignPlusStd")
+    chi = character(rep)
+    extra = character_table(group)[0]
+    wrong = ClassFunction(group, tuple(a + b for a, b in zip(chi.values, extra.values)))
+    mats = rep.matrices.__getitem__
+    assert len(_isotypic(group, chi, rep.dim, mats, 0)) == 3
+    with pytest.raises(ToleranceFailure, match="traces"):
+        _isotypic(group, wrong, rep.dim, mats, 0)
+
+
+def test_character_table_of_the_cyclic_group_of_order_128():
+    a = np.arange(128)
+    group = build_from_mult_table((a[:, None] + a[None]) % 128)
+    start = time.perf_counter()
+    table = character_table(group)
+    elapsed = time.perf_counter() - start
+    assert len(table) == 128
+    assert {round(c.values[0].real) for c in table} == {1}
+    # the k^2 pairwise acceptance of its 128 rank-one projectors took about
+    # 8 s on a 2-core host; the eigenvector certificate takes well under one
+    # second, so this bound only catches a return to it
+    assert elapsed < 3.0
 
 
 def test_all_idempotent_matches_the_loop():
@@ -318,17 +358,6 @@ def test_all_idempotent_matches_the_loop():
     assert _all_idempotent(np.zeros((0, 3, 3)))
     np.testing.assert_allclose(row_norms(good), np.linalg.norm(good, axis=(1, 2)),
                                rtol=VALUE_TOL)
-
-
-def test_complete_and_orthogonal_checks_both_orders():
-    """Sums to I, but e_i e_j != 0 only for some i < j in one ordering."""
-    c = 0.5
-    e0 = np.diag([1.0, 0.0, 0.0])
-    e1 = np.array([[0.0, 0.0, 0.0], [c, 1.0, 0.0], [0.0, 0.0, 0.0]])
-    e2 = np.eye(3) - e0 - e1
-    for order in ([e1, e2, e0], [e0, e2, e1], [e0, e1, e2]):
-        assert not _complete_and_orthogonal_loop(order, np.eye(3))
-        assert not _complete_and_orthogonal(order, np.eye(3))
 
 
 def _permutation_loop(idems, rep, tol):
@@ -477,6 +506,24 @@ def test_verify_builds_one_scalar_block_span_per_pair(monkeypatch):
     assert verify_classification(subs, rep, seed=0).ok
     assert sorted(calls) == sorted(pairs)
     assert len(pairs) < len(subs)
+
+
+def test_verify_computes_each_block_permutation_once(monkeypatch):
+    """The inertia subgroup is read off the entry's own permutations."""
+    _, rep = catalog.get("S3xS3", "stdXstd")
+    subs, _ = enumerate_invariant_subalgebras(rep, seed=0)
+    assert all(s.induction_datum is not None for s in subs)
+    calls = []
+    original = invalg.algebras.permutation_action
+
+    def counting(meta, *args, **kwargs):
+        calls.append(id(meta))
+        return original(meta, *args, **kwargs)
+
+    monkeypatch.setattr(invalg.classify, "permutation_action", counting)
+    monkeypatch.setattr(invalg.algebras, "permutation_action", counting)
+    assert verify_classification(subs, rep, seed=0).ok
+    assert sorted(calls) == sorted(id(s) for s in subs)
 
 
 def test_verify_computes_each_centralizer_once(monkeypatch):
