@@ -19,8 +19,8 @@ from .groups import (FiniteGroup, Subgroup, Transversal, all_subgroups,
                      build_from_permutations, conjugacy_classes,
                      direct_product, left_transversal)
 from .reps import (Representation, TwoCocycle, character, character_table,
-                   conjugation_decomposition, equivariant_hom_space, induce,
-                   induced_character, inner_product, is_induced_from,
+                   check_law, conjugation_decomposition, equivariant_hom_space,
+                   induce, induced_character, inner_product, is_induced_from,
                    is_irreducible, isotypic_decomposition, restrict,
                    skolem_noether_lift, unitarize, validate)
 from .spaces import MatrixSubspace, generated_algebra, span_product

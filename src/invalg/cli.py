@@ -21,10 +21,10 @@ from .algebras import center
 from .classify import enumerate_invariant_subalgebras, verify_classification
 from .errors import CapExceeded, InvalgError, NotARepresentation
 from .factor import (central_simple_invariant_subalgebras, cocycle_consistency,
-                     extract_factorization)
+                     factor)
 from .ideals import Parametrization, _ideal_lattice, invariant_subspaces
 from .lie import HighestWeight, etingof_enumerate, parse_product_type
-from .reps import is_irreducible, validate
+from .reps import check_law, is_irreducible, validate
 
 SCHEMA = 1
 
@@ -58,10 +58,10 @@ def cmd_validate(args):
     })
     try:
         report = validate(rep, tol=args.tol)
-    except NotARepresentation as exc:
+    except (NotARepresentation, ValueError) as exc:  # the law, or the cocycle's identity
         payload["valid"] = False
         payload["reason"] = str(exc)
-        if exc.worst_pair is not None:
+        if getattr(exc, "worst_pair", None) is not None:
             payload["worst_pair"] = list(exc.worst_pair)
         return payload, 1
     payload["valid"] = True
@@ -71,13 +71,21 @@ def cmd_validate(args):
     return payload, 0
 
 
+def _load_representation(args):
+    """The input, after its law is certified on the generator pairs (exit 1
+    with the failing pair otherwise)."""
+    group, rep = cat.load_input(args.input)
+    check_law(rep, tol=args.tol)
+    return group, rep
+
+
 def _subspace_json(sub):
     return {"dim": sub.dim, "ambient": sub.ambient,
             "basis_columns": _complex_json(sub.basis)}
 
 
 def cmd_ideals(args):
-    group, rep = cat.load_input(args.input)
+    group, rep = _load_representation(args)
     payload = _base_payload(args)
     payload.update({"command": "ideals", "input": args.input, "dim": rep.dim})
     subs = invariant_subspaces(rep, seed=args.seed, tol=args.tol)
@@ -101,7 +109,7 @@ def cmd_ideals(args):
 
 
 def cmd_subalgebras(args):
-    group, rep = cat.load_input(args.input)
+    group, rep = _load_representation(args)
     payload = _base_payload(args)
     payload.update({"command": "subalgebras", "input": args.input,
                     "dim": rep.dim})
@@ -136,7 +144,7 @@ def cmd_subalgebras(args):
 
 
 def cmd_factor(args):
-    group, rep = cat.load_input(args.input)
+    group, rep = _load_representation(args)
     payload = _base_payload(args)
     payload.update({"command": "factor", "input": args.input, "dim": rep.dim})
     if not is_irreducible(rep):
@@ -144,8 +152,7 @@ def cmd_factor(args):
     cs_list, certified = central_simple_invariant_subalgebras(
         rep, seed=args.seed, tol=args.tol)
     items = []
-    for sp in cs_list:
-        fact = extract_factorization(sp, rep, seed=args.seed, tol=args.tol)
+    for sp, fact in zip(cs_list, factor(cs_list, rep, seed=args.seed, tol=args.tol)):
         items.append({
             "subalgebra_dim": sp.dim,
             "a": fact.a,

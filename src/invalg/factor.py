@@ -17,7 +17,7 @@ otherwise generated-algebra closures are added as uncertified candidates.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -137,7 +137,9 @@ def central_simple_invariant_subalgebras(w_rep, seed=0, tol=RANK_TOL):
     Returns ``(list, certified)``.  The list is closed under taking
     centralizers and always contains the scalar line and the full algebra.
     It is certified complete when the isotypic scan is, or when dim W is 1 or
-    prime.
+    prime.  Only an uncertified scan is closed under centralizers by solving
+    them: a complete list holds every partner already (:func:`factor` looks
+    each one up and raises if it is missing).
     """
     unital, _, certified = multfree_scan(w_rep, seed=seed, tol=tol)
     d = w_rep.dim
@@ -153,23 +155,24 @@ def central_simple_invariant_subalgebras(w_rep, seed=0, tol=RANK_TOL):
             continue
         if center(sp, tol).dim == 1:
             out.append(sp)
-    # close under centralizer (the partner of a dual pair is again central
-    # simple and invariant; for certified scans this is a no-op).  A new
-    # centralizer is looked up by fingerprint, then compared with the
-    # entries of its dimension only (equal spaces have equal dimensions).
-    keys = {(sp.dim, sp.fingerprint()) for sp in out}
-    by_dim = {}
-    for sp in out:
-        by_dim.setdefault(sp.dim, []).append(sp)
-    i = 0
-    while i < len(out):
-        z = centralizer(out[i], tol)
-        key = (z.dim, z.fingerprint())
-        if key not in keys and not any(z.equals(sp) for sp in by_dim.get(z.dim, ())):
-            out.append(z)
-            keys.add(key)
-            by_dim.setdefault(z.dim, []).append(z)
-        i += 1
+    if not certified:
+        # close under centralizer (the partner of a dual pair is again central
+        # simple and invariant; a certified scan already holds it).  A new
+        # centralizer is looked up by fingerprint, then compared with the
+        # entries of its dimension only (equal spaces have equal dimensions).
+        keys = {(sp.dim, sp.fingerprint()) for sp in out}
+        by_dim = {}
+        for sp in out:
+            by_dim.setdefault(sp.dim, []).append(sp)
+        i = 0
+        while i < len(out):
+            z = centralizer(out[i], tol)
+            key = (z.dim, z.fingerprint())
+            if key not in keys and not any(z.equals(sp) for sp in by_dim.get(z.dim, ())):
+                out.append(z)
+                keys.add(key)
+                by_dim.setdefault(z.dim, []).append(z)
+            i += 1
     if not any(sp.dim == 1 for sp in out):
         raise AssertionFailure("scalar line missing")
     if not any(sp.dim == d * d for sp in out):
@@ -256,6 +259,7 @@ def extract_factorization(b_space, w_rep, seed=0, tol=RANK_TOL):
     recovers per-element factors sigma (carried by B) and tau (carried by the
     centralizer) from the rank-one rearrangement of each transformed group
     matrix, with scalars ``lambda_g`` absorbing the projective ambiguity.
+    :func:`factor` checks the double centralizer against B's partner.
     """
     d = w_rep.dim
     if b_space.shape != (d, d):
@@ -317,14 +321,58 @@ def extract_factorization(b_space, w_rep, seed=0, tol=RANK_TOL):
     sigma_rep = _as_projective_rep(group, sig, f"{w_rep.name or 'W'}:left")
     tau_rep = _as_projective_rep(group, tau, f"{w_rep.name or 'W'}:right")
     z_space = centralizer(b_space, tol)
-    if not centralizer(z_space, tol).equals(b_space):
-        raise AssertionFailure("double centralizer moved")
     if b_space.dim * z_space.dim != d * d:
         raise AssertionFailure("dual pair dimensions do not multiply up")
     return DualPairFactorization(
         b_space=b_space, z_space=z_space, a=a, b=b,
         sigma=sigma_rep, tau=tau_rep, basis_change=s_mat, lambdas=lam,
         residual=residual)
+
+
+def _swapped(fact, partner):
+    """The partner's factorization: sides, sizes and factors exchanged, the
+    same lambda, and the columns of S permuted by the commutation of
+    C^a (x) C^b, so ``S'^-1 rho S' = lambda tau (x) sigma``."""
+    a, b = fact.a, fact.b
+    perm = np.arange(a * b).reshape(a, b).T.ravel()
+    return DualPairFactorization(
+        b_space=partner, z_space=fact.b_space, a=b, b=a,
+        sigma=fact.tau, tau=fact.sigma, basis_change=fact.basis_change[:, perm],
+        lambdas=fact.lambdas, residual=fact.residual)
+
+
+def factor(cs_list, w_rep, seed=0, tol=RANK_TOL):
+    """Factorizations of W along every entry of a centralizer-closed list of
+    central simple invariant subalgebras, in list order.
+
+    Each unordered dual pair (B, B') is extracted once, from the entry that
+    comes first; B' is the entry equal to ``centralizer(B)``
+    (:class:`AssertionFailure` if none is), its factorization is B's with the
+    sides exchanged, and ``centralizer(B') = B`` is asserted.  The scalar
+    line of a one-dimensional W is its own partner.
+    """
+    index = {}
+    for j, sp in enumerate(cs_list):
+        index.setdefault((sp.dim, sp.fingerprint()), j)
+    out = [None] * len(cs_list)
+    for i, sp in enumerate(cs_list):
+        if out[i] is not None:
+            continue
+        z = centralizer(sp, tol)
+        j = index.get((z.dim, z.fingerprint()))
+        if j is None or not cs_list[j].equals(z):
+            # a fingerprint can round differently on equal spaces
+            j = next((j for j, other in enumerate(cs_list) if other.equals(z)), None)
+        if j is None:
+            raise AssertionFailure(
+                f"the centralizer of entry {i} (dim {z.dim}) is not in the list")
+        fact = extract_factorization(sp, w_rep, seed=seed, tol=tol)
+        if not centralizer(cs_list[j], tol).equals(sp):
+            raise AssertionFailure("double centralizer moved")
+        out[i] = replace(fact, z_space=cs_list[j])
+        if j != i:
+            out[j] = _swapped(fact, cs_list[j])
+    return out
 
 
 def cocycle_consistency(fact, w_rep):

@@ -78,6 +78,31 @@ class FiniteGroup:
             self._cache["generators"] = tuple(gens)
         return self._cache["generators"]
 
+    @property
+    def word_layers(self):
+        """Breadth-first layers of the Cayley graph on ``generators``, past
+        the generators themselves: per word length 2, 3, ... the arrays
+        ``(h, parent, j)`` with ``h = parent * generators[j]``, each element
+        once, its parent in an earlier layer (or a generator).
+        """
+        if "word_layers" not in self._cache:
+            gens = np.array(self.generators, dtype=np.intp)
+            seen = np.zeros(self.order, dtype=bool)
+            seen[self.identity] = True
+            seen[gens] = True
+            layers, frontier = [], gens
+            while frontier.size:
+                cand = self.mult[frontier[:, None], gens].ravel()  # parent-major
+                new, first = np.unique(cand, return_index=True)
+                keep = ~seen[new]
+                new, first = new[keep], first[keep]
+                seen[new] = True
+                if new.size:
+                    layers.append((new, frontier[first // len(gens)], first % len(gens)))
+                frontier = new
+            self._cache["word_layers"] = layers
+        return self._cache["word_layers"]
+
 
 @dataclass(frozen=True)
 class Subgroup:

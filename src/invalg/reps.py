@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import (INT_TOL, RANK_TOL, intertwiners, kron_stack,
-                      round_to_gaussian_int, round_to_int,
+                      round_to_gaussian_int, round_to_int, row_norms,
                       scalar_multiple_of_identity)
 from .algebras import _all_idempotent, _spectral_split
 from .errors import (AssertionFailure, FactorRecoveryFailure, NotAnAutomorphism,
@@ -155,6 +155,101 @@ def _check_law(worst, tol):
         raise NotARepresentation(
             f"multiplication law fails by {dev:.3g} at pair {pair}",
             worst_pair=pair, deviation=dev)
+
+
+def _generator_law(group, mats, cocycle=None, prods=None):
+    """The law ``rho(g) rho(h) = alpha(g, h) rho(gh)`` (alpha = 1 without a
+    cocycle), measured on the generator pairs and bounded on every pair.
+
+    Returns ``((deviation, pair), bound)``: the largest Frobenius deviation
+    E(g, s) over s in ``group.generators`` with its first pair, row-major,
+    and a bound on every |E(g, h)| and on |rho(1) - I|.  ``prods`` may hold
+    the products ``rho(g) rho(s)`` as an (n, |S|, d, d) stack.
+
+    The bound: expanding ``rho(g) rho(h) rho(s)`` both ways gives
+
+        E(g, hs) = [f rho(ghs) + alpha(g,h) E(gh,s) + E(g,h) rho(s)
+                    - rho(g) E(h,s)] / alpha(h,s),
+
+    with ``f = alpha(g,h) alpha(gh,s) - alpha(h,s) alpha(g,hs)`` the cocycle
+    identity's defect (zero for an exact cocycle; for the recovered table it
+    carries the rounding of the fill).  So, with ``|.|`` the Frobenius and
+    ``|.|_2`` the spectral norm,
+
+        B(g, hs) = [|f| |rho(ghs)| + |alpha(g,h)| |E(gh,s)| + B(g,h) |rho(s)|_2
+                    + |rho(g)|_2 |E(h,s)|] / |alpha(h,s)|
+
+    bounds |E(g, hs)| from the measured generator pairs, one breadth-first
+    layer of ``group.word_layers`` at a time, vectorized over g, starting
+    from the measured E(g, 1) and E(g, s).  If every generator pair holds
+    exactly, every pair does.  The recurrence runs in the frame
+    ``X -> T X T^-1`` with ``T^* T = sum_g rho(g)^* rho(g)``, where a
+    representation with |alpha| = 1 is unitary, so ``|rho(s)|_2`` is about
+    one and the bound grows about linearly with word length (at most the
+    Cayley graph's diameter), not as a product of norms; ``|T|_2 |T^-1|_2``
+    takes it back.  Any invertible T gives a valid bound, up to the
+    rounding of its own few terms.
+    """
+    n, k, e = group.order, mats.shape[-1], group.identity
+    gens = np.array(group.generators, dtype=np.intp)
+    alpha = np.ones((n, n)) if cocycle is None else cocycle.values
+    if prods is None:
+        prods = mats[:, None] @ mats[gens]
+    diff = prods - alpha[:, gens, None, None] * mats[group.mult[:, gens]]
+    devs = np.linalg.norm(diff.reshape(n, len(gens), -1), axis=2)
+    devs[np.isnan(devs)] = np.inf  # a non-finite entry is the worst deviation
+    worst = (0.0, (e, e))
+    if gens.size:
+        g, j = divmod(int(np.argmax(devs)), len(gens))
+        worst = (float(devs[g, j]), (g, int(gens[j])))
+    w, v = np.linalg.eigh(np.einsum("gji,gjk->ik", mats.conj(), mats))
+    root = np.sqrt(w)
+    t, t_inv = root[:, None] * v.conj().T, v / root  # T^* T = V diag(w) V^*
+    mats_t = t @ mats @ t_inv
+    frob = row_norms(mats_t)
+    # |A|_2^2 = |A^* A|_2 <= 1 + |A^* A - I|: about one for the unitary A here
+    spec = np.sqrt(1.0 + row_norms(np.swapaxes(mats_t.conj(), 1, 2) @ mats_t - np.eye(k)))
+    devs_t = np.linalg.norm((t @ diff @ t_inv).reshape(n, len(gens), -1), axis=2)
+    bound = np.empty((n, n))
+    bound[:, e] = row_norms(t @ (mats @ mats[e] - alpha[:, e, None, None] * mats) @ t_inv)
+    bound[:, gens] = devs_t
+    size = np.abs(alpha)
+    for h, p, j in group.word_layers:
+        s, gp = gens[j], group.mult[:, p]
+        f = np.abs(alpha[:, p] * alpha[gp, s] - alpha[p, s] * alpha[:, h])
+        bound[:, h] = (f * frob[group.mult[:, h]] + size[:, p] * devs_t[gp, j]
+                       + bound[:, p] * spec[s] + spec[:, None] * devs_t[p, j]) / size[p, s]
+    kappa = root[-1] / root[0]  # |T|_2 |T^-1|_2
+    return worst, max(float(np.linalg.norm(mats[e] - np.eye(k))), kappa * float(np.max(bound)))
+
+
+def _certify_law(rep, tol, prods=None):
+    """Raise :class:`NotARepresentation` unless the law holds within ``tol``
+    on every pair: a generator pair that fails is named; otherwise the
+    propagated bound of :func:`_generator_law` certifies all pairs, and only
+    where it exceeds ``tol`` (a badly conditioned basis) are all pairs
+    checked as :func:`validate` does.  Never looser than that all-pairs check.
+    """
+    worst, bound = _generator_law(rep.group, rep.matrices, rep.cocycle, prods)
+    _check_law(worst, tol)
+    if not bound <= tol:
+        validate(rep, tol)
+
+
+def check_law(rep, tol=RANK_TOL):
+    """Certify the homomorphism (or cocycle) law from the n |S| products over
+    ``group.generators`` (see :func:`_certify_law`), after the declared
+    cocycle's own identity and the identity matrix.  Raises
+    :class:`NotARepresentation`, or ValueError for a broken cocycle.
+    """
+    mats = np.asarray(rep.matrices, dtype=complex)
+    if mats.shape != (rep.group.order, rep.dim, rep.dim):
+        raise NotARepresentation("matrix array has wrong shape")
+    if rep.cocycle is not None:
+        rep.cocycle.validate(tol=max(tol, 1e-8))
+    e = rep.group.identity  # first, so that the frame of the bound exists
+    _check_law((float(np.linalg.norm(mats[e] - np.eye(rep.dim))), (e, e)), tol)
+    _certify_law(rep, tol)
 
 
 def validate(rep, tol=RANK_TOL):
@@ -531,34 +626,36 @@ def _as_projective_rep(group, mats, name):
     """Wrap matrices as a representation, recovering the cocycle table.
 
     ``rho(1)`` is set to exactly ``I`` in place when it is within 1e-8 of
-    it, as the normalized cocycle assumes.  ``alpha(g, h)`` is the scalar
-    ``rho(g) rho(h) rho(gh)^-1``; a product that is not scalar raises
-    :class:`ToleranceFailure`.  A cocycle within 1e-8 of one everywhere is
-    dropped, leaving a linear representation.
+    it, as the normalized cocycle assumes.  ``alpha(g, s)`` is the scalar
+    ``rho(g) rho(s) rho(gs)^-1`` for s in ``group.generators``; a product
+    that is not scalar raises :class:`ToleranceFailure` naming that pair.
+    The rest of the table follows along ``group.word_layers``, from
+    ``alpha(g, hs) = alpha(g, h) alpha(gh, s) / alpha(h, s)``, and
+    :func:`_certify_law` certifies the law on every pair from the n |S|
+    generator products.  A cocycle within 1e-8 of one everywhere is dropped,
+    leaving a linear representation.
     """
     n, k, e = group.order, mats.shape[1], group.identity
     if np.linalg.norm(mats[e] - np.eye(k)) < 1e-8:
         mats[e] = np.eye(k)
-    inv_mats = np.linalg.inv(mats)
+    gens = np.array(group.generators, dtype=np.intp)
+    prods = mats[:, None] @ mats[gens]
+    c, ok = scalar_multiple_of_identity(
+        prods @ np.linalg.inv(mats)[group.mult[:, gens]], tol=1e-6)
+    if not ok.all():
+        g, j = divmod(int(np.argmin(ok)), len(gens))  # first failure, row-major
+        raise ToleranceFailure(f"rho(g)rho(h)rho(gh)^-1 is not scalar at ({g}, {gens[j]})")
     vals = np.ones((n, n), dtype=complex)
-    # validate's law check on the same products, without the cocycle too
-    twisted = plain = (float(np.linalg.norm(mats[e] - np.eye(k))), (e, e))
-    for rows in _pair_blocks(n, n * k * k):
-        prod = mats[rows, None] @ mats
-        c, ok = scalar_multiple_of_identity(prod @ inv_mats[group.mult[rows]], tol=1e-6)
-        if not ok.all():
-            g, h = divmod(int(np.argmin(ok)), n)  # first failure, row-major
-            raise ToleranceFailure(
-                f"rho(g)rho(h)rho(gh)^-1 is not scalar at ({rows.start + g}, {h})")
-        vals[rows] = c
-        vals[e, :] = vals[:, e] = 1.0
-        twisted = _fold_law(twisted, mats, group.mult, rows, prod, vals)
-        plain = (_fold_law(plain, mats, group.mult, rows, prod)
-                 if plain and np.max(np.abs(vals[rows] - 1.0)) <= 1e-8 else None)
+    vals[:, gens] = c
+    vals[e] = 1.0  # normalized before the layers read it, and after (x / x may miss 1)
+    for h, p, j in group.word_layers:
+        vals[:, h] = vals[:, p] * vals[group.mult[:, p], gens[j]] / vals[p, gens[j]]
+    vals[e] = 1.0
     cocycle = None
     if np.max(np.abs(vals - 1.0)) > 1e-8:
         cocycle = TwoCocycle(group, vals)
         cocycle.validate(tol=1e-6)
-    _check_law(twisted if cocycle is not None else plain, 1e-6)
-    return Representation(group=group, dim=k, matrices=mats,
-                          unitary=False, cocycle=cocycle, name=name)
+    rep = Representation(group=group, dim=k, matrices=mats,
+                         unitary=False, cocycle=cocycle, name=name)
+    _certify_law(rep, 1e-6, prods)
+    return rep

@@ -166,6 +166,53 @@ def test_malformed_representation_exits_1_at_load(name, cmd, tmp_path, capsys):
     assert shapes in err
 
 
+def _broken_law_docs():
+    """Inputs whose law fails: a Pauli cocycle entry off by 0.1%, and one
+    S3 x S3 matrix scaled by 1.01."""
+    g, rep = catalog.get("C2xC2", "pauli")
+    pauli = pair_to_json(g, rep)
+    entry = pauli["representation"]["cocycle"][1][2]
+    pauli["representation"]["cocycle"][1][2] = [1.001 * x for x in entry]
+    g, rep = catalog.get("S3xS3", "stdXstd")
+    s3s3 = pair_to_json(g, rep)
+    s3s3["representation"]["matrices"][7] = (
+        1.01 * np.array(s3s3["representation"]["matrices"][7])).tolist()
+    return {"pauli_cocycle": (pauli, "cocycle identity fails by 0.001"),
+            "s3s3_matrix_7": (s3s3, "multiplication law fails by 0.02 at pair (7, ")}
+
+
+@pytest.mark.parametrize("cmd", ["ideals", "subalgebras", "factor"])
+@pytest.mark.parametrize("name", sorted(_broken_law_docs()))
+def test_non_representation_exits_1_before_any_work(name, cmd, tmp_path, capsys):
+    """The law is certified on the generator pairs first; a failure is one
+    error line naming a generator pair (or the cocycle identity)."""
+    doc, reason = _broken_law_docs()[name]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main([cmd, str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: " + reason) and err.count("\n") == 1
+    if name == "s3s3_matrix_7":
+        s = int(err.split("at pair (7, ")[1].split(")")[0])
+        assert s in catalog.get("S3xS3", "stdXstd")[0].generators
+
+
+@pytest.mark.parametrize("name", sorted(_broken_law_docs()))
+def test_validate_reports_a_broken_law_or_cocycle(name, tmp_path):
+    doc, _ = _broken_law_docs()[name]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, raw = _run(["validate", str(path)], tmp_path)
+    d = json.loads(raw)
+    assert code == 1 and d["valid"] is False and d["command"] == "validate"
+    if name == "pauli_cocycle":
+        assert d["reason"] == "cocycle identity fails by 0.001" and "worst_pair" not in d
+    else:
+        assert d["reason"] == "multiplication law fails by 0.0402 at pair (7, 7)"
+        assert d["worst_pair"] == [7, 7]
+
+
 def _wrongly_typed_docs():
     g, rep = catalog.get("S3", "std")
     dim_null = pair_to_json(g, rep)

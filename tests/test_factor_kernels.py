@@ -1,11 +1,13 @@
 """The factorization layer's stacked kernels against the loops they replace.
 
 Each test keeps the earlier per-element or per-pair loop as an oracle.  The
-split, the normalization, the cocycle recovery and ``validate`` do the same
-arithmetic as their loops, so their results must be bit-identical; only the
-residual of the split is summed in another order.
+split, the normalization and ``validate`` do the same arithmetic as their
+loops, so their results must be bit-identical; only the residual of the split
+is summed in another order.  The cocycle recovery reads the generator pairs
+only, so its table matches the per-row loop's within 1e-10.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,7 +19,7 @@ from invalg import (FactorRecoveryFailure, NotARepresentation, Representation,
                     TwoCocycle, catalog, central_simple_invariant_subalgebras,
                     direct_product, extract_factorization, multfree_scan,
                     validate)
-from invalg._linalg import scalar_multiple_of_identity
+from invalg._linalg import kron_stack, row_norms, scalar_multiple_of_identity
 from invalg.algebras import center, centralizer, semisimplicity_certificate
 from invalg.errors import AssertionFailure, ToleranceFailure
 from invalg.reps import _as_projective_rep, _normalize_projective
@@ -222,7 +224,10 @@ def pauli3():
 
 @pytest.mark.parametrize("block", [None, 1, 3 * 64 * 64])
 def test_validate_and_cocycle_recovery_match_the_row_loops(block, pauli3, monkeypatch):
-    """Pauli^3 (n = 64, d = 8) spans four blocks of 16 rows; smaller blocks too."""
+    """Pauli^3 (n = 64, d = 8) spans four blocks of 16 rows; smaller blocks too.
+    ``validate`` keeps every pair; the recovery reads the generator pairs,
+    matches the row loop's table within 1e-10, and where the loop finds a
+    non-scalar pair it names a non-scalar generator pair."""
     if block is not None:
         monkeypatch.setattr(invalg.reps, "_PAIR_BLOCK", block)
     group = pauli3.group
@@ -230,14 +235,14 @@ def test_validate_and_cocycle_recovery_match_the_row_loops(block, pauli3, monkey
     report = validate(pauli3)
     assert (report.max_deviation, report.worst_pair) == _validate_loop(pauli3)
     rep = _as_projective_rep(group, pauli3.matrices.copy(), None)
-    assert np.array_equal(rep.cocycle.values, _cocycle_loop(group, pauli3.matrices))
+    assert np.max(np.abs(rep.cocycle.values - _cocycle_loop(group, pauli3.matrices))) <= 1e-10
     for g in (5, 40):
         mats = np.array(pauli3.matrices)
         mats[g] = mats[g] @ np.diag(np.arange(1.0, 9.0))
-        pair = _cocycle_loop(group, mats)
-        with pytest.raises(ToleranceFailure,
-                           match=rf"not scalar at \({pair[0]}, {pair[1]}\)$"):
+        assert isinstance(_cocycle_loop(group, mats), tuple)
+        with pytest.raises(ToleranceFailure, match=r"not scalar at \(\d+, \d+\)$") as exc:
             _as_projective_rep(group, mats, None)
+        assert int(re.search(r", (\d+)\)$", str(exc.value)).group(1)) in group.generators
 
 
 @pytest.mark.parametrize("block", [None, 1, 5 * 24 * 16])
@@ -299,12 +304,41 @@ def test_dimension_filter_keeps_the_center_test_list(name, central_simple):
 
 
 def test_closure_appends_a_missing_centralizer(monkeypatch):
-    """Only the scalars survive the filter; closure adds End(W) back."""
+    """Only the scalars survive the filter.  An uncertified scan's closure
+    adds End(W) back; a certified scan's list is complete, so no centralizer
+    is solved and the missing algebra is reported."""
     _, rep = catalog.get("S3", "std")
     monkeypatch.setattr(invalg.factor, "center",
                         lambda sp, tol: sp if sp.dim > 1 else center(sp, tol))
+    scan = invalg.factor.multfree_scan
+    monkeypatch.setattr(invalg.factor, "multfree_scan",
+                        lambda *args, **kw: (*scan(*args, **kw)[:2], False))
     subs, _ = central_simple_invariant_subalgebras(rep, seed=0)
     assert [s.dim for s in subs] == [1, 4]
     monkeypatch.setattr(invalg.factor, "centralizer", lambda sp, tol: sp)
     with pytest.raises(AssertionFailure, match="full algebra missing"):
         central_simple_invariant_subalgebras(rep, seed=0)
+    monkeypatch.setattr(invalg.factor, "multfree_scan", scan)
+    monkeypatch.setattr(invalg.factor, "centralizer", None)  # never called
+    with pytest.raises(AssertionFailure, match="full algebra missing"):
+        central_simple_invariant_subalgebras(rep, seed=0)
+
+
+# -- the partner's factorization, by permuting columns -----------------------------
+
+@pytest.mark.parametrize("name", ALL_INPUTS)
+def test_swapped_factorizations_hold(name, central_simple):
+    """Every entry's factorization, extracted or swapped from its partner's,
+    satisfies ``S^-1 rho S = lambda sigma (x) tau`` within 1e-10, with the
+    residual it reports; its centralizer is its partner entry."""
+    rep, subs = central_simple[name]
+    facts = invalg.factor.factor(subs, rep, seed=0)
+    for sp, fact in zip(subs, facts):
+        assert fact.b_space is sp and any(fact.z_space is t for t in subs)
+        assert fact.a ** 2 == sp.dim and fact.a * fact.b == rep.dim
+        assert centralizer(sp).equals(fact.z_space)
+        s_mat = fact.basis_change
+        rho = np.linalg.inv(s_mat) @ rep.matrices @ s_mat
+        kr = kron_stack(fact.sigma.matrices, fact.tau.matrices)
+        resid = float(np.max(row_norms(rho - fact.lambdas[:, None, None] * kr)))
+        assert resid <= 1e-10 and abs(resid - fact.residual) <= 1e-10

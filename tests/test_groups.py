@@ -242,6 +242,24 @@ def test_generators_generate_within_log2_order():
                 assert gens == ()
 
 
+def test_word_layers_reach_every_element_once():
+    """Past the generators, each element appears once, as its parent (from an
+    earlier layer) times a generator; the layers are cached."""
+    s3s3 = direct_product(_s3(), _s3())
+    groups = [e.group for e in catalog.catalog().values()] + [s3s3]
+    for g in groups:
+        for h in [g] + [sub.as_group() for sub in all_subgroups(g)]:
+            gens = np.array(h.generators, dtype=np.intp)
+            reached = {h.identity, *gens.tolist()}
+            for elems, parents, j in h.word_layers:
+                assert np.array_equal(h.mult[parents, gens[j]], elems)
+                assert set(parents.tolist()) <= reached
+                assert not reached & set(elems.tolist())
+                reached |= set(elems.tolist())
+            assert reached == set(range(h.order))
+            assert h.word_layers is h.word_layers
+
+
 def test_subgroup_as_group_matches_the_parent():
     """The realized subgroup's tables are the parent's, renumbered by position."""
     for key in ("S4", "SL23", "S3xS3"):

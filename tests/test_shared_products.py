@@ -1,16 +1,19 @@
 """Work the ``factor`` path now does once, against the code that did it twice.
 
-``_as_projective_rep`` recovers the cocycle and checks the law from one
-table of pair products; the old two-pass code (recovery, then ``validate``)
-is kept here as the oracle.  The reach table is built a row at a time; the
+``_as_projective_rep`` recovers the cocycle and certifies the law from the
+n |S| products over the generators; the all-pairs two-pass code (recovery,
+then ``validate``) is kept here as the oracle.  The reach table is built a row at a time; the
 per-pair loop is the oracle.  Centralizers are solved once per space.
 """
 
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import invalg.algebras
 import invalg.factor
@@ -92,14 +95,14 @@ def _pair_inputs():
 
 @pytest.fixture
 def law_results(monkeypatch):
-    """Every ``(deviation, pair)`` that reaches ``reps._check_law``."""
-    seen, check = [], invalg.reps._check_law
+    """Every ``((deviation, pair), bound)`` that ``reps._generator_law`` returns."""
+    seen, law = [], invalg.reps._generator_law
 
-    def record(worst, tol):
-        seen.append(worst)
-        return check(worst, tol)
+    def record(*args):
+        seen.append(law(*args))
+        return seen[-1]
 
-    monkeypatch.setattr(invalg.reps, "_check_law", record)
+    monkeypatch.setattr(invalg.reps, "_generator_law", record)
     return seen
 
 
@@ -108,8 +111,11 @@ def law_results(monkeypatch):
 @pytest.mark.parametrize("name,rep", _pair_inputs(), ids=[n for n, _ in _pair_inputs()])
 def test_one_pass_matches_the_two_pass_recovery(name, rep, phase_size, rows,
                                                 monkeypatch, law_results):
-    """Phases of 1e-11 leave a cocycle within 1e-8 of one, which is dropped:
-    the law is then checked without it, as ``validate`` of the result does."""
+    """The cocycle read off the generator pairs and filled along the word
+    layers is the all-pairs oracle's within 1e-10 (the oracle runs in row
+    blocks of ``rows``).  Phases of 1e-11 leave a cocycle within 1e-8 of one,
+    which is dropped.  The generator pairs are some of validate's pairs, and
+    the bound covers all of them."""
     n, k = rep.group.order, rep.dim
     if rows is not None:
         monkeypatch.setattr(invalg.reps, "_PAIR_BLOCK", rows * n * k * k)
@@ -122,9 +128,11 @@ def test_one_pass_matches_the_two_pass_recovery(name, rep, phase_size, rows,
     if phase_size == 1e-11 and not rep.is_projective:
         assert got.cocycle is None
     if got.cocycle is not None:
-        assert np.array_equal(got.cocycle.values, want.cocycle.values)
+        assert np.max(np.abs(got.cocycle.values - want.cocycle.values)) <= 1e-10
+    (dev, (g, s)), bound = law_results[0]
+    assert s in rep.group.generators
     report = validate(got, tol=1e-6)
-    assert law_results[0] == (report.max_deviation, report.worst_pair)
+    assert dev <= report.max_deviation <= bound + 1e-13 and bound <= 1e-6
 
 
 def _raised(fn, *args):
@@ -133,12 +141,20 @@ def _raised(fn, *args):
     return exc
 
 
+def _named_pair(exc):
+    """The ``(g, s)`` a non-scalar or law failure names."""
+    if exc.type is NotARepresentation:
+        return exc.value.worst_pair
+    g, s = re.search(r"not scalar at \((\d+), (\d+)\)$", str(exc.value)).groups()
+    return int(g), int(s)
+
+
 @pytest.mark.parametrize("rows", [None, 1, 3])
 @pytest.mark.parametrize("case", ["later_non_scalar", "law", "cocycle_and_law"])
 def test_errors_come_in_the_two_pass_order(case, rows, monkeypatch):
-    """A non-scalar pair beats a law failure in an earlier block (row 17
-    against the identity's row 0, at one and three rows a block); a failing
-    cocycle identity beats a failing law."""
+    """A non-scalar pair beats a law failure at the identity, and a failing
+    cocycle identity beats a failing law, as in the all-pairs oracle (run in
+    row blocks of ``rows``); a failing pair is a generator pair."""
     rep = _outer("S3:std", "C2xC2:pauli")
     n, k, e = rep.group.order, rep.dim, rep.group.identity
     if rows is not None:
@@ -153,13 +169,70 @@ def test_errors_come_in_the_two_pass_order(case, rows, monkeypatch):
     want = _raised(_two_pass, rep.group, mats.copy())
     got = _raised(_as_projective_rep, rep.group, mats.copy(), None)
     assert got.type is want.type
-    assert str(got.value) == str(want.value)
     expected_type = {"later_non_scalar": ToleranceFailure, "law": NotARepresentation,
                      "cocycle_and_law": ValueError}[case]
     assert got.type is expected_type
+    if case != "cocycle_and_law":
+        assert _named_pair(got)[1] in rep.group.generators
     if case == "law":
-        assert got.value.worst_pair == want.value.worst_pair
-        assert got.value.deviation == want.value.deviation
+        # the generator pair (1, s) fails by delta |rho(s)| = delta sqrt(k)
+        assert got.value.deviation == pytest.approx(delta * np.sqrt(k), rel=1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_generator_recovery_rejects_what_the_all_pairs_oracle_rejects(data):
+    """Scrambled inputs with one element (perhaps the identity) bent by up
+    to 10%: whenever the all-pairs recovery raises, so does the generator one.
+    (Conversely only away from the thresholds: the two cocycle tables
+    differ in their last digits off the generator pairs.)"""
+    name, rep = data.draw(st.sampled_from(_pair_inputs()), label="input")
+    n, k = rep.group.order, rep.dim
+    seed = data.draw(st.integers(0, 2 ** 16), label="seed")
+    mats = _scrambled(rep, seed, data.draw(st.sampled_from([0.0, 1e-11, 1.0])))
+    g = data.draw(st.integers(0, n - 1), label="element")
+    size = 10.0 ** data.draw(st.floats(-9.0, -1.0), label="log10 size")
+    rng = np.random.default_rng(seed)
+    bend = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    if data.draw(st.booleans(), label="scalar bend"):
+        bend = np.eye(k)
+    mats[g] = mats[g] + size * bend / np.linalg.norm(bend)
+    try:
+        _two_pass(rep.group, mats.copy())
+    except (ToleranceFailure, ValueError, NotARepresentation):
+        _raised(_as_projective_rep, rep.group, mats.copy(), None)
+
+
+def _skewed(rep, decades, seed=0):
+    """The matrices in a basis of condition number ``10 ** decades``."""
+    rng = np.random.default_rng(seed)
+    q1, _ = np.linalg.qr(rng.standard_normal((rep.dim,) * 2))
+    q2, _ = np.linalg.qr(rng.standard_normal((rep.dim,) * 2))
+    t = q1 @ np.diag(np.logspace(0, decades, rep.dim)) @ q2
+    return Representation(group=rep.group, dim=rep.dim, cocycle=rep.cocycle,
+                          matrices=np.linalg.inv(t) @ rep.matrices @ t)
+
+
+@pytest.mark.parametrize("key", ["S4:std3", "SL23:std"])
+def test_law_bound_runs_in_the_unitary_frame(key, monkeypatch):
+    """In a basis of condition number 100 the bound stays below 1e-8, where
+    a product of spectral norms (about 100 per word letter) would not.  At
+    condition number 1e3 it exceeds 1e-6, so every pair is checked, once,
+    instead: a valid representation is not rejected, a broken one is."""
+    rep = catalog.get(*key.split(":"))[1]
+    law = invalg.reps._generator_law
+    assert law(rep.group, _skewed(rep, 2).matrices, rep.cocycle)[1] < 1e-8
+    skew = _skewed(rep, 3)
+    assert law(rep.group, skew.matrices, rep.cocycle)[1] > 1e-6
+    calls = []
+    monkeypatch.setattr(invalg.reps, "validate", lambda r, tol: calls.append(tol) or validate(r, tol))
+    invalg.reps.check_law(skew, tol=1e-6)
+    assert calls == [1e-6]
+    broken = np.array(skew.matrices)
+    broken[3] *= 1 + 1e-5
+    with pytest.raises(NotARepresentation):
+        invalg.reps.check_law(Representation(group=rep.group, dim=rep.dim,
+                                             matrices=broken, cocycle=rep.cocycle), tol=1e-6)
 
 
 # -- the reach table ----------------------------------------------------------------
@@ -272,3 +345,46 @@ def test_factor_reuses_the_scan_solves(solves, monkeypatch, tmp_path):
     path.write_text(json.dumps(pair_to_json(rep.group, rep)))
     assert main(["factor", str(path), "--out", str(tmp_path / "out.json")]) == 0
     assert 0 < solves[0] < calls[0]
+
+
+# -- one extraction per dual pair -------------------------------------------------------
+
+
+def _factor_rep(name):
+    if name == "S3xPauli":
+        return _outer("S3:std", "C2xC2:pauli")
+    return catalog.get(*name.split(":"))[1]
+
+
+@pytest.mark.parametrize("name", ["S3xPauli", "S3xS3:stdXstd", "Q8:std", "S3:triv"])
+def test_factor_extracts_each_dual_pair_once(name, solves, monkeypatch):
+    """One extraction per unordered pair (the scalar line of d = 1 is its own
+    partner), and one centralizer solve per entry: none in a certified
+    search, B's to find its partner and the partner's for the double
+    centralizer, with no fresh solve on top."""
+    rep = _factor_rep(name)
+    extracted = []
+    extract = invalg.factor.extract_factorization
+
+    def counted(sp, *args, **kwargs):
+        extracted.append(sp)
+        return extract(sp, *args, **kwargs)
+
+    monkeypatch.setattr(invalg.factor, "extract_factorization", counted)
+    subs, certified = invalg.factor.central_simple_invariant_subalgebras(rep, seed=0)
+    assert certified and solves[0] == 0
+    facts = invalg.factor.factor(subs, rep, seed=0)
+    pairs = {frozenset((id(f.b_space), id(f.z_space))) for f in facts}
+    assert len(extracted) == len(pairs) == (len(subs) + 1) // 2
+    assert solves[0] == len(subs)
+    assert [f.b_space for f in facts] == subs
+    if rep.dim == 1:
+        assert len(subs) == 1 and facts[0].z_space is subs[0]
+
+
+def test_factor_raises_when_a_partner_is_missing():
+    rep = _factor_rep("S3xS3:stdXstd")
+    subs, _ = invalg.factor.central_simple_invariant_subalgebras(rep, seed=0)
+    dropped = [sp for sp in subs if sp.dim != 16]
+    with pytest.raises(invalg.AssertionFailure, match=r"centralizer of entry 0 \(dim 16\)"):
+        invalg.factor.factor(dropped, rep, seed=0)
