@@ -1,4 +1,12 @@
-"""Small shared linear-algebra helpers (SVD-based ranks, nullspaces, rounding)."""
+"""Small shared linear-algebra helpers (SVD-based ranks, nullspaces, rounding)
+and the package's table of tolerances.
+
+Every numerical decision in the package is taken against one of the names
+below.  A ``tol`` argument (the CLI's ``--tol``) defaults to ``RANK_TOL`` and
+moves the rank and membership decisions, with their ``tol * 10`` and
+``tol * 100`` multiples; every other name is fixed.  A rank is always read by
+:func:`_rank`'s relative rule.
+"""
 
 import math
 
@@ -6,16 +14,33 @@ import numpy as np
 
 from .errors import RoundingAmbiguous
 
-#: default tolerance for rank decisions and membership residuals
+#: ranks and membership residuals, as the default ``tol``.  Fixed at this
+#: value: the snap of a recovered rho(1) to I, the drop of a recovered cocycle
+#: within it of one, the floor of a declared cocycle's own check, and the
+#: orthonormality of a ``SubspaceOfV`` basis
 RANK_TOL = 1e-8
-#: default tolerance when rounding a float to a nearby integer
+#: rounding a float to an integer, and comparing character values
 INT_TOL = 1e-6
-#: default tolerance for subspace equality (symmetric projection residual)
+#: subspace equality (symmetric projection residual)
 EQ_TOL = 1e-6
+#: the fixed certificate residual: idempotents, matrix-unit relations,
+#: units, automorphisms and the Skolem–Noether round trip, scalar products
+#: and the law of a recovered projective representation, and rank one
+CERT_TOL = 1e-6
+#: eigenvalues of a spectral split cluster at this times the spectral radius
+IDEMPOTENT_GAP = 1e-6
+#: a trace below this counts as zero (corner matrix units that multiply to 0)
+ZERO_TRACE = 1e-10
+#: a determinant modulus below this counts as zero (a singular recovered matrix)
+ZERO_DET = 1e-12
 
 
 def _rank(s, tol):
-    """Count of singular values ``s`` (descending) above ``tol * max(1, s[0])``."""
+    """Count of singular values ``s`` (descending) above ``tol * max(1, s[0])``.
+
+    The one relative-rank rule: ``_rank(s, tol) < len(s)`` is the test for a
+    singular matrix.
+    """
     cutoff = tol * max(1.0, s[0] if s.size else 0.0)
     return int(np.sum(s > cutoff))
 

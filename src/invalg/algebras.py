@@ -14,15 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (EQ_TOL, RANK_TOL, cluster_complex, intertwiners,
-                      nullspace, round_to_int, row_norms)
+from ._linalg import (CERT_TOL, EQ_TOL, IDEMPOTENT_GAP, RANK_TOL, _rank,
+                      cluster_complex, intertwiners, nullspace, round_to_int,
+                      row_norms)
 from .errors import (AssertionFailure, MatchFailure, NotSemisimple,
                      ToleranceFailure)
 from .groups import Subgroup
 from .spaces import MatrixSubspace
 
 IDEMPOTENT_RETRIES = 20
-IDEMPOTENT_GAP = 1e-6
 
 
 @dataclass
@@ -116,24 +116,23 @@ def trace_form_gram(space, tol=RANK_TOL):
 def semisimplicity_certificate(space, tol=RANK_TOL):
     """Smallest singular value of the trace-form Gram matrix.
 
-    A value above ``tol`` certifies semisimplicity.  Returns the pair
-    ``(smallest_sv, radical_witness_or_None)``; memoized per tolerance, so
-    the witness is read-only.
+    Full rank under :func:`._linalg._rank` certifies semisimplicity.
+    Returns the pair ``(smallest_sv, radical_witness_or_None)``; memoized per
+    tolerance, so the witness is read-only.
     """
     if space.dim == 0:
         return np.inf, None
     gram = trace_form_gram(space, tol)
     u, s, vh = np.linalg.svd(gram)
     smallest = float(s[-1])
-    scale = max(1.0, float(s[0]))
-    if smallest > tol * scale:
+    if _rank(s, tol) == len(s):
         return smallest, None
     witness = (vh[-1].conj() @ space.flat).reshape(space.shape)
     witness.flags.writeable = False
     return smallest, witness
 
 
-def algebra_unit(space, tol=RANK_TOL):
+def algebra_unit(space):
     """The multiplicative unit of the algebra, or ``None`` if there is none."""
     if space.dim == 0:
         return None
@@ -151,7 +150,7 @@ def algebra_unit(space, tol=RANK_TOL):
     u = np.tensordot(coeff, basis, axes=(0, 0))
     resid = np.max(np.linalg.norm(u @ basis - basis, axis=(1, 2))
                    + np.linalg.norm(basis @ u - basis, axis=(1, 2)))
-    if resid > 1e-6:
+    if resid > CERT_TOL:
         return None
     return u
 
@@ -172,7 +171,7 @@ def central_primitive_idempotents(space, seed=0, tol=RANK_TOL):
         raise NotSemisimple(
             f"trace form is degenerate (smallest singular value {smallest:.3g})",
             witness=witness)
-    unit = algebra_unit(space, tol)
+    unit = algebra_unit(space)
     if unit is None:
         raise NotSemisimple("algebra has no unit element")
     z = center(space, tol)
@@ -181,7 +180,7 @@ def central_primitive_idempotents(space, seed=0, tol=RANK_TOL):
         raise NotSemisimple("center is zero")
 
     basis, whole, rest = z.basis(), space, np.eye(space.ambient_dim) - unit
-    if np.linalg.norm(rest) > 1e-6:
+    if np.linalg.norm(rest) > CERT_TOL:
         basis = np.concatenate([basis, rest[None]])
         whole = space.add(MatrixSubspace.from_spanning([rest], space.shape, tol), tol)
     idems = _spectral_split(whole, basis, len(basis), seed)
@@ -199,21 +198,21 @@ def _sorted_idempotents(idems):
 
 
 def _all_idempotent(projs):
-    """Whether every matrix ``p`` of the stack has ``|p p - p| <= 1e-6``."""
+    """Whether every matrix ``p`` of the stack has ``|p p - p| <= CERT_TOL``."""
     projs = np.asarray(projs)
-    return bool(np.all(row_norms(projs @ projs - projs) <= 1e-6))
+    return bool(np.all(row_norms(projs @ projs - projs) <= CERT_TOL))
 
 
 def _certified_projectors(v, w, parts):
     """Projectors ``v[:, ix] @ w[ix]`` over ``parts``, a partition of the
     columns of ``v``; ``None`` unless ``max(|wv - I|, |vw - I|) max(1, |v||w|)
-    <= 1e-6``.  As ``P_i P_j - [i == j] P_i = v_i (wv - I)_ij w_j`` and
+    <= CERT_TOL``.  As ``P_i P_j - [i == j] P_i = v_i (wv - I)_ij w_j`` and
     ``sum P - I = vw - I``, that one residual bounds every defect of a
     complete system of orthogonal idempotents: two products, not k^2.
     """
     res = max(np.linalg.norm(w @ v - np.eye(w.shape[0])),
               np.linalg.norm(v @ w - np.eye(v.shape[0])))
-    if res * max(1.0, np.linalg.norm(v) * np.linalg.norm(w)) > 1e-6:
+    if res * max(1.0, np.linalg.norm(v) * np.linalg.norm(w)) > CERT_TOL:
         return None
     return np.stack([v[:, ix] @ w[ix] for ix in parts])
 
@@ -240,7 +239,7 @@ def _spectral_split(space, basis, count, seed):
         if len(clusters) != count:
             continue
         projs = _certified_projectors(vecs, vinv, clusters)
-        if projs is not None and space.contains_all(projs, 1e-6):
+        if projs is not None and space.contains_all(projs, CERT_TOL):
             return list(projs)
     return None
 

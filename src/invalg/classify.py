@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import RANK_TOL, column_space
+from ._linalg import CERT_TOL, INT_TOL, RANK_TOL, _rank, column_space
 from .algebras import (InvariantSubalgebra, _certified_projectors, _sorted_idempotents,
                        _stabilizer, _symmetric_embedding, center, centralizer,
                        is_invariant, permutation_action, semisimplicity_certificate,
@@ -116,7 +116,7 @@ def induction_pairs(v_rep, seed=0, tol=RANK_TOL):
             if inner_product(res_char, chi) != 1:
                 continue
             ind = induced_character(sub, chi)
-            if max(abs(a - b) for a, b in zip(ind.values, chi_v.values)) > 1e-6:
+            if max(abs(a - b) for a, b in zip(ind.values, chi_v.values)) > INT_TOL:
                 continue
             rounded = [(round(v.real, 8), round(v.imag, 8)) for v in chi.values]
             orbit = frozenset(tuple(rounded[c] for c in row) for row in class_maps)
@@ -135,7 +135,7 @@ def induction_pairs(v_rep, seed=0, tol=RANK_TOL):
                     f"distinguished copy has dimension {basis.shape[1]}, "
                     f"expected {w_dim}")
             for h in h_group.generators:
-                if np.linalg.norm(res.matrices[h] @ proj - proj @ res.matrices[h]) > 1e-6:
+                if np.linalg.norm(res.matrices[h] @ proj - proj @ res.matrices[h]) > CERT_TOL:
                     raise AssertionFailure("copy projector fails to commute")
             w_mats = np.einsum("ai,gab,bj->gij", basis.conj(), res.matrices, basis)
             w_rep = Representation(group=h_group, dim=w_dim, matrices=w_mats,
@@ -161,8 +161,7 @@ def _block_span(pair, c_space, v_rep, tol=RANK_TOL):
     l, w, d = pair.subgroup.index, pair.w_rep.dim, v_rep.dim
     blocks = v_rep.matrices[list(pair.transversal.reps)] @ pair.copy_basis
     s = np.hstack(blocks)
-    svals = np.linalg.svd(s, compute_uv=False)
-    if svals[-1] < tol * max(1.0, svals[0]):
+    if _rank(np.linalg.svd(s, compute_uv=False), tol) < d:
         raise BlocksNotDirect(
             "transversal translates of the W-copy do not span independently")
     s_inv = np.linalg.inv(s)
@@ -176,15 +175,16 @@ def _block_span(pair, c_space, v_rep, tol=RANK_TOL):
     return space, s, s_inv
 
 
-def theta(datum, v_rep, seed=0, tol=RANK_TOL):
+def theta(datum, v_rep, tol=RANK_TOL):
     """Spread a central simple C = M_a over the transversal blocks of its pair.
 
     The output acts as (a conjugate of) C on each translate of the W-copy and
     as zero between translates: [G:H] copies of C, so its Wedderburn data are
-    read off the datum (``seed`` is unused).  The central primitive
-    idempotents are the blocks of the identity of End(W), certified on
-    ``s`` and ``s^-1`` and inside the span; each component has size ``a`` (``datum.quad[0]``, else ``sqrt(dim C)``) and multiplicity
-    ``dim W / a``.  Any other C goes through :func:`_block_span` alone.
+    read off the datum.  The central primitive idempotents are the blocks of
+    the identity of End(W), certified on ``s`` and ``s^-1`` and inside the
+    span; each component has size ``a`` (``datum.quad[0]``, else
+    ``sqrt(dim C)``) and multiplicity ``dim W / a``.  Any other C goes
+    through :func:`_block_span` alone.
     """
     w, k = datum.pair.w_rep.dim, datum.c_space.dim
     a = datum.quad[0] if datum.quad else math.isqrt(k)
@@ -192,7 +192,7 @@ def theta(datum, v_rep, seed=0, tol=RANK_TOL):
         raise ValueError(f"a dim-{k} C is not M_a for any a dividing dim W = {w}")
     space, s, s_inv = _block_span(datum.pair, datum.c_space, v_rep, tol)
     idems = _certified_projectors(s, s_inv, np.arange(len(s)).reshape(-1, w))
-    if idems is None or not space.contains_all(idems, 1e-6):
+    if idems is None or not space.contains_all(idems, CERT_TOL):
         raise AssertionFailure("block projectors fail as central idempotents of the span")
     return InvariantSubalgebra(
         space=space, unital=True, idempotents=_sorted_idempotents(idems),
@@ -219,7 +219,7 @@ def enumerate_invariant_subalgebras(v_rep, seed=0, tol=RANK_TOL):
         for c_space in cs_list:
             a = int(round(np.sqrt(c_space.dim)))
             datum = InductionDatum(pair, c_space, quad=(a, w // a))
-            b = theta(datum, v_rep, seed=seed, tol=tol)
+            b = theta(datum, v_rep, tol=tol)
             if not any(b.space.equals(o.space) for o in out):
                 out.append(b)
     for b in list(out):
@@ -295,7 +295,7 @@ def verify_classification(subalgebras, v_rep, seed=0, tol=RANK_TOL):
     return ClassificationReport(violations=violations, checked=len(subalgebras))
 
 
-def theta_lattice_check(pair, c1, c2, v_rep, seed=0, tol=RANK_TOL):
+def theta_lattice_check(pair, c1, c2, v_rep, tol=RANK_TOL):
     """Intersections and inclusions must commute with the block construction."""
     violations = []
     t1, t2, tmeet = (_block_span(pair, c, v_rep, tol)[0]

@@ -263,11 +263,15 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     text = _dumps(payload)
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        if getattr(args, "out", None):
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:  # e.g. --out in a missing directory
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return code
 
 

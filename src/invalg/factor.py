@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._linalg import RANK_TOL, column_space, kron_stack, row_norms
+from ._linalg import (CERT_TOL, RANK_TOL, ZERO_TRACE, _rank, column_space,
+                      kron_stack, row_norms)
 from .algebras import (_spectral_split, center, centralizer,
                        semisimplicity_certificate)
 from .errors import AssertionFailure, FactorRecoveryFailure, NotCentralSimple
@@ -213,7 +214,7 @@ def _matrix_units(b_space, a, seed, tol):
     for p in range(1, a):
         u, v = corner(0, p, f"1-{p}"), corner(p, 0, f"{p}-1")
         c = np.trace(u @ v) / np.trace(diag[0])
-        if abs(c) < 1e-10:
+        if abs(c) < ZERO_TRACE:
             raise FactorRecoveryFailure("corner generators multiply to zero")
         units[(0, p)] = u
         units[(p, 0)] = v / c
@@ -221,7 +222,7 @@ def _matrix_units(b_space, a, seed, tol):
         for q in range(1, a):
             units[(p, q)] = units[(p, 0)] @ units[(0, q)]
     for p in range(1, a):
-        if np.linalg.norm(units[(p, p)] - diag[p]) > 1e-6:
+        if np.linalg.norm(units[(p, p)] - diag[p]) > CERT_TOL:
             raise FactorRecoveryFailure("diagonal units disagree with projectors")
     _check_unit_relations(units)
     return units
@@ -229,7 +230,7 @@ def _matrix_units(b_space, a, seed, tol):
 
 def _check_unit_relations(units):
     """Raise for the first pair, in the dict's order, that breaks
-    ``e_pq e_rs = [q == r] e_ps`` by more than 1e-6.
+    ``e_pq e_rs = [q == r] e_ps`` by more than ``CERT_TOL``.
 
     All a^4 products are formed as stacked rows ``e_pq [e_11, ...]``, a
     block of (p, q) rows at a time.
@@ -245,7 +246,7 @@ def _check_unit_relations(units):
         diff = stack[rows, None] @ stack
         hit = want[rows] >= 0
         diff[hit] -= stack[want[rows][hit]]
-        bad = np.flatnonzero(row_norms(diff.reshape(-1, d, d)) > 1e-6)
+        bad = np.flatnonzero(row_norms(diff.reshape(-1, d, d)) > CERT_TOL)
         if bad.size:
             i, j = divmod(int(bad[0]), len(keys))
             (p, q), (r, s) = keys[rows.start + i], keys[j]
@@ -285,8 +286,7 @@ def extract_factorization(b_space, w_rep, seed=0, tol=RANK_TOL):
         raise FactorRecoveryFailure(
             f"diagonal unit has rank {w_cols.shape[1]}, expected {b}")
     s_mat = np.hstack([units[(p, 0)] @ w_cols for p in range(a)])
-    svals = np.linalg.svd(s_mat, compute_uv=False)
-    if svals[-1] < tol * max(1.0, svals[0]):
+    if _rank(np.linalg.svd(s_mat, compute_uv=False), tol) < d:
         raise FactorRecoveryFailure("block basis change is singular")
     s_inv = np.linalg.inv(s_mat)
 
@@ -298,7 +298,7 @@ def extract_factorization(b_space, w_rep, seed=0, tol=RANK_TOL):
     r = rho.reshape(n, a, b, a, b).transpose(0, 1, 3, 2, 4).reshape(n, a * a, b * b)
     u_, s_, vh_ = np.linalg.svd(r)
     zero = s_[:, 0] < tol
-    bad = zero | ((s_[:, 1] > 1e-6 * s_[:, 0]) if min(a, b) > 1 else False)
+    bad = zero | ((s_[:, 1] > CERT_TOL * s_[:, 0]) if min(a, b) > 1 else False)
     stop = int(np.argmax(bad)) if bad.any() else n
     scale = np.sqrt(s_[:stop, 0])[:, None]
     # elements before the first failing one are normalized (and may fail) first

@@ -31,7 +31,7 @@ class SubspaceOfV:
     def __post_init__(self):
         self.basis = np.asarray(self.basis, dtype=complex).reshape(self.ambient, -1)
         gram = self.basis.conj().T @ self.basis
-        if np.linalg.norm(gram - np.eye(self.basis.shape[1])) > 1e-8:
+        if np.linalg.norm(gram - np.eye(self.basis.shape[1])) > RANK_TOL:
             raise ValueError("subspace basis is not orthonormal")
 
     @classmethod
@@ -204,7 +204,7 @@ def invariant_subspaces(rep, seed=0, tol=RANK_TOL):
     ``2^m`` entries sorted by dimension.  Otherwise a :class:`Parametrization`
     describing the infinite lattice.
     """
-    comps = isotypic_decomposition(rep, seed=seed, tol=tol)
+    comps = isotypic_decomposition(rep, seed=seed)
     if any(c.multiplicity > 1 for c in comps):
         return Parametrization([(c.irrep_label, c.multiplicity, c.dim)
                                 for c in comps])

@@ -148,6 +148,17 @@ def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
+def _coordinate(c):
+    """``c`` as an int; a float, string or bool raises ValueError."""
+    if c.__class__ is not bool:
+        try:
+            return operator.index(c)
+        except TypeError:
+            pass
+    raise ValueError(
+        f"highest weight coordinate {c!r} is a {type(c).__name__}, not an integer")
+
+
 @dataclass(frozen=True)
 class HighestWeight:
     system: RootSystem
@@ -157,7 +168,7 @@ class HighestWeight:
     _dim: int = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        coords = tuple(int(c) for c in self.coords)
+        coords = tuple(map(_coordinate, self.coords))
         if len(coords) != self.system.rank:
             raise ValueError(
                 f"{self.system.name} needs {self.system.rank} coordinates, "

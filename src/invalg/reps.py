@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (INT_TOL, RANK_TOL, intertwiners, kron_stack,
-                      round_to_gaussian_int, round_to_int, row_norms,
-                      scalar_multiple_of_identity)
+from ._linalg import (CERT_TOL, INT_TOL, RANK_TOL, ZERO_DET, intertwiners,
+                      kron_stack, round_to_gaussian_int, round_to_int,
+                      row_norms, scalar_multiple_of_identity)
 from .algebras import _all_idempotent, _spectral_split
 from .errors import (AssertionFailure, FactorRecoveryFailure, NotAnAutomorphism,
                      NotARepresentation, ToleranceFailure)
@@ -246,7 +246,7 @@ def check_law(rep, tol=RANK_TOL):
     if mats.shape != (rep.group.order, rep.dim, rep.dim):
         raise NotARepresentation("matrix array has wrong shape")
     if rep.cocycle is not None:
-        rep.cocycle.validate(tol=max(tol, 1e-8))
+        rep.cocycle.validate(tol=max(tol, RANK_TOL))
     e = rep.group.identity  # first, so that the frame of the bound exists
     _check_law((float(np.linalg.norm(mats[e] - np.eye(rep.dim))), (e, e)), tol)
     _certify_law(rep, tol)
@@ -265,7 +265,7 @@ def validate(rep, tol=RANK_TOL):
         raise NotARepresentation("matrix array has wrong shape")
     id_dev = float(np.linalg.norm(mats[g.identity] - np.eye(d)))
     if rep.cocycle is not None:
-        rep.cocycle.validate(tol=max(tol, 1e-8))
+        rep.cocycle.validate(tol=max(tol, RANK_TOL))
     alpha = None if rep.cocycle is None else rep.cocycle.values
     worst = (id_dev, (g.identity, g.identity))
     for rows in _pair_blocks(n, n * d * d):
@@ -407,7 +407,7 @@ def character_table(group, seed=0):
     return chars
 
 
-def isotypic_decomposition(rep, seed=0, tol=RANK_TOL):
+def isotypic_decomposition(rep, seed=0):
     """Isotypic projectors of a linear representation (see :func:`_isotypic`)."""
     return _isotypic(rep.group, character(rep), rep.dim, lambda g: rep.matrices[g], seed)
 
@@ -451,7 +451,8 @@ def _isotypic(group, chi_v, dim, mats_of, seed):
     coeffs = np.array([np.conj(chi.values) * (d_i / group.order) for _, chi, _, d_i in found])
     projs = (coeffs @ sums).reshape(-1, dim, dim)
     ranks = [m * d_i for _, _, m, d_i in found]
-    if not (_all_idempotent(projs) and np.linalg.norm(projs.sum(axis=0) - np.eye(dim)) <= 1e-6
+    if not (_all_idempotent(projs)
+            and np.linalg.norm(projs.sum(axis=0) - np.eye(dim)) <= CERT_TOL
             and np.all(np.abs(np.einsum("kii->k", projs) - ranks) <= INT_TOL)):
         raise ToleranceFailure(
             "isotypic projectors are not idempotents of traces m_i d_i summing to the identity")
@@ -543,7 +544,7 @@ def equivariant_hom_space(v_rep, w_rep, tol=RANK_TOL):
     return intertwiners(v_rep.matrices, w_rep.matrices, tol)
 
 
-def skolem_noether_lift(group, action, tol=RANK_TOL):
+def skolem_noether_lift(group, action):
     """Lift an automorphism action on ``M_d`` to a projective representation.
 
     Parameters
@@ -574,7 +575,7 @@ def skolem_noether_lift(group, action, tol=RANK_TOL):
 
     for g in range(n):
         t_eye = (action[g] @ eye.reshape(d2)).reshape(d, d)
-        if np.linalg.norm(t_eye - eye) > 1e-6:
+        if np.linalg.norm(t_eye - eye) > CERT_TOL:
             raise NotAnAutomorphism(f"action of element {g} does not fix the identity")
         # T(E_ij) T(E_kl) against T(E_ij E_kl) = delta_jk T(E_il), all pairs at once
         t = images[g]
@@ -582,7 +583,7 @@ def skolem_noether_lift(group, action, tol=RANK_TOL):
                  ).reshape(d2, d, d2, d).transpose(0, 2, 1, 3)
         want = np.einsum("jk,ilac->ijklac", eye, t.reshape(d, d, d, d))
         want = want.reshape(prods.shape)
-        if np.max(np.linalg.norm(prods - want, axis=(2, 3))) > 1e-6:
+        if np.max(np.linalg.norm(prods - want, axis=(2, 3))) > CERT_TOL:
             raise NotAnAutomorphism(f"action of element {g} is not multiplicative")
 
     # T(E_11) projects onto the line of rho(g) e_1 and T(E_j1) carries that
@@ -601,7 +602,7 @@ def skolem_noether_lift(group, action, tol=RANK_TOL):
     for g in range(n):
         rebuilt = np.einsum("ij,ujk,kl->uil", mats[g], units, inv_mats[g])
         worst = max(worst, float(np.linalg.norm(rebuilt - images[g])))
-    if worst > 1e-6:
+    if worst > CERT_TOL:
         raise ToleranceFailure(f"lift round-trip residual {worst:.3g}")
     return rep
 
@@ -614,7 +615,7 @@ def _normalize_projective(mats):
     # moduli by hypot and roots by scalar pow: the vectorized complex abs
     # and power may differ from them in the last bit
     det = np.hypot(det.real, det.imag)
-    if np.any(det < 1e-12):
+    if np.any(det < ZERO_DET):
         raise FactorRecoveryFailure("recovered projective matrix is singular")
     mats = mats / np.array([x ** (1.0 / k) for x in det.tolist()])[:, None, None]
     flat = mats.reshape(n, k * k)
@@ -625,23 +626,24 @@ def _normalize_projective(mats):
 def _as_projective_rep(group, mats, name):
     """Wrap matrices as a representation, recovering the cocycle table.
 
-    ``rho(1)`` is set to exactly ``I`` in place when it is within 1e-8 of
-    it, as the normalized cocycle assumes.  ``alpha(g, s)`` is the scalar
-    ``rho(g) rho(s) rho(gs)^-1`` for s in ``group.generators``; a product
-    that is not scalar raises :class:`ToleranceFailure` naming that pair.
+    ``rho(1)`` is set to exactly ``I`` in place when it is within
+    ``RANK_TOL`` of it, as the normalized cocycle assumes.  ``alpha(g, s)``
+    is the scalar ``rho(g) rho(s) rho(gs)^-1`` for s in ``group.generators``;
+    a product that is not scalar raises :class:`ToleranceFailure` naming
+    that pair.
     The rest of the table follows along ``group.word_layers``, from
     ``alpha(g, hs) = alpha(g, h) alpha(gh, s) / alpha(h, s)``, and
     :func:`_certify_law` certifies the law on every pair from the n |S|
-    generator products.  A cocycle within 1e-8 of one everywhere is dropped,
-    leaving a linear representation.
+    generator products.  A cocycle within ``RANK_TOL`` of one everywhere is
+    dropped, leaving a linear representation.
     """
     n, k, e = group.order, mats.shape[1], group.identity
-    if np.linalg.norm(mats[e] - np.eye(k)) < 1e-8:
+    if np.linalg.norm(mats[e] - np.eye(k)) < RANK_TOL:
         mats[e] = np.eye(k)
     gens = np.array(group.generators, dtype=np.intp)
     prods = mats[:, None] @ mats[gens]
     c, ok = scalar_multiple_of_identity(
-        prods @ np.linalg.inv(mats)[group.mult[:, gens]], tol=1e-6)
+        prods @ np.linalg.inv(mats)[group.mult[:, gens]], tol=CERT_TOL)
     if not ok.all():
         g, j = divmod(int(np.argmin(ok)), len(gens))  # first failure, row-major
         raise ToleranceFailure(f"rho(g)rho(h)rho(gh)^-1 is not scalar at ({g}, {gens[j]})")
@@ -652,10 +654,10 @@ def _as_projective_rep(group, mats, name):
         vals[:, h] = vals[:, p] * vals[group.mult[:, p], gens[j]] / vals[p, gens[j]]
     vals[e] = 1.0
     cocycle = None
-    if np.max(np.abs(vals - 1.0)) > 1e-8:
+    if np.max(np.abs(vals - 1.0)) > RANK_TOL:
         cocycle = TwoCocycle(group, vals)
-        cocycle.validate(tol=1e-6)
+        cocycle.validate(tol=CERT_TOL)
     rep = Representation(group=group, dim=k, matrices=mats,
                          unitary=False, cocycle=cocycle, name=name)
-    _certify_law(rep, 1e-6, prods)
+    _certify_law(rep, CERT_TOL, prods)
     return rep

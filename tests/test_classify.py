@@ -186,7 +186,7 @@ def test_theta_cartan_from_rotation_datum():
     assert c3_pair.subgroup.order == 3
     assert c3_pair.w_rep.dim == 1
     datum = InductionDatum(pair=c3_pair, c_space=MatrixSubspace.full((1, 1)))
-    cartan = theta(datum, rep, seed=0)
+    cartan = theta(datum, rep)
     assert cartan.dim == 2
     assert list(cartan.component_dims) == [1, 1]
     # self-dual: the Cartan is its own centralizer
@@ -198,9 +198,9 @@ def test_theta_dimension_law():
     _, rep = catalog.get("S3xS3", "stdXstd")
     for pair in induction_pairs(rep, seed=0):
         w = pair.w_rep.dim
-        full = theta(InductionDatum(pair, MatrixSubspace.full((w, w))), rep, seed=0)
+        full = theta(InductionDatum(pair, MatrixSubspace.full((w, w))), rep)
         assert full.dim == pair.subgroup.index * w * w
-        line = theta(InductionDatum(pair, MatrixSubspace.identity_line(w)), rep, seed=0)
+        line = theta(InductionDatum(pair, MatrixSubspace.identity_line(w)), rep)
         assert line.dim == pair.subgroup.index
 
 
@@ -212,7 +212,7 @@ def test_theta_respects_lattice_ops():
     smalls = [s.space for s in inner if s.dim in (2, 4)][:3]
     for i, c1 in enumerate(smalls):
         for c2 in smalls[i + 1:]:
-            report = theta_lattice_check(pair, c1, c2, rep, seed=0)
+            report = theta_lattice_check(pair, c1, c2, rep)
             assert report.ok
 
 
@@ -265,6 +265,18 @@ def test_quad_recorded_on_data():
         assert a * b == datum.pair.w_rep.dim
 
 
+def test_block_span_rejects_dependent_translates():
+    """A copy basis fixed by rho(t) up to scale gives translates on one line."""
+    _, rep = catalog.get("S3", "std")
+    pair = induction_pairs(rep, seed=0)[0]
+    assert pair.subgroup.index == 2 and pair.w_rep.dim == 1
+    t = pair.transversal.reps[1]
+    _, vecs = np.linalg.eig(rep.matrices[t])
+    bad = dataclasses.replace(pair, copy_basis=vecs[:, :1])
+    with pytest.raises(invalg.BlocksNotDirect, match="do not span independently"):
+        invalg.classify._block_span(bad, MatrixSubspace.identity_line(1), rep)
+
+
 def _theta_oracle(datum, v_rep):
     """Wedderburn data of the block span by two full spectral splits, as
     ``theta`` found them before it read them off the datum."""
@@ -307,7 +319,7 @@ def test_theta_runs_no_spectral_split(monkeypatch):
         w, l = pair.w_rep.dim, pair.subgroup.index
         for c_space, a in ((MatrixSubspace.identity_line(w), 1),
                            (MatrixSubspace.full((w, w)), w)):
-            b = theta(InductionDatum(pair, c_space), rep, seed=0)
+            b = theta(InductionDatum(pair, c_space), rep)
             assert (b.component_dims, b.multiplicities) == ([a] * l, [w // a] * l)
             assert len(b.idempotents) == l
 
@@ -317,7 +329,7 @@ def test_theta_rejects_a_c_that_is_not_m_a():
     pair = induction_pairs(rep, seed=0)[-1]  # (G, V), W = V of dim 2
     cartan = MatrixSubspace.from_spanning([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
     with pytest.raises(ValueError, match="not M_a"):
-        theta(InductionDatum(pair, cartan), rep, seed=0)
+        theta(InductionDatum(pair, cartan), rep)
 
 
 def test_verify_reports_a_wrong_recorded_pair():
@@ -355,7 +367,7 @@ def test_theta_checks_use_the_span_helper(monkeypatch):
 
     monkeypatch.setattr(invalg.classify, "_block_span", counting)
     monkeypatch.setattr(invalg.classify, "theta", _forbidden)
-    assert theta_lattice_check(pair, c1, c2, rep, seed=0).ok
+    assert theta_lattice_check(pair, c1, c2, rep).ok
     assert sorted(calls) == sorted([c1.dim, c2.dim, c1.intersect(c2).dim])
     calls.clear()
     report = theta_transitivity_check(rep, seed=0)

@@ -235,6 +235,25 @@ def test_wrongly_typed_input_exits_1_at_load(name, cmd, tmp_path, capsys):
     assert str(path) in err
 
 
+def test_unwritable_out_path_exits_1(tmp_path, capsys):
+    """An --out path in a missing directory is one error line, not a traceback."""
+    path = tmp_path / "missing" / "x.json"
+    assert main(["validate", "catalog:S3:std", "--out", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("weights", ["[1.5]", '["2"]', "[true]"])
+def test_lie_non_integer_weight_exits_1(weights, capsys):
+    assert main(["lie", "--type", "A1", "--weights", weights]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "not an integer" in err
+
+
 def test_ideals_decomposes_once(monkeypatch, capsys):
     """One isotypic decomposition serves the subspaces and both ideal lattices."""
     calls = []

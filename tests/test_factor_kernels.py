@@ -142,9 +142,10 @@ def test_normalize_projective_matches_per_matrix_calls():
             want = np.stack([_normalize_one(m) for m in stack])
             assert np.array_equal(_normalize_projective(stack.copy()), want)
     assert _normalize_projective(np.zeros((0, 2, 2), dtype=complex)).shape == (0, 2, 2)
-    singular = np.stack([np.eye(2), np.ones((2, 2))]).astype(complex)
-    with pytest.raises(FactorRecoveryFailure, match="singular"):
-        _normalize_projective(singular)
+    for bad in (np.ones((2, 2)), np.zeros((2, 2))):
+        singular = np.stack([np.eye(2), bad]).astype(complex)
+        with pytest.raises(FactorRecoveryFailure, match="singular"):
+            _normalize_projective(singular)
 
 
 # -- the first failing element ---------------------------------------------------

@@ -4,6 +4,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from invalg import (HighestWeight, NonIntegerDimension, RootSystem,
@@ -82,8 +83,13 @@ def test_highest_weight_validation():
         HighestWeight(rs, (-1, 0))
     with pytest.raises(ValueError):
         HighestWeight(rs, (1,))
-    w = HighestWeight(rs, (1, 2))
+    # a float, string or bool coordinate is an error, not rounded or cast
+    for bad in (1.5, 2.0, "2", True):
+        with pytest.raises(ValueError, match="not an integer"):
+            HighestWeight(rs, (1, bad))
+    w = HighestWeight(rs, (np.int64(1), 2))
     assert not w.is_zero
+    assert w.coords == (1, 2) and all(type(c) is int for c in w.coords)
     assert HighestWeight(rs, (0, 0)).is_zero
 
 

@@ -332,8 +332,8 @@ def test_skolem_noether_pauli_commutator():
 def test_skolem_noether_rejects_non_automorphism():
     g, rep = catalog.get("S3", "std")
     action = _conjugation_action(rep)
-    action[2] *= 1.5  # scaling breaks multiplicativity
-    with pytest.raises(NotAnAutomorphism):
+    action[2] *= 2  # maps I to 2I: linear, but not unital
+    with pytest.raises(NotAnAutomorphism, match="element 2 does not fix the identity"):
         skolem_noether_lift(g, action)
 
 
