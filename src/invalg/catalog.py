@@ -88,8 +88,7 @@ def _standard_rep(group, name="std"):
     k = len(group.permutations[0])
     u = _sum_zero_basis(k)
     mats = np.einsum("ia,gij,jb->gab", u, pm, u).astype(complex)
-    return Representation(group=group, dim=k - 1, matrices=mats, unitary=True,
-                          name=name)
+    return Representation(group=group, dim=k - 1, matrices=mats, name=name)
 
 
 def _sign_values(group):
@@ -108,8 +107,7 @@ def _sign_values(group):
 
 def _one_dim(group, values, name):
     mats = np.array(values, dtype=complex).reshape(-1, 1, 1)
-    return Representation(group=group, dim=1, matrices=mats, unitary=True,
-                          name=name)
+    return Representation(group=group, dim=1, matrices=mats, name=name)
 
 
 def _direct_sum(name, *reps):
@@ -121,8 +119,7 @@ def _direct_sum(name, *reps):
     for r in reps:
         mats[:, off:off + r.dim, off:off + r.dim] = r.matrices
         off += r.dim
-    return Representation(group=group, dim=total, matrices=mats,
-                          unitary=all(r.unitary for r in reps), name=name)
+    return Representation(group=group, dim=total, matrices=mats, name=name)
 
 
 @functools.lru_cache(maxsize=1)
@@ -146,16 +143,14 @@ def catalog():
     qj = np.array([[0, 1], [-1, 0]], dtype=complex)
     q8, q8_mats = _matrix_group([qi, qj], "Q8")
     entries["Q8"] = CatalogEntry("Q8", q8, {
-        "std": Representation(group=q8, dim=2, matrices=q8_mats, unitary=True,
-                              name="std"),
+        "std": Representation(group=q8, dim=2, matrices=q8_mats, name="std"),
     }, note="quaternion group; the 2-dim irreducible is faithful")
 
     rot = np.array([[0, -1], [1, 0]], dtype=complex)
     ref = np.array([[1, 0], [0, -1]], dtype=complex)
     d4, d4_mats = _matrix_group([rot, ref], "D4")
     entries["D4"] = CatalogEntry("D4", d4, {
-        "std": Representation(group=d4, dim=2, matrices=d4_mats, unitary=True,
-                              name="std"),
+        "std": Representation(group=d4, dim=2, matrices=d4_mats, name="std"),
     }, note="symmetries of the square")
 
     a4 = build_from_permutations([(1, 2, 0, 3), (1, 0, 3, 2)], name="A4")
@@ -171,8 +166,7 @@ def catalog():
     w = 0.5 * np.array([[-1 + 1j, 1 + 1j], [-1 + 1j, -1 - 1j]])
     sl23, sl_mats = _matrix_group([qi, w], "SL23")
     entries["SL23"] = CatalogEntry("SL23", sl23, {
-        "std": Representation(group=sl23, dim=2, matrices=sl_mats,
-                              unitary=True, name="std"),
+        "std": Representation(group=sl23, dim=2, matrices=sl_mats, name="std"),
     }, note="binary tetrahedral group; its 2-dim irreducible is primitive")
 
     s3xs3 = direct_product(s3, s3)
@@ -182,8 +176,7 @@ def catalog():
         for b in range(n):
             kron[a * n + b] = np.kron(std.matrices[a], std.matrices[b])
     entries["S3xS3"] = CatalogEntry("S3xS3", s3xs3, {
-        "stdXstd": Representation(group=s3xs3, dim=4, matrices=kron,
-                                  unitary=True, name="stdXstd"),
+        "stdXstd": Representation(group=s3xs3, dim=4, matrices=kron, name="stdXstd"),
     }, note="product group acting on the tensor square of the standard rep")
 
     c2 = build_from_mult_table([[0, 1], [1, 0]], name="C2")
@@ -201,7 +194,7 @@ def catalog():
                 for e in range(2):
                     alpha[a * 2 + b, c * 2 + e] = (-1.0) ** (b * c)
     entries["C2xC2"] = CatalogEntry("C2xC2", k4, {
-        "pauli": Representation(group=k4, dim=2, matrices=pauli, unitary=True,
+        "pauli": Representation(group=k4, dim=2, matrices=pauli,
                                 cocycle=TwoCocycle(k4, alpha), name="pauli"),
     }, note="Klein four-group with its genuinely projective Pauli rep")
 
@@ -248,7 +241,6 @@ def rep_to_json(rep):
     d = {
         "dim": rep.dim,
         "matrices": _complex_to_json(rep.matrices),
-        "unitary": bool(rep.unitary),
     }
     if rep.name:
         d["name"] = rep.name
@@ -258,15 +250,17 @@ def rep_to_json(rep):
 
 
 def rep_from_json(group, d):
-    """The representation a JSON dict describes; ValueError unless its
-    matrices are (order, dim, dim) and its cocycle, if any, (order, order)."""
-    n, dim = group.order, int(d["dim"])
+    """The representation a JSON dict describes; TypeError unless ``dim`` is
+    a JSON integer, ValueError unless its matrices are (order, dim, dim) and
+    its cocycle, if any, (order, order).  A ``"unitary"`` key is ignored."""
+    n, dim = group.order, d["dim"]
+    if type(dim) is not int:  # not a float, a string or a bool
+        raise TypeError(f"'dim' must be an integer; got {dim!r}")
     cocycle = None
     if "cocycle" in d:
         cocycle = TwoCocycle(group, _complex_from_json(d["cocycle"], "cocycle", (n, n)))
     return Representation(group=group, dim=dim,
                           matrices=_complex_from_json(d["matrices"], "matrices", (n, dim, dim)),
-                          unitary=bool(d.get("unitary", False)),
                           cocycle=cocycle, name=d.get("name"))
 
 

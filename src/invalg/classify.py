@@ -138,8 +138,7 @@ def induction_pairs(v_rep, seed=0, tol=RANK_TOL):
                 if np.linalg.norm(res.matrices[h] @ proj - proj @ res.matrices[h]) > CERT_TOL:
                     raise AssertionFailure("copy projector fails to commute")
             w_mats = np.einsum("ai,gab,bj->gij", basis.conj(), res.matrices, basis)
-            w_rep = Representation(group=h_group, dim=w_dim, matrices=w_mats,
-                                   unitary=v_rep.unitary, name=None)
+            w_rep = Representation(group=h_group, dim=w_dim, matrices=w_mats, name=None)
             if not is_induced_from(v_rep, sub, w_rep):
                 raise AssertionFailure("V is not induced from the distinguished copy")
             pairs.append(InductionPair(

@@ -27,6 +27,7 @@ from .lie import HighestWeight, etingof_enumerate, parse_product_type
 from .reps import check_law, is_irreducible, validate
 
 SCHEMA = 1
+TOL_CEILING = 1e-2
 
 
 def _complex_json(arr, ndigits=12):
@@ -207,6 +208,15 @@ def cmd_catalog(args):
     return payload, 0
 
 
+def tolerance(text):
+    """The ``--tol`` argument: a float in ``(0, TOL_CEILING)``, so that every
+    ``tol * 100`` a check uses stays below one (a bound that passes anything)."""
+    tol = float(text)
+    if not 0 < tol < TOL_CEILING:  # NaN fails the comparison too
+        raise argparse.ArgumentTypeError(f"must lie in (0, {TOL_CEILING:g}); got {text}")
+    return tol
+
+
 @functools.cache
 def _parser():
     p = argparse.ArgumentParser(
@@ -217,7 +227,7 @@ def _parser():
 
     def add_common(sp):
         sp.add_argument("input", help="catalog:KEY:REP or a JSON file path")
-        sp.add_argument("--tol", type=float, default=RANK_TOL)
+        sp.add_argument("--tol", type=tolerance, default=RANK_TOL)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None,
                         help="write JSON here instead of stdout")

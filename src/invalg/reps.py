@@ -90,7 +90,6 @@ class Representation:
     group: FiniteGroup
     dim: int
     matrices: np.ndarray
-    unitary: bool = False
     cocycle: TwoCocycle = None
     name: str = None
 
@@ -99,9 +98,12 @@ class Representation:
         return self.cocycle is not None
 
     def inverses(self, elems=slice(None)):
-        """``rho(g)^-1`` for ``g`` in ``elems``; the conjugate transpose if unitary."""
-        mats = self.matrices[elems]
-        return np.conj(np.swapaxes(mats, -1, -2)) if self.unitary else np.linalg.inv(mats)
+        """``rho(g)^-1`` for ``g`` in ``elems``, read off the group table:
+        ``rho(g) rho(g^-1) = alpha(g, g^-1) I`` (alpha = 1 when linear)."""
+        g = np.arange(self.group.order)[elems]
+        inv = self.group.inv[g]
+        alpha = 1.0 if self.cocycle is None else self.cocycle.values[g, inv][..., None, None]
+        return self.matrices[inv] / alpha
 
 
 @dataclass(frozen=True)
@@ -270,10 +272,8 @@ def validate(rep, tol=RANK_TOL):
     worst = (id_dev, (g.identity, g.identity))
     for rows in _pair_blocks(n, n * d * d):
         worst = _fold_law(worst, mats, g.mult, rows, mats[rows, None] @ mats, alpha)
-    unit_dev = 0.0
-    if rep.unitary:
-        uhu = np.einsum("gji,gjk->gik", mats.conj(), mats)
-        unit_dev = float(np.max(np.linalg.norm(uhu - np.eye(d), axis=(1, 2))))
+    uhu = np.einsum("gji,gjk->gik", mats.conj(), mats)
+    unit_dev = float(np.max(np.linalg.norm(uhu - np.eye(d), axis=(1, 2))))
     _check_law(worst, tol)
     return ValidationReport(max_deviation=worst[0], worst_pair=worst[1],
                             identity_deviation=id_dev, unitary_deviation=unit_dev,
@@ -301,7 +301,7 @@ def unitarize(rep):
     t = np.linalg.cholesky(h).conj().T  # h = t^* t
     tinv = np.linalg.inv(t)
     new_mats = t @ mats @ tinv
-    out = Representation(group=g, dim=rep.dim, matrices=new_mats, unitary=True,
+    out = Representation(group=g, dim=rep.dim, matrices=new_mats,
                          cocycle=cocycle, name=rep.name)
     validate(out)
     return out, t
@@ -355,7 +355,7 @@ def _regular_representation(group):
     for g in range(n):
         mats[g, group.mult[g], np.arange(n)] = 1.0
     return Representation(group=group, dim=n, matrices=mats.astype(complex),
-                          unitary=True, name="regular")
+                          name="regular")
 
 
 def character_table(group, seed=0):
@@ -470,7 +470,7 @@ def restrict(rep, subgroup):
     if rep.cocycle is not None:
         cocycle = TwoCocycle(h, rep.cocycle.values[np.ix_(emb, emb)])
     return Representation(group=h, dim=rep.dim, matrices=mats,
-                          unitary=rep.unitary, cocycle=cocycle, name=None)
+                          cocycle=cocycle, name=None)
 
 
 def induce(subgroup, w_rep, cap=INDUCE_DIM_CAP):
@@ -498,8 +498,7 @@ def induce(subgroup, w_rep, cap=INDUCE_DIM_CAP):
                 if x in pos:
                     mats[g, i * k:(i + 1) * k, j * k:(j + 1) * k] = w_rep.matrices[pos[x]]
                     break
-    return Representation(group=group, dim=l * k, matrices=mats,
-                          unitary=w_rep.unitary, name=None)
+    return Representation(group=group, dim=l * k, matrices=mats, name=None)
 
 
 def induced_character(subgroup, chi_w):
@@ -569,7 +568,6 @@ def skolem_noether_lift(group, action):
     if action.shape != (n, d2, d2) or d * d != d2:
         raise ValueError("action must be an (n, d^2, d^2) array")
     eye = np.eye(d, dtype=complex)
-    units = np.eye(d2).reshape(d2, d, d)
     # images[g, u] = T_g(E_u): column u of the action
     images = action.transpose(0, 2, 1).reshape(n, d2, d, d)
 
@@ -596,12 +594,10 @@ def skolem_noether_lift(group, action):
     mats = _normalize_projective(mats)
     rep = _as_projective_rep(group, mats, None)
 
-    # round trip: conjugation by the lift reproduces the action
-    inv_mats = np.linalg.inv(mats)
-    worst = 0.0
-    for g in range(n):
-        rebuilt = np.einsum("ij,ujk,kl->uil", mats[g], units, inv_mats[g])
-        worst = max(worst, float(np.linalg.norm(rebuilt - images[g])))
+    # round trip: conjugation by the lift reproduces the action; its image
+    # rho(g) E_ij rho(g)^-1 is column i of rho(g) times row j of rho(g)^-1
+    rebuilt = np.einsum("gai,gjb->gijab", mats, rep.inverses()).reshape(images.shape)
+    worst = float(np.max(row_norms(rebuilt - images)))
     if worst > CERT_TOL:
         raise ToleranceFailure(f"lift round-trip residual {worst:.3g}")
     return rep
@@ -658,6 +654,6 @@ def _as_projective_rep(group, mats, name):
         cocycle = TwoCocycle(group, vals)
         cocycle.validate(tol=CERT_TOL)
     rep = Representation(group=group, dim=k, matrices=mats,
-                         unitary=False, cocycle=cocycle, name=name)
+                         cocycle=cocycle, name=name)
     _certify_law(rep, CERT_TOL, prods)
     return rep

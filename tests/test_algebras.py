@@ -201,7 +201,7 @@ def test_permutation_action_names_first_unmatched_idempotent():
     c, s = np.cos(0.3), np.sin(0.3)
     rot = np.array([[c, -s], [s, c]])
     mats = np.array([rot @ m @ rot.T for m in rep.matrices])
-    rotated = Representation(group=rep.group, dim=2, matrices=mats, unitary=rep.unitary)
+    rotated = Representation(group=rep.group, dim=2, matrices=mats)
     idems = [np.eye(2, dtype=complex), np.diag([1.0, 0.0]).astype(complex),
              np.diag([0.0, 1.0]).astype(complex)]
     first = None

@@ -63,7 +63,6 @@ def test_rep_json_round_trip_exact():
     d = json.loads(json.dumps(rep_to_json(rep)))
     back = rep_from_json(g, d)
     assert np.array_equal(back.matrices, rep.matrices)
-    assert back.unitary == rep.unitary
 
 
 def test_projective_rep_json_keeps_cocycle():
@@ -113,6 +112,32 @@ def test_rep_from_json_rejects_non_finite_entries(field, where, bad):
     with pytest.raises(ValueError) as exc:
         rep_from_json(g, d)
     assert str(exc.value) == f"{field!r} has a non-finite entry"
+
+
+@pytest.mark.parametrize("rep_name, dim", [("std", 2.5), ("std", 2.0), ("std", "2"),
+                                           ("sign", True), ("std", None)])
+def test_rep_from_json_requires_an_integer_dim(rep_name, dim, tmp_path):
+    """``int()`` once read 2.5 as 2, "2" as 2 and true as 1."""
+    g, rep = catalog.get("S3", rep_name)
+    d = json.loads(json.dumps(pair_to_json(g, rep)))
+    d["representation"]["dim"] = dim
+    with pytest.raises(TypeError) as exc:
+        rep_from_json(g, d["representation"])
+    assert str(exc.value) == f"'dim' must be an integer; got {dim!r}"
+    path = tmp_path / "dim.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(ValueError, match="'dim' must be an integer"):
+        load_input(str(path))
+
+
+def test_rep_json_ignores_a_unitary_key():
+    """Files may still carry ``"unitary"``; it declares nothing."""
+    g, rep = catalog.get("S3", "std")
+    d = json.loads(json.dumps(rep_to_json(rep)))
+    assert "unitary" not in d
+    for flag in (True, False, "yes"):
+        back = rep_from_json(g, {**d, "unitary": flag})
+        assert np.array_equal(back.matrices, rep.matrices)
 
 
 def test_load_input_catalog_string():

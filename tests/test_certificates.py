@@ -42,7 +42,7 @@ def _outer(*parts):
         alpha = np.kron(alpha, a)
     cocycle = None if np.all(alpha == 1) else TwoCocycle(group, alpha)
     return Representation(group=group, dim=mats.shape[1], matrices=mats,
-                          unitary=True, cocycle=cocycle)
+                          cocycle=cocycle)
 
 
 def _relabelled(cocycle, seed):

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 import invalg.algebras
 import invalg.classify
 from invalg import catalog
-from invalg import (AssertionFailure, MatrixSubspace, centralizer,
-                    enumerate_invariant_subalgebras, induction_pairs,
+from invalg import (AssertionFailure, MatrixSubspace, central_simple_invariant_subalgebras,
+                    centralizer, enumerate_invariant_subalgebras, induction_pairs,
                     is_induced_from, nonunital_scan, theta,
                     theta_lattice_check, theta_transitivity_check,
                     verify_classification, wedderburn_decompose)
 from invalg.classify import InductionDatum
+from invalg.factor import factor
 from invalg.groups import build_from_mult_table, conjugacy_classes
 from invalg.reps import Representation
 
@@ -106,7 +107,7 @@ def test_enumeration_any_identity_label(key, rep_name):
         mats = np.empty_like(rep.matrices)
         mats[perm] = rep.matrices
         moved = Representation(group=build_from_mult_table(mult), dim=rep.dim,
-                               matrices=mats, unitary=rep.unitary)
+                               matrices=mats)
         assert moved.group.identity == x
         subs, complete = enumerate_invariant_subalgebras(moved, seed=0)
         assert [s.dim for s in subs] == dims
@@ -118,9 +119,13 @@ RELABEL_INPUTS = [("S3", "std"), ("Q8", "std"), ("D4", "std"), ("A4", "std3"),
 
 
 @functools.lru_cache(maxsize=None)
-def _unrelabelled(key, rep_name):
+def _catalog_enumeration(key, rep_name):
     _, rep = catalog.get(key, rep_name)
-    subs, complete = enumerate_invariant_subalgebras(rep, seed=0)
+    return enumerate_invariant_subalgebras(rep, seed=0)
+
+
+def _unrelabelled(key, rep_name):
+    subs, complete = _catalog_enumeration(key, rep_name)
     return [s.space.fingerprint() for s in subs], complete
 
 
@@ -139,10 +144,62 @@ def test_enumeration_any_labelling(key, rep_name, data):
     mats = np.empty_like(rep.matrices)
     mats[perm] = rep.matrices
     moved = Representation(group=build_from_mult_table(mult), dim=rep.dim,
-                           matrices=mats, unitary=rep.unitary)
+                           matrices=mats)
     subs, complete = enumerate_invariant_subalgebras(moved, seed=0)
     assert ([s.space.fingerprint() for s in subs], complete) == \
         _unrelabelled(key, rep_name)
+
+
+def _skews(d):
+    """Non-unitary basis changes ``diag(1..d) + A/2`` of V, with the real and
+    imaginary parts of A in [-1, 1] and condition number below 100."""
+    parts = st.lists(st.floats(-1, 1), min_size=2 * d * d, max_size=2 * d * d)
+    return parts.map(lambda v: np.diag(np.arange(1.0, d + 1))
+                     + 0.5 * np.array(v).view(complex).reshape(d, d)).filter(
+                         lambda t: np.linalg.cond(t) < 100)
+
+
+def _conjugated(rep, t):
+    """``rep`` in the basis ``T rho T^-1``; the cocycle does not change."""
+    return Representation(group=rep.group, dim=rep.dim, cocycle=rep.cocycle,
+                          matrices=t @ rep.matrices @ np.linalg.inv(t))
+
+
+@pytest.mark.parametrize("key,rep_name", RELABEL_INPUTS)
+@given(data=st.data())
+@settings(max_examples=5, deadline=None)
+def test_enumeration_any_basis(key, rep_name, data):
+    """A non-unitary basis change T of V carries each subalgebra B to T B T^-1.
+
+    Entries of one dimension are sorted by fingerprint, which moves with the
+    basis (and its 9-digit rounding can split equal spaces), so each image is
+    matched by subspace equality.
+    """
+    _, rep = catalog.get(key, rep_name)
+    t = data.draw(_skews(rep.dim))
+    subs, complete = enumerate_invariant_subalgebras(_conjugated(rep, t), seed=0)
+    want, want_complete = _catalog_enumeration(key, rep_name)
+    assert complete == want_complete
+    assert [s.dim for s in subs] == [s.dim for s in want]
+    t_inv = np.linalg.inv(t)
+    for b in want:
+        image = MatrixSubspace.from_spanning(t @ b.space.basis() @ t_inv)
+        assert sum(image.equals(s.space) for s in subs) == 1
+
+
+@pytest.mark.parametrize("key,rep_name", [("S3", "std"), ("Q8", "std"),
+                                          ("S3xS3", "stdXstd"), ("C2xC2", "pauli")])
+@given(data=st.data())
+@settings(max_examples=5, deadline=None)
+def test_factorizations_any_basis(key, rep_name, data):
+    """The dual pairs (a, b) and the certificate do not see a basis change."""
+    _, rep = catalog.get(key, rep_name)
+
+    def pairs(r):
+        cs_list, certified = central_simple_invariant_subalgebras(r, seed=0)
+        return [(f.a, f.b) for f in factor(cs_list, r, seed=0)], certified
+
+    assert pairs(_conjugated(rep, data.draw(_skews(rep.dim)))) == pairs(rep)
 
 
 @pytest.mark.parametrize("key,rep_name", sorted(EXPECTED))

@@ -217,9 +217,14 @@ def _wrongly_typed_docs():
     g, rep = catalog.get("S3", "std")
     dim_null = pair_to_json(g, rep)
     dim_null["representation"]["dim"] = None
+    dim_float = pair_to_json(g, rep)
+    dim_float["representation"]["dim"] = 2.5
+    dim_true = pair_to_json(*catalog.get("S3", "sign"))
+    dim_true["representation"]["dim"] = True
     rep_list = pair_to_json(g, rep)
     rep_list["representation"] = [1]
-    return {"dim_null": dim_null, "representation_list": rep_list, "top_level_list": [1, 2]}
+    return {"dim_null": dim_null, "dim_float": dim_float, "dim_true": dim_true,
+            "representation_list": rep_list, "top_level_list": [1, 2]}
 
 
 @pytest.mark.parametrize("cmd", ["validate", "ideals", "subalgebras", "factor"])
@@ -360,3 +365,65 @@ def test_parser_built_once_keeps_no_state(tmp_path, capsys):
         fresh.parse_args(["subalgebras"])
     assert capsys.readouterr().err == err
     assert "the following arguments are required: input" in err
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "1", "0.01", "0.1", "abc"])
+def test_tol_outside_its_range_is_a_usage_error(tol, capsys):
+    """Zero, negative, non-finite and large tolerances once failed with
+    misleading law or dimension errors, or a ZeroDivisionError traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(["subalgebras", "catalog:S3:std", "--tol", tol])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "argument --tol: " in err
+
+
+def _answer(payload):
+    """What a ``subalgebras`` or ``factor`` payload answers, apart from bases.
+    Entries of one dimension are sorted by fingerprint, which moves with the
+    basis, so their induction data are compared as a sorted list."""
+    if payload["command"] == "subalgebras":
+        return (payload["count"], payload["complete"], payload["verification"]["ok"],
+                sorted((s["dim"], s["datum"]["subgroup_order"]) for s in payload["subalgebras"]))
+    return payload["certified"], [(f["a"], f["b"]) for f in payload["factorizations"]]
+
+
+@pytest.mark.parametrize("tol", ["1e-12", "1e-10", "1e-6", "1e-3"])
+def test_tol_in_range_keeps_the_catalog_answers(tol, capsys):
+    for args in (["subalgebras", "catalog:S3xS3:stdXstd"], ["factor", "catalog:Q8:std"]):
+        assert main(args) == 0
+        want = _answer(json.loads(capsys.readouterr().out))
+        assert main(args + ["--tol", tol]) == 0
+        assert _answer(json.loads(capsys.readouterr().out)) == want
+
+
+MISDECLARED = [("S3", "std"), ("S3xS3", "stdXstd"), ("S4", "std3"), ("Q8", "std"),
+               ("C2xC2", "pauli")]
+
+
+@pytest.mark.parametrize("key,rep_name", MISDECLARED)
+def test_non_unitary_basis_declared_unitary(key, rep_name, tmp_path, capsys):
+    """A file's ``"unitary": true`` once chose conjugate transposes as the
+    inverses; in the basis T rho T^-1 with T = diag(1..d) + E_1d / 2 the
+    commands then failed.  The flag is ignored, so they give the catalog's
+    answers, and ``validate`` measures how far from unitary the matrices are."""
+    g, rep = catalog.get(key, rep_name)
+    d = rep.dim
+    t = np.diag(np.arange(1.0, d + 1))
+    t[0, d - 1] += 0.5
+    doc = pair_to_json(g, rep)
+    doc["representation"]["matrices"] = catalog._complex_to_json(
+        t @ rep.matrices @ np.linalg.inv(t))
+    doc["representation"]["unitary"] = True
+    path = tmp_path / "skewed.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["valid"] is True and report["unitary_deviation"] > 1
+    for cmd in ("subalgebras", "factor"):
+        code = main([cmd, f"catalog:{key}:{rep_name}"])
+        assert main([cmd, str(path)]) == code  # Pauli subalgebras: 1 on both
+        outs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert len(outs) == (2 if code == 0 else 0)
+        if outs:
+            assert _answer(outs[1]) == _answer(outs[0])

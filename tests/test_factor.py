@@ -51,7 +51,7 @@ def test_multfree_scan_projective_tensor():
                      for a in range(s3.order) for b in range(k4.order)])
     # alpha((a, b), (c, e)) = alpha_pauli(b, e)
     alpha = np.tile(pauli.cocycle.values, (s3.order, s3.order))
-    rep = Representation(group=group, dim=4, matrices=mats, unitary=True,
+    rep = Representation(group=group, dim=4, matrices=mats,
                          cocycle=TwoCocycle(group, alpha))
     unital, nonunital, certified = multfree_scan(rep, seed=0)
     assert [s.dim for s in unital] == [1] + [2] * 7 + [4] * 11 + [8] * 7 + [16]
@@ -66,8 +66,7 @@ def test_multfree_scan_non_unitary():
     t = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) + 2 * np.eye(4)
     t_inv = np.linalg.inv(t)
     moved = Representation(group=rep.group, dim=4,
-                           matrices=np.einsum("ij,gjk,kl->gil", t, rep.matrices, t_inv),
-                           unitary=False)
+                           matrices=np.einsum("ij,gjk,kl->gil", t, rep.matrices, t_inv))
     unital, _, certified = multfree_scan(rep, seed=0)
     got, got_non, got_cert = multfree_scan(moved, seed=0)
     assert [s.dim for s in got] == [s.dim for s in unital]
@@ -99,7 +98,7 @@ def _tensor_power(key, rep_name, k):
         group = direct_product(group, g1)
         mats = np.stack([np.kron(a, b) for a in mats for b in r1.matrices])
         alpha = None if alpha1 is None else np.kron(alpha, alpha1)
-    return Representation(group=group, dim=mats.shape[1], matrices=mats, unitary=True,
+    return Representation(group=group, dim=mats.shape[1], matrices=mats,
                           cocycle=None if alpha is None else TwoCocycle(group, alpha))
 
 

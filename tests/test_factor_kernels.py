@@ -47,7 +47,7 @@ def _outer(*parts):
         alpha = np.kron(alpha, a)
     cocycle = None if np.all(alpha == 1) else TwoCocycle(group, alpha)
     return Representation(group=group, dim=mats.shape[1], matrices=mats,
-                          unitary=True, cocycle=cocycle)
+                          cocycle=cocycle)
 
 
 def _input(name):
@@ -155,7 +155,7 @@ def _corrupted(rep, changes):
     for g, m in changes.items():
         mats[g] = m
     return Representation(group=rep.group, dim=rep.dim, matrices=mats,
-                          unitary=False, cocycle=rep.cocycle)
+                          cocycle=rep.cocycle)
 
 
 @pytest.mark.parametrize("first,later", [("zero", "generic"), ("generic", "zero"),

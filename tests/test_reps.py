@@ -18,7 +18,7 @@ from invalg.groups import (all_subgroups, build_from_mult_table,
                            product_index, subgroup_generated_by)
 from invalg.reps import (Representation, _as_projective_rep, _check_law,
                          commutant_dimension)
-from invalg._linalg import intertwiners, scalar_multiple_of_identity
+from invalg._linalg import CERT_TOL, intertwiners, scalar_multiple_of_identity
 
 IRREDUCIBLE = [("S3", "std"), ("Q8", "std"), ("D4", "std"), ("A4", "std3"),
                ("S4", "std3"), ("SL23", "std"), ("S3xS3", "stdXstd")]
@@ -50,7 +50,7 @@ def test_validate_raises_on_corruption():
     mats = np.array(rep.matrices)
     mats[3, 0, 0] += 0.01
     bad = Representation(group=rep.group, dim=rep.dim, matrices=mats,
-                         unitary=False, name="corrupted")
+                         name="corrupted")
     with pytest.raises(NotARepresentation) as exc:
         validate(bad)
     assert exc.value.worst_pair is not None
@@ -167,7 +167,7 @@ def _outer(*parts):
         alpha = np.kron(alpha, a)
     cocycle = None if np.all(alpha == 1) else TwoCocycle(group, alpha)
     return Representation(group=group, dim=mats.shape[1], matrices=mats,
-                          unitary=True, cocycle=cocycle)
+                          cocycle=cocycle)
 
 
 def _kron_decomposition(rep):
@@ -194,12 +194,24 @@ def _conjugation_inputs():
     out.append(pytest.param(_outer("S3:std", "C2xC2:pauli"), id="S3xPauli"))
     # d = 8: the action is summed in 14 blocks of 16 elements
     out.append(pytest.param(_outer("S3:std", "S3:std", "S3:std"), id="S3^3"))
-    # a non-unitary conjugate, so the inverses come from np.linalg.inv
-    _, rep = catalog.get("S3xS3", "stdXstd")
-    t = np.eye(4) + 0.3 * np.random.default_rng(3).standard_normal((4, 4))
-    out.append(pytest.param(Representation(group=rep.group, dim=4, matrices=t @ rep.matrices
-                                           @ np.linalg.inv(t)), id="S3xS3:nonunitary"))
+    # non-unitary conjugates, linear and projective
+    rng = np.random.default_rng(3)
+    for key, name in [("S3xS3", "stdXstd"), ("C2xC2", "pauli")]:
+        _, rep = catalog.get(key, name)
+        t = np.eye(rep.dim) + 0.3 * rng.standard_normal((rep.dim, rep.dim))
+        out.append(pytest.param(Representation(
+            group=rep.group, dim=rep.dim, matrices=t @ rep.matrices @ np.linalg.inv(t),
+            cocycle=rep.cocycle), id=f"{key}:nonunitary"))
     return out
+
+
+@pytest.mark.parametrize("rep", _conjugation_inputs())
+def test_inverses_read_off_the_group_table(rep):
+    """``rho(g^-1) / alpha(g, g^-1)`` is ``rho(g)^-1`` in any basis."""
+    got = rep.inverses()
+    assert np.max(np.linalg.norm(got - np.linalg.inv(rep.matrices), axis=(1, 2))) <= CERT_TOL
+    some = [rep.group.order - 1, 0, rep.group.order - 1]
+    assert np.array_equal(rep.inverses(some), got[some])
 
 
 @pytest.mark.parametrize("rep", _conjugation_inputs())
@@ -229,7 +241,7 @@ def test_conjugation_decomposition_holds_no_full_action():
 def _one_dim_char_rep(h_group, chi):
     mats = np.array([[[chi.at_element(x)]] for x in h_group.elements()])
     return Representation(group=h_group, dim=1, matrices=mats,
-                          unitary=True, name=None)
+                          name=None)
 
 
 def test_restrict_and_induce_round_trip():
@@ -269,7 +281,11 @@ def test_unitarize():
     skewed = Representation(group=g, dim=2,
                             matrices=np.stack([s @ m @ np.linalg.inv(s)
                                                for m in rep.matrices]),
-                            unitary=False, name="skewed")
+                            name="skewed")
+    # measured, not declared: max |rho(g)^* rho(g) - I|
+    want = max(np.linalg.norm(m.conj().T @ m - np.eye(2)) for m in skewed.matrices)
+    assert want > 1 and validate(skewed).unitary_deviation == pytest.approx(want, rel=1e-12)
+    assert validate(rep).unitary_deviation < 1e-12
     fixed, t = unitarize(skewed)
     for m in fixed.matrices:
         assert np.linalg.norm(m @ m.conj().T - np.eye(2)) < 1e-9

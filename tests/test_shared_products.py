@@ -44,7 +44,7 @@ def _outer(*parts):
         alpha = np.kron(alpha, a)
     cocycle = None if np.all(alpha == 1) else TwoCocycle(group, alpha)
     return Representation(group=group, dim=mats.shape[1], matrices=mats,
-                          unitary=True, cocycle=cocycle)
+                          cocycle=cocycle)
 
 # -- one pair table for the cocycle and the law ------------------------------------
 
@@ -70,7 +70,7 @@ def _two_pass(group, mats, name=None):
     if np.max(np.abs(vals - 1.0)) > 1e-8:
         cocycle = TwoCocycle(group, vals)
     rep = Representation(group=group, dim=k, matrices=mats,
-                         unitary=False, cocycle=cocycle, name=name)
+                         cocycle=cocycle, name=name)
     validate(rep, tol=1e-6)
     return rep
 
