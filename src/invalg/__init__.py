@@ -17,7 +17,7 @@ from .errors import (AssertionFailure, BlocksNotDirect, CapExceeded,
 from .groups import (FiniteGroup, Subgroup, Transversal, all_subgroups,
                      are_conjugate_subgroups, build_from_mult_table,
                      build_from_permutations, conjugacy_classes,
-                     direct_product, left_transversal)
+                     direct_product, left_transversal, subgroups_of_index_dividing)
 from .reps import (Representation, TwoCocycle, character, character_table,
                    check_law, conjugation_decomposition, equivariant_hom_space,
                    induce, induced_character, inner_product, is_induced_from,

@@ -214,17 +214,21 @@ def _certified_projectors(v, w, parts):
               np.linalg.norm(v @ w - np.eye(v.shape[0])))
     if res * max(1.0, np.linalg.norm(v) * np.linalg.norm(w)) > CERT_TOL:
         return None
-    return np.stack([v[:, ix] @ w[ix] for ix in parts])
+    return [v[:, ix] @ w[ix] for ix in parts]
 
 
 def _spectral_split(space, basis, count, seed):
-    """Spectral projectors of a random element of ``span(basis)``, or ``None``.
+    """Spectral projectors of a random element x of ``span(basis)``, or ``None``.
 
-    Eigenvalues cluster at ``IDEMPOTENT_GAP`` times the spectral radius.  A
-    draw is kept when its ``count`` cluster projectors lie in ``space`` and
-    are certified on the eigenvectors (:func:`_certified_projectors`); after
+    ``space`` is a unital algebra holding x.  Eigenvalues cluster at
+    ``IDEMPOTENT_GAP`` times the spectral radius.  A draw is kept when its
+    ``count`` cluster projectors are certified on the eigenvectors
+    (:func:`_certified_projectors`) and lie in ``space``; after
     ``IDEMPOTENT_RETRIES`` rejected draws from ``seed``'s stream the result
-    is ``None``.
+    is ``None``.  If ``count`` is the matrix size, the eigenvalues are simple,
+    so C[x], of dimension ``count``, holds the exact projectors and lies in
+    ``space``, which is not read: instead ``max_i |x v_i - l_i v_i| / |v_i|``
+    times ``|V| |V^-1|`` must be at most ``CERT_TOL`` times the least gap.
     """
     rng = np.random.default_rng(seed)
     for attempt in range(IDEMPOTENT_RETRIES):
@@ -239,8 +243,16 @@ def _spectral_split(space, basis, count, seed):
         if len(clusters) != count:
             continue
         projs = _certified_projectors(vecs, vinv, clusters)
-        if projs is not None and space.contains_all(projs, CERT_TOL):
-            return list(projs)
+        if projs is None:
+            continue
+        if count < len(x):
+            ok = space.contains_all(projs, CERT_TOL)
+        else:
+            gaps = np.abs(vals[:, None] - vals) + np.diag(np.full(count, np.inf))
+            resid = np.max(row_norms((x @ vecs - vecs * vals).T) / row_norms(vecs.T))
+            ok = resid * np.linalg.norm(vecs) * np.linalg.norm(vinv) <= CERT_TOL * gaps.min()
+        if ok:
+            return projs
     return None
 
 

@@ -21,9 +21,10 @@ from .algebras import (InvariantSubalgebra, _certified_projectors, _sorted_idemp
                        wedderburn_decompose)
 from .errors import AssertionFailure, BlocksNotDirect, InvalgError
 from .factor import central_simple_invariant_subalgebras, multfree_scan
-from .groups import (Subgroup, _conjugates, all_subgroups,
-                     are_conjugate_subgroups, class_index_array,
-                     conjugacy_classes, left_transversal)
+from .groups import (Subgroup, _conjugates, are_conjugate_subgroups,
+                     class_index_array, conjugacy_classes, left_transversal,
+                     subgroups_of_index_dividing)
+from .groups import all_subgroups  # noqa: F401  bench/check.py traces it here
 from .reps import (Representation, character, character_table,
                    induced_character, inner_product, is_induced_from,
                    is_irreducible, restrict)
@@ -85,12 +86,12 @@ def _conjugation_class_maps(group, sub, normalizer):
 def induction_pairs(v_rep, seed=0, tol=RANK_TOL):
     """All induction pairs (H, W) for an irreducible V, one per conjugacy orbit.
 
-    Scans subgroup-class representatives in increasing order; for each, the
-    irreducible constituents W of the restriction with the right dimension
-    and induced character equal to the character of V.  Constituents in the
-    same orbit under the normalizer of H give the same blocks downstream, so
-    one representative (least by rounded character values) is kept.  The pair
-    (G, V) itself is always present.
+    Scans the subgroup classes of index dividing dim V in increasing order;
+    for each, the irreducible constituents W of the restriction with the
+    right dimension and induced character equal to the character of V.
+    Constituents in the same orbit under the normalizer of H give the same
+    blocks downstream, so one representative (least by rounded character
+    values) is kept.  The pair (G, V) itself is always present.
     """
     if not is_irreducible(v_rep):
         raise ValueError("induction pairs are defined for irreducible input")
@@ -98,11 +99,8 @@ def induction_pairs(v_rep, seed=0, tol=RANK_TOL):
     d = v_rep.dim
     chi_v = character(v_rep)
     pairs = []
-    for sub in all_subgroups(group):
-        index = sub.index
-        if d % index != 0:
-            continue
-        w_dim = d // index
+    for sub in subgroups_of_index_dividing(group, d):
+        w_dim = d // sub.index
         h_group = sub.as_group()
         res = restrict(v_rep, sub)
         res_char = character(res)

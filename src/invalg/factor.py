@@ -126,7 +126,7 @@ def multfree_scan(rep, seed=0, tol=RANK_TOL):
 
     unital, nonunital = [], []
     for s in found:
-        (unital if s.contains_identity(tol * 10) else nonunital).append(s)
+        (unital if s.contains_identity(tol * 10) and s.dim else nonunital).append(s)
     unital.sort(key=lambda s: (s.dim, s.fingerprint()))
     nonunital.sort(key=lambda s: (s.dim, s.fingerprint()))
     return unital, nonunital, certified

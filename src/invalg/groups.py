@@ -6,6 +6,7 @@ every downstream computation a table lookup and makes numpy vectorization
 straightforward.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -314,48 +315,66 @@ def subgroup_generated_by(group, elems):
 
 
 def all_subgroups(group):
-    """One representative per conjugacy class of subgroups, sorted by order.
+    """One representative per conjugacy class of subgroups, sorted by order:
+    every index divides the order, so this is the sweep from P = 1 of
+    :func:`subgroups_of_index_dividing`."""
+    return subgroups_of_index_dividing(group, group.order)
 
-    Every subgroup U other than 1 is <M, x> for a maximal subgroup M of U and
-    any x in U outside M, and conjugating U conjugates M.  So it suffices to
-    extend one representative H per class, by one x per double coset HxH
-    (<H, hxh'> = <H, x>), until no new class appears.  Each class is stored
-    under its lexicographically least sorted conjugate.  Only groups of order
-    <= 500 are accepted.
+
+def subgroups_of_index_dividing(group, d):
+    """One representative per conjugacy class of subgroups of index dividing
+    ``d``, sorted by order.
+
+    Each such K contains P = <g^L : g in G>, L = lcm(1..d): the <g>-orbit of
+    the coset K has some length k <= [G:K] <= d, so g^k lies in K, and k
+    divides L, so g^L does too.  P is normal (conjugation permutes the L-th
+    powers), so a subgroup U over P other than P is <M, x> for an M maximal
+    in U over P (a maximal subgroup of U/P lifts to one) and any x in U
+    outside M, and conjugating U conjugates M, still over P.  So it suffices
+    to extend one representative H per class from P, by one x per double
+    coset HxH (<H, hxh'> = <H, x>), until no new class appears.  Each class
+    is stored under its lexicographically least sorted conjugate; the
+    classes over P are memoized per P.  Only groups of order <= 500 are
+    accepted.
     """
     if group.order > SUBGROUP_ORDER_CAP:
-        raise CapExceeded(
-            f"subgroup enumeration limited to order {SUBGROUP_ORDER_CAP}"
-        )
-    if "subgroup_classes" in group._cache:
-        return group._cache["subgroup_classes"]
+        raise CapExceeded(f"subgroup enumeration limited to order {SUBGROUP_ORDER_CAP}")
+    exponent = math.lcm(*range(1, d + 1))
+    power, square = np.full(group.order, group.identity), np.arange(group.order)
+    while exponent:  # g^L by repeated squaring on the table
+        if exponent & 1:
+            power = group.mult[power, square]
+        square, exponent = group.mult[square, square], exponent >> 1
+    base = _generated(group, power)
+    sweeps = group._cache.setdefault("subgroup_sweeps", {})
+    classes = sweeps.get(base.tobytes())
+    if classes is None:
+        mult = group.mult
+        keys, seen, work = [], set(), []
 
-    mult = group.mult
-    keys, seen, work = [], set(), []
+        def admit(members):
+            conj = _conjugates(group, members)
+            # every conjugate is recorded (sorted intp rows, like each closure),
+            # so a later closure opens a new class exactly when it is unseen
+            seen.update(row.tobytes() for row in conj)
+            keys.append(tuple(int(v) for v in conj[np.lexsort(conj.T[::-1])[0]]))
+            work.append(members)
 
-    def admit(members):
-        conj = _conjugates(group, members)
-        # every conjugate is recorded (sorted intp rows, like each closure),
-        # so a later closure opens a new class exactly when it is unseen
-        seen.update(row.tobytes() for row in conj)
-        keys.append(tuple(int(v) for v in conj[np.lexsort(conj.T[::-1])[0]]))
-        work.append(members)
-
-    admit(np.array([group.identity], dtype=np.intp))
-    while work:
-        h = work.pop()
-        todo = np.ones(group.order, dtype=bool)
-        todo[h] = False
-        for x in range(group.order):
-            if not todo[x]:
-                continue
-            todo[mult[mult[h, x][:, None], h]] = False
-            k = _generated(group, np.append(h, x))
-            if k.tobytes() not in seen:
-                admit(k)
-    out = [Subgroup(group, s) for s in sorted(keys, key=lambda s: (len(s), s))]
-    group._cache["subgroup_classes"] = out
-    return out
+        admit(base)
+        while work:
+            h = work.pop()
+            todo = np.ones(group.order, dtype=bool)
+            todo[h] = False
+            for x in range(group.order):
+                if not todo[x]:
+                    continue
+                todo[mult[mult[h, x][:, None], h]] = False
+                k = _generated(group, np.append(h, x))
+                if k.tobytes() not in seen:
+                    admit(k)
+        classes = sweeps[base.tobytes()] = [
+            Subgroup(group, s) for s in sorted(keys, key=lambda s: (len(s), s))]
+    return [s for s in classes if d % s.index == 0]
 
 
 def left_transversal(subgroup):

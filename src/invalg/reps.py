@@ -23,7 +23,6 @@ from .errors import (AssertionFailure, FactorRecoveryFailure, NotAnAutomorphism,
                      NotARepresentation, ToleranceFailure)
 from .groups import (FiniteGroup, class_index_array, conjugacy_classes,
                      left_transversal)
-from .spaces import MatrixSubspace
 
 #: dimension cap for induced representations
 INDUCE_DIM_CAP = 500
@@ -218,6 +217,9 @@ def _generator_law(group, mats, cocycle=None, prods=None):
     size = np.abs(alpha)
     for h, p, j in group.word_layers:
         s, gp = gens[j], group.mult[:, p]
+        if cocycle is None:  # f = 0 and |alpha| = 1: the same sum, term for term
+            bound[:, h] = devs_t[gp, j] + bound[:, p] * spec[s] + spec[:, None] * devs_t[p, j]
+            continue
         f = np.abs(alpha[:, p] * alpha[gp, s] - alpha[p, s] * alpha[:, h])
         bound[:, h] = (f * frob[group.mult[:, h]] + size[:, p] * devs_t[gp, j]
                        + bound[:, p] * spec[s] + spec[:, None] * devs_t[p, j]) / size[p, s]
@@ -311,9 +313,9 @@ def character(rep):
     """The character as a :class:`ClassFunction` (linear representations only)."""
     if rep.is_projective:
         raise ValueError("characters of projective representations are not class functions here")
-    classes = conjugacy_classes(rep.group)
-    vals = tuple(complex(np.trace(rep.matrices[c[0]])) for c in classes)
-    return ClassFunction(group=rep.group, values=vals)
+    heads = [c[0] for c in conjugacy_classes(rep.group)]
+    vals = np.einsum("gii->g", rep.matrices[heads]).astype(complex, copy=False)
+    return ClassFunction(group=rep.group, values=tuple(vals.tolist()))
 
 
 def inner_product(chi1, chi2, tol=INT_TOL):
@@ -324,10 +326,8 @@ def inner_product(chi1, chi2, tol=INT_TOL):
     """
     if chi1.group is not chi2.group:
         raise ValueError("class functions on different groups")
-    classes = conjugacy_classes(chi1.group)
-    total = sum(len(c) * v1 * np.conj(v2)
-                for c, v1, v2 in zip(classes, chi1.values, chi2.values))
-    val = total / chi1.group.order
+    sizes = np.bincount(class_index_array(chi1.group))
+    val = np.dot(sizes * np.asarray(chi1.values), np.conj(chi2.values)) / chi1.group.order
     return round_to_gaussian_int(val, tol, what="character pairing")
 
 
@@ -380,14 +380,14 @@ def character_table(group, seed=0):
     k = len(classes)
     cls = class_index_array(group)
     root = np.sqrt([len(c) for c in classes])
-    consts = np.zeros((k, k, k))
+    mats = np.zeros((k, k, k))
     heads = cls[group.mult[group.inv[:, None], [c[0] for c in classes]]]
-    np.add.at(consts, (cls[:, None], heads, np.arange(k)), 1.0)
-    mats = consts * root / root[:, None]
-    # column e of mats[i] is sqrt|C_i| at the inverse class, so the mats are
-    # independent and one QR gives their span an orthonormal basis
-    span = MatrixSubspace(np.linalg.qr(mats.reshape(k, -1).T)[0].T, (k, k))
-    projs = _spectral_split(span, mats, k, seed)
+    np.add.at(mats, (cls[:, None], heads, np.arange(k)), 1.0)
+    mats *= root
+    mats /= root[:, None]
+    # k projectors of k x k matrices: the split certifies them on the
+    # eigenvectors and never reads the (unital, commutative) span of the mats
+    projs = _spectral_split(None, mats, k, seed)
     if projs is None:
         raise ToleranceFailure("could not separate the class-algebra spectrum")
     e = int(cls[group.identity])

@@ -13,6 +13,7 @@ from invalg import (MatchFailure, MatrixSubspace, NotSemisimple,
                     permutation_action, semisimplicity_certificate,
                     wedderburn_decompose, z0)
 from invalg._linalg import EQ_TOL
+from invalg.algebras import _spectral_split
 from invalg.groups import all_subgroups
 from invalg.reps import Representation
 
@@ -213,3 +214,15 @@ def test_permutation_action_names_first_unmatched_idempotent():
     assert first is not None and first[0] != rep.group.identity and first[1] > 0
     with pytest.raises(MatchFailure, match=f"idempotent {first[1]} by element {first[0]} "):
         permutation_action(SimpleNamespace(idempotents=idems), rotated)
+
+
+def test_a_full_split_is_certified_on_its_eigenpairs(monkeypatch):
+    """With one cluster per row the split reads no space.  Eigenvalues off by
+    1e-3 leave the eigenvectors' inverse residual clean but fail the
+    eigen-residual bound, on every draw."""
+    basis = np.array([np.diag([1.0, 2.0, 3.0])])
+    projs = sorted(_spectral_split(None, basis, 3, 0), key=lambda p: np.argmax(np.diag(p).real))
+    np.testing.assert_allclose(projs, [np.diag(row) for row in np.eye(3)], atol=1e-12)
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda x: (eig(x)[0] + 1e-3, eig(x)[1]))
+    assert _spectral_split(None, basis, 3, 0) is None

@@ -87,6 +87,20 @@ def _dihedral(n):
         name=f"D{n}")
 
 
+def _cyclic(n):
+    return build_from_mult_table((np.arange(n)[:, None] + np.arange(n)) % n)
+
+
+def _dihedral_table(n):
+    """D_n with ``k + n*e`` standing for ``r^k s^e`` (s r s = r^-1)."""
+    k = np.arange(n)
+    mult = np.empty((2 * n, 2 * n), dtype=np.intp)
+    for e, f in product(range(2), repeat=2):
+        rot = (k[:, None] + (-1) ** e * k[None, :]) % n
+        mult[e * n:(e + 1) * n, f * n:(f + 1) * n] = rot + n * ((e + f) % 2)
+    return build_from_mult_table(mult)
+
+
 def _products(*degree_lists):
     return sorted(int(np.prod(p)) for p in product(*degree_lists))
 
@@ -105,10 +119,12 @@ def _large_group(name):
                          _products(S3_DEG, S3_DEG, S3_DEG)),
         "A4xA4": lambda: (direct_product(a4, a4), _products(A4_DEG, A4_DEG)),
         "S4xS4": lambda: (direct_product(s4, s4, cap=576), _products(S4_DEG, S4_DEG)),
+        "C250": lambda: (_cyclic(250), [1] * 250),
+        "D250": lambda: (_dihedral_table(250), [1] * 4 + [2] * 124),
     }[name]()
 
 
-@pytest.mark.parametrize("name", ["D60", "S5", "S3^3", "A4xA4", "S4xS4"])
+@pytest.mark.parametrize("name", ["D60", "S5", "S3^3", "A4xA4", "S4xS4", "C250", "D250"])
 def test_orthogonality_and_degrees(name):
     group, degrees = _large_group(name)
     start = time.perf_counter()
@@ -124,8 +140,8 @@ def test_orthogonality_and_degrees(name):
     np.testing.assert_allclose(table.conj().T @ table, np.diag(n / sizes), atol=1e-9)
     e = int(class_index_array(group)[group.identity])
     assert [int(round(d)) for d in table[:, e].real] == degrees
-    # the n x n class-sum split took 13.4 s at order 576; the class algebra
-    # takes milliseconds, so this bound only catches a return to it
+    # the n x n class-sum split took 13.4 s at order 576, and a QR of the
+    # (k^2, k) class-algebra stack 6.9 s at C250; this bound catches both
     assert elapsed < 2.0
 
 

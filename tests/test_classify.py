@@ -430,3 +430,38 @@ def test_theta_checks_use_the_span_helper(monkeypatch):
     report = theta_transitivity_check(rep, seed=0)
     assert report.ok and report.checked == 6
     assert calls
+
+
+def test_a_large_tol_never_counts_the_zero_space_as_unital():
+    """At tol = 0.1 the zero closed sum passed the identity test and became
+    a divisor: S3 and Q8 still answer, the rest fail as a domain error."""
+    for (key, rep_name), dims in [(("S3", "std"), [1, 2, 4]), (("Q8", "std"), [1, 2, 2, 2, 4])]:
+        out, _ = enumerate_invariant_subalgebras(catalog.get(key, rep_name)[1], tol=0.1)
+        assert sorted(b.space.dim for b in out) == dims
+    for key, rep_name in [("S3xS3", "stdXstd"), ("A4", "std3")]:
+        with pytest.raises((ValueError, invalg.InvalgError)):
+            enumerate_invariant_subalgebras(catalog.get(key, rep_name)[1], tol=0.1)
+
+
+def _dihedral_std(n):
+    """D_n on the plane, ``k + n*e`` standing for ``r^k s^e``."""
+    k = np.arange(n)
+    mult = np.empty((2 * n, 2 * n), dtype=np.intp)
+    for e in range(2):
+        for f in range(2):
+            rot = (k[:, None] + (-1) ** e * k[None, :]) % n
+            mult[e * n:(e + 1) * n, f * n:(f + 1) * n] = rot + n * ((e + f) % 2)
+    th = 2 * np.pi * k / n
+    rots = np.stack([np.stack([np.cos(th), -np.sin(th)], -1),
+                     np.stack([np.sin(th), np.cos(th)], -1)], 1)
+    mats = np.concatenate([rots, rots @ np.diag([1.0, -1.0])]).astype(complex)
+    return Representation(group=build_from_mult_table(mult), dim=2, matrices=mats)
+
+
+def test_d250_at_the_order_cap():
+    """Order 500: only index 1 and 2 can carry a pair, and the order-250
+    subgroups' character tables are split in O(k^3)."""
+    rep = _dihedral_std(250)
+    out, complete = enumerate_invariant_subalgebras(rep)
+    assert [b.space.dim for b in out] == [1, 2, 4] and complete
+    assert verify_classification(out, rep).ok

@@ -1,5 +1,7 @@
 """Group construction, subgroup enumeration, transversals, conjugacy."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from invalg import (CapExceeded, NotAGroup, all_subgroups,
                     build_from_permutations, catalog, conjugacy_classes,
                     direct_product, left_transversal)
 from invalg.classify import _normalizer_members
-from invalg.groups import Subgroup, subgroup_generated_by
+from invalg.groups import Subgroup, subgroup_generated_by, subgroups_of_index_dividing
 
 
 def _s3():
@@ -159,6 +161,37 @@ def test_all_subgroups_known_class_counts():
     assert sum(s.order == 60 for s in subs) == 1
     assert len(all_subgroups(direct_product(s4, s3))) == 70
     assert len(all_subgroups(direct_product(direct_product(s3, s3), s3))) == 162
+
+
+@functools.cache
+def _index_sweep_groups():
+    cat = catalog.catalog()
+    s3, s4 = cat["S3"].group, cat["S4"].group
+    out = {key: entry.group for key, entry in cat.items()}
+    for n in range(3, 31):
+        out[f"D{n}"] = _dihedral(n)
+    out["S4xS3"] = direct_product(s4, s3)
+    out["S3^3"] = direct_product(direct_product(s3, s3), s3)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_index_sweep_groups()))
+def test_index_sweep_is_the_filtered_lattice(name):
+    """Sweeping from <g^L> gives exactly the classes of index dividing d, in
+    the lattice's order and under the same representatives."""
+    g = _index_sweep_groups()[name]
+    every = [s.members for s in all_subgroups(g)]
+    fresh = build_from_mult_table(g.mult)  # no cached lattice to filter
+    for d in range(1, 17):
+        got = [s.members for s in subgroups_of_index_dividing(fresh, d)]
+        assert got == [m for m in every if d % (g.order // len(m)) == 0], d
+
+
+def test_index_sweep_cap():
+    n = 501
+    g = build_from_mult_table((np.arange(n)[:, None] + np.arange(n)[None, :]) % n)
+    with pytest.raises(CapExceeded):
+        subgroups_of_index_dividing(g, 2)
 
 
 def test_normalizers_s4_brute_force():

@@ -1,0 +1,82 @@
+"""Induction pairs scale with |G|: a source check and a behaviour check.
+
+Character tables come from the class algebra's spectral split alone, so
+``reps.py`` runs no QR (the (k^2, k) QR of the class-algebra stack cost
+k^4).  Induction pairs sweep only the subgroups whose index divides dim V,
+so they never need the whole lattice of ``all_subgroups``.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import invalg
+from invalg import catalog, induction_pairs
+from invalg.groups import build_from_mult_table
+from invalg.reps import Representation
+
+REPS = Path(invalg.__file__).parent / "reps.py"
+
+
+def _qr_calls(tree):
+    """Line numbers of calls to ``qr`` or ``<...>.linalg.qr``."""
+    def is_qr(func):
+        if isinstance(func, ast.Name):
+            return func.id == "qr"
+        return (isinstance(func, ast.Attribute) and func.attr == "qr"
+                and isinstance(func.value, ast.Attribute) and func.value.attr == "linalg")
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and is_qr(node.func)]
+
+
+def test_reps_runs_no_qr():
+    assert _qr_calls(ast.parse(REPS.read_text(encoding="utf-8"))) == []
+
+
+def test_the_qr_check_sees_what_it_looks_for():
+    tree = ast.parse("a = np.linalg.qr(m)\nb = qr(m)\nc = x.qr\nd = scipy.linalg.qr(m)[0]\n")
+    assert _qr_calls(tree) == [1, 2, 4]
+
+
+def _dihedral_std(n):
+    """D_n on the plane, ``k + n*e`` standing for ``r^k s^e``."""
+    k = np.arange(n)
+    mult = np.empty((2 * n, 2 * n), dtype=np.intp)
+    for e in range(2):
+        for f in range(2):
+            rot = (k[:, None] + (-1) ** e * k[None, :]) % n
+            mult[e * n:(e + 1) * n, f * n:(f + 1) * n] = rot + n * ((e + f) % 2)
+    th = 2 * np.pi * k / n
+    rots = np.stack([np.stack([np.cos(th), -np.sin(th)], -1),
+                     np.stack([np.sin(th), np.cos(th)], -1)], 1)
+    mats = np.concatenate([rots, rots @ np.diag([1.0, -1.0])]).astype(complex)
+    return Representation(group=build_from_mult_table(mult), dim=2, matrices=mats)
+
+
+def _fresh(key):
+    """The input on a group with no cached subgroups or tables."""
+    if key == "D12":
+        return _dihedral_std(12)
+    rep = next(iter(catalog.get(key).reps.values()))
+    group = build_from_mult_table(rep.group.mult)
+    return Representation(group=group, dim=rep.dim, matrices=rep.matrices)
+
+
+def _summary(pairs):
+    return [(p.subgroup.members, p.w_rep.dim) for p in pairs]
+
+
+@pytest.mark.parametrize("key", ["D12", "S4", "S3xS3"])
+def test_induction_pairs_never_build_the_whole_lattice(key, monkeypatch):
+    want = _summary(induction_pairs(_fresh(key)))
+
+    def boom(group):
+        raise AssertionError("induction_pairs built the whole subgroup lattice")
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("invalg") and hasattr(mod, "all_subgroups"):
+            monkeypatch.setattr(mod, "all_subgroups", boom)
+    assert _summary(induction_pairs(_fresh(key))) == want

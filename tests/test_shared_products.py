@@ -20,7 +20,7 @@ import invalg.factor
 import invalg.reps
 from invalg import (NotARepresentation, Representation, TwoCocycle, catalog,
                     direct_product, validate)
-from invalg._linalg import column_space, scalar_multiple_of_identity
+from invalg._linalg import column_space, row_norms, scalar_multiple_of_identity
 from invalg.algebras import center, centralizer
 from invalg.catalog import pair_to_json
 from invalg.cli import main
@@ -211,6 +211,44 @@ def _skewed(rep, decades, seed=0):
     t = q1 @ np.diag(np.logspace(0, decades, rep.dim)) @ q2
     return Representation(group=rep.group, dim=rep.dim, cocycle=rep.cocycle,
                           matrices=np.linalg.inv(t) @ rep.matrices @ t)
+
+
+def _law_bound_recurrence(group, mats, cocycle=None):
+    """The law bound with every cocycle term, ``alpha = 1`` when linear:
+    the oracle for the linear path, which drops ``f = 0`` and ``|alpha| = 1``."""
+    n, k, e = group.order, mats.shape[-1], group.identity
+    gens = np.array(group.generators, dtype=np.intp)
+    alpha = np.ones((n, n)) if cocycle is None else cocycle.values
+    diff = mats[:, None] @ mats[gens] - alpha[:, gens, None, None] * mats[group.mult[:, gens]]
+    w, v = np.linalg.eigh(np.einsum("gji,gjk->ik", mats.conj(), mats))
+    root = np.sqrt(w)
+    t, t_inv = root[:, None] * v.conj().T, v / root
+    mats_t = t @ mats @ t_inv
+    frob = row_norms(mats_t)
+    spec = np.sqrt(1.0 + row_norms(np.swapaxes(mats_t.conj(), 1, 2) @ mats_t - np.eye(k)))
+    devs_t = np.linalg.norm((t @ diff @ t_inv).reshape(n, len(gens), -1), axis=2)
+    bound = np.empty((n, n))
+    bound[:, e] = row_norms(t @ (mats @ mats[e] - alpha[:, e, None, None] * mats) @ t_inv)
+    bound[:, gens] = devs_t
+    size = np.abs(alpha)
+    for h, p, j in group.word_layers:
+        s, gp = gens[j], group.mult[:, p]
+        f = np.abs(alpha[:, p] * alpha[gp, s] - alpha[p, s] * alpha[:, h])
+        bound[:, h] = (f * frob[group.mult[:, h]] + size[:, p] * devs_t[gp, j]
+                       + bound[:, p] * spec[s] + spec[:, None] * devs_t[p, j]) / size[p, s]
+    return max(float(np.linalg.norm(mats[e] - np.eye(k))),
+               root[-1] / root[0] * float(np.max(bound)))
+
+
+@pytest.mark.parametrize("key", [f"{k}:{r}" for k, e in sorted(catalog.catalog().items())
+                                 for r in sorted(e.reps)])
+def test_law_bound_matches_the_full_recurrence(key):
+    """On every catalog rep, in its own basis and a skewed one, the bound is
+    the full recurrence's to the last bit."""
+    rep = catalog.get(*key.split(":"))[1]
+    for mats in (rep.matrices, _skewed(rep, 1).matrices):
+        got = invalg.reps._generator_law(rep.group, mats, rep.cocycle)[1]
+        assert got == _law_bound_recurrence(rep.group, mats, rep.cocycle)
 
 
 @pytest.mark.parametrize("key", ["S4:std3", "SL23:std"])
