@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (CERT_TOL, EQ_TOL, IDEMPOTENT_GAP, RANK_TOL, _rank,
+from ._linalg import (CERT_TOL, EQ_TOL, IDEMPOTENT_GAP, INT_TOL, RANK_TOL, _rank,
                       cluster_complex, intertwiners, nullspace, round_to_int,
                       row_norms)
 from .errors import (AssertionFailure, MatchFailure, NotSemisimple,
@@ -203,10 +203,10 @@ def _all_idempotent(projs):
     return bool(np.all(row_norms(projs @ projs - projs) <= CERT_TOL))
 
 
-def _certified_projectors(v, w, parts):
-    """Projectors ``v[:, ix] @ w[ix]`` over ``parts``, a partition of the
-    columns of ``v``; ``None`` unless ``max(|wv - I|, |vw - I|) max(1, |v||w|)
-    <= CERT_TOL``.  As ``P_i P_j - [i == j] P_i = v_i (wv - I)_ij w_j`` and
+def _certified_projectors(v, w, parts, cols=slice(None)):
+    """Projectors ``v[:, ix] @ w[ix]`` (columns ``cols``) over ``parts``, a
+    partition of the columns of ``v``; ``None`` unless ``max(|wv - I|, |vw -
+    I|) max(1, |v||w|) <= CERT_TOL``.  As ``P_i P_j - [i == j] P_i = v_i (wv - I)_ij w_j`` and
     ``sum P - I = vw - I``, that one residual bounds every defect of a
     complete system of orthogonal idempotents: two products, not k^2.
     """
@@ -214,10 +214,10 @@ def _certified_projectors(v, w, parts):
               np.linalg.norm(v @ w - np.eye(v.shape[0])))
     if res * max(1.0, np.linalg.norm(v) * np.linalg.norm(w)) > CERT_TOL:
         return None
-    return [v[:, ix] @ w[ix] for ix in parts]
+    return [v[:, ix] @ w[ix, cols] for ix in parts]
 
 
-def _spectral_split(space, basis, count, seed):
+def _spectral_split(space, basis, count, seed, cols=slice(None)):
     """Spectral projectors of a random element x of ``span(basis)``, or ``None``.
 
     ``space`` is a unital algebra holding x.  Eigenvalues cluster at
@@ -228,7 +228,8 @@ def _spectral_split(space, basis, count, seed):
     is ``None``.  If ``count`` is the matrix size, the eigenvalues are simple,
     so C[x], of dimension ``count``, holds the exact projectors and lies in
     ``space``, which is not read: instead ``max_i |x v_i - l_i v_i| / |v_i|``
-    times ``|V| |V^-1|`` must be at most ``CERT_TOL`` times the least gap.
+    times ``|V| |V^-1|`` must be at most ``CERT_TOL`` times the least gap,
+    and only the columns ``cols`` of each projector are formed.
     """
     rng = np.random.default_rng(seed)
     for attempt in range(IDEMPOTENT_RETRIES):
@@ -242,7 +243,7 @@ def _spectral_split(space, basis, count, seed):
         clusters = cluster_complex(vals, IDEMPOTENT_GAP * max(1.0, float(np.max(np.abs(vals)))))
         if len(clusters) != count:
             continue
-        projs = _certified_projectors(vecs, vinv, clusters)
+        projs = _certified_projectors(vecs, vinv, clusters, cols)
         if projs is None:
             continue
         if count < len(x):
@@ -269,10 +270,13 @@ def wedderburn_decompose(space, seed=0, tol=RANK_TOL):
     the ambient column space is ``rank(e_i) / k_i``.  Integer failures raise
     :class:`ToleranceFailure`.
     """
-    idems = central_primitive_idempotents(space, seed=seed, tol=tol)
-    basis = space.basis()
-    dims = []
-    mults = []
+    return _wedderburn_data(space, central_primitive_idempotents(space, seed=seed, tol=tol), tol)
+
+
+def _wedderburn_data(space, idems, tol):
+    """:func:`wedderburn_decompose` on the central primitive idempotents
+    ``idems`` of ``space``, found or certified by the caller."""
+    basis, dims, mults = space.basis(), [], []
     for e in idems:
         comp = MatrixSubspace.from_spanning(e @ basis, space.shape, tol)
         k2 = comp.dim
@@ -314,13 +318,25 @@ def is_symmetrically_embedded(space, seed=0, tol=RANK_TOL):
     isomorphic simple algebras.  A mismatch raises :class:`AssertionFailure`.
     """
     meta = space if isinstance(space, InvariantSubalgebra) else wedderburn_decompose(space, seed, tol)
-    return _symmetric_embedding(meta, centralizer(meta.space, tol), seed, tol)
+    return _symmetric_embedding(meta, centralizer(meta.space, tol), tol)
 
 
-def _symmetric_embedding(meta, cent, seed, tol):
-    """:func:`is_symmetrically_embedded` on Wedderburn data ``meta`` whose
-    centralizer ``cent`` the caller has already computed."""
-    cmeta = wedderburn_decompose(cent, seed, tol)
+def _symmetric_embedding(meta, cent, tol):
+    """:func:`is_symmetrically_embedded` on the data ``meta`` of a semisimple
+    B and a space ``cent`` equal to B'.  B'' = B gives Z(B') = B' meet B'' =
+    Z(B), so B's central primitive idempotents E are B''s, once certified:
+    ``dim Z(B)`` of them, in Z(B) and B', idempotents summing to I whose
+    traces are positive integers (so orthogonal).  Else AssertionFailure."""
+    d = cent.ambient_dim
+    idems = np.asarray(meta.idempotents, dtype=complex).reshape(-1, d, d)
+    z, traces = center(meta.space, tol), np.einsum("kii->k", idems).real
+    if not (len(idems) == z.dim and z.contains_all(idems, CERT_TOL)
+            and cent.contains_all(idems, CERT_TOL) and _all_idempotent(idems)
+            and np.linalg.norm(idems.sum(axis=0) - np.eye(d)) <= CERT_TOL
+            and np.all(np.abs(traces - np.round(traces)) <= INT_TOL) and traces.min() > 0.5):
+        raise AssertionFailure(
+            "the algebra's idempotents are not the centralizer's central primitive ones")
+    cmeta = _wedderburn_data(cent, idems, tol)
     flag = len(set(meta.component_dims)) == 1 and len(set(meta.multiplicities)) == 1
     if sorted(cmeta.component_dims) != sorted(meta.multiplicities) or \
        sorted(cmeta.multiplicities) != sorted(meta.component_dims):

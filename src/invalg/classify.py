@@ -28,7 +28,7 @@ from .groups import all_subgroups  # noqa: F401  bench/check.py traces it here
 from .reps import (Representation, character, character_table,
                    induced_character, inner_product, is_induced_from,
                    is_irreducible, restrict)
-from .spaces import MatrixSubspace
+from .spaces import MatrixSubspace, SpaceIndex
 
 
 @dataclass
@@ -206,7 +206,7 @@ def enumerate_invariant_subalgebras(v_rep, seed=0, tol=RANK_TOL):
     is true when the central-simple search was certified for every pair.
     """
     pairs = induction_pairs(v_rep, seed=seed, tol=tol)
-    out = []
+    out, index = [], SpaceIndex()
     complete = True
     for pair in pairs:
         cs_list, certified = central_simple_invariant_subalgebras(
@@ -217,11 +217,11 @@ def enumerate_invariant_subalgebras(v_rep, seed=0, tol=RANK_TOL):
             a = int(round(np.sqrt(c_space.dim)))
             datum = InductionDatum(pair, c_space, quad=(a, w // a))
             b = theta(datum, v_rep, tol=tol)
-            if not any(b.space.equals(o.space) for o in out):
+            if index.find(b.space) is None:
+                index.append(b.space)
                 out.append(b)
-    for b in list(out):
-        z = centralizer(b.space, tol)
-        if not any(z.equals(o.space) for o in out):
+    for b in out:
+        if index.find(centralizer(b.space, tol)) is None:
             raise AssertionFailure(
                 f"centralizer of a dim-{b.space.dim} output is missing from the list")
     d = v_rep.dim
@@ -236,8 +236,9 @@ def enumerate_invariant_subalgebras(v_rep, seed=0, tol=RANK_TOL):
 def verify_classification(subalgebras, v_rep, seed=0, tol=RANK_TOL):
     """Run the structural guarantees over a list of candidate subalgebras.
 
-    Checks per entry: invariance, semisimplicity, symmetric embedding, double
-    centralizer, centralizer membership in the list, transitivity of the
+    Checks per entry: invariance, semisimplicity, symmetric embedding (the
+    partner's data read off the entry's idempotents), double centralizer,
+    centralizer (partner) membership in the list, transitivity of the
     block permutation action, inertia group conjugate to the recorded H, and
     the center (the entry meet its centralizer) being the block construction
     of the scalar subalgebra for the same pair.  Violations, including the
@@ -245,6 +246,7 @@ def verify_classification(subalgebras, v_rep, seed=0, tol=RANK_TOL):
     """
     spaces = [b.space if isinstance(b, InvariantSubalgebra) else b
               for b in subalgebras]
+    index = SpaceIndex(spaces)
     violations = []
     cartans = {}  # id(pair) -> scalar-block span of the pair, built once
     for idx, entry in enumerate(subalgebras):
@@ -261,11 +263,13 @@ def verify_classification(subalgebras, v_rep, seed=0, tol=RANK_TOL):
             meta = (entry if isinstance(entry, InvariantSubalgebra)
                     else wedderburn_decompose(space, seed=seed, tol=tol))
             z = centralizer(space, tol)
-            if not _symmetric_embedding(meta, z, seed=seed, tol=tol):
+            j = index.find(z)
+            partner = z if j is None else spaces[j]
+            if not _symmetric_embedding(meta, partner, tol):
                 violations.append(f"{label}: embedding is not symmetric")
-            if not centralizer(z, tol).equals(space):
+            if not centralizer(partner, tol).equals(space):
                 violations.append(f"{label}: double centralizer moved")
-            if not any(z.equals(o) for o in spaces):
+            if j is None:
                 violations.append(f"{label}: centralizer missing from the list")
             sigma, transitive = permutation_action(meta, v_rep)
             if not transitive:

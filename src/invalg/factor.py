@@ -28,7 +28,7 @@ from .algebras import (_spectral_split, center, centralizer,
 from .errors import AssertionFailure, FactorRecoveryFailure, NotCentralSimple
 from .reps import (Representation, _as_projective_rep, _normalize_projective,
                    _pair_blocks, conjugation_decomposition)
-from .spaces import MatrixSubspace, generated_algebra
+from .spaces import MatrixSubspace, SpaceIndex, generated_algebra
 
 
 @dataclass
@@ -158,22 +158,13 @@ def central_simple_invariant_subalgebras(w_rep, seed=0, tol=RANK_TOL):
             out.append(sp)
     if not certified:
         # close under centralizer (the partner of a dual pair is again central
-        # simple and invariant; a certified scan already holds it).  A new
-        # centralizer is looked up by fingerprint, then compared with the
-        # entries of its dimension only (equal spaces have equal dimensions).
-        keys = {(sp.dim, sp.fingerprint()) for sp in out}
-        by_dim = {}
-        for sp in out:
-            by_dim.setdefault(sp.dim, []).append(sp)
-        i = 0
-        while i < len(out):
-            z = centralizer(out[i], tol)
-            key = (z.dim, z.fingerprint())
-            if key not in keys and not any(z.equals(sp) for sp in by_dim.get(z.dim, ())):
-                out.append(z)
-                keys.add(key)
-                by_dim.setdefault(z.dim, []).append(z)
-            i += 1
+        # simple and invariant; a certified scan already holds it)
+        index = SpaceIndex(out)
+        out = index.spaces
+        for sp in out:  # grows as it runs
+            z = centralizer(sp, tol)
+            if index.find(z) is None:
+                index.append(z)
     if not any(sp.dim == 1 for sp in out):
         raise AssertionFailure("scalar line missing")
     if not any(sp.dim == d * d for sp in out):
@@ -351,18 +342,13 @@ def factor(cs_list, w_rep, seed=0, tol=RANK_TOL):
     sides exchanged, and ``centralizer(B') = B`` is asserted.  The scalar
     line of a one-dimensional W is its own partner.
     """
-    index = {}
-    for j, sp in enumerate(cs_list):
-        index.setdefault((sp.dim, sp.fingerprint()), j)
+    index = SpaceIndex(cs_list)
     out = [None] * len(cs_list)
     for i, sp in enumerate(cs_list):
         if out[i] is not None:
             continue
         z = centralizer(sp, tol)
-        j = index.get((z.dim, z.fingerprint()))
-        if j is None or not cs_list[j].equals(z):
-            # a fingerprint can round differently on equal spaces
-            j = next((j for j, other in enumerate(cs_list) if other.equals(z)), None)
+        j = index.find(z)
         if j is None:
             raise AssertionFailure(
                 f"the centralizer of entry {i} (dim {z.dim}) is not in the list")

@@ -385,23 +385,25 @@ def character_table(group, seed=0):
     np.add.at(mats, (cls[:, None], heads, np.arange(k)), 1.0)
     mats *= root
     mats /= root[:, None]
-    # k projectors of k x k matrices: the split certifies them on the
-    # eigenvectors and never reads the (unital, commutative) span of the mats
-    projs = _spectral_split(None, mats, k, seed)
-    if projs is None:
-        raise ToleranceFailure("could not separate the class-algebra spectrum")
+    # column e of k projectors of k x k matrices: the split certifies them on
+    # the eigenvectors and never reads the (unital, commutative) span of the mats
     e = int(cls[group.identity])
-    table = np.array([p[:, e] / p[e, e] for p in projs])
+    cols = _spectral_split(None, mats, k, seed, e)
+    if cols is None:
+        raise ToleranceFailure("could not separate the class-algebra spectrum")
+    table = np.array([c / c[e] for c in cols])
     table *= np.array([round_to_int(np.sqrt(n / np.vdot(u, u).real), what="degree")
                        for u in table])[:, None] / root
     unit = table * (root / np.sqrt(n))
     if max(np.linalg.norm(unit @ unit.conj().T - np.eye(k)),
            np.linalg.norm(unit.conj().T @ unit - np.eye(k))) > INT_TOL:
         raise ToleranceFailure("character table fails the orthogonality relations")
-    chars = [ClassFunction(group=group, values=tuple(row.tolist())) for row in table]
-    chars.sort(key=lambda c: (round(c.values[e].real),
-                              tuple((round(v.real, 8), round(v.imag, 8)) for v in c.values)))
-    if sum(round(c.values[e].real) ** 2 for c in chars) != n:
+    # sort by degree, then by the values rounded to 8 places, real part first
+    degrees, rounded = np.round(table[:, e].real), np.round(table, 8)
+    keys = np.column_stack([degrees, np.stack([rounded.real, rounded.imag], 2).reshape(k, -1)])
+    order = np.lexsort(keys.T[::-1])
+    chars = [ClassFunction(group=group, values=tuple(table[i].tolist())) for i in order]
+    if np.sum(degrees ** 2) != n:
         raise ToleranceFailure("character table incomplete or inconsistent")
     group._cache[cache_key] = chars
     return chars

@@ -144,6 +144,28 @@ class MatrixSubspace:
         return np.stack([r, i]).tobytes()
 
 
+class SpaceIndex:
+    """A growing list of spaces, searched by ``(dim, fingerprint)`` for one
+    equal to a given space; a fingerprint can round differently on equal
+    spaces, so a miss falls back to comparing every entry in order."""
+
+    def __init__(self, spaces=()):
+        self.spaces, self._keys = [], {}
+        for sp in spaces:
+            self.append(sp)
+
+    def append(self, space):
+        self._keys.setdefault((space.dim, space.fingerprint()), len(self.spaces))
+        self.spaces.append(space)
+
+    def find(self, space):
+        """Index of an entry equal to ``space`` (the first, on a miss), or ``None``."""
+        j = self._keys.get((space.dim, space.fingerprint()))
+        if j is not None and self.spaces[j].equals(space):
+            return j
+        return next((j for j, sp in enumerate(self.spaces) if sp.equals(space)), None)
+
+
 def span_product(s1, s2, tol=RANK_TOL):
     """Span of all pairwise products of basis matrices of two subspaces."""
     if s1.shape[1] != s2.shape[0]:

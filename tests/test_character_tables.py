@@ -61,6 +61,14 @@ def _table(group, seed=0):
     return np.array([c.values for c in character_table(group, seed=seed)])
 
 
+def _sorted_by_python_rounding(table, e):
+    """Whether the rows ascend under the reference key: the degree, then the
+    values rounded by Python's ``round`` to 8 places, real part first."""
+    keys = [(round(row[e].real), tuple((round(v.real, 8), round(v.imag, 8)) for v in row))
+            for row in table]
+    return keys == sorted(keys)
+
+
 @pytest.mark.parametrize("key", sorted(KNOWN))
 def test_known_character_tables(key):
     group = catalog.get(key).group
@@ -79,6 +87,7 @@ def test_known_character_tables(key):
     e = int(class_index_array(group)[group.identity])
     degrees = got[:, e].real
     assert list(degrees) == sorted(degrees)
+    assert _sorted_by_python_rounding(got, e)
 
 
 def _dihedral(n):
@@ -140,6 +149,7 @@ def test_orthogonality_and_degrees(name):
     np.testing.assert_allclose(table.conj().T @ table, np.diag(n / sizes), atol=1e-9)
     e = int(class_index_array(group)[group.identity])
     assert [int(round(d)) for d in table[:, e].real] == degrees
+    assert _sorted_by_python_rounding(table, e)
     # the n x n class-sum split took 13.4 s at order 576, and a QR of the
     # (k^2, k) class-algebra stack 6.9 s at C250; this bound catches both
     assert elapsed < 2.0

@@ -229,7 +229,7 @@ def test_verify_classification_propagates_bugs(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("injected")
 
-    # the symmetric-embedding check, fed the entry's centralizer
+    # the symmetric-embedding check, fed the entry's partner in the list
     monkeypatch.setattr(invalg.classify, "_symmetric_embedding", broken)
     with pytest.raises(TypeError, match="injected"):
         verify_classification(subs, rep, seed=0)
@@ -387,6 +387,68 @@ def test_theta_rejects_a_c_that_is_not_m_a():
     cartan = MatrixSubspace.from_spanning([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
     with pytest.raises(ValueError, match="not M_a"):
         theta(InductionDatum(pair, cartan), rep)
+
+
+def _corruptions(idems):
+    """Corrupted copies of an entry's idempotents: two merged, one replaced
+    by a generic conjugate (not central), one dropped.  When the first two
+    have equal ranks, three more are each caught by one clause of the
+    certificate alone: two averaged (not idempotent), one zeroed into the
+    other (rank 0), one duplicated (not summing to I).  Last, all conjugated
+    by g: a complete orthogonal system outside the center."""
+    g = np.random.default_rng(0).standard_normal(idems[0].shape) + np.eye(len(idems[0]))
+    e, f, rest = idems[0], idems[1], list(idems[2:])
+    return {"merged": [e + f] + rest,
+            "non-central": [g @ e @ np.linalg.inv(g), f] + rest,
+            "dropped": [f] + rest,
+            "averaged": [(e + f) / 2, (e + f) / 2] + rest,
+            "zeroed": [e + f, 0 * f] + rest,
+            "duplicated": [e, e] + rest,
+            "conjugated": list(g @ np.asarray(idems) @ np.linalg.inv(g))}
+
+
+@pytest.mark.parametrize("key,rep_name", [("Q8", "std"), ("S3xS3", "stdXstd")])
+def test_verify_certifies_each_entrys_idempotents(key, rep_name):
+    """A corrupted idempotent list fails the certificate that the entry's
+    idempotents split its partner: a violation of that entry alone."""
+    _, rep = catalog.get(key, rep_name)
+    subs, _ = enumerate_invariant_subalgebras(rep, seed=0)
+    tried = 0
+    for idx, entry in enumerate(subs):
+        if len(entry.idempotents) < 2:
+            continue
+        assert len({round(np.trace(e).real) for e in entry.idempotents}) == 1
+        label = f"entry {idx} (dim {entry.dim})"
+        for how, idems in _corruptions(entry.idempotents).items():
+            bad = dataclasses.replace(entry, idempotents=idems)
+            report = verify_classification(subs[:idx] + [bad] + subs[idx + 1:], rep, seed=0)
+            assert report.violations == [
+                f"{label}: AssertionFailure: the algebra's idempotents are not "
+                "the centralizer's central primitive ones"], how
+            tried += 1
+    assert tried >= 3
+
+
+@pytest.mark.parametrize("key,rep_name", [("Q8", "std"), ("S3xS3", "stdXstd")])
+def test_verify_reports_a_missing_partner(key, rep_name):
+    """Without its partner an entry is checked against the fresh centralizer
+    and reports only the missing entry."""
+    _, rep = catalog.get(key, rep_name)
+    subs, _ = enumerate_invariant_subalgebras(rep, seed=0)
+    entry = next(s for s in subs if not centralizer(s.space).equals(s.space))
+    rest = [s for s in subs if not s.space.equals(centralizer(entry.space))]
+    assert len(rest) == len(subs) - 1
+    report = verify_classification(rest, rep, seed=0)
+    label = f"entry {[s is entry for s in rest].index(True)} (dim {entry.dim})"
+    assert report.violations == [f"{label}: centralizer missing from the list"]
+
+
+@pytest.mark.parametrize("key,rep_name", sorted(EXPECTED))
+def test_verify_bare_spaces_clean(key, rep_name):
+    """Bare spaces take their idempotents from the spectral split."""
+    _, rep = catalog.get(key, rep_name)
+    subs, _ = enumerate_invariant_subalgebras(rep, seed=0)
+    assert verify_classification([s.space for s in subs], rep, seed=0).ok
 
 
 def test_verify_reports_a_wrong_recorded_pair():

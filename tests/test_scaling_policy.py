@@ -3,7 +3,10 @@
 Character tables come from the class algebra's spectral split alone, so
 ``reps.py`` runs no QR (the (k^2, k) QR of the class-algebra stack cost
 k^4).  Induction pairs sweep only the subgroups whose index divides dim V,
-so they never need the whole lattice of ``all_subgroups``.
+so they never need the whole lattice of ``all_subgroups``.  Verification
+of an enumerated list splits nothing and solves no centralizer: it reads
+the centralizers from the memo and each partner's Wedderburn data off the
+entry's own idempotents.
 """
 
 import ast
@@ -14,7 +17,8 @@ import numpy as np
 import pytest
 
 import invalg
-from invalg import catalog, induction_pairs
+from invalg import (catalog, enumerate_invariant_subalgebras, induction_pairs,
+                    verify_classification)
 from invalg.groups import build_from_mult_table
 from invalg.reps import Representation
 
@@ -69,14 +73,27 @@ def _summary(pairs):
     return [(p.subgroup.members, p.w_rep.dim) for p in pairs]
 
 
+def _forbid(monkeypatch, name):
+    """Make every ``invalg`` module's ``name`` raise."""
+    def boom(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("invalg") and hasattr(mod, name):
+            monkeypatch.setattr(mod, name, boom)
+
+
 @pytest.mark.parametrize("key", ["D12", "S4", "S3xS3"])
 def test_induction_pairs_never_build_the_whole_lattice(key, monkeypatch):
     want = _summary(induction_pairs(_fresh(key)))
-
-    def boom(group):
-        raise AssertionError("induction_pairs built the whole subgroup lattice")
-
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("invalg") and hasattr(mod, "all_subgroups"):
-            monkeypatch.setattr(mod, "all_subgroups", boom)
+    _forbid(monkeypatch, "all_subgroups")
     assert _summary(induction_pairs(_fresh(key))) == want
+
+
+@pytest.mark.parametrize("key,rep_name", [("S3xS3", "stdXstd"), ("A4", "std3")])
+def test_verify_splits_nothing_and_solves_no_centralizer(key, rep_name, monkeypatch):
+    _, rep = catalog.get(key, rep_name)
+    subs, _ = enumerate_invariant_subalgebras(rep, seed=0)
+    for name in ("_spectral_split", "wedderburn_decompose", "intertwiners"):
+        _forbid(monkeypatch, name)
+    assert verify_classification(subs, rep, seed=0).ok

@@ -527,20 +527,23 @@ def test_verify_computes_each_block_permutation_once(monkeypatch):
 
 
 def test_verify_computes_each_centralizer_once(monkeypatch):
-    """The symmetric-embedding check reuses the entry's centralizer."""
+    """Each entry's centralizer is solved once, by enumerate's closure check;
+    verify reads it, and its partner's, from the memo."""
     _, rep = catalog.get("Q8", "std")
+    solved = []
+    original = invalg.algebras.intertwiners
+
+    def counting(a_mats, *args, **kwargs):
+        solved.append(a_mats)
+        return original(a_mats, *args, **kwargs)
+
+    monkeypatch.setattr(invalg.algebras, "intertwiners", counting)
     subs, _ = enumerate_invariant_subalgebras(rep, seed=0)
-    calls = []
-    original = invalg.classify.centralizer
-
-    def counting(space, *args, **kwargs):
-        calls.append(id(space))
-        return original(space, *args, **kwargs)
-
-    monkeypatch.setattr(invalg.classify, "centralizer", counting)
-    monkeypatch.setattr(invalg.algebras, "centralizer", counting)
+    before = len(solved)
     assert verify_classification(subs, rep, seed=0).ok
-    assert [calls.count(id(s.space)) for s in subs] == [1] * len(subs)
+    assert len(solved) == before
+    assert [sum(np.shares_memory(a, s.space.flat) for a in solved)
+            for s in subs] == [1] * len(subs)
 
 
 # -- Lie ----------------------------------------------------------------------------------
