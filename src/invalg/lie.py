@@ -9,13 +9,15 @@ weight, plus the zero algebra.
 """
 
 import itertools
+import math
 import operator
 import re
 from dataclasses import dataclass, field
 
-from .errors import AssertionFailure, NonIntegerDimension
+from .errors import AssertionFailure, CapExceeded, NonIntegerDimension
 
 MAX_RANK = 8
+POWER_SET_CAP = 2 ** 16  # unital subalgebras, 2^|I| for |I| nontrivial factors
 
 
 def _basis_vec(n, i, scale=1):
@@ -88,23 +90,21 @@ class RootSystem:
     positive_roots: tuple
     fundamental_weights2: tuple  # doubled, so half-integer weights stay integral
     rho2: tuple
-    # derived per instance in __post_init__: one row (<alpha, 2 rho>,
-    # (<alpha, 2 omega_i>)_i) per positive root, the denominator
-    # prod <alpha, 2 rho>, and the coords -> dimension memo of weyl_dim
-    pairings: tuple = field(init=False, repr=False, compare=False)
+    # derived in __post_init__: vectors over the positive roots <alpha, 2 rho> and, one per
+    # coordinate, <alpha, 2 omega_i>; den = prod <alpha, 2 rho>; the coords -> dim memo
+    rho_pairings: tuple = field(init=False, repr=False, compare=False)
+    columns: tuple = field(init=False, repr=False, compare=False)
     den: int = field(init=False, repr=False, compare=False)
     dim_memo: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
 
     def __post_init__(self):
-        pairings = tuple((_dot(alpha, self.rho2),
-                          tuple(_dot(alpha, w) for w in self.fundamental_weights2))
-                         for alpha in self.positive_roots)
-        den = 1
-        for rho_pairing, _ in pairings:
-            den *= rho_pairing
-        object.__setattr__(self, "pairings", pairings)
-        object.__setattr__(self, "den", den)
+        roots = self.positive_roots
+        rho_pairings = tuple(_dot(alpha, self.rho2) for alpha in roots)
+        object.__setattr__(self, "rho_pairings", rho_pairings)
+        object.__setattr__(self, "columns", tuple(
+            tuple(_dot(alpha, w) for alpha in roots) for w in self.fundamental_weights2))
+        object.__setattr__(self, "den", math.prod(rho_pairings))
 
     @classmethod
     def build(cls, family, rank):
@@ -126,7 +126,7 @@ class RootSystem:
         rho2 = tuple(sum(w[k] for w in fw2) for k in range(dim))
         system = cls(family=family, rank=rank, positive_roots=tuple(roots),
                      fundamental_weights2=tuple(fw2), rho2=rho2)
-        for alpha, (rho_pairing, _) in zip(roots, system.pairings):
+        for alpha, rho_pairing in zip(roots, system.rho_pairings):
             if rho_pairing <= 0:
                 raise AssertionFailure(
                     f"{family}{rank}: root {alpha} pairs nonpositively with rho")
@@ -163,8 +163,11 @@ def _coordinate(c):
 class HighestWeight:
     system: RootSystem
     coords: tuple
-    # derived in __post_init__; _dim is filled by the first weyl_dim call
+    # derived in __post_init__: is_zero, pairing <2 lam, alpha> over the positive
+    # roots and shifted = pairing + <2 rho, alpha>; _dim is filled by weyl_dim
     is_zero: bool = field(init=False, repr=False, compare=False)
+    pairing: tuple = field(init=False, repr=False, compare=False)
+    shifted: tuple = field(init=False, repr=False, compare=False)
     _dim: int = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -175,42 +178,50 @@ class HighestWeight:
                 f"got {len(coords)}")
         if any(c < 0 for c in coords):
             raise ValueError("highest weight coordinates must be nonnegative")
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "is_zero", not any(coords))
+        pairing = [0] * len(self.system.rho_pairings)
+        for c, column in zip(coords, self.system.columns):
+            if c:
+                pairing = [p + c * q for p, q in zip(pairing, column)]
+        self._fill(coords, tuple(pairing))
+
+    def _fill(self, coords, pairing):
+        shifted = tuple(map(operator.add, self.system.rho_pairings, pairing))
+        vars(self).update(coords=coords, is_zero=not any(coords), pairing=pairing,
+                          shifted=shifted, _dim=None)
 
     def __add__(self, other):
         if other.system != self.system:
             raise ValueError("weights live on different root systems")
-        return HighestWeight(self.system,
-                             tuple(map(operator.add, self.coords, other.coords)))
+        total = object.__new__(HighestWeight)
+        vars(total)["system"] = self.system
+        total._fill(tuple(map(operator.add, self.coords, other.coords)),
+                    tuple(map(operator.add, self.pairing, other.pairing)))
+        return total
 
 
 def weyl_dim(weight):
     """Dimension of the irreducible with this highest weight, exactly.
 
     Weyl's formula prod <lam + rho, alpha> / <rho, alpha> over the positive
-    roots, read off the system's pairing table and memoized on the system;
-    the weight keeps its own dimension too.
+    roots: the product of the weight's shifted vector over the system's
+    denominator, memoized on the system; the weight keeps its own dimension.
     """
     dim = weight._dim
     if dim is None:
-        dim = _coords_dim(weight.system, weight.coords)
+        dim = weight.system.dim_memo.get(weight.coords)
+        if dim is None:
+            dim = _memo_dim(weight.system, weight.coords, math.prod(weight.shifted))
         object.__setattr__(weight, "_dim", dim)
     return dim
 
 
-def _coords_dim(sys_, coords):
-    """:func:`weyl_dim` of the weight with nonnegative integer ``coords``."""
-    dim = sys_.dim_memo.get(coords)
-    if dim is None:
-        num = 1
-        for rho_pairing, row in sys_.pairings:
-            num *= rho_pairing + sum(c * p for c, p in zip(coords, row))
-        if num % sys_.den != 0:
-            raise NonIntegerDimension(
-                f"{sys_.name}, weight {coords}: product {num}/{sys_.den} "
-                "is not an integer")
-        dim = sys_.dim_memo[coords] = num // sys_.den
+def _memo_dim(sys_, coords, num):
+    """``num / den`` for the weight ``coords``, checked integral and memoized."""
+    if num % sys_.den != 0:
+        raise NonIntegerDimension(
+            f"{sys_.name}, weight {coords}: product {num}/{sys_.den} "
+            "is not an integer")
+    dim = sys_.dim_memo[coords] = num // sys_.den
     return dim
 
 
@@ -225,8 +236,12 @@ def tensor_irreducible(lam, mu):
     if mu.system is not sys_ and mu.system != sys_:
         raise ValueError("weights live on different root systems")
     product = weyl_dim(lam) * weyl_dim(mu)
-    # the coords of lam + mu, without building and re-validating a weight
-    combined = _coords_dim(sys_, tuple(map(operator.add, lam.coords, mu.coords)))
+    # lam + mu, unbuilt: its shifted vector is lam's shifted vector plus mu's vector
+    coords = tuple(map(operator.add, lam.coords, mu.coords))
+    combined = sys_.dim_memo.get(coords)
+    if combined is None:
+        num = math.prod(map(operator.add, lam.shifted, mu.pairing))
+        combined = _memo_dim(sys_, coords, num)
     if combined > product:
         raise AssertionFailure("Cartan component exceeds the tensor product")
     result = combined == product
@@ -278,6 +293,8 @@ def etingof_enumerate(factors):
             raise ValueError("weight does not belong to its declared system")
         dims.append(weyl_dim(weight))
     nonzero = tuple(i for i, (_, w) in enumerate(factors) if not w.is_zero)
+    if 2 ** len(nonzero) > POWER_SET_CAP:
+        raise CapExceeded(f"2^{len(nonzero)} subalgebras exceed the cap of {POWER_SET_CAP}")
     entries = []
     for r in range(len(nonzero) + 1):
         for subset in itertools.combinations(nonzero, r):

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 import invalg.algebras
 import invalg.classify
 from invalg import catalog
-from invalg import (AssertionFailure, MatrixSubspace, central_simple_invariant_subalgebras,
-                    centralizer, enumerate_invariant_subalgebras, induction_pairs,
-                    is_induced_from, nonunital_scan, theta,
+from invalg import (AssertionFailure, InfiniteLattice, MatrixSubspace, SubspaceOfV,
+                    central_simple_invariant_subalgebras, centralizer,
+                    enumerate_invariant_subalgebras, induction_pairs, invariant_ideals,
+                    invariant_subspaces, is_induced_from, nonunital_scan, theta,
                     theta_lattice_check, theta_transitivity_check,
                     verify_classification, wedderburn_decompose)
 from invalg.classify import InductionDatum
@@ -200,6 +201,46 @@ def test_factorizations_any_basis(key, rep_name, data):
         return [(f.a, f.b) for f in factor(cs_list, r, seed=0)], certified
 
     assert pairs(_conjugated(rep, data.draw(_skews(rep.dim)))) == pairs(rep)
+
+
+@pytest.mark.parametrize("key,rep_name", RELABEL_INPUTS)
+@given(data=st.data())
+@settings(max_examples=5, deadline=None)
+def test_verify_classification_any_basis(key, rep_name, data):
+    _, rep = catalog.get(key, rep_name)
+    moved = _conjugated(rep, data.draw(_skews(rep.dim)))
+    subs, _ = enumerate_invariant_subalgebras(moved, seed=0)
+    assert verify_classification(subs, moved, seed=0).ok
+
+
+@pytest.mark.parametrize("key,rep_name", [("S3", "trivPlusSign"), ("S3", "trivPlusSignPlusStd"),
+                                          ("A4", "std3")])
+@given(data=st.data())
+@settings(max_examples=5, deadline=None)
+def test_ideals_any_basis(key, rep_name, data):
+    """A non-unitary basis change T of V carries each invariant subspace U to
+    T U, and the left and right ideal lattices keep their counts and dims."""
+    _, rep = catalog.get(key, rep_name)
+    t = data.draw(_skews(rep.dim))
+    moved = _conjugated(rep, t)
+    want, got = invariant_subspaces(rep, seed=0), invariant_subspaces(moved, seed=0)
+    assert [u.dim for u in got] == [u.dim for u in want]
+    for u in want:
+        image = SubspaceOfV.from_columns(rep.dim, t @ u.basis)
+        assert sum(image.equals(v) for v in got) == 1
+    for side in ("left", "right"):
+        assert ([i.dim for i in invariant_ideals(moved, side, seed=0)]
+                == [i.dim for i in invariant_ideals(rep, side, seed=0)])
+
+
+@given(data=st.data())
+@settings(max_examples=5, deadline=None)
+def test_infinite_ideal_lattice_any_basis(data):
+    _, rep = catalog.get("S3", "regular")
+    moved = _conjugated(rep, data.draw(_skews(rep.dim)))
+    assert invariant_subspaces(moved, seed=0) == invariant_subspaces(rep, seed=0)
+    with pytest.raises(InfiniteLattice):
+        invariant_ideals(moved, "left", seed=0)
 
 
 @pytest.mark.parametrize("key,rep_name", sorted(EXPECTED))

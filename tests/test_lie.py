@@ -7,8 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from invalg import (HighestWeight, NonIntegerDimension, RootSystem,
+import invalg.lie
+from invalg import (CapExceeded, HighestWeight, NonIntegerDimension, RootSystem,
                     etingof_enumerate, tensor_irreducible, weyl_dim)
+from invalg.cli import main
 from invalg.lie import parse_product_type
 
 POSITIVE_ROOT_COUNTS = {
@@ -146,6 +148,45 @@ def test_etingof_enumerate_three_factors():
     assert sorted(e.dim for e in cls.entries) == [1, 4, 9, 16, 36, 64, 144, 576]
 
 
+def test_etingof_enumerate_all_nonzero_a1_power():
+    a1 = RootSystem.from_name("A1")
+    cls = etingof_enumerate([(a1, HighestWeight(a1, (k + 1,))) for k in range(8)])
+    assert cls.count == 2 ** 8 + 1 == 257
+
+
+def _boom(**kwargs):
+    raise AssertionError("an entry was built")
+
+
+@pytest.mark.parametrize("n", [17, 40])
+def test_etingof_enumerate_caps_the_power_set(n, monkeypatch):
+    """2^n entries for n > 16 nontrivial factors: refused before the first."""
+    monkeypatch.setattr(invalg.lie, "SubalgebraEntry", _boom)
+    a1 = RootSystem.from_name("A1")
+    factors = [(a1, HighestWeight(a1, (1,)))] * n + [(a1, HighestWeight(a1, (0,)))] * 3
+    with pytest.raises(CapExceeded, match=f"2\\^{n} "):
+        etingof_enumerate(factors)
+
+
+def test_power_set_cap_boundary(monkeypatch):
+    monkeypatch.setattr(invalg.lie, "POWER_SET_CAP", 2 ** 3)
+    a1 = RootSystem.from_name("A1")
+    w = HighestWeight(a1, (1,))
+    assert etingof_enumerate([(a1, w)] * 3).count == 9
+    monkeypatch.setattr(invalg.lie, "SubalgebraEntry", _boom)
+    with pytest.raises(CapExceeded):
+        etingof_enumerate([(a1, w)] * 4)
+
+
+@pytest.mark.parametrize("n", [17, 40])
+def test_cli_power_set_cap_exits_2(n, monkeypatch, capsys):
+    monkeypatch.setattr(invalg.lie, "SubalgebraEntry", _boom)
+    code = main(["lie", "--type", "x".join(["A1"] * n), "--weights", ";".join(["[1]"] * n)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("limit exceeded:")
+
+
 def test_parse_product_type():
     systems = parse_product_type("A1xB3xG2")
     assert [s.name for s in systems] == ["A1", "B3", "G2"]
@@ -229,9 +270,13 @@ def test_weyl_dim_matches_vector_formula(name):
 
 
 def test_weyl_dim_memo_is_per_system():
-    """Each system memoizes its own dimensions; equality and hashing ignore it."""
+    """Each system memoizes its own dimensions; equality, hashing and repr
+    ignore it and the pairing vectors."""
     first, second = RootSystem.from_name("B4"), RootSystem.from_name("B4")
+    object.__setattr__(second, "columns", ())
+    object.__setattr__(second, "rho_pairings", ())
     assert first == second and hash(first) == hash(second)
+    assert repr(first) == repr(second) and "columns" not in repr(first)
     assert first.dim_memo is not second.dim_memo
     w1, w2 = HighestWeight(first, (1, 0, 2, 1)), HighestWeight(second, (1, 0, 2, 1))
     hashes = hash(first), hash(w1)
@@ -243,16 +288,24 @@ def test_weyl_dim_memo_is_per_system():
 
 
 def test_weyl_dim_hand_built_system_non_integer():
-    """A direct dataclass call gets the pairing table too; 5/3 is rejected."""
+    """A direct dataclass call gets the pairing vectors too; 5/3 is rejected,
+    and so is 7/3 when ``tensor_irreducible`` forms it from two vectors."""
     rs = RootSystem("A", 2, ((2, 1),), ((1, 0), (0, 1)), (1, 1))
-    with pytest.raises(NonIntegerDimension):
-        weyl_dim(HighestWeight(rs, (1, 0)))
+    lam = HighestWeight(rs, (1, 0))
+    with pytest.raises(NonIntegerDimension, match="5/3"):
+        weyl_dim(lam)
+    # every weight whose own dimension is an integer sums to another one, so
+    # lam's dimension comes from the memo to reach the combined miss
+    rs.dim_memo[(1, 0)] = 1
+    with pytest.raises(NonIntegerDimension, match="7/3"):
+        tensor_irreducible(lam, HighestWeight(rs, (1, 0)))
+    assert (2, 0) not in rs.dim_memo
 
 
 def test_weight_keeps_is_zero_and_its_dimension():
-    """``is_zero`` is decided once at construction; the dimension is filled
-    by the first ``weyl_dim`` call and then read off the weight.  Neither
-    takes part in equality, hashing or repr."""
+    """``is_zero`` and the pairing vectors are decided once at construction;
+    the dimension is filled by the first ``weyl_dim`` call and then read off
+    the weight.  None of them takes part in equality, hashing or repr."""
     rs = RootSystem.from_name("C3")
     zero, lam = HighestWeight(rs, (0, 0, 0)), HighestWeight(rs, (0, 1, 0))
     assert zero.is_zero is True and lam.is_zero is False
@@ -265,3 +318,35 @@ def test_weight_keeps_is_zero_and_its_dimension():
     assert twin._dim is None and twin == lam and hash(twin) == hash(lam)
     assert repr(twin) == repr(lam)
     assert (lam + zero) == lam and (lam + zero)._dim is None
+    object.__setattr__(twin, "pairing", (0,) * len(lam.pairing))
+    object.__setattr__(twin, "shifted", (1,) * len(lam.shifted))
+    assert twin == lam and hash(twin) == hash(lam) and repr(twin) == repr(lam)
+    assert "pairing" not in repr(lam) and "shifted" not in repr(lam)
+
+
+# coordinates from 10^6 to 10^9: every numerator is far past 2^63
+HUGE = {"A8": 8, "B8": 8, "C8": 8, "D8": 8, "G2": 2}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE))
+def test_weyl_kernel_exact_past_int64(name):
+    rs = RootSystem.from_name(name)
+    roots, weights = _textbook_data(rs.family, rs.rank)
+    scale = math.lcm(*(x.denominator for w in weights for x in w))
+    weights = [[int(x * scale) for x in w] for w in weights]
+    roots = [[int(x) for x in alpha] for alpha in roots]
+    rank = HUGE[name]
+    lam_c = tuple(10 ** 6 + 7919 * k ** 3 for k in range(rank))
+    mu_c = tuple(10 ** 9 - 104729 * k for k in range(rank))
+    lam, mu = HighestWeight(rs, lam_c), HighestWeight(rs, mu_c)
+    total_c = tuple(a + b for a, b in zip(lam_c, mu_c))
+    total = lam + mu
+    fresh = HighestWeight(rs, total_c)
+    assert total == fresh and total.coords == total_c
+    assert (total.pairing, total.shifted) == (fresh.pairing, fresh.shifted)
+    assert math.prod(lam.shifted) > 2 ** 63 and math.prod(total.shifted) > 2 ** 63 * 10 ** 6
+    want = {c: _textbook_dim(roots, weights, c) for c in (lam_c, mu_c, total_c)}
+    assert weyl_dim(lam) == want[lam_c] and weyl_dim(mu) == want[mu_c]
+    assert tensor_irreducible(lam, mu) is False
+    assert rs.dim_memo[total_c] == want[total_c]  # formed from the two vectors
+    assert weyl_dim(total) == weyl_dim(fresh) == want[total_c]

@@ -6,10 +6,12 @@ k^4).  Induction pairs sweep only the subgroups whose index divides dim V,
 so they never need the whole lattice of ``all_subgroups``.  Verification
 of an enumerated list splits nothing and solves no centralizer: it reads
 the centralizers from the memo and each partner's Wedderburn data off the
-entry's own idempotents.
+entry's own idempotents.  The Lie layer is exact integer arithmetic with
+no numpy, and a weight sweep computes each combined dimension once.
 """
 
 import ast
+import itertools
 import sys
 from pathlib import Path
 
@@ -17,12 +19,14 @@ import numpy as np
 import pytest
 
 import invalg
-from invalg import (catalog, enumerate_invariant_subalgebras, induction_pairs,
-                    verify_classification)
+import invalg.lie
+from invalg import (HighestWeight, RootSystem, catalog, enumerate_invariant_subalgebras,
+                    induction_pairs, tensor_irreducible, verify_classification, weyl_dim)
 from invalg.groups import build_from_mult_table
 from invalg.reps import Representation
 
 REPS = Path(invalg.__file__).parent / "reps.py"
+LIE = Path(invalg.__file__).parent / "lie.py"
 
 
 def _qr_calls(tree):
@@ -97,3 +101,39 @@ def test_verify_splits_nothing_and_solves_no_centralizer(key, rep_name, monkeypa
     for name in ("_spectral_split", "wedderburn_decompose", "intertwiners"):
         _forbid(monkeypatch, name)
     assert verify_classification(subs, rep, seed=0).ok
+
+
+def _imported_modules(tree):
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_lie_imports_no_numpy():
+    assert "numpy" not in _imported_modules(ast.parse(LIE.read_text(encoding="utf-8")))
+
+
+def test_the_import_check_sees_what_it_looks_for():
+    tree = ast.parse("import numpy as np\nfrom numpy.linalg import qr\nfrom . import numpy\n")
+    assert _imported_modules(tree) == {"numpy"}
+    assert "numpy" not in _imported_modules(ast.parse("from .errors import numpy"))
+
+
+def test_lie_sweep_computes_each_combined_dimension_once(monkeypatch):
+    """A B4 sweep over the box 0..2: 81^2 pairs, 5^4 distinct sums."""
+    rs = RootSystem.from_name("B4")
+    fills = []
+    memo_dim = invalg.lie._memo_dim
+    monkeypatch.setattr(invalg.lie, "_memo_dim",
+                        lambda *args: fills.append(args[1]) or memo_dim(*args))
+    weights = [HighestWeight(rs, c) for c in itertools.product(range(3), repeat=4)]
+    for lam in weights:
+        for mu in weights:
+            assert tensor_irreducible(lam, mu) == (lam.is_zero or mu.is_zero)
+    assert len(rs.dim_memo) == len(fills) == len(set(fills)) == 5 ** 4
+    fresh = RootSystem.from_name("B4")
+    assert all(dim == weyl_dim(HighestWeight(fresh, c)) for c, dim in rs.dim_memo.items())
