@@ -18,11 +18,11 @@ for key, rep_name in [("S3", "std"), ("Q8", "std"), ("A4", "std3"),
     group, rep = catalog.get(key, rep_name)
     print(f"=== {key}:{rep_name}  (|G| = {group.order}, dim V = {rep.dim}) ===")
 
-    pairs = induction_pairs(rep, seed=0)
+    pairs = induction_pairs(rep)
     print("induction pairs (|H|, dim W):",
           [(p.subgroup.order, p.w_rep.dim) for p in pairs])
 
-    subs, complete = enumerate_invariant_subalgebras(rep, seed=0)
+    subs, complete = enumerate_invariant_subalgebras(rep)
     for s in subs:
         datum = s.induction_datum
         origin = "ambient"
@@ -34,18 +34,18 @@ for key, rep_name in [("S3", "std"), ("Q8", "std"), ("A4", "std3"),
 
     # independent route: try every sum of isotypic components of the
     # conjugation action for product closure
-    unital, nonunital, certified = multfree_scan(rep, seed=0)
+    unital, nonunital, certified = multfree_scan(rep)
     match = len(unital) == len(subs) and all(
         any(u.equals(s.space) for s in subs) for u in unital)
     print(f"subset scan: {len(unital)} unital (certified={certified}), "
           f"match={match}")
 
-    report = verify_classification(subs, rep, seed=0)
+    report = verify_classification(subs, rep)
     print(f"structural checks: ok={report.ok} over {report.checked} entries\n")
 
 # the three Cartans of Q8 are distinct but each is its own centralizer
 _, q8 = catalog.get("Q8", "std")
-subs, _ = enumerate_invariant_subalgebras(q8, seed=0)
+subs, _ = enumerate_invariant_subalgebras(q8)
 cartans = [s.space for s in subs if s.dim == 2]
 print("Q8 Cartans: pairwise distinct =",
       all(not a.equals(b) for i, a in enumerate(cartans) for b in cartans[i + 1:]),

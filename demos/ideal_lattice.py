@@ -13,7 +13,7 @@ from invalg import ann, catalog, coann, ideal_to_subspace, invariant_ideals, inv
 group, rep = catalog.get("S3", "trivPlusSign")
 print(f"group {group.name} of order {group.order}, rep of dim {rep.dim}\n")
 
-spaces = invariant_subspaces(rep, seed=0)
+spaces = invariant_subspaces(rep)
 print("invariant subspaces of V:")
 for s in spaces:
     print(f"  dim {s.dim}  label {s.label!r}")
@@ -30,8 +30,8 @@ for s in spaces:
     if not (ideal_to_subspace(left).equals(s) and ideal_to_subspace(right).equals(s)):
         raise RuntimeError(f"subspace {s.label!r} is not recovered from its ideals")
 
-lattice_l = invariant_ideals(rep, "left", seed=0)
-lattice_r = invariant_ideals(rep, "right", seed=0)
+lattice_l = invariant_ideals(rep, "left")
+lattice_r = invariant_ideals(rep, "right")
 print(f"\ntotal: {len(lattice_l)} left and {len(lattice_r)} right ideals "
       f"(2^m for m = 2 isotypic components)")
 
@@ -44,5 +44,5 @@ print("order reversal verified along the lattice chain")
 
 # a representation with a repeated constituent has no finite lattice
 _, reg = catalog.get("S3", "regular")
-param = invariant_subspaces(reg, seed=0)
+param = invariant_subspaces(reg)
 print(f"\nregular rep instead: infinite lattice, parametrized as {param}")

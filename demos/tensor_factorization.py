@@ -15,13 +15,13 @@ from invalg.factor import factor
 group, rep = catalog.get("S3xS3", "stdXstd")
 print(f"group of order {group.order}, dim V = {rep.dim}")
 
-cs, certified = central_simple_invariant_subalgebras(rep, seed=0)
+cs, certified = central_simple_invariant_subalgebras(rep)
 print(f"central simple invariant subalgebras (certified={certified}):",
       [s.dim for s in cs])
 
 # one extraction per dual pair: the partner's factorization is the same
 # splitting with the two sides exchanged
-facts = factor(cs, rep, seed=0)
+facts = factor(cs, rep)
 for i, (b_space, fact) in enumerate(zip(cs, facts)):
     partner = next(j for j, z in enumerate(cs) if z is fact.z_space)
     if b_space.dim in (1, 16) or partner < i:
@@ -46,6 +46,6 @@ for i, (b_space, fact) in enumerate(zip(cs, facts)):
 print("\n=== C2xC2 Pauli matrices ===")
 _, pauli = catalog.get("C2xC2", "pauli")
 from invalg import MatrixSubspace
-fact = extract_factorization(MatrixSubspace.identity_line(2), pauli, seed=0)
+fact = extract_factorization(MatrixSubspace.identity_line(2), pauli)
 print(f"split 2 = {fact.a} x {fact.b}; residual {fact.residual:.3e}; "
       f"tau projective: {fact.tau.cocycle is not None}")

@@ -23,6 +23,8 @@ from .groups import Subgroup
 from .spaces import MatrixSubspace
 
 IDEMPOTENT_RETRIES = 20
+# the seed of every spectral split's draws; no answer depends on which draw succeeds
+_DRAW_SEED = 0
 
 
 @dataclass
@@ -155,7 +157,7 @@ def algebra_unit(space):
     return u
 
 
-def central_primitive_idempotents(space, seed=0, tol=RANK_TOL):
+def central_primitive_idempotents(space, tol=RANK_TOL):
     """Central primitive idempotents of a product-closed semisimple algebra.
 
     Strategy: certify semisimplicity with the trace form, then take a random
@@ -183,7 +185,7 @@ def central_primitive_idempotents(space, seed=0, tol=RANK_TOL):
     if np.linalg.norm(rest) > CERT_TOL:
         basis = np.concatenate([basis, rest[None]])
         whole = space.add(MatrixSubspace.from_spanning([rest], space.shape, tol), tol)
-    idems = _spectral_split(whole, basis, len(basis), seed)
+    idems = _spectral_split(whole, basis, len(basis))
     if idems is None:
         raise NotSemisimple(
             f"could not separate central idempotents after {IDEMPOTENT_RETRIES} attempts")
@@ -217,21 +219,22 @@ def _certified_projectors(v, w, parts, cols=slice(None)):
     return [v[:, ix] @ w[ix, cols] for ix in parts]
 
 
-def _spectral_split(space, basis, count, seed, cols=slice(None)):
+def _spectral_split(space, basis, count, cols=slice(None)):
     """Spectral projectors of a random element x of ``span(basis)``, or ``None``.
 
     ``space`` is a unital algebra holding x.  Eigenvalues cluster at
     ``IDEMPOTENT_GAP`` times the spectral radius.  A draw is kept when its
     ``count`` cluster projectors are certified on the eigenvectors
     (:func:`_certified_projectors`) and lie in ``space``; after
-    ``IDEMPOTENT_RETRIES`` rejected draws from ``seed``'s stream the result
-    is ``None``.  If ``count`` is the matrix size, the eigenvalues are simple,
-    so C[x], of dimension ``count``, holds the exact projectors and lies in
-    ``space``, which is not read: instead ``max_i |x v_i - l_i v_i| / |v_i|``
-    times ``|V| |V^-1|`` must be at most ``CERT_TOL`` times the least gap,
-    and only the columns ``cols`` of each projector are formed.
+    ``IDEMPOTENT_RETRIES`` rejected draws (every call restarts the one
+    stream seeded by ``_DRAW_SEED``) the result is ``None``.  If ``count`` is
+    the matrix size, the eigenvalues are simple, so C[x], of dimension
+    ``count``, holds the exact projectors and lies in ``space``, which is not
+    read: instead ``max_i |x v_i - l_i v_i| / |v_i|`` times ``|V| |V^-1|``
+    must be at most ``CERT_TOL`` times the least gap, and only the columns
+    ``cols`` of each projector are formed.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_DRAW_SEED)
     for attempt in range(IDEMPOTENT_RETRIES):
         coeff = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
         x = np.tensordot(coeff, basis, axes=(0, 0))
@@ -257,20 +260,20 @@ def _spectral_split(space, basis, count, seed, cols=slice(None)):
     return None
 
 
-def z0(space, seed=0, tol=RANK_TOL):
+def z0(space, tol=RANK_TOL):
     """Span of the central primitive idempotents."""
-    idems = central_primitive_idempotents(space, seed=seed, tol=tol)
+    idems = central_primitive_idempotents(space, tol=tol)
     return MatrixSubspace.from_spanning(idems, space.shape, tol)
 
 
-def wedderburn_decompose(space, seed=0, tol=RANK_TOL):
+def wedderburn_decompose(space, tol=RANK_TOL):
     """Component dimensions and multiplicities of a semisimple subalgebra.
 
     Component ``i`` is ``e_i B`` with dimension ``k_i^2``; its multiplicity in
     the ambient column space is ``rank(e_i) / k_i``.  Integer failures raise
     :class:`ToleranceFailure`.
     """
-    return _wedderburn_data(space, central_primitive_idempotents(space, seed=seed, tol=tol), tol)
+    return _wedderburn_data(space, central_primitive_idempotents(space, tol=tol), tol)
 
 
 def _wedderburn_data(space, idems, tol):
@@ -309,7 +312,7 @@ def is_invariant(space, rep, tol=RANK_TOL):
     return space.contains_all(moved, tol)
 
 
-def is_symmetrically_embedded(space, seed=0, tol=RANK_TOL):
+def is_symmetrically_embedded(space, tol=RANK_TOL):
     """All component dims equal and all multiplicities equal.
 
     Cross-checked against the centralizer: its component dims must be the
@@ -317,7 +320,7 @@ def is_symmetrically_embedded(space, seed=0, tol=RANK_TOL):
     property must be equivalent to both sides being sums of pairwise
     isomorphic simple algebras.  A mismatch raises :class:`AssertionFailure`.
     """
-    meta = space if isinstance(space, InvariantSubalgebra) else wedderburn_decompose(space, seed, tol)
+    meta = space if isinstance(space, InvariantSubalgebra) else wedderburn_decompose(space, tol)
     return _symmetric_embedding(meta, centralizer(meta.space, tol), tol)
 
 

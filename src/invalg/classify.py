@@ -83,7 +83,7 @@ def _conjugation_class_maps(group, sub, normalizer):
     return np.unique(class_index_array(h_group)[pos[moved]], axis=0)
 
 
-def induction_pairs(v_rep, seed=0, tol=RANK_TOL):
+def induction_pairs(v_rep, tol=RANK_TOL):
     """All induction pairs (H, W) for an irreducible V, one per conjugacy orbit.
 
     Scans the subgroup classes of index dividing dim V in increasing order;
@@ -104,7 +104,7 @@ def induction_pairs(v_rep, seed=0, tol=RANK_TOL):
         h_group = sub.as_group()
         res = restrict(v_rep, sub)
         res_char = character(res)
-        table = character_table(h_group, seed=seed)
+        table = character_table(h_group)
         class_maps = _conjugation_class_maps(
             group, sub, _normalizer_members(group, sub))
         seen_orbits = set()
@@ -197,7 +197,7 @@ def theta(datum, v_rep, tol=RANK_TOL):
         induction_datum=datum)
 
 
-def enumerate_invariant_subalgebras(v_rep, seed=0, tol=RANK_TOL):
+def enumerate_invariant_subalgebras(v_rep, tol=RANK_TOL):
     """All unital invariant subalgebras of End(V), with a completeness flag.
 
     Walks every induction pair, takes every central simple invariant C in the
@@ -205,12 +205,11 @@ def enumerate_invariant_subalgebras(v_rep, seed=0, tol=RANK_TOL):
     from different data are merged (first datum found is kept).  ``complete``
     is true when the central-simple search was certified for every pair.
     """
-    pairs = induction_pairs(v_rep, seed=seed, tol=tol)
+    pairs = induction_pairs(v_rep, tol=tol)
     out, index = [], SpaceIndex()
     complete = True
     for pair in pairs:
-        cs_list, certified = central_simple_invariant_subalgebras(
-            pair.w_rep, seed=seed, tol=tol)
+        cs_list, certified = central_simple_invariant_subalgebras(pair.w_rep, tol=tol)
         complete = complete and certified
         w = pair.w_rep.dim
         for c_space in cs_list:
@@ -233,7 +232,7 @@ def enumerate_invariant_subalgebras(v_rep, seed=0, tol=RANK_TOL):
     return out, complete
 
 
-def verify_classification(subalgebras, v_rep, seed=0, tol=RANK_TOL):
+def verify_classification(subalgebras, v_rep, tol=RANK_TOL):
     """Run the structural guarantees over a list of candidate subalgebras.
 
     Checks per entry: invariance, semisimplicity, symmetric embedding (the
@@ -261,7 +260,7 @@ def verify_classification(subalgebras, v_rep, seed=0, tol=RANK_TOL):
                 violations.append(f"{label}: trace form degenerate (radical found)")
                 continue
             meta = (entry if isinstance(entry, InvariantSubalgebra)
-                    else wedderburn_decompose(space, seed=seed, tol=tol))
+                    else wedderburn_decompose(space, tol=tol))
             z = centralizer(space, tol)
             j = index.find(z)
             partner = z if j is None else spaces[j]
@@ -310,7 +309,7 @@ def theta_lattice_check(pair, c1, c2, v_rep, tol=RANK_TOL):
     return ClassificationReport(violations=violations, checked=3)
 
 
-def theta_transitivity_check(v_rep, seed=0, tol=RANK_TOL):
+def theta_transitivity_check(v_rep, tol=RANK_TOL):
     """Composing the construction along a chain H <= K <= G matches going direct.
 
     For every non-trivial pair (K, U) of V and every non-trivial pair (H, W)
@@ -319,7 +318,7 @@ def theta_transitivity_check(v_rep, seed=0, tol=RANK_TOL):
     subgroup order (the composite pair, up to conjugacy).  Checked with both
     the scalar line and the full End(W).
     """
-    pairs = induction_pairs(v_rep, seed=seed, tol=tol)
+    pairs = induction_pairs(v_rep, tol=tol)
     violations = []
     checked = 0
     group = v_rep.group
@@ -328,7 +327,7 @@ def theta_transitivity_check(v_rep, seed=0, tol=RANK_TOL):
     for outer in pairs:
         if outer.subgroup.order == group.order:
             continue
-        inner_pairs = induction_pairs(outer.w_rep, seed=seed, tol=tol)
+        inner_pairs = induction_pairs(outer.w_rep, tol=tol)
         for inner in inner_pairs:
             if inner.subgroup.order == outer.subgroup.order:
                 continue
@@ -347,7 +346,7 @@ def theta_transitivity_check(v_rep, seed=0, tol=RANK_TOL):
     return ClassificationReport(violations=violations, checked=checked)
 
 
-def nonunital_scan(v_rep, seed=0, tol=RANK_TOL):
+def nonunital_scan(v_rep, tol=RANK_TOL):
     """Product-closed invariant subspaces without the identity.
 
     Returns ``(list, certified)`` from the isotypic subset scan of the
@@ -359,7 +358,7 @@ def nonunital_scan(v_rep, seed=0, tol=RANK_TOL):
     """
     if not is_irreducible(v_rep):
         raise ValueError("the nonunital scan is defined for irreducible input")
-    _, nonunital, _ = multfree_scan(v_rep, seed=seed, tol=tol)
+    _, nonunital, _ = multfree_scan(v_rep, tol=tol)
     if len(nonunital) != 1 or nonunital[0].dim != 0:
         raise AssertionFailure(
             "an irreducible rep produced a nonzero nonunital closed subspace")

@@ -2,8 +2,8 @@
 
 Subcommands wire the library together over catalog keys (``catalog:S3:std``)
 or JSON files carrying a group and a representation.  All output is JSON with
-a schema marker, the seed and tolerance echoed, and deterministic ordering,
-so repeated runs are byte-identical.  Output is one line of compact JSON with
+a schema marker, the tolerance echoed, and deterministic ordering, so
+repeated runs are byte-identical.  Output is one line of compact JSON with
 sorted keys (``python -m json.tool`` indents it).  Payloads keep matrices as
 arrays, which the encoder turns into lists one at a time as it reaches them.
 """
@@ -30,9 +30,9 @@ SCHEMA = 1
 TOL_CEILING = 1e-2
 
 
-def _complex_json(arr, ndigits=12):
+def _complex_json(arr):
     arr = np.asarray(arr, dtype=complex)
-    return np.round(np.stack([arr.real, arr.imag], axis=-1), ndigits) + 0.0
+    return np.round(np.stack([arr.real, arr.imag], axis=-1), 12) + 0.0
 
 
 def _dumps(payload):
@@ -44,7 +44,7 @@ def _dumps(payload):
 
 
 def _base_payload(args):
-    return {"schema": SCHEMA, "seed": args.seed, "tol": args.tol}
+    return {"schema": SCHEMA, "tol": args.tol}
 
 
 def cmd_validate(args):
@@ -89,7 +89,7 @@ def cmd_ideals(args):
     group, rep = _load_representation(args)
     payload = _base_payload(args)
     payload.update({"command": "ideals", "input": args.input, "dim": rep.dim})
-    subs = invariant_subspaces(rep, seed=args.seed, tol=args.tol)
+    subs = invariant_subspaces(rep, tol=args.tol)
     if isinstance(subs, Parametrization):
         payload["infinite"] = True
         payload["parametrization"] = [
@@ -114,9 +114,8 @@ def cmd_subalgebras(args):
     payload = _base_payload(args)
     payload.update({"command": "subalgebras", "input": args.input,
                     "dim": rep.dim})
-    subs, complete = enumerate_invariant_subalgebras(rep, seed=args.seed,
-                                                     tol=args.tol)
-    report = verify_classification(subs, rep, seed=args.seed, tol=args.tol)
+    subs, complete = enumerate_invariant_subalgebras(rep, tol=args.tol)
+    report = verify_classification(subs, rep, tol=args.tol)
     items = []
     for s in subs:
         datum = s.induction_datum
@@ -150,10 +149,9 @@ def cmd_factor(args):
     payload.update({"command": "factor", "input": args.input, "dim": rep.dim})
     if not is_irreducible(rep):
         raise ValueError("factorization expects an irreducible representation")
-    cs_list, certified = central_simple_invariant_subalgebras(
-        rep, seed=args.seed, tol=args.tol)
+    cs_list, certified = central_simple_invariant_subalgebras(rep, tol=args.tol)
     items = []
-    for sp, fact in zip(cs_list, factor(cs_list, rep, seed=args.seed, tol=args.tol)):
+    for sp, fact in zip(cs_list, factor(cs_list, rep, tol=args.tol)):
         items.append({
             "subalgebra_dim": sp.dim,
             "a": fact.a,
@@ -228,7 +226,6 @@ def _parser():
     def add_common(sp):
         sp.add_argument("input", help="catalog:KEY:REP or a JSON file path")
         sp.add_argument("--tol", type=tolerance, default=RANK_TOL)
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None,
                         help="write JSON here instead of stdout")
 

@@ -87,7 +87,7 @@ def _reach_table(spaces, comps, tol):
     return reach
 
 
-def multfree_scan(rep, seed=0, tol=RANK_TOL):
+def multfree_scan(rep, tol=RANK_TOL):
     """Scan sums of isotypic components of conjugation for product closure.
 
     Returns ``(unital, nonunital, certified)``: product-closed sums that do /
@@ -97,7 +97,7 @@ def multfree_scan(rep, seed=0, tol=RANK_TOL):
     over S is closed when no product of two of its components has a part
     outside S; one closure sweep over that reach table lists every closed S.
     """
-    comps = conjugation_decomposition(rep, seed=seed)
+    comps = conjugation_decomposition(rep)
     w = rep.dim
     spaces = [MatrixSubspace(column_space(c.projector, tol).T, (w, w))
               for c in comps]
@@ -113,16 +113,13 @@ def multfree_scan(rep, seed=0, tol=RANK_TOL):
     if not certified:
         # heuristic candidates: close each component (with the unit adjoined)
         # under products; sound but not exhaustive
-        def record(space):
-            if not any(other.equals(space) for other in found):
-                found.append(space)
-
-        eye_line = MatrixSubspace.identity_line(w)
-        record(eye_line)
-        for sp in spaces:
-            cand = generated_algebra(sp.add(eye_line, tol), tol=tol)
-            if cand.is_product_closed(tol * 10):
-                record(cand)
+        index = SpaceIndex(found)
+        found = index.spaces
+        cands = [generated_algebra(sp, include_identity=True, tol=tol) for sp in spaces]
+        for cand in [MatrixSubspace.identity_line(w)] + [
+                c for c in cands if c.is_product_closed(tol * 10)]:
+            if index.find(cand) is None:
+                index.append(cand)
 
     unital, nonunital = [], []
     for s in found:
@@ -132,7 +129,7 @@ def multfree_scan(rep, seed=0, tol=RANK_TOL):
     return unital, nonunital, certified
 
 
-def central_simple_invariant_subalgebras(w_rep, seed=0, tol=RANK_TOL):
+def central_simple_invariant_subalgebras(w_rep, tol=RANK_TOL):
     """Invariant subalgebras with center exactly the scalar line.
 
     Returns ``(list, certified)``.  The list is closed under taking
@@ -142,7 +139,7 @@ def central_simple_invariant_subalgebras(w_rep, seed=0, tol=RANK_TOL):
     them: a complete list holds every partner already (:func:`factor` looks
     each one up and raises if it is missing).
     """
-    unital, _, certified = multfree_scan(w_rep, seed=seed, tol=tol)
+    unital, _, certified = multfree_scan(w_rep, tol=tol)
     d = w_rep.dim
     out = []
     for sp in unital:
@@ -179,7 +176,7 @@ def central_simple_invariant_subalgebras(w_rep, seed=0, tol=RANK_TOL):
     return out, certified
 
 
-def _matrix_units(b_space, a, seed, tol):
+def _matrix_units(b_space, a, tol):
     """Matrix units of a central simple subalgebra, via a generic element.
 
     A generic element of B has ``a`` distinct eigenvalues whose spectral
@@ -189,7 +186,7 @@ def _matrix_units(b_space, a, seed, tol):
     """
     d = b_space.ambient_dim
     basis = b_space.basis()
-    diag = _spectral_split(b_space, basis, a, seed)
+    diag = _spectral_split(b_space, basis, a)
     if diag is None:
         raise FactorRecoveryFailure(
             f"could not split a generic element into {a} equal-rank projectors")
@@ -244,7 +241,7 @@ def _check_unit_relations(units):
             raise FactorRecoveryFailure(f"unit relations fail at ({p},{q})x({r},{s})")
 
 
-def extract_factorization(b_space, w_rep, seed=0, tol=RANK_TOL):
+def extract_factorization(b_space, w_rep, tol=RANK_TOL):
     """Tensor-split W along a central simple invariant subalgebra.
 
     Builds the basis change taking B to (a x a blocks) kron identity, then
@@ -271,7 +268,7 @@ def extract_factorization(b_space, w_rep, seed=0, tol=RANK_TOL):
         raise NotCentralSimple(f"matrix size {d} not divisible by block size {a}")
     b = d // a
 
-    units = _matrix_units(b_space, a, seed, tol)
+    units = _matrix_units(b_space, a, tol)
     w_cols = column_space(units[(0, 0)], tol)
     if w_cols.shape[1] != b:
         raise FactorRecoveryFailure(
@@ -332,7 +329,7 @@ def _swapped(fact, partner):
         lambdas=fact.lambdas, residual=fact.residual)
 
 
-def factor(cs_list, w_rep, seed=0, tol=RANK_TOL):
+def factor(cs_list, w_rep, tol=RANK_TOL):
     """Factorizations of W along every entry of a centralizer-closed list of
     central simple invariant subalgebras, in list order.
 
@@ -352,7 +349,7 @@ def factor(cs_list, w_rep, seed=0, tol=RANK_TOL):
         if j is None:
             raise AssertionFailure(
                 f"the centralizer of entry {i} (dim {z.dim}) is not in the list")
-        fact = extract_factorization(sp, w_rep, seed=seed, tol=tol)
+        fact = extract_factorization(sp, w_rep, tol=tol)
         if not centralizer(cs_list[j], tol).equals(sp):
             raise AssertionFailure("double centralizer moved")
         out[i] = replace(fact, z_space=cs_list[j])

@@ -159,14 +159,18 @@ def build_from_mult_table(table, name=None, permutations=None):
     """Construct and fully validate a group from a Cayley table.
 
     Raises :class:`NotAGroup` with a witness triple if associativity fails,
-    or with a descriptive message for identity/inverse failures.
+    or with a descriptive message for identity/inverse failures and for
+    entries that are not integers (a float or bool is not cast).
     """
-    mult = np.asarray(table, dtype=np.intp)
+    mult = np.asarray(table)
     if mult.ndim != 2 or mult.shape[0] != mult.shape[1]:
         raise NotAGroup("multiplication table must be square")
     n = mult.shape[0]
     if n == 0:
         raise NotAGroup("a group has at least one element")
+    if mult.dtype.kind not in "iu":
+        raise NotAGroup(f"table entries must be integers; got dtype {mult.dtype}")
+    mult = mult.astype(np.intp, copy=False)
     if mult.min() < 0 or mult.max() >= n:
         raise NotAGroup("table entries must index elements 0..n-1")
 

@@ -197,14 +197,14 @@ def ideal_to_subspace(ideal, tol=RANK_TOL):
     return SubspaceOfV(rows, column_space(stacked, tol))
 
 
-def invariant_subspaces(rep, seed=0, tol=RANK_TOL):
+def invariant_subspaces(rep, tol=RANK_TOL):
     """Invariant subspaces of a linear representation.
 
     Multiplicity-free: the full list (all sums of isotypic components),
     ``2^m`` entries sorted by dimension.  Otherwise a :class:`Parametrization`
     describing the infinite lattice.
     """
-    comps = isotypic_decomposition(rep, seed=seed)
+    comps = isotypic_decomposition(rep)
     if any(c.multiplicity > 1 for c in comps):
         return Parametrization([(c.irrep_label, c.multiplicity, c.dim)
                                 for c in comps])
@@ -243,7 +243,7 @@ def _ideal_lattice(subs, side, tol, other=None):
     return ideals
 
 
-def invariant_ideals(rep, side, seed=0, tol=RANK_TOL):
+def invariant_ideals(rep, side, tol=RANK_TOL):
     """Invariant one-sided ideals of the full matrix algebra on V.
 
     Left ideals come from the vanishing map (order-reversing), right ideals
@@ -251,7 +251,7 @@ def invariant_ideals(rep, side, seed=0, tol=RANK_TOL):
     every pair before returning.  Raises :class:`InfiniteLattice` when some
     multiplicity exceeds one.
     """
-    subs = invariant_subspaces(rep, seed=seed, tol=tol)
+    subs = invariant_subspaces(rep, tol=tol)
     if isinstance(subs, Parametrization):
         raise InfiniteLattice(
             "invariant subspace lattice is infinite: " + str(subs),
@@ -259,7 +259,7 @@ def invariant_ideals(rep, side, seed=0, tol=RANK_TOL):
     return _ideal_lattice(subs, side, tol)
 
 
-def hom_lattice(v_rep, w_rep, side, seed=0, tol=RANK_TOL):
+def hom_lattice(v_rep, w_rep, side, tol=RANK_TOL):
     """Invariant one-sided submodules of the hom-space from V to W.
 
     Left submodules (under the matrix algebra on W) are vanishing ideals of
@@ -268,7 +268,7 @@ def hom_lattice(v_rep, w_rep, side, seed=0, tol=RANK_TOL):
     """
     rep, other, where = ((v_rep, w_rep, "domain") if side == "left"
                          else (w_rep, v_rep, "codomain"))
-    subs = invariant_subspaces(rep, seed=seed, tol=tol)
+    subs = invariant_subspaces(rep, tol=tol)
     if isinstance(subs, Parametrization):
         raise InfiniteLattice(
             f"infinite lattice on the {where}: " + str(subs), parametrization=subs)
@@ -314,7 +314,7 @@ class ProductLattice:
         return (self.materialize(choice) for choice in itertools.product(*ranges))
 
 
-def semisimple_ideal_lattice(components, side, seed=0, tol=RANK_TOL):
+def semisimple_ideal_lattice(components, side, tol=RANK_TOL):
     """Invariant one-sided ideals of a direct sum of full matrix blocks.
 
     ``components`` is a list of representations, one per block; the ideal
@@ -323,5 +323,5 @@ def semisimple_ideal_lattice(components, side, seed=0, tol=RANK_TOL):
     """
     factors = []
     for rep in components:
-        factors.append(invariant_ideals(rep, side, seed=seed, tol=tol))
+        factors.append(invariant_ideals(rep, side, tol=tol))
     return ProductLattice(side, factors, [rep.dim for rep in components])

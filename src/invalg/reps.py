@@ -358,7 +358,7 @@ def _regular_representation(group):
                           name="regular")
 
 
-def character_table(group, seed=0):
+def character_table(group):
     """All irreducible characters, from the class algebra's structure constants.
 
     ``K_i K_l = sum_j N[i, l, j] K_j`` for the class sums, with
@@ -366,15 +366,14 @@ def character_table(group, seed=0):
     ``w_j = |C_j| chi(r_j) / chi(1)`` solves ``N_i w = w_i w``.  Conjugated by
     ``diag(sqrt|C_j|)`` the ``N_i`` are commuting normal matrices; column
     ``e`` (the identity class) of each rank-one spectral projector of a random
-    element of their span (drawn from ``seed``), scaled to 1 at ``e``, is
+    element of their span (:func:`_spectral_split`), scaled to 1 at ``e``, is
     ``sqrt|C_j| chi(r_j) / chi(1)``, and ``sum_j |C_j| |chi(r_j)|^2 = |G|``
     fixes ``chi(1)``.  The table must pass the row and column orthogonality
     relations.  Characters are sorted by (dimension, rounded values); labels
     ``chi0, chi1, ...`` follow that order.
     """
-    cache_key = ("char_table", seed)
-    if cache_key in group._cache:
-        return group._cache[cache_key]
+    if "char_table" in group._cache:
+        return group._cache["char_table"]
     n = group.order
     classes = conjugacy_classes(group)
     k = len(classes)
@@ -388,7 +387,7 @@ def character_table(group, seed=0):
     # column e of k projectors of k x k matrices: the split certifies them on
     # the eigenvectors and never reads the (unital, commutative) span of the mats
     e = int(cls[group.identity])
-    cols = _spectral_split(None, mats, k, seed, e)
+    cols = _spectral_split(None, mats, k, e)
     if cols is None:
         raise ToleranceFailure("could not separate the class-algebra spectrum")
     table = np.array([c / c[e] for c in cols])
@@ -405,16 +404,16 @@ def character_table(group, seed=0):
     chars = [ClassFunction(group=group, values=tuple(table[i].tolist())) for i in order]
     if np.sum(degrees ** 2) != n:
         raise ToleranceFailure("character table incomplete or inconsistent")
-    group._cache[cache_key] = chars
+    group._cache["char_table"] = chars
     return chars
 
 
-def isotypic_decomposition(rep, seed=0):
+def isotypic_decomposition(rep):
     """Isotypic projectors of a linear representation (see :func:`_isotypic`)."""
-    return _isotypic(rep.group, character(rep), rep.dim, lambda g: rep.matrices[g], seed)
+    return _isotypic(rep.group, character(rep), rep.dim, lambda g: rep.matrices[g])
 
 
-def conjugation_decomposition(rep, seed=0):
+def conjugation_decomposition(rep):
     """Isotypic projectors of ``X -> rho(g) X rho(g)^-1`` on row-major
     flattened matrices, whose matrices ``rho(g) kron rho(g)^-T`` are formed a
     block of elements at a time.  Its character ``tr rho(g) tr rho(g)^-1`` is
@@ -424,10 +423,10 @@ def conjugation_decomposition(rep, seed=0):
     invs = rep.inverses()
     chi = np.einsum("gii->g", rep.matrices[heads]) * np.einsum("gii->g", invs[heads])
     return _isotypic(rep.group, ClassFunction(rep.group, tuple(chi.tolist())), rep.dim ** 2,
-                     lambda g: kron_stack(rep.matrices[g], np.swapaxes(invs[g], 1, 2)), seed)
+                     lambda g: kron_stack(rep.matrices[g], np.swapaxes(invs[g], 1, 2)))
 
 
-def _isotypic(group, chi_v, dim, mats_of, seed):
+def _isotypic(group, chi_v, dim, mats_of):
     """Components of the ``dim``-dimensional representation with character
     ``chi_v`` and matrices ``mats_of(elements)``: the averaging projectors
     ``(d_i/|G|) sum_g conj(chi_i(g)) rho(g)``, one product of their class
@@ -437,7 +436,7 @@ def _isotypic(group, chi_v, dim, mats_of, seed):
     orthogonal (:class:`ToleranceFailure` otherwise)."""
     cls_idx = class_index_array(group)
     found = []
-    for i, chi in enumerate(character_table(group, seed=seed)):
+    for i, chi in enumerate(character_table(group)):
         mult = inner_product(chi_v, chi)
         if mult.imag != 0 or mult.real < 0:
             raise ToleranceFailure(f"impossible multiplicity {mult} for chi{i}")

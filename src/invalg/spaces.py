@@ -136,12 +136,10 @@ class MatrixSubspace:
         basis = self.basis()
         return self.contains_all(basis[:, None] @ basis[None], tol)
 
-    def fingerprint(self, ndigits=9):
-        """Basis-independent sort key: the rounded orthogonal projector."""
+    def fingerprint(self):
+        """Basis-independent sort key: the orthogonal projector to 9 places."""
         p = self.flat.conj().T @ self.flat
-        r = np.round(p.real, ndigits) + 0.0
-        i = np.round(p.imag, ndigits) + 0.0
-        return np.stack([r, i]).tobytes()
+        return (np.round(np.stack([p.real, p.imag]), 9) + 0.0).tobytes()
 
 
 class SpaceIndex:

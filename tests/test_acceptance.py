@@ -69,7 +69,7 @@ def _same_space_sets(list_a, list_b, tol=SUBSPACE_TOL):
 
 def test_criterion_1_s3_standard():
     _, rep = catalog.get("S3", "std")
-    subs, complete = enumerate_invariant_subalgebras(rep, seed=0)
+    subs, complete = enumerate_invariant_subalgebras(rep)
     ok = len(subs) == 3 and complete
     ok = ok and [s.dim for s in subs] == [1, 2, 4]
     cartan = subs[1]
@@ -78,7 +78,7 @@ def test_criterion_1_s3_standard():
     ok = ok and datum is not None
     ok = ok and datum.pair.subgroup.order == 3  # the rotation subgroup C3
     ok = ok and datum.pair.w_rep.dim == 1       # a primitive character of it
-    unital, _, certified = multfree_scan(rep, seed=0)
+    unital, _, certified = multfree_scan(rep)
     ok = ok and certified
     ok = ok and _same_space_sets([s.space for s in subs], unital)
     ok = ok and max(_invariance_residual(s.space, rep) for s in subs) < SUBSPACE_TOL
@@ -90,7 +90,7 @@ def test_criterion_2_q8_d4():
     ok = True
     for key in ("Q8", "D4"):
         _, rep = catalog.get(key, "std")
-        subs, complete = enumerate_invariant_subalgebras(rep, seed=0)
+        subs, complete = enumerate_invariant_subalgebras(rep)
         ok = ok and complete and [s.dim for s in subs] == [1, 2, 2, 2, 4]
         cartans = [s for s in subs if s.dim == 2]
         for i, a in enumerate(cartans):
@@ -98,7 +98,7 @@ def test_criterion_2_q8_d4():
             ok = ok and centralizer(a.space).equals(a.space, SUBSPACE_TOL)
             for b in cartans[i + 1:]:
                 ok = ok and not a.space.equals(b.space, SUBSPACE_TOL)
-        unital, _, certified = multfree_scan(rep, seed=0)
+        unital, _, certified = multfree_scan(rep)
         ok = ok and certified
         ok = ok and _same_space_sets([s.space for s in subs], unital)
     _criterion(2, "Q8 and D4: 5 subalgebras {1,2,2,2,4}, three distinct "
@@ -107,11 +107,11 @@ def test_criterion_2_q8_d4():
 
 def test_criterion_3_sl23_primitive():
     _, rep = catalog.get("SL23", "std")
-    subs, complete = enumerate_invariant_subalgebras(rep, seed=0)
+    subs, complete = enumerate_invariant_subalgebras(rep)
     ok = complete and [s.dim for s in subs] == [1, 4]
     ok = ok and subs[0].space.equals(MatrixSubspace.identity_line(2), SUBSPACE_TOL)
     ok = ok and subs[1].space.equals(MatrixSubspace.full((2, 2)), SUBSPACE_TOL)
-    nonunital, _ = nonunital_scan(rep, seed=0)
+    nonunital, _ = nonunital_scan(rep)
     ok = ok and len(nonunital) == 1 and nonunital[0].dim == 0
     _criterion(3, "SL(2,3): primitive, only scalars and M2; nonunital scan "
                   "finds just {0}", ok)
@@ -119,8 +119,8 @@ def test_criterion_3_sl23_primitive():
 
 def test_criterion_4_s3xs3_dual_pair():
     _, rep = catalog.get("S3xS3", "stdXstd")
-    subs, complete = enumerate_invariant_subalgebras(rep, seed=0)
-    cs, cs_certified = central_simple_invariant_subalgebras(rep, seed=0)
+    subs, complete = enumerate_invariant_subalgebras(rep)
+    cs, cs_certified = central_simple_invariant_subalgebras(rep)
     proper = [s for s in cs if 1 < s.dim < 16]
     ok = complete and cs_certified and len(proper) == 4
     found_pair = False
@@ -133,7 +133,7 @@ def test_criterion_4_s3xs3_dual_pair():
     ok = ok and found_pair
     mats = rep.matrices
     for b in proper:
-        fact = extract_factorization(b, rep, seed=0)
+        fact = extract_factorization(b, rep)
         ok = ok and fact.residual < FACTOR_TOL
         t = fact.basis_change
         tinv = np.linalg.inv(t)
@@ -143,7 +143,7 @@ def test_criterion_4_s3xs3_dual_pair():
                                             fact.tau.matrices[g])
             ok = ok and np.linalg.norm(lhs - rhs) < FACTOR_TOL
         ok = ok and cocycle_consistency(fact, rep) < FACTOR_TOL
-    unital, _, certified = multfree_scan(rep, seed=0)
+    unital, _, certified = multfree_scan(rep)
     ok = ok and certified and len(unital) == 13
     ok = ok and _same_space_sets([s.space for s in subs], unital)
     _criterion(4, "S3xS3: (4,4) dual pair, all 36 elements factor with "
@@ -152,10 +152,10 @@ def test_criterion_4_s3xs3_dual_pair():
 
 def test_criterion_5_ideal_lattice():
     _, rep = catalog.get("S3", "trivPlusSign")
-    left = invariant_ideals(rep, "left", seed=0)
-    right = invariant_ideals(rep, "right", seed=0)
+    left = invariant_ideals(rep, "left")
+    right = invariant_ideals(rep, "right")
     ok = len(left) == 4 and len(right) == 4
-    spaces = invariant_subspaces(rep, seed=0)
+    spaces = invariant_subspaces(rep)
     for l in spaces:
         ok = ok and ideal_to_subspace(ann(l)).equals(l, SUBSPACE_TOL)
     for l1 in spaces:
@@ -166,8 +166,8 @@ def test_criterion_5_ideal_lattice():
     for rep_name, m in [("std", 1), ("trivPlusSign", 2),
                         ("trivPlusSignPlusStd", 3)]:
         _, r = catalog.get("S3", rep_name)
-        ok = ok and len(invariant_ideals(r, "left", seed=0)) == 2 ** m
-        ok = ok and len(invariant_ideals(r, "right", seed=0)) == 2 ** m
+        ok = ok and len(invariant_ideals(r, "left")) == 2 ** m
+        ok = ok and len(invariant_ideals(r, "right")) == 2 ** m
     _criterion(5, "ideal lattice: 4+4 for triv+sign, ann round trip and "
                   "order reversal, 2^m law for m=1,2,3", ok)
 
@@ -176,8 +176,8 @@ def test_criterion_6_structural_suite():
     ok = True
     for key, rep_name in IRREDUCIBLE:
         _, rep = catalog.get(key, rep_name)
-        subs, _ = enumerate_invariant_subalgebras(rep, seed=0)
-        report = verify_classification(subs, rep, seed=0)
+        subs, _ = enumerate_invariant_subalgebras(rep)
+        report = verify_classification(subs, rep)
         ok = ok and report.ok and report.violations == []
         ok = ok and report.checked == len(subs)
     _criterion(6, "structural suite (semisimple, symmetric embedding, "

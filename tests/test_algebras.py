@@ -61,14 +61,14 @@ def test_semisimplicity_certificate_detects_radical():
 
 def test_central_primitive_idempotents_diag():
     diag = _diag_algebra(3)
-    idems = central_primitive_idempotents(diag, seed=0)
+    idems = central_primitive_idempotents(diag)
     assert len(idems) == 3
     got = sorted(tuple(np.round(np.real(np.diag(p)), 6)) for p in idems)
     assert got == [(0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0)]
 
 
 def test_central_primitive_idempotents_full():
-    idems = central_primitive_idempotents(MatrixSubspace.full((2, 2)), seed=0)
+    idems = central_primitive_idempotents(MatrixSubspace.full((2, 2)))
     assert len(idems) == 1
     assert np.linalg.norm(idems[0] - np.eye(2)) < 1e-9
 
@@ -77,7 +77,7 @@ def test_idempotents_reject_nilpotents():
     upper = MatrixSubspace.from_spanning([_unit(0, 0, 2), _unit(0, 1, 2),
                                           _unit(1, 1, 2)])
     with pytest.raises(NotSemisimple) as exc:
-        central_primitive_idempotents(upper, seed=0)
+        central_primitive_idempotents(upper)
     assert exc.value.witness is not None
 
 
@@ -85,7 +85,7 @@ def test_wedderburn_decompose_multiplicity():
     # M2 embedded with multiplicity 2 in M4: a |-> diag(a, a)
     basis = [np.kron(np.eye(2), _unit(i, j, 2)) for i in range(2) for j in range(2)]
     b = MatrixSubspace.from_spanning(basis)
-    dec = wedderburn_decompose(b, seed=0)
+    dec = wedderburn_decompose(b)
     assert list(dec.component_dims) == [2]
     assert list(dec.multiplicities) == [2]
     assert dec.unital
@@ -99,7 +99,7 @@ def test_wedderburn_decompose_multiplicity():
 def test_wedderburn_decompose_nonunital(basis, dims, unit):
     """A unit other than I: a generic central element has an extra
     0-cluster on (I - unit)V, which is split off and dropped."""
-    dec = wedderburn_decompose(MatrixSubspace.from_spanning(basis), seed=0)
+    dec = wedderburn_decompose(MatrixSubspace.from_spanning(basis))
     assert (dec.component_dims, dec.multiplicities, dec.unital) == (dims, [1], False)
     assert len(dec.idempotents) == 1
     np.testing.assert_allclose(dec.idempotents[0], np.diag(unit), atol=1e-10)
@@ -110,7 +110,7 @@ def test_wedderburn_decompose_two_blocks():
     basis = [_unit(i, j, 4) for i in range(2) for j in range(2)]
     basis.append(_unit(2, 2, 4) + _unit(3, 3, 4))
     b = MatrixSubspace.from_spanning(basis)
-    dec = wedderburn_decompose(b, seed=0)
+    dec = wedderburn_decompose(b)
     assert sorted(zip(dec.component_dims, dec.multiplicities)) == [(1, 2), (2, 1)]
 
 
@@ -221,8 +221,8 @@ def test_a_full_split_is_certified_on_its_eigenpairs(monkeypatch):
     1e-3 leave the eigenvectors' inverse residual clean but fail the
     eigen-residual bound, on every draw."""
     basis = np.array([np.diag([1.0, 2.0, 3.0])])
-    projs = sorted(_spectral_split(None, basis, 3, 0), key=lambda p: np.argmax(np.diag(p).real))
+    projs = sorted(_spectral_split(None, basis, 3), key=lambda p: np.argmax(np.diag(p).real))
     np.testing.assert_allclose(projs, [np.diag(row) for row in np.eye(3)], atol=1e-12)
     eig = np.linalg.eig
     monkeypatch.setattr(np.linalg, "eig", lambda x: (eig(x)[0] + 1e-3, eig(x)[1]))
-    assert _spectral_split(None, basis, 3, 0) is None
+    assert _spectral_split(None, basis, 3) is None

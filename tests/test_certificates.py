@@ -126,10 +126,10 @@ def _factor_cocycles(rep, spaces=None):
     """The sigma and tau cocycles of the factorizations of ``rep`` along
     ``spaces``, by default its whole central simple list."""
     if spaces is None:
-        spaces, _ = central_simple_invariant_subalgebras(rep, seed=0)
+        spaces, _ = central_simple_invariant_subalgebras(rep)
     out = []
     for sp in spaces:
-        fact = extract_factorization(sp, rep, seed=0)
+        fact = extract_factorization(sp, rep)
         out += [r.cocycle for r in (fact.sigma, fact.tau) if r.cocycle is not None]
     return out
 
@@ -198,11 +198,11 @@ def closed_spaces():
     out = []
     for key, rep_name in IRREDUCIBLE:
         _, rep = catalog.get(key, rep_name)
-        subs, _ = enumerate_invariant_subalgebras(rep, seed=0)
+        subs, _ = enumerate_invariant_subalgebras(rep)
         out += [s.space for s in subs]
     for rep in (catalog.get("S3xS3", "stdXstd")[1], catalog.get("C2xC2", "pauli")[1],
                 _outer("S3:std", "C2xC2:pauli")):
-        unital, nonunital, _ = multfree_scan(rep, seed=0)
+        unital, nonunital, _ = multfree_scan(rep)
         out += unital + nonunital
     return out + [centralizer(sp) for sp in out]
 
@@ -246,12 +246,12 @@ def solves(monkeypatch):
 def test_extract_factorization_reads_the_search_certificates(name, solves):
     rep = (_outer("S3:std", "C2xC2:pauli") if name == "S3xPauli"
            else catalog.get(*name.split(":"))[1])
-    subs, certified = central_simple_invariant_subalgebras(rep, seed=0)
+    subs, certified = central_simple_invariant_subalgebras(rep)
     assert certified
     before = dict(solves)
     assert before["certificate"] >= len(subs) and before["center"] >= len(subs)
     for sp in subs:
-        fact = extract_factorization(sp, rep, seed=0)
+        fact = extract_factorization(sp, rep)
         assert fact.a * fact.b == rep.dim
     assert solves == before
 
@@ -326,7 +326,7 @@ def test_unit_relations_name_the_loop_pair(block, monkeypatch):
         monkeypatch.setattr(invalg.reps, "_PAIR_BLOCK", block)
     rng = np.random.default_rng(5)
     for a, sp in _unit_spaces():
-        units = _matrix_units(sp, a, 0, 1e-8)
+        units = _matrix_units(sp, a, 1e-8)
         assert len(units) == a * a
         assert _message(_check_unit_relations, units) is None
         assert _message(_relations_loop, units) is None

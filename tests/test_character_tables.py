@@ -57,8 +57,8 @@ def _row_set(table):
                   for row in np.asarray(table, dtype=complex))
 
 
-def _table(group, seed=0):
-    return np.array([c.values for c in character_table(group, seed=seed)])
+def _table(group):
+    return np.array([c.values for c in character_table(group)])
 
 
 def _sorted_by_python_rounding(table, e):

@@ -49,7 +49,7 @@ EXPECTED_PAIRS = {
 @pytest.mark.parametrize("key,rep_name", sorted(EXPECTED))
 def test_induction_pairs(key, rep_name):
     g, rep = catalog.get(key, rep_name)
-    pairs = induction_pairs(rep, seed=0)
+    pairs = induction_pairs(rep)
     got = [(p.subgroup.order, p.w_rep.dim) for p in pairs]
     assert got == EXPECTED_PAIRS[(key, rep_name)]
     for p in pairs:
@@ -70,13 +70,13 @@ def test_induction_pairs_checks_induction(monkeypatch):
     _, rep = catalog.get("S3", "std")
     monkeypatch.setattr(invalg.classify, "is_induced_from", lambda *args: False)
     with pytest.raises(AssertionFailure):
-        induction_pairs(rep, seed=0)
+        induction_pairs(rep)
 
 
 @pytest.mark.parametrize("key,rep_name", sorted(EXPECTED))
 def test_enumeration_dims(key, rep_name):
     _, rep = catalog.get(key, rep_name)
-    subs, complete = enumerate_invariant_subalgebras(rep, seed=0)
+    subs, complete = enumerate_invariant_subalgebras(rep)
     dims, certified = EXPECTED[(key, rep_name)]
     assert [s.dim for s in subs] == dims
     assert complete == certified
@@ -110,7 +110,7 @@ def test_enumeration_any_identity_label(key, rep_name):
         moved = Representation(group=build_from_mult_table(mult), dim=rep.dim,
                                matrices=mats)
         assert moved.group.identity == x
-        subs, complete = enumerate_invariant_subalgebras(moved, seed=0)
+        subs, complete = enumerate_invariant_subalgebras(moved)
         assert [s.dim for s in subs] == dims
         assert complete == certified
 
@@ -122,7 +122,7 @@ RELABEL_INPUTS = [("S3", "std"), ("Q8", "std"), ("D4", "std"), ("A4", "std3"),
 @functools.lru_cache(maxsize=None)
 def _catalog_enumeration(key, rep_name):
     _, rep = catalog.get(key, rep_name)
-    return enumerate_invariant_subalgebras(rep, seed=0)
+    return enumerate_invariant_subalgebras(rep)
 
 
 def _unrelabelled(key, rep_name):
@@ -146,7 +146,7 @@ def test_enumeration_any_labelling(key, rep_name, data):
     mats[perm] = rep.matrices
     moved = Representation(group=build_from_mult_table(mult), dim=rep.dim,
                            matrices=mats)
-    subs, complete = enumerate_invariant_subalgebras(moved, seed=0)
+    subs, complete = enumerate_invariant_subalgebras(moved)
     assert ([s.space.fingerprint() for s in subs], complete) == \
         _unrelabelled(key, rep_name)
 
@@ -178,7 +178,7 @@ def test_enumeration_any_basis(key, rep_name, data):
     """
     _, rep = catalog.get(key, rep_name)
     t = data.draw(_skews(rep.dim))
-    subs, complete = enumerate_invariant_subalgebras(_conjugated(rep, t), seed=0)
+    subs, complete = enumerate_invariant_subalgebras(_conjugated(rep, t))
     want, want_complete = _catalog_enumeration(key, rep_name)
     assert complete == want_complete
     assert [s.dim for s in subs] == [s.dim for s in want]
@@ -197,8 +197,8 @@ def test_factorizations_any_basis(key, rep_name, data):
     _, rep = catalog.get(key, rep_name)
 
     def pairs(r):
-        cs_list, certified = central_simple_invariant_subalgebras(r, seed=0)
-        return [(f.a, f.b) for f in factor(cs_list, r, seed=0)], certified
+        cs_list, certified = central_simple_invariant_subalgebras(r)
+        return [(f.a, f.b) for f in factor(cs_list, r)], certified
 
     assert pairs(_conjugated(rep, data.draw(_skews(rep.dim)))) == pairs(rep)
 
@@ -209,8 +209,8 @@ def test_factorizations_any_basis(key, rep_name, data):
 def test_verify_classification_any_basis(key, rep_name, data):
     _, rep = catalog.get(key, rep_name)
     moved = _conjugated(rep, data.draw(_skews(rep.dim)))
-    subs, _ = enumerate_invariant_subalgebras(moved, seed=0)
-    assert verify_classification(subs, moved, seed=0).ok
+    subs, _ = enumerate_invariant_subalgebras(moved)
+    assert verify_classification(subs, moved).ok
 
 
 @pytest.mark.parametrize("key,rep_name", [("S3", "trivPlusSign"), ("S3", "trivPlusSignPlusStd"),
@@ -223,14 +223,14 @@ def test_ideals_any_basis(key, rep_name, data):
     _, rep = catalog.get(key, rep_name)
     t = data.draw(_skews(rep.dim))
     moved = _conjugated(rep, t)
-    want, got = invariant_subspaces(rep, seed=0), invariant_subspaces(moved, seed=0)
+    want, got = invariant_subspaces(rep), invariant_subspaces(moved)
     assert [u.dim for u in got] == [u.dim for u in want]
     for u in want:
         image = SubspaceOfV.from_columns(rep.dim, t @ u.basis)
         assert sum(image.equals(v) for v in got) == 1
     for side in ("left", "right"):
-        assert ([i.dim for i in invariant_ideals(moved, side, seed=0)]
-                == [i.dim for i in invariant_ideals(rep, side, seed=0)])
+        assert ([i.dim for i in invariant_ideals(moved, side)]
+                == [i.dim for i in invariant_ideals(rep, side)])
 
 
 @given(data=st.data())
@@ -238,16 +238,16 @@ def test_ideals_any_basis(key, rep_name, data):
 def test_infinite_ideal_lattice_any_basis(data):
     _, rep = catalog.get("S3", "regular")
     moved = _conjugated(rep, data.draw(_skews(rep.dim)))
-    assert invariant_subspaces(moved, seed=0) == invariant_subspaces(rep, seed=0)
+    assert invariant_subspaces(moved) == invariant_subspaces(rep)
     with pytest.raises(InfiniteLattice):
-        invariant_ideals(moved, "left", seed=0)
+        invariant_ideals(moved, "left")
 
 
 @pytest.mark.parametrize("key,rep_name", sorted(EXPECTED))
 def test_verify_classification_clean(key, rep_name):
     _, rep = catalog.get(key, rep_name)
-    subs, _ = enumerate_invariant_subalgebras(rep, seed=0)
-    report = verify_classification(subs, rep, seed=0)
+    subs, _ = enumerate_invariant_subalgebras(rep)
+    report = verify_classification(subs, rep)
     assert report.ok
     assert report.violations == []
     assert report.checked == len(subs)
@@ -257,7 +257,7 @@ def test_verify_classification_reports_unclosed_entry():
     """The span of a rotation generator J is invariant, but J^2 = -I."""
     _, rep = catalog.get("S3", "std")
     j_line = MatrixSubspace.from_spanning([np.array([[0.0, -1.0], [1.0, 0.0]])])
-    report = verify_classification([j_line], rep, seed=0)
+    report = verify_classification([j_line], rep)
     assert report.violations == [
         "entry 0 (dim 1): ValueError: subspace is not closed under products"]
 
@@ -265,7 +265,7 @@ def test_verify_classification_reports_unclosed_entry():
 def test_verify_classification_propagates_bugs(monkeypatch):
     """Only domain errors become violations; a TypeError is a bug."""
     _, rep = catalog.get("S3", "std")
-    subs, _ = enumerate_invariant_subalgebras(rep, seed=0)
+    subs, _ = enumerate_invariant_subalgebras(rep)
 
     def broken(*args, **kwargs):
         raise TypeError("injected")
@@ -273,13 +273,13 @@ def test_verify_classification_propagates_bugs(monkeypatch):
     # the symmetric-embedding check, fed the entry's partner in the list
     monkeypatch.setattr(invalg.classify, "_symmetric_embedding", broken)
     with pytest.raises(TypeError, match="injected"):
-        verify_classification(subs, rep, seed=0)
+        verify_classification(subs, rep)
 
 
 def test_theta_cartan_from_rotation_datum():
     """The invariant Cartan in the 2-dim rep comes from the index-2 datum."""
     _, rep = catalog.get("S3", "std")
-    pairs = induction_pairs(rep, seed=0)
+    pairs = induction_pairs(rep)
     c3_pair = pairs[0]
     assert c3_pair.subgroup.order == 3
     assert c3_pair.w_rep.dim == 1
@@ -294,7 +294,7 @@ def test_theta_cartan_from_rotation_datum():
 def test_theta_dimension_law():
     """dim Theta(C) = [G:H] * dim C on every induction pair."""
     _, rep = catalog.get("S3xS3", "stdXstd")
-    for pair in induction_pairs(rep, seed=0):
+    for pair in induction_pairs(rep):
         w = pair.w_rep.dim
         full = theta(InductionDatum(pair, MatrixSubspace.full((w, w))), rep)
         assert full.dim == pair.subgroup.index * w * w
@@ -304,9 +304,9 @@ def test_theta_dimension_law():
 
 def test_theta_respects_lattice_ops():
     _, rep = catalog.get("S3xS3", "stdXstd")
-    pair = induction_pairs(rep, seed=0)[-1]  # (G, V) itself
+    pair = induction_pairs(rep)[-1]  # (G, V) itself
     w = pair.w_rep.dim
-    inner, _ = enumerate_invariant_subalgebras(pair.w_rep, seed=0)
+    inner, _ = enumerate_invariant_subalgebras(pair.w_rep)
     smalls = [s.space for s in inner if s.dim in (2, 4)][:3]
     for i, c1 in enumerate(smalls):
         for c2 in smalls[i + 1:]:
@@ -317,7 +317,7 @@ def test_theta_respects_lattice_ops():
 def test_theta_transitivity():
     """Composing inductions along a subgroup chain lands on a direct datum."""
     _, rep = catalog.get("S3xS3", "stdXstd")
-    report = theta_transitivity_check(rep, seed=0)
+    report = theta_transitivity_check(rep)
     assert report.ok
     assert report.checked == 6
 
@@ -325,7 +325,7 @@ def test_theta_transitivity():
 def test_theta_transitivity_no_chains():
     # S3 std has a single proper pair whose constituent is 1-dim: no chains
     _, rep = catalog.get("S3", "std")
-    report = theta_transitivity_check(rep, seed=0)
+    report = theta_transitivity_check(rep)
     assert report.ok
     assert report.checked == 0
 
@@ -333,7 +333,7 @@ def test_theta_transitivity_no_chains():
 @pytest.mark.parametrize("key,rep_name", sorted(EXPECTED))
 def test_nonunital_scan(key, rep_name):
     _, rep = catalog.get(key, rep_name)
-    nonunital, certified = nonunital_scan(rep, seed=0)
+    nonunital, certified = nonunital_scan(rep)
     # only the zero algebra: invariant subalgebras of End(V) are unital or zero
     assert [s.dim for s in nonunital] == [0]
     assert certified
@@ -342,19 +342,19 @@ def test_nonunital_scan(key, rep_name):
 def test_nonunital_scan_rejects_reducible():
     _, rep = catalog.get("S3", "trivPlusSign")
     with pytest.raises(ValueError):
-        nonunital_scan(rep, seed=0)
+        nonunital_scan(rep)
 
 
 def test_enumeration_rejects_reducible():
     _, rep = catalog.get("S3", "trivPlusSign")
     with pytest.raises(Exception):
-        enumerate_invariant_subalgebras(rep, seed=0)
+        enumerate_invariant_subalgebras(rep)
 
 
 def test_quad_recorded_on_data():
     """Each enumerated entry records which (a, w/a) square split produced it."""
     _, rep = catalog.get("S3xS3", "stdXstd")
-    subs, _ = enumerate_invariant_subalgebras(rep, seed=0)
+    subs, _ = enumerate_invariant_subalgebras(rep)
     for s in subs:
         datum = s.induction_datum
         if datum is None or datum.quad is None:
@@ -366,7 +366,7 @@ def test_quad_recorded_on_data():
 def test_block_span_rejects_dependent_translates():
     """A copy basis fixed by rho(t) up to scale gives translates on one line."""
     _, rep = catalog.get("S3", "std")
-    pair = induction_pairs(rep, seed=0)[0]
+    pair = induction_pairs(rep)[0]
     assert pair.subgroup.index == 2 and pair.w_rep.dim == 1
     t = pair.transversal.reps[1]
     _, vecs = np.linalg.eig(rep.matrices[t])
@@ -379,8 +379,8 @@ def _theta_oracle(datum, v_rep):
     """Wedderburn data of the block span by two full spectral splits, as
     ``theta`` found them before it read them off the datum."""
     space = invalg.classify._block_span(datum.pair, datum.c_space, v_rep)[0]
-    meta = wedderburn_decompose(space, seed=0)
-    c_meta = wedderburn_decompose(datum.c_space, seed=0)
+    meta = wedderburn_decompose(space)
+    c_meta = wedderburn_decompose(datum.c_space)
     assert sorted(meta.component_dims) == \
         sorted(c_meta.component_dims * datum.pair.subgroup.index)
     return meta
@@ -389,7 +389,7 @@ def _theta_oracle(datum, v_rep):
 @pytest.mark.parametrize("key,rep_name", sorted(EXPECTED))
 def test_theta_data_match_the_spectral_split(key, rep_name):
     _, rep = catalog.get(key, rep_name)
-    subs, _ = enumerate_invariant_subalgebras(rep, seed=0)
+    subs, _ = enumerate_invariant_subalgebras(rep)
     for s in subs:
         oracle = _theta_oracle(s.induction_datum, rep)
         assert oracle.space.equals(s.space)
@@ -410,7 +410,7 @@ def _forbidden(*args, **kwargs):
 
 def test_theta_runs_no_spectral_split(monkeypatch):
     _, rep = catalog.get("S3xS3", "stdXstd")
-    pairs = induction_pairs(rep, seed=0)
+    pairs = induction_pairs(rep)
     monkeypatch.setattr(invalg.classify, "wedderburn_decompose", _forbidden)
     monkeypatch.setattr(invalg.algebras, "_spectral_split", _forbidden)
     for pair in pairs:
@@ -424,7 +424,7 @@ def test_theta_runs_no_spectral_split(monkeypatch):
 
 def test_theta_rejects_a_c_that_is_not_m_a():
     _, rep = catalog.get("S3", "std")
-    pair = induction_pairs(rep, seed=0)[-1]  # (G, V), W = V of dim 2
+    pair = induction_pairs(rep)[-1]  # (G, V), W = V of dim 2
     cartan = MatrixSubspace.from_spanning([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
     with pytest.raises(ValueError, match="not M_a"):
         theta(InductionDatum(pair, cartan), rep)
@@ -453,7 +453,7 @@ def test_verify_certifies_each_entrys_idempotents(key, rep_name):
     """A corrupted idempotent list fails the certificate that the entry's
     idempotents split its partner: a violation of that entry alone."""
     _, rep = catalog.get(key, rep_name)
-    subs, _ = enumerate_invariant_subalgebras(rep, seed=0)
+    subs, _ = enumerate_invariant_subalgebras(rep)
     tried = 0
     for idx, entry in enumerate(subs):
         if len(entry.idempotents) < 2:
@@ -462,7 +462,7 @@ def test_verify_certifies_each_entrys_idempotents(key, rep_name):
         label = f"entry {idx} (dim {entry.dim})"
         for how, idems in _corruptions(entry.idempotents).items():
             bad = dataclasses.replace(entry, idempotents=idems)
-            report = verify_classification(subs[:idx] + [bad] + subs[idx + 1:], rep, seed=0)
+            report = verify_classification(subs[:idx] + [bad] + subs[idx + 1:], rep)
             assert report.violations == [
                 f"{label}: AssertionFailure: the algebra's idempotents are not "
                 "the centralizer's central primitive ones"], how
@@ -475,11 +475,11 @@ def test_verify_reports_a_missing_partner(key, rep_name):
     """Without its partner an entry is checked against the fresh centralizer
     and reports only the missing entry."""
     _, rep = catalog.get(key, rep_name)
-    subs, _ = enumerate_invariant_subalgebras(rep, seed=0)
+    subs, _ = enumerate_invariant_subalgebras(rep)
     entry = next(s for s in subs if not centralizer(s.space).equals(s.space))
     rest = [s for s in subs if not s.space.equals(centralizer(entry.space))]
     assert len(rest) == len(subs) - 1
-    report = verify_classification(rest, rep, seed=0)
+    report = verify_classification(rest, rep)
     label = f"entry {[s is entry for s in rest].index(True)} (dim {entry.dim})"
     assert report.violations == [f"{label}: centralizer missing from the list"]
 
@@ -488,17 +488,17 @@ def test_verify_reports_a_missing_partner(key, rep_name):
 def test_verify_bare_spaces_clean(key, rep_name):
     """Bare spaces take their idempotents from the spectral split."""
     _, rep = catalog.get(key, rep_name)
-    subs, _ = enumerate_invariant_subalgebras(rep, seed=0)
-    assert verify_classification([s.space for s in subs], rep, seed=0).ok
+    subs, _ = enumerate_invariant_subalgebras(rep)
+    assert verify_classification([s.space for s in subs], rep).ok
 
 
 def test_verify_reports_a_wrong_recorded_pair():
     """An entry recorded under another pair's datum: its center is not that
     pair's scalar-block span."""
     _, rep = catalog.get("S3xS3", "stdXstd")
-    subs, _ = enumerate_invariant_subalgebras(rep, seed=0)
-    assert verify_classification(subs, rep, seed=0).ok
-    pairs = induction_pairs(rep, seed=0)
+    subs, _ = enumerate_invariant_subalgebras(rep)
+    assert verify_classification(subs, rep).ok
+    pairs = induction_pairs(rep)
     for idx, entry in enumerate(subs):
         datum = entry.induction_datum
         if datum.pair.subgroup.order != 18:
@@ -507,7 +507,7 @@ def test_verify_reports_a_wrong_recorded_pair():
                      and p.subgroup.members != datum.pair.subgroup.members)
         wrong = dataclasses.replace(entry, induction_datum=dataclasses.replace(
             datum, pair=other))
-        report = verify_classification(subs[:idx] + [wrong] + subs[idx + 1:], rep, seed=0)
+        report = verify_classification(subs[:idx] + [wrong] + subs[idx + 1:], rep)
         label = f"entry {idx} (dim {entry.dim})"
         assert f"{label}: center differs from the scalar-block span" in report.violations
         assert all(v.startswith(label) for v in report.violations)
@@ -515,8 +515,8 @@ def test_verify_reports_a_wrong_recorded_pair():
 
 def test_theta_checks_use_the_span_helper(monkeypatch):
     _, rep = catalog.get("S3xS3", "stdXstd")
-    pair = induction_pairs(rep, seed=0)[-1]
-    inner, _ = enumerate_invariant_subalgebras(pair.w_rep, seed=0)
+    pair = induction_pairs(rep)[-1]
+    inner, _ = enumerate_invariant_subalgebras(pair.w_rep)
     c1, c2 = [s.space for s in inner if s.dim in (2, 4)][:2]
     calls = []
     original = invalg.classify._block_span
@@ -530,7 +530,7 @@ def test_theta_checks_use_the_span_helper(monkeypatch):
     assert theta_lattice_check(pair, c1, c2, rep).ok
     assert sorted(calls) == sorted([c1.dim, c2.dim, c1.intersect(c2).dim])
     calls.clear()
-    report = theta_transitivity_check(rep, seed=0)
+    report = theta_transitivity_check(rep)
     assert report.ok and report.checked == 6
     assert calls
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import invalg.algebras
 import invalg.cli
 import invalg.ideals
 from invalg import catalog
@@ -305,6 +306,21 @@ def test_invalid_rep_exits_1(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("table", [[[0, 1.7], [1, 0.2]], [[False, True], [True, False]]])
+def test_non_integer_mult_table_exits_1(table, tmp_path, capsys):
+    """A float or bool table once loaded as C2 and ran to exit 0."""
+    doc = {"group": {"order": 2, "mult_table": table},
+           "representation": {"dim": 1, "matrices": [[[[1.0, 0.0]]], [[[-1.0, 0.0]]]]}}
+    path = tmp_path / "c2.json"
+    path.write_text(json.dumps(doc))
+    for cmd in ("validate", "subalgebras"):
+        assert main([cmd, str(path)]) == 1
+        assert "table entries must be integers" in capsys.readouterr().err
+    doc["group"]["mult_table"] = [[0, 1], [1, 0]]
+    path.write_text(json.dumps(doc))
+    assert main(["subalgebras", str(path), "--out", str(tmp_path / "out.json")]) == 0
+
+
 def test_subalgebras_on_reducible_exits_1(capsys):
     code = main(["subalgebras", "catalog:S3:trivPlusSign"])
     assert code == 1
@@ -324,14 +340,28 @@ def test_cap_exceeded_exits_2(tmp_path, capsys):
     assert code == 2
 
 
-def test_seed_flag_changes_nothing_material(tmp_path):
-    out1 = tmp_path / "s0.json"
-    out2 = tmp_path / "s1.json"
-    main(["subalgebras", "catalog:S3:std", "--seed", "0", "--out", str(out1)])
-    main(["subalgebras", "catalog:S3:std", "--seed", "1", "--out", str(out2)])
-    d1 = json.loads(out1.read_text())
-    d2 = json.loads(out2.read_text())
-    assert [s["dim"] for s in d1["subalgebras"]] == [s["dim"] for s in d2["subalgebras"]]
+@pytest.mark.parametrize("key,rep_name", [("S3", "std"), ("S3xS3", "stdXstd")])
+def test_draw_stream_changes_nothing_material(key, rep_name, tmp_path, monkeypatch):
+    """Another stream for the spectral splits gives the same subalgebra
+    dimensions.  The input is a file, so each run builds a fresh group and
+    no character table cached on a catalog group is reused."""
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(pair_to_json(*catalog.get(key, rep_name))))
+    dims = []
+    for draw_seed in (0, 1, 2):
+        monkeypatch.setattr(invalg.algebras, "_DRAW_SEED", draw_seed)
+        code, raw = _run(["subalgebras", str(path)], tmp_path, f"s{draw_seed}.json")
+        assert code == 0
+        dims.append([s["dim"] for s in json.loads(raw)["subalgebras"]])
+    assert dims == [dims[0]] * 3
+
+
+def test_seed_flag_is_a_usage_error(capsys):
+    """The splits draw from one fixed stream, so there is no ``--seed``."""
+    with pytest.raises(SystemExit) as exc:
+        main(["subalgebras", "catalog:S3:std", "--seed", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
 
 
 def test_optimized_interpreter_output_unchanged():
@@ -352,10 +382,10 @@ def test_parser_built_once_keeps_no_state(tmp_path, capsys):
     assert invalg.cli._parser() is parser
     fresh = invalg.cli._parser.__wrapped__()
     assert parser.format_help() == fresh.format_help()
-    _, raw = _run(["validate", "catalog:S3:std", "--seed", "7", "--tol", "1e-6"], tmp_path)
-    assert (json.loads(raw)["seed"], json.loads(raw)["tol"]) == (7, 1e-6)
-    _, raw = _run(["validate", "catalog:S3:std"], tmp_path)
-    assert (json.loads(raw)["seed"], json.loads(raw)["tol"]) == (0, 1e-8)
+    for flags, tol in ((["--tol", "1e-6"], 1e-6), ([], 1e-8)):
+        _, raw = _run(["validate", "catalog:S3:std", *flags], tmp_path)
+        header = {k: v for k, v in json.loads(raw).items() if k in ("schema", "seed", "tol")}
+        assert header == {"schema": 1, "tol": tol}
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         main(["subalgebras"])

@@ -32,7 +32,7 @@ SCAN_EXPECTED = {
 @pytest.mark.parametrize("key,rep_name", sorted(SCAN_EXPECTED))
 def test_multfree_scan_dims(key, rep_name):
     _, rep = catalog.get(key, rep_name)
-    unital, nonunital, certified = multfree_scan(rep, seed=0)
+    unital, nonunital, certified = multfree_scan(rep)
     dims, cert = SCAN_EXPECTED[(key, rep_name)]
     assert [s.dim for s in unital] == dims
     assert certified == cert
@@ -53,7 +53,7 @@ def test_multfree_scan_projective_tensor():
     alpha = np.tile(pauli.cocycle.values, (s3.order, s3.order))
     rep = Representation(group=group, dim=4, matrices=mats,
                          cocycle=TwoCocycle(group, alpha))
-    unital, nonunital, certified = multfree_scan(rep, seed=0)
+    unital, nonunital, certified = multfree_scan(rep)
     assert [s.dim for s in unital] == [1] + [2] * 7 + [4] * 11 + [8] * 7 + [16]
     assert [s.dim for s in nonunital] == [0]
     assert certified
@@ -67,8 +67,8 @@ def test_multfree_scan_non_unitary():
     t_inv = np.linalg.inv(t)
     moved = Representation(group=rep.group, dim=4,
                            matrices=np.einsum("ij,gjk,kl->gil", t, rep.matrices, t_inv))
-    unital, _, certified = multfree_scan(rep, seed=0)
-    got, got_non, got_cert = multfree_scan(moved, seed=0)
+    unital, _, certified = multfree_scan(rep)
+    got, got_non, got_cert = multfree_scan(moved)
     assert [s.dim for s in got] == [s.dim for s in unital]
     assert [s.dim for s in got_non] == [0]
     assert got_cert and certified
@@ -154,7 +154,7 @@ def test_closed_sets_on_catalog_reach_tables(monkeypatch):
     monkeypatch.setattr(invalg.factor, "_closed_sets", record)
     for key, entry in sorted(catalog.catalog().items()):
         for rep in entry.reps.values():
-            multfree_scan(rep, seed=0)
+            multfree_scan(rep)
     assert len(tables) == 13
     for reach in tables:
         assert set(_closed_sets(reach)) == _closed_sets_walk(reach)
@@ -163,7 +163,7 @@ def test_closed_sets_on_catalog_reach_tables(monkeypatch):
 def test_multfree_scan_s3_cubed_is_certified():
     """S3^3 std x std x std: 27 components, past the old 2^20 subset cap."""
     rep = _tensor_power("S3", "std", 3)
-    unital, nonunital, certified = multfree_scan(rep, seed=0)
+    unital, nonunital, certified = multfree_scan(rep)
     assert len(unital) == 79
     assert [s.dim for s in nonunital] == [0]
     assert certified
@@ -184,7 +184,7 @@ def test_reach_masks_past_64_components(monkeypatch):
 
     monkeypatch.setattr(invalg.factor, "_closed_sets", stop)
     with pytest.raises(Stop):
-        multfree_scan(_tensor_power("C2xC2", "pauli", 3), seed=0)
+        multfree_scan(_tensor_power("C2xC2", "pauli", 3))
     (reach,) = tables
     assert len(reach) == 64
     entries = [r for row in reach for r in row]
@@ -193,7 +193,7 @@ def test_reach_masks_past_64_components(monkeypatch):
     # the closed sets of Pauli^2 are the empty set and the subgroups of F_2^4
     monkeypatch.setattr(invalg.factor, "_closed_sets", _closed_sets)
     unital, nonunital, certified = multfree_scan(
-        _tensor_power("C2xC2", "pauli", 2), seed=0)
+        _tensor_power("C2xC2", "pauli", 2))
     assert len(unital) == 67 and [s.dim for s in nonunital] == [0] and certified
 
 
@@ -201,8 +201,8 @@ def test_reach_masks_past_64_components(monkeypatch):
 def test_scan_agrees_with_classifier(key, rep_name):
     """Independent routes: subset scan vs induction data, equal as sets."""
     _, rep = catalog.get(key, rep_name)
-    unital, _, _ = multfree_scan(rep, seed=0)
-    subs, _ = enumerate_invariant_subalgebras(rep, seed=0)
+    unital, _, _ = multfree_scan(rep)
+    subs, _ = enumerate_invariant_subalgebras(rep)
     assert len(unital) == len(subs)
     fps_scan = sorted(s.fingerprint() for s in unital)
     fps_cls = sorted(s.space.fingerprint() for s in subs)
@@ -211,7 +211,7 @@ def test_scan_agrees_with_classifier(key, rep_name):
 
 def test_central_simple_s3():
     _, rep = catalog.get("S3", "std")
-    cs, certified = central_simple_invariant_subalgebras(rep, seed=0)
+    cs, certified = central_simple_invariant_subalgebras(rep)
     assert [s.dim for s in cs] == [1, 4]  # the Cartan has a 2-dim center
     assert certified
 
@@ -219,15 +219,15 @@ def test_central_simple_s3():
 def test_central_simple_prime_dimension_certified():
     """A4 std3: the scan is not certified, but d = 3 admits only M_1 and M_3."""
     _, rep = catalog.get("A4", "std3")
-    _, _, scan_certified = multfree_scan(rep, seed=0)
-    cs, certified = central_simple_invariant_subalgebras(rep, seed=0)
+    _, _, scan_certified = multfree_scan(rep)
+    cs, certified = central_simple_invariant_subalgebras(rep)
     assert [s.dim for s in cs] == [1, 9]
     assert certified and not scan_certified
 
 
 def test_central_simple_s3xs3():
     _, rep = catalog.get("S3xS3", "stdXstd")
-    cs, certified = central_simple_invariant_subalgebras(rep, seed=0)
+    cs, certified = central_simple_invariant_subalgebras(rep)
     assert [s.dim for s in cs] == [1, 4, 4, 4, 4, 16]
     assert certified
     # closed under centralizer, forming dual pairs
@@ -239,11 +239,11 @@ def test_central_simple_s3xs3():
 def test_extract_factorization_s3xs3():
     """rho(g) = lambda_g sigma(g) x tau(g) over all 36 elements, per dual pair."""
     g, rep = catalog.get("S3xS3", "stdXstd")
-    cs, _ = central_simple_invariant_subalgebras(rep, seed=0)
+    cs, _ = central_simple_invariant_subalgebras(rep)
     proper = [s for s in cs if 1 < s.dim < 16]
     assert len(proper) == 4
     for s in proper:
-        fact = extract_factorization(s, rep, seed=0)
+        fact = extract_factorization(s, rep)
         assert (fact.a, fact.b) == (2, 2)
         assert fact.residual < 1e-6
         assert fact.sigma.matrices.shape == (36, 2, 2)
@@ -264,7 +264,7 @@ def test_extract_factorization_s3xs3():
 def test_extract_factorization_trivial_factor():
     """Factoring the full algebra itself gives the (d, 1) split."""
     _, rep = catalog.get("SL23", "std")
-    fact = extract_factorization(MatrixSubspace.full((2, 2)), rep, seed=0)
+    fact = extract_factorization(MatrixSubspace.full((2, 2)), rep)
     assert (fact.a, fact.b) == (2, 1)
     assert fact.residual < 1e-6
 
@@ -272,10 +272,10 @@ def test_extract_factorization_trivial_factor():
 def test_extract_factorization_projective():
     """The Pauli action of the Klein four-group factors with its cocycle."""
     _, rep = catalog.get("C2xC2", "pauli")
-    fact_full = extract_factorization(MatrixSubspace.full((2, 2)), rep, seed=0)
+    fact_full = extract_factorization(MatrixSubspace.full((2, 2)), rep)
     assert (fact_full.a, fact_full.b) == (2, 1)
     assert fact_full.residual < 1e-6
-    fact_line = extract_factorization(MatrixSubspace.identity_line(2), rep, seed=0)
+    fact_line = extract_factorization(MatrixSubspace.identity_line(2), rep)
     assert (fact_line.a, fact_line.b) == (1, 2)
     assert fact_line.residual < 1e-6
     assert cocycle_consistency(fact_line, rep) < 1e-6
@@ -285,10 +285,10 @@ def test_extract_factorization_projective():
 
 def test_extract_factorization_rejects_cartan():
     _, rep = catalog.get("S3", "std")
-    subs, _ = enumerate_invariant_subalgebras(rep, seed=0)
+    subs, _ = enumerate_invariant_subalgebras(rep)
     cartan = next(s for s in subs if s.dim == 2)
     with pytest.raises(NotCentralSimple):
-        extract_factorization(cartan.space, rep, seed=0)
+        extract_factorization(cartan.space, rep)
 
 
 def test_extract_factorization_rejects_nonsquare():
@@ -298,4 +298,4 @@ def test_extract_factorization_rejects_nonsquare():
     bad = MatrixSubspace.from_spanning([np.eye(2), np.diag([1.0, 0.0]),
                                         np.array([[0.0, 1.0], [0.0, 0.0]])])
     with pytest.raises(NotCentralSimple):
-        extract_factorization(bad, rep, seed=0)
+        extract_factorization(bad, rep)

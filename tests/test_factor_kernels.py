@@ -114,7 +114,7 @@ def central_simple():
     out = {}
     for name in ALL_INPUTS:
         rep = _input(name)
-        out[name] = (rep, central_simple_invariant_subalgebras(rep, seed=0)[0])
+        out[name] = (rep, central_simple_invariant_subalgebras(rep)[0])
     return out
 
 
@@ -123,7 +123,7 @@ def test_split_matches_the_element_loop(name, central_simple):
     rep, subs = central_simple[name]
     e = rep.group.identity
     for sp in subs:
-        fact = extract_factorization(sp, rep, seed=0)
+        fact = extract_factorization(sp, rep)
         s_mat = fact.basis_change
         rho = np.einsum("ij,gjk,kl->gil", np.linalg.inv(s_mat), rep.matrices, s_mat)
         sig, tau, lam, residual = _split_loop(rho, fact.a, fact.b)
@@ -173,13 +173,13 @@ def test_split_names_the_first_failing_element(first, later, central_simple):
     broken = _corrupted(rep, {7: bad(first), 23: bad(later)})
     want = "transforms to zero" if first == "zero" else "is not rank one"
     with pytest.raises(FactorRecoveryFailure, match=rf"^element 7 {want}"):
-        extract_factorization(sp, broken, seed=0)
-    s_mat = extract_factorization(sp, rep, seed=0).basis_change
+        extract_factorization(sp, broken)
+    s_mat = extract_factorization(sp, rep).basis_change
     rho = np.einsum("ij,gjk,kl->gil", np.linalg.inv(s_mat), broken.matrices, s_mat)
     with pytest.raises(FactorRecoveryFailure) as loop_exc:
         _split_loop(rho, 2, 2)
     with pytest.raises(FactorRecoveryFailure) as exc:
-        extract_factorization(sp, broken, seed=0)
+        extract_factorization(sp, broken)
     assert str(exc.value) == str(loop_exc.value)
 
 
@@ -284,7 +284,7 @@ def test_cocycle_identity_is_checked_in_row_blocks():
 
 def _central_simple_loop(w_rep):
     """Center test on every unital sum, pairwise closure under centralizers."""
-    unital, _, _ = multfree_scan(w_rep, seed=0)
+    unital, _, _ = multfree_scan(w_rep)
     out = [sp for sp in unital if semisimplicity_certificate(sp, 1e-8)[1] is None
            and center(sp, 1e-8).dim == 1]
     i = 0
@@ -314,15 +314,15 @@ def test_closure_appends_a_missing_centralizer(monkeypatch):
     scan = invalg.factor.multfree_scan
     monkeypatch.setattr(invalg.factor, "multfree_scan",
                         lambda *args, **kw: (*scan(*args, **kw)[:2], False))
-    subs, _ = central_simple_invariant_subalgebras(rep, seed=0)
+    subs, _ = central_simple_invariant_subalgebras(rep)
     assert [s.dim for s in subs] == [1, 4]
     monkeypatch.setattr(invalg.factor, "centralizer", lambda sp, tol: sp)
     with pytest.raises(AssertionFailure, match="full algebra missing"):
-        central_simple_invariant_subalgebras(rep, seed=0)
+        central_simple_invariant_subalgebras(rep)
     monkeypatch.setattr(invalg.factor, "multfree_scan", scan)
     monkeypatch.setattr(invalg.factor, "centralizer", None)  # never called
     with pytest.raises(AssertionFailure, match="full algebra missing"):
-        central_simple_invariant_subalgebras(rep, seed=0)
+        central_simple_invariant_subalgebras(rep)
 
 
 # -- the partner's factorization, by permuting columns -----------------------------
@@ -333,7 +333,7 @@ def test_swapped_factorizations_hold(name, central_simple):
     satisfies ``S^-1 rho S = lambda sigma (x) tau`` within 1e-10, with the
     residual it reports; its centralizer is its partner entry."""
     rep, subs = central_simple[name]
-    facts = invalg.factor.factor(subs, rep, seed=0)
+    facts = invalg.factor.factor(subs, rep)
     for sp, fact in zip(subs, facts):
         assert fact.b_space is sp and any(fact.z_space is t for t in subs)
         assert fact.a ** 2 == sp.dim and fact.a * fact.b == rep.dim

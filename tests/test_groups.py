@@ -43,9 +43,21 @@ def test_build_rejects_non_associative():
         build_from_mult_table(table)
 
 
-def test_mult_table_round_trip():
+@pytest.mark.parametrize("table", [
+    [[0, 1.7], [1, 0.2]], [[0.0, 1.0], [1.0, 0.0]], np.array([[0.0, 1.0], [1.0, 0.0]]),
+    [[False, True], [True, False]], np.eye(2, dtype=bool)])
+def test_build_rejects_non_integer_entries(table):
+    """Casting to ``intp`` once read 1.7 as 1, 0.2 as 0 and a bool as 0 or 1."""
+    with pytest.raises(NotAGroup, match="table entries must be integers"):
+        build_from_mult_table(table)
+
+
+@pytest.mark.parametrize("as_table", [np.array, np.ndarray.tolist, lambda m: m.astype(np.int8),
+                                      lambda m: m.astype(np.uint16)],
+                         ids=["intp", "list", "int8", "uint16"])
+def test_mult_table_round_trip(as_table):
     g = _s3()
-    h = build_from_mult_table(np.array(g.mult))
+    h = build_from_mult_table(as_table(g.mult))
     assert h.order == g.order
     assert np.array_equal(h.mult, g.mult)
     assert h.identity == g.identity

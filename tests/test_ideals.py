@@ -100,7 +100,7 @@ def test_round_trip_and_order_reversal():
 
 def test_invariant_subspaces_direct_sum():
     _, rep = catalog.get("S3", "trivPlusSign")
-    spaces = invariant_subspaces(rep, seed=0)
+    spaces = invariant_subspaces(rep)
     assert [s.dim for s in spaces] == [0, 1, 1, 2]
     labels = [s.label for s in spaces]
     assert labels[0] == "0"
@@ -112,10 +112,10 @@ def test_invariant_subspaces_direct_sum():
 def test_invariant_subspace_counts_power_of_two():
     for rep_name, m in [("std", 1), ("trivPlusSign", 2), ("trivPlusSignPlusStd", 3)]:
         _, rep = catalog.get("S3", rep_name)
-        spaces = invariant_subspaces(rep, seed=0)
+        spaces = invariant_subspaces(rep)
         assert len(spaces) == 2 ** m
-        left = invariant_ideals(rep, "left", seed=0)
-        right = invariant_ideals(rep, "right", seed=0)
+        left = invariant_ideals(rep, "left")
+        right = invariant_ideals(rep, "right")
         assert len(left) == 2 ** m
         assert len(right) == 2 ** m
         for ideal in left + right:
@@ -124,8 +124,8 @@ def test_invariant_subspace_counts_power_of_two():
 
 def test_invariant_ideals_triv_plus_sign():
     _, rep = catalog.get("S3", "trivPlusSign")
-    left = invariant_ideals(rep, "left", seed=0)
-    right = invariant_ideals(rep, "right", seed=0)
+    left = invariant_ideals(rep, "left")
+    right = invariant_ideals(rep, "right")
     assert len(left) == 4 and len(right) == 4
     assert sorted(i.space.dim for i in left) == [0, 2, 2, 4]
     assert sorted(i.space.dim for i in right) == [0, 2, 2, 4]
@@ -134,8 +134,8 @@ def test_invariant_ideals_triv_plus_sign():
 def test_multiplicity_raises_infinite_lattice():
     _, rep = catalog.get("S3", "regular")  # std occurs twice
     with pytest.raises(InfiniteLattice):
-        invariant_ideals(rep, "left", seed=0)
-    param = invariant_subspaces(rep, seed=0)
+        invariant_ideals(rep, "left")
+    param = invariant_subspaces(rep)
     assert isinstance(param, Parametrization)
     assert not param.finite
     assert any(mult > 1 for _, mult, _ in param.factors)
@@ -159,11 +159,11 @@ def test_semisimple_ideal_lattice_products():
 def test_hom_lattice_rectangular():
     _, v = catalog.get("S3", "trivPlusSign")
     _, w = catalog.get("S3", "std")
-    homs = hom_lattice(v, w, "left", seed=0)
+    homs = hom_lattice(v, w, "left")
     assert sorted(h.space.dim for h in homs) == [0, 2, 2, 4]
     for h in homs:
         assert h.space.shape == (2, 2)
-    homs_r = hom_lattice(v, w, "right", seed=0)
+    homs_r = hom_lattice(v, w, "right")
     assert sorted(h.space.dim for h in homs_r) == [0, 4]
 
 
@@ -174,6 +174,6 @@ def test_hom_lattice_checks_the_order_law(monkeypatch):
     monkeypatch.setattr(SubspaceOfV, "contains", lambda self, other, tol=0: True)
     for side in ("left", "right"):
         with pytest.raises(AssertionFailure, match="order"):
-            hom_lattice(v, w, side, seed=0)
+            hom_lattice(v, w, side)
         with pytest.raises(AssertionFailure, match="order"):
-            invariant_ideals(v, side, seed=0)
+            invariant_ideals(v, side)

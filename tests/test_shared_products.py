@@ -292,7 +292,7 @@ def _reach_loop(spaces, comps, tol):
 
 def _components(rep, tol=1e-8):
     """The spaces and projectors ``multfree_scan`` builds its table from."""
-    comps = conjugation_decomposition(rep, seed=0)
+    comps = conjugation_decomposition(rep)
     spaces = [MatrixSubspace(column_space(c.projector, tol).T, (rep.dim, rep.dim))
               for c in comps]
     return spaces, comps
@@ -409,9 +409,9 @@ def test_factor_extracts_each_dual_pair_once(name, solves, monkeypatch):
         return extract(sp, *args, **kwargs)
 
     monkeypatch.setattr(invalg.factor, "extract_factorization", counted)
-    subs, certified = invalg.factor.central_simple_invariant_subalgebras(rep, seed=0)
+    subs, certified = invalg.factor.central_simple_invariant_subalgebras(rep)
     assert certified and solves[0] == 0
-    facts = invalg.factor.factor(subs, rep, seed=0)
+    facts = invalg.factor.factor(subs, rep)
     pairs = {frozenset((id(f.b_space), id(f.z_space))) for f in facts}
     assert len(extracted) == len(pairs) == (len(subs) + 1) // 2
     assert solves[0] == len(subs)
@@ -422,7 +422,7 @@ def test_factor_extracts_each_dual_pair_once(name, solves, monkeypatch):
 
 def test_factor_raises_when_a_partner_is_missing():
     rep = _factor_rep("S3xS3:stdXstd")
-    subs, _ = invalg.factor.central_simple_invariant_subalgebras(rep, seed=0)
+    subs, _ = invalg.factor.central_simple_invariant_subalgebras(rep)
     dropped = [sp for sp in subs if sp.dim != 16]
     with pytest.raises(invalg.AssertionFailure, match=r"centralizer of entry 0 \(dim 16\)"):
-        invalg.factor.factor(dropped, rep, seed=0)
+        invalg.factor.factor(dropped, rep)

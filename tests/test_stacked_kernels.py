@@ -41,7 +41,7 @@ def catalog_subalgebras():
     out = []
     for key, rep_name in IRREDUCIBLE:
         _, rep = catalog.get(key, rep_name)
-        subs, _ = enumerate_invariant_subalgebras(rep, seed=0)
+        subs, _ = enumerate_invariant_subalgebras(rep)
         out.extend((f"{key}:{rep_name}", rep, s) for s in subs)
     return out
 
@@ -326,9 +326,9 @@ def test_isotypic_rejects_a_trace_mismatch():
     extra = character_table(group)[0]
     wrong = ClassFunction(group, tuple(a + b for a, b in zip(chi.values, extra.values)))
     mats = rep.matrices.__getitem__
-    assert len(_isotypic(group, chi, rep.dim, mats, 0)) == 3
+    assert len(_isotypic(group, chi, rep.dim, mats)) == 3
     with pytest.raises(ToleranceFailure, match="traces"):
-        _isotypic(group, wrong, rep.dim, mats, 0)
+        _isotypic(group, wrong, rep.dim, mats)
 
 
 def test_character_table_of_the_cyclic_group_of_order_128():
@@ -493,7 +493,7 @@ def test_induced_character_matches_the_loop_and_induce(key):
 
 def test_verify_builds_one_scalar_block_span_per_pair(monkeypatch):
     _, rep = catalog.get("S3xS3", "stdXstd")
-    subs, _ = enumerate_invariant_subalgebras(rep, seed=0)
+    subs, _ = enumerate_invariant_subalgebras(rep)
     pairs = {id(s.induction_datum.pair) for s in subs if s.induction_datum is not None}
     calls = []
     original = invalg.classify._block_span
@@ -503,7 +503,7 @@ def test_verify_builds_one_scalar_block_span_per_pair(monkeypatch):
         return original(pair, *args, **kwargs)
 
     monkeypatch.setattr(invalg.classify, "_block_span", counting)
-    assert verify_classification(subs, rep, seed=0).ok
+    assert verify_classification(subs, rep).ok
     assert sorted(calls) == sorted(pairs)
     assert len(pairs) < len(subs)
 
@@ -511,7 +511,7 @@ def test_verify_builds_one_scalar_block_span_per_pair(monkeypatch):
 def test_verify_computes_each_block_permutation_once(monkeypatch):
     """The inertia subgroup is read off the entry's own permutations."""
     _, rep = catalog.get("S3xS3", "stdXstd")
-    subs, _ = enumerate_invariant_subalgebras(rep, seed=0)
+    subs, _ = enumerate_invariant_subalgebras(rep)
     assert all(s.induction_datum is not None for s in subs)
     calls = []
     original = invalg.algebras.permutation_action
@@ -522,7 +522,7 @@ def test_verify_computes_each_block_permutation_once(monkeypatch):
 
     monkeypatch.setattr(invalg.classify, "permutation_action", counting)
     monkeypatch.setattr(invalg.algebras, "permutation_action", counting)
-    assert verify_classification(subs, rep, seed=0).ok
+    assert verify_classification(subs, rep).ok
     assert sorted(calls) == sorted(id(s) for s in subs)
 
 
@@ -538,9 +538,9 @@ def test_verify_computes_each_centralizer_once(monkeypatch):
         return original(a_mats, *args, **kwargs)
 
     monkeypatch.setattr(invalg.algebras, "intertwiners", counting)
-    subs, _ = enumerate_invariant_subalgebras(rep, seed=0)
+    subs, _ = enumerate_invariant_subalgebras(rep)
     before = len(solved)
-    assert verify_classification(subs, rep, seed=0).ok
+    assert verify_classification(subs, rep).ok
     assert len(solved) == before
     assert [sum(np.shares_memory(a, s.space.flat) for a in solved)
             for s in subs] == [1] * len(subs)
