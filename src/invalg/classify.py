@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import CERT_TOL, INT_TOL, RANK_TOL, _rank, column_space
+from ._linalg import CERT_TOL, RANK_TOL, _rank, column_space
 from .algebras import (InvariantSubalgebra, _certified_projectors, _sorted_idempotents,
                        _stabilizer, _symmetric_embedding, center, centralizer,
                        is_invariant, permutation_action, semisimplicity_certificate,
@@ -25,9 +25,8 @@ from .groups import (Subgroup, _conjugates, are_conjugate_subgroups,
                      class_index_array, conjugacy_classes, left_transversal,
                      subgroups_of_index_dividing)
 from .groups import all_subgroups  # noqa: F401  bench/check.py traces it here
-from .reps import (Representation, character, character_table,
-                   induced_character, inner_product, is_induced_from,
-                   is_irreducible, restrict)
+from .reps import (Representation, character, character_table, inner_product,
+                   is_induced_from, is_irreducible, restrict)
 from .spaces import MatrixSubspace, SpaceIndex
 
 
@@ -86,20 +85,22 @@ def _conjugation_class_maps(group, sub, normalizer):
 def induction_pairs(v_rep, tol=RANK_TOL):
     """All induction pairs (H, W) for an irreducible V, one per conjugacy orbit.
 
-    Scans the subgroup classes of index dividing dim V in increasing order;
-    for each, the irreducible constituents W of the restriction with the
-    right dimension and induced character equal to the character of V.
-    Constituents in the same orbit under the normalizer of H give the same
-    blocks downstream, so one representative (least by rounded character
-    values) is kept.  The pair (G, V) itself is always present.
+    Scans the proper subgroup classes of index dividing dim V in increasing
+    order; for each, the irreducible constituents W of the restriction with
+    multiplicity one and dimension dim V / [G:H], which induce V by Frobenius
+    reciprocity.  Constituents in the same orbit under the normalizer of H
+    give the same blocks downstream, so one representative (least by rounded
+    character values) is kept.  The pair (G, V) comes last, built directly
+    (W = V, copied by the identity) with no character table of G.
     """
     if not is_irreducible(v_rep):
         raise ValueError("induction pairs are defined for irreducible input")
-    group = v_rep.group
-    d = v_rep.dim
-    chi_v = character(v_rep)
+    if v_rep.is_projective:  # W is found by characters
+        raise ValueError("characters of projective representations are not class functions here")
+    group, d = v_rep.group, v_rep.dim
     pairs = []
-    for sub in subgroups_of_index_dividing(group, d):
+    *proper, whole = subgroups_of_index_dividing(group, d)
+    for sub in proper:
         w_dim = d // sub.index
         h_group = sub.as_group()
         res = restrict(v_rep, sub)
@@ -113,9 +114,6 @@ def induction_pairs(v_rep, tol=RANK_TOL):
                 continue
             if inner_product(res_char, chi) != 1:
                 continue
-            ind = induced_character(sub, chi)
-            if max(abs(a - b) for a, b in zip(ind.values, chi_v.values)) > INT_TOL:
-                continue
             rounded = [(round(v.real, 8), round(v.imag, 8)) for v in chi.values]
             orbit = frozenset(tuple(rounded[c] for c in row) for row in class_maps)
             if orbit in seen_orbits:
@@ -124,10 +122,7 @@ def induction_pairs(v_rep, tol=RANK_TOL):
             # distinguished copy of W: image of the isotypic projector
             proj = np.einsum("g,gij->ij", np.conj(chi.values)[class_index_array(h_group)],
                              res.matrices) * (w_dim / sub.order)
-            if w_dim == d:
-                basis = np.eye(d, dtype=complex)
-            else:
-                basis = column_space(proj, tol)
+            basis = column_space(proj, tol)
             if basis.shape[1] != w_dim:
                 raise AssertionFailure(
                     f"distinguished copy has dimension {basis.shape[1]}, "
@@ -142,8 +137,10 @@ def induction_pairs(v_rep, tol=RANK_TOL):
             pairs.append(InductionPair(
                 subgroup=sub, w_rep=w_rep, copy_projector=proj,
                 transversal=left_transversal(sub), copy_basis=basis))
-    if not any(p.subgroup.order == group.order for p in pairs):
-        raise AssertionFailure("the trivial pair (G, V) went missing")
+    eye = np.eye(d, dtype=complex)
+    w_rep = Representation(group=whole.as_group(), dim=d, matrices=v_rep.matrices, name=None)
+    pairs.append(InductionPair(subgroup=whole, w_rep=w_rep, copy_projector=eye,
+                               transversal=left_transversal(whole), copy_basis=eye))
     return pairs
 
 

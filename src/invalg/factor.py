@@ -14,6 +14,7 @@ reaches.  A nonzero closed sum is a largest closed proper subsum plus one
 component, closed, so a sweep lists them all at m closures each, not 2^m.
 It is certified complete exactly when that action is multiplicity-free;
 otherwise generated-algebra closures are added as uncertified candidates.
+A W of dimension 1 or prime runs no scan: its list is read off a theorem.
 """
 
 import math
@@ -134,17 +135,21 @@ def central_simple_invariant_subalgebras(w_rep, tol=RANK_TOL):
 
     Returns ``(list, certified)``.  The list is closed under taking
     centralizers and always contains the scalar line and the full algebra.
-    It is certified complete when the isotypic scan is, or when dim W is 1 or
-    prime.  Only an uncertified scan is closed under centralizers by solving
-    them: a complete list holds every partner already (:func:`factor` looks
-    each one up and raises if it is missing).
+    A central simple C = M_a inside End(W) makes W a sum of copies of C^a,
+    so a divides d = dim W: for d of 1 or prime the list is the scalars and
+    End(W), read off with no scan and certified.  Otherwise it is certified
+    when the isotypic scan is, and only an uncertified scan is closed under
+    centralizers by solving them: a complete list holds every partner
+    already (:func:`factor` looks each one up and raises if it is missing).
     """
-    unital, _, certified = multfree_scan(w_rep, tol=tol)
     d = w_rep.dim
+    if all(d % p for p in range(2, math.isqrt(d) + 1)):
+        ends = [MatrixSubspace.identity_line(d), MatrixSubspace.full(d)]
+        return ends[:1] if d == 1 else ends, True
+    unital, _, certified = multfree_scan(w_rep, tol=tol)
     out = []
     for sp in unital:
-        # a central simple C = M_a inside End(W) makes W a sum of copies of
-        # C^a, so dim C = a^2 with a | d; no other sum needs a solve
+        # dim C = a^2 with a | d; no other sum needs a solve
         a = math.isqrt(sp.dim)
         if a * a != sp.dim or d % a:
             continue
@@ -166,12 +171,6 @@ def central_simple_invariant_subalgebras(w_rep, tol=RANK_TOL):
         raise AssertionFailure("scalar line missing")
     if not any(sp.dim == d * d for sp in out):
         raise AssertionFailure("full algebra missing")
-    # for d = 1 or prime only the scalars and End(W) are central simple
-    if all(d % p for p in range(2, d)):
-        if any(sp.dim not in (1, d * d) for sp in out):
-            raise AssertionFailure(
-                f"central simple subalgebra of a prime-dimensional End(W), d = {d}")
-        certified = True
     out.sort(key=lambda s: (s.dim, s.fingerprint()))
     return out, certified
 

@@ -160,9 +160,13 @@ def build_from_mult_table(table, name=None, permutations=None):
 
     Raises :class:`NotAGroup` with a witness triple if associativity fails,
     or with a descriptive message for identity/inverse failures and for
-    entries that are not integers (a float or bool is not cast).
+    entries that are not integers (a float or bool is not cast) or rows of
+    unequal length.
     """
-    mult = np.asarray(table)
+    try:
+        mult = np.asarray(table)
+    except ValueError:  # numpy refuses ragged nesting
+        raise NotAGroup("multiplication table must be square; its rows are ragged") from None
     if mult.ndim != 2 or mult.shape[0] != mult.shape[1]:
         raise NotAGroup("multiplication table must be square")
     n = mult.shape[0]

@@ -249,11 +249,19 @@ def test_extract_factorization_reads_the_search_certificates(name, solves):
     subs, certified = central_simple_invariant_subalgebras(rep)
     assert certified
     before = dict(solves)
-    assert before["certificate"] >= len(subs) and before["center"] >= len(subs)
+    if rep.dim == 2:
+        # a prime dim W's list is read off the theorem: the search pays
+        # nothing, and extraction pays each certificate once per entry
+        assert before == {"certificate": 0, "center": 0}
+    else:
+        assert before["certificate"] >= len(subs) and before["center"] >= len(subs)
     for sp in subs:
         fact = extract_factorization(sp, rep)
         assert fact.a * fact.b == rep.dim
-    assert solves == before
+    if rep.dim == 2:
+        assert all(0 < n <= len(subs) for n in solves.values())
+    else:
+        assert solves == before
 
 
 def test_certificates_are_memoized_per_tolerance(solves):

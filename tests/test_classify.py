@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ from invalg import catalog
 from invalg import (AssertionFailure, InfiniteLattice, MatrixSubspace, SubspaceOfV,
                     central_simple_invariant_subalgebras, centralizer,
                     enumerate_invariant_subalgebras, induction_pairs, invariant_ideals,
-                    invariant_subspaces, is_induced_from, nonunital_scan, theta,
-                    theta_lattice_check, theta_transitivity_check,
-                    verify_classification, wedderburn_decompose)
+                    invariant_subspaces, is_induced_from, multfree_scan, nonunital_scan,
+                    semisimplicity_certificate, theta, theta_lattice_check,
+                    theta_transitivity_check, verify_classification, wedderburn_decompose)
 from invalg.classify import InductionDatum
 from invalg.factor import factor
 from invalg.groups import build_from_mult_table, conjugacy_classes
@@ -28,7 +29,7 @@ EXPECTED = {
     ("S3", "std"): ([1, 2, 4], True),
     ("Q8", "std"): ([1, 2, 2, 2, 4], True),
     ("D4", "std"): ([1, 2, 2, 2, 4], True),
-    ("A4", "std3"): ([1, 3, 9], True),  # every W has dimension 1 or 3, a prime
+    ("A4", "std3"): ([1, 3, 9], True),  # every W has dimension 1 or 3: no scan
     ("S4", "std3"): ([1, 3, 9], True),
     ("SL23", "std"): ([1, 4], True),
     ("S3xS3", "stdXstd"): ([1, 2, 2, 2, 4, 4, 4, 4, 4, 8, 8, 8, 16], True),
@@ -70,6 +71,16 @@ def test_induction_pairs_checks_induction(monkeypatch):
     _, rep = catalog.get("S3", "std")
     monkeypatch.setattr(invalg.classify, "is_induced_from", lambda *args: False)
     with pytest.raises(AssertionFailure):
+        induction_pairs(rep)
+
+
+def test_induction_pairs_refuse_projective_input(monkeypatch):
+    """W is found by characters, so a projective V is refused even when only
+    (G, V) remains, which needs no character."""
+    _, rep = catalog.get("C2xC2", "pauli")
+    whole = invalg.classify.subgroups_of_index_dividing(rep.group, rep.dim)[-1:]
+    monkeypatch.setattr(invalg.classify, "subgroups_of_index_dividing", lambda *args: whole)
+    with pytest.raises(ValueError, match="not class functions"):
         induction_pairs(rep)
 
 
@@ -537,13 +548,24 @@ def test_theta_checks_use_the_span_helper(monkeypatch):
 
 def test_a_large_tol_never_counts_the_zero_space_as_unital():
     """At tol = 0.1 the zero closed sum passed the identity test and became
-    a divisor: S3 and Q8 still answer, the rest fail as a domain error."""
-    for (key, rep_name), dims in [(("S3", "std"), [1, 2, 4]), (("Q8", "std"), [1, 2, 2, 2, 4])]:
-        out, _ = enumerate_invariant_subalgebras(catalog.get(key, rep_name)[1], tol=0.1)
+    a divisor.  S3, Q8 and A4 answer: every W of A4 std3 has dimension 1 or
+    3, so its list is read off the theorem, complete and verified.  S3 x S3,
+    and the scan route on A4 (the certificate of a scanned sum), still fail
+    as a domain error."""
+    for (key, rep_name), dims in [(("S3", "std"), [1, 2, 4]), (("Q8", "std"), [1, 2, 2, 2, 4]),
+                                  (("A4", "std3"), [1, 3, 9])]:
+        rep = catalog.get(key, rep_name)[1]
+        out, complete = enumerate_invariant_subalgebras(rep, tol=0.1)
         assert sorted(b.space.dim for b in out) == dims
-    for key, rep_name in [("S3xS3", "stdXstd"), ("A4", "std3")]:
-        with pytest.raises((ValueError, invalg.InvalgError)):
-            enumerate_invariant_subalgebras(catalog.get(key, rep_name)[1], tol=0.1)
+    assert complete and verify_classification(out, rep, tol=0.1).ok
+    with pytest.raises((ValueError, invalg.InvalgError)):
+        enumerate_invariant_subalgebras(catalog.get("S3xS3", "stdXstd")[1], tol=0.1)
+    unital, _, _ = multfree_scan(rep, tol=0.1)
+    with pytest.raises(ValueError, match="not closed under products"):
+        for sp in unital:
+            a = math.isqrt(sp.dim)
+            if a * a == sp.dim and rep.dim % a == 0:
+                semisimplicity_certificate(sp, 0.1)
 
 
 def _dihedral_std(n):

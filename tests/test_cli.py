@@ -321,6 +321,17 @@ def test_non_integer_mult_table_exits_1(table, tmp_path, capsys):
     assert main(["subalgebras", str(path), "--out", str(tmp_path / "out.json")]) == 0
 
 
+def test_ragged_mult_table_exits_1(tmp_path, capsys):
+    doc = {"group": {"order": 2, "mult_table": [[0, 1], [1]]},
+           "representation": {"dim": 1, "matrices": [[[[1.0, 0.0]]], [[[-1.0, 0.0]]]]}}
+    path = tmp_path / "ragged.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "multiplication table must be square; its rows are ragged" in err
+    assert "inhomogeneous" not in err
+
+
 def test_subalgebras_on_reducible_exits_1(capsys):
     code = main(["subalgebras", "catalog:S3:trivPlusSign"])
     assert code == 1

@@ -52,6 +52,13 @@ def test_build_rejects_non_integer_entries(table):
         build_from_mult_table(table)
 
 
+@pytest.mark.parametrize("table", [[[0, 1], [1]], [[0, 1], [1, [0]]], [[0], [1, 0]]])
+def test_build_rejects_a_ragged_table(table):
+    """numpy's own ValueError about the inhomogeneous shape once escaped."""
+    with pytest.raises(NotAGroup, match="rows are ragged"):
+        build_from_mult_table(table)
+
+
 @pytest.mark.parametrize("as_table", [np.array, np.ndarray.tolist, lambda m: m.astype(np.int8),
                                       lambda m: m.astype(np.uint16)],
                          ids=["intp", "list", "int8", "uint16"])

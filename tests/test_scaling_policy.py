@@ -6,12 +6,16 @@ k^4).  Induction pairs sweep only the subgroups whose index divides dim V,
 so they never need the whole lattice of ``all_subgroups``.  Verification
 of an enumerated list splits nothing and solves no centralizer: it reads
 the centralizers from the memo and each partner's Wedderburn data off the
-entry's own idempotents.  The Lie layer is exact integer arithmetic with
-no numpy, and a weight sweep computes each combined dimension once.
+entry's own idempotents.  A W of dimension 1 or prime runs no conjugation
+scan (its central simple list is the scalars and End(W)), and the pair
+(G, V) needs no character table of G.  The Lie layer is exact integer
+arithmetic with no numpy, and a weight sweep computes each combined
+dimension once.
 """
 
 import ast
 import itertools
+import math
 import sys
 from pathlib import Path
 
@@ -20,8 +24,12 @@ import pytest
 
 import invalg
 import invalg.lie
-from invalg import (HighestWeight, RootSystem, catalog, enumerate_invariant_subalgebras,
-                    induction_pairs, tensor_irreducible, verify_classification, weyl_dim)
+from invalg import (HighestWeight, RootSystem, catalog,
+                    central_simple_invariant_subalgebras, enumerate_invariant_subalgebras,
+                    induction_pairs, multfree_scan, tensor_irreducible,
+                    verify_classification, weyl_dim)
+from invalg.algebras import center, semisimplicity_certificate
+from invalg.factor import factor
 from invalg.groups import build_from_mult_table
 from invalg.reps import Representation
 
@@ -64,11 +72,12 @@ def _dihedral_std(n):
     return Representation(group=build_from_mult_table(mult), dim=2, matrices=mats)
 
 
-def _fresh(key):
+def _fresh(key, rep_name=None):
     """The input on a group with no cached subgroups or tables."""
-    if key == "D12":
-        return _dihedral_std(12)
-    rep = next(iter(catalog.get(key).reps.values()))
+    if key.startswith("D") and key[1:].isdigit():
+        return _dihedral_std(int(key[1:]))
+    entry = catalog.get(key)
+    rep = entry.reps[rep_name] if rep_name else next(iter(entry.reps.values()))
     group = build_from_mult_table(rep.group.mult)
     return Representation(group=group, dim=rep.dim, matrices=rep.matrices)
 
@@ -77,14 +86,17 @@ def _summary(pairs):
     return [(p.subgroup.members, p.w_rep.dim) for p in pairs]
 
 
-def _forbid(monkeypatch, name):
-    """Make every ``invalg`` module's ``name`` raise."""
-    def boom(*args, **kwargs):
-        raise AssertionError(f"{name} was called")
-
+def _forbid(monkeypatch, name, when=None):
+    """Make every ``invalg`` module's ``name`` raise, on the calls ``when``
+    accepts if it is given."""
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.startswith("invalg") and hasattr(mod, name):
-            monkeypatch.setattr(mod, name, boom)
+            def guarded(*args, _inner=getattr(mod, name), **kwargs):
+                if when is None or when(*args, **kwargs):
+                    raise AssertionError(f"{name} was called")
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, guarded)
 
 
 @pytest.mark.parametrize("key", ["D12", "S4", "S3xS3"])
@@ -137,3 +149,81 @@ def test_lie_sweep_computes_each_combined_dimension_once(monkeypatch):
     assert len(rs.dim_memo) == len(fills) == len(set(fills)) == 5 ** 4
     fresh = RootSystem.from_name("B4")
     assert all(dim == weyl_dim(HighestWeight(fresh, c)) for c, dim in rs.dim_memo.items())
+
+
+# -- the theorem in place of the scan ---------------------------------------------
+
+IRREDUCIBLE_INPUTS = [("S3", "triv"), ("S3", "sign"), ("S3", "std"), ("Q8", "std"),
+                      ("D4", "std"), ("A4", "std3"), ("S4", "std3"), ("SL23", "std"),
+                      ("S3xS3", "stdXstd")] + [(f"D{n}", None) for n in range(6, 25)]
+
+
+def _scan_route(w_rep):
+    """The central simple list by the conjugation scan: every unital closed
+    sum of dimension a^2 with a | dim W that is semisimple with center the
+    scalars, in the scan's order."""
+    unital, _, _ = multfree_scan(w_rep)
+    d = w_rep.dim
+    return [sp for sp in unital
+            if math.isqrt(sp.dim) ** 2 == sp.dim and d % math.isqrt(sp.dim) == 0
+            and semisimplicity_certificate(sp)[1] is None and center(sp).dim == 1]
+
+
+@pytest.mark.parametrize("key,rep_name", IRREDUCIBLE_INPUTS)
+def test_prime_dimensional_w_matches_the_scan(key, rep_name):
+    """For d = dim W of 1 or prime, C = M_a in End(W) needs a | d, so the
+    list is the scalars and End(W); the scan route finds the same spaces."""
+    checked = 0
+    for pair in induction_pairs(_fresh(key, rep_name)):
+        d = pair.w_rep.dim
+        if any(d % p == 0 for p in range(2, d)):
+            continue
+        theorem, certified = central_simple_invariant_subalgebras(pair.w_rep)
+        assert certified and [sp.dim for sp in theorem] == sorted({1, d * d})
+        scanned = _scan_route(pair.w_rep)
+        assert len(scanned) == len(theorem)
+        assert all(s.equals(t) for s, t in zip(scanned, theorem))
+        checked += 1
+    assert checked
+
+
+def _answer(subs, complete, rep):
+    return ([(b.space.dim, b.component_dims, b.multiplicities) for b in subs],
+            complete, verify_classification(subs, rep).violations)
+
+
+@pytest.mark.parametrize("key,rep_name", [("D12", None), ("A4", "std3"),
+                                          ("S4", "std3"), ("SL23", "std")])
+def test_subalgebras_run_no_scan_on_prime_dimensional_w(key, rep_name, monkeypatch):
+    before = _fresh(key, rep_name)
+    want_subs, want_complete = enumerate_invariant_subalgebras(before)
+    rep = _fresh(key, rep_name)
+    for name in ("multfree_scan", "conjugation_decomposition"):
+        _forbid(monkeypatch, name)
+    subs, complete = enumerate_invariant_subalgebras(rep)
+    assert _answer(subs, complete, rep) == _answer(want_subs, want_complete, before)
+    assert all(s.space.equals(t.space) for s, t in zip(subs, want_subs))
+
+
+def test_factor_runs_no_scan_on_prime_dimensional_w(monkeypatch):
+    rep = _fresh("S3", "std")
+    want = factor(central_simple_invariant_subalgebras(rep)[0], rep)
+    for name in ("multfree_scan", "conjugation_decomposition"):
+        _forbid(monkeypatch, name)
+    cs_list, certified = central_simple_invariant_subalgebras(rep)
+    got = factor(cs_list, rep)
+    assert certified and [(f.a, f.b) for f in got] == [(f.a, f.b) for f in want]
+    assert all(f.b_space.equals(g.b_space) and f.residual < 1e-10 for f, g in zip(got, want))
+
+
+@pytest.mark.parametrize("key", ["D12", "S3xS3"])
+def test_the_pair_g_v_needs_no_character_table_of_g(key, monkeypatch):
+    """(G, V) is built directly; only proper subgroups' tables are formed."""
+    want = _summary(induction_pairs(_fresh(key)))
+    rep = _fresh(key)
+    _forbid(monkeypatch, "character_table", when=lambda g: g.order == rep.group.order)
+    pairs = induction_pairs(rep)
+    assert _summary(pairs) == want
+    whole = pairs[-1]
+    assert whole.subgroup.order == rep.group.order and whole.w_rep.dim == rep.dim
+    assert np.array_equal(whole.w_rep.matrices, rep.matrices)
