@@ -1,44 +1,49 @@
 """Classification of invariant subalgebras by induction data.
 
-Every unital invariant subalgebra of the matrix algebra on an irreducible V
-arises from a triple: a subgroup H, an irreducible H-constituent W of the
-restriction with Ind(W) = V, and an H-invariant central simple C inside
-End(W).  The construction conjugates C into each transversal translate of the
+Every unital invariant subalgebra of the matrix algebra on an irreducible,
+possibly projective, V arises from a triple: a subgroup H, an irreducible
+H-constituent W of the restriction with Ind(W) = V, and an H-invariant
+central simple C inside End(W).  W is read off the commutant of the
+restriction, and each pair carries the block basis of its transversal
+translates.  The construction conjugates C into each translate of the
 distinguished W-copy and sums the blocks; enumeration walks all induction
 pairs, pulls the central simple subalgebras from :mod:`.factor`, and dedupes
 by subspace equality (conjugate data give literally equal subalgebras).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._linalg import CERT_TOL, RANK_TOL, _rank, column_space
+from ._linalg import CERT_TOL, RANK_TOL, _rank, column_space, intertwiners
 from .algebras import (InvariantSubalgebra, _certified_projectors, _sorted_idempotents,
-                       _stabilizer, _symmetric_embedding, center, centralizer,
-                       is_invariant, permutation_action, semisimplicity_certificate,
-                       wedderburn_decompose)
+                       _spectral_split, _stabilizer, _symmetric_embedding, _wedderburn_data,
+                       center, centralizer, is_invariant, permutation_action,
+                       semisimplicity_certificate, wedderburn_decompose)
 from .errors import AssertionFailure, BlocksNotDirect, InvalgError
 from .factor import central_simple_invariant_subalgebras, multfree_scan
 from .groups import (Subgroup, _conjugates, are_conjugate_subgroups,
-                     class_index_array, conjugacy_classes, left_transversal,
-                     subgroups_of_index_dividing)
+                     left_transversal, subgroups_of_index_dividing)
 from .groups import all_subgroups  # noqa: F401  bench/check.py traces it here
-from .reps import (Representation, character, character_table, inner_product,
-                   is_induced_from, is_irreducible, restrict)
+from .reps import Representation, is_irreducible, restrict
 from .spaces import MatrixSubspace, SpaceIndex
 
 
 @dataclass
 class InductionPair:
-    """A subgroup H with an irreducible constituent W inducing back to V."""
+    """A subgroup H with an irreducible constituent W inducing back to V.
+
+    ``s`` holds the translates ``rho(t_i) Q`` of the W-copy Q side by side,
+    one block of dim W columns per element ``t_i`` of ``transversal`` (``t_0``
+    is the identity, so ``s[:, :dim W]`` is Q), and ``s_inv`` is its inverse.
+    """
 
     subgroup: Subgroup
     w_rep: Representation
-    copy_projector: np.ndarray
     transversal: object
-    copy_basis: np.ndarray  # (dim V, dim W) orthonormal columns of the W-copy
+    s: np.ndarray
+    s_inv: np.ndarray
 
 
 @dataclass
@@ -65,108 +70,82 @@ def _normalizer_members(group, sub):
     return np.flatnonzero((rows == np.array(sub.members)).all(axis=1))
 
 
-def _conjugation_class_maps(group, sub, normalizer):
-    """Distinct rows ``c -> class of n^-1 h_c n`` over ``n`` in the normalizer.
-
-    ``h_c`` is the least member of class ``c`` of H.  Conjugation by ``n``
-    permutes the classes of H, so a row fixes the conjugate of a character;
-    all rows come from one gather over the normalizer.
-    """
-    h_group = sub.as_group()
-    members = np.array(sub.members)
-    pos = np.full(group.order, -1, dtype=np.intp)
-    pos[members] = np.arange(len(members))
-    reps = members[[c[0] for c in conjugacy_classes(h_group)]]
-    n = np.asarray(normalizer)
-    moved = group.mult[group.mult[group.inv[n][:, None], reps[None, :]], n[:, None]]
-    return np.unique(class_index_array(h_group)[pos[moved]], axis=0)
-
-
 def induction_pairs(v_rep, tol=RANK_TOL):
     """All induction pairs (H, W) for an irreducible V, one per conjugacy orbit.
 
-    Scans the proper subgroup classes of index dividing dim V in increasing
-    order; for each, the irreducible constituents W of the restriction with
-    multiplicity one and dimension dim V / [G:H], which induce V by Frobenius
-    reciprocity.  Constituents in the same orbit under the normalizer of H
-    give the same blocks downstream, so one representative (least by rounded
-    character values) is kept.  The pair (G, V) comes last, built directly
-    (W = V, copied by the identity) with no character table of G.
+    Scans the proper subgroup classes of index l dividing d = dim V in
+    increasing order.  The commutant End_H(V) is solved on H's generators;
+    it is semisimple and holds I (Maschke), so one spectral split of its
+    center gives its central primitive idempotents, the isotypic projectors
+    of the restriction.  One of component size 1 (multiplicity one) and rank
+    d / l cuts out a W with Ind W = V by Frobenius reciprocity; W keeps the
+    restriction's cocycle, so V may be projective.  The normalizer of H
+    permutes these projectors by conjugation, and a W moved by it gives the
+    same blocks downstream, so the first of each orbit is kept.  By Mackey,
+    dim End_H(V) <= [G:H] <= d.  The pair (G, V) comes last, W = V copied by
+    the identity.
     """
     if not is_irreducible(v_rep):
         raise ValueError("induction pairs are defined for irreducible input")
-    if v_rep.is_projective:  # W is found by characters
-        raise ValueError("characters of projective representations are not class functions here")
     group, d = v_rep.group, v_rep.dim
     pairs = []
     *proper, whole = subgroups_of_index_dividing(group, d)
     for sub in proper:
-        w_dim = d // sub.index
-        h_group = sub.as_group()
         res = restrict(v_rep, sub)
-        res_char = character(res)
-        table = character_table(h_group)
-        class_maps = _conjugation_class_maps(
-            group, sub, _normalizer_members(group, sub))
-        seen_orbits = set()
-        for chi in table:
-            if abs(chi.at_element(h_group.identity) - w_dim) > 0.5:
-                continue
-            if inner_product(res_char, chi) != 1:
-                continue
-            rounded = [(round(v.real, 8), round(v.imag, 8)) for v in chi.values]
-            orbit = frozenset(tuple(rounded[c] for c in row) for row in class_maps)
-            if orbit in seen_orbits:
-                continue
-            seen_orbits.add(orbit)
-            # distinguished copy of W: image of the isotypic projector
-            proj = np.einsum("g,gij->ij", np.conj(chi.values)[class_index_array(h_group)],
-                             res.matrices) * (w_dim / sub.order)
-            basis = column_space(proj, tol)
-            if basis.shape[1] != w_dim:
-                raise AssertionFailure(
-                    f"distinguished copy has dimension {basis.shape[1]}, "
-                    f"expected {w_dim}")
-            for h in h_group.generators:
-                if np.linalg.norm(res.matrices[h] @ proj - proj @ res.matrices[h]) > CERT_TOL:
-                    raise AssertionFailure("copy projector fails to commute")
-            w_mats = np.einsum("ai,gab,bj->gij", basis.conj(), res.matrices, basis)
-            w_rep = Representation(group=h_group, dim=w_dim, matrices=w_mats, name=None)
-            if not is_induced_from(v_rep, sub, w_rep):
-                raise AssertionFailure("V is not induced from the distinguished copy")
-            pairs.append(InductionPair(
-                subgroup=sub, w_rep=w_rep, copy_projector=proj,
-                transversal=left_transversal(sub), copy_basis=basis))
-    eye = np.eye(d, dtype=complex)
-    w_rep = Representation(group=whole.as_group(), dim=d, matrices=v_rep.matrices, name=None)
-    pairs.append(InductionPair(subgroup=whole, w_rep=w_rep, copy_projector=eye,
-                               transversal=left_transversal(whole), copy_basis=eye))
+        gens = res.matrices[list(res.group.generators)]
+        commutant = MatrixSubspace(intertwiners(gens, gens, tol).reshape(-1, d * d), (d, d))
+        center_basis = center(commutant, tol).basis()
+        idems = _spectral_split(commutant, center_basis, len(center_basis))
+        if idems is None:
+            raise AssertionFailure("the commutant of the restriction failed to split")
+        meta = _wedderburn_data(commutant, _sorted_idempotents(idems), tol)
+        keep = [i for i, (k, m) in enumerate(zip(meta.component_dims, meta.multiplicities))
+                if k == 1 and m == d // sub.index]
+        if len(keep) > 1:
+            normalizer = Subgroup(group, _normalizer_members(group, sub))
+            sigma, _ = permutation_action(meta, restrict(v_rep, normalizer))
+            keep = [i for i in keep if sigma[:, i].min() == i]
+        for i in keep:
+            q = column_space(meta.idempotents[i], tol)
+            w_mats = np.einsum("ai,gab,bj->gij", q.conj(), res.matrices, q)
+            pairs.append(_pair(v_rep, sub, replace(res, dim=q.shape[1], matrices=w_mats), q, tol))
+    pairs.append(_pair(v_rep, whole, restrict(v_rep, whole), np.eye(d, dtype=complex), tol))
     return pairs
+
+
+def _pair(v_rep, sub, w_rep, q, tol=RANK_TOL):
+    """The pair (H, W) on the W-copy with columns ``q``, with its block basis.
+
+    ``s`` puts the translates ``rho(t_i) Q`` side by side over the left
+    transversal; it must be square of rank dim V, which certifies V = sum
+    rho(t_i) W = Ind W (:class:`BlocksNotDirect` otherwise).
+    """
+    trans = left_transversal(sub)
+    s = np.hstack(v_rep.matrices[list(trans.reps)] @ q)
+    if s.shape[1] != v_rep.dim or _rank(np.linalg.svd(s, compute_uv=False), tol) < v_rep.dim:
+        raise BlocksNotDirect(
+            "transversal translates of the W-copy do not span independently")
+    return InductionPair(subgroup=sub, w_rep=w_rep, transversal=trans,
+                         s=s, s_inv=np.linalg.inv(s))
 
 
 def _block_span(pair, c_space, v_rep, tol=RANK_TOL):
     """Span of C conjugated into each transversal translate of the W-copy.
 
-    Returns ``(space, s, s_inv)``; block ``i`` of ``c`` is ``s[:, I] @ c @
-    s_inv[I]`` on the columns ``I`` of translate ``rho(t_i) Q`` in ``s``.  Raises
-    :class:`BlocksNotDirect` unless the translates span V independently, and
+    Block ``i`` of ``c`` is ``s[:, I] @ c @ s_inv[I]`` on the columns ``I`` of
+    translate ``rho(t_i) Q`` in the pair's ``s``.  Raises
     :class:`AssertionFailure` unless the span is invariant of dim [G:H] dim C.
     """
     l, w, d = pair.subgroup.index, pair.w_rep.dim, v_rep.dim
-    blocks = v_rep.matrices[list(pair.transversal.reps)] @ pair.copy_basis
-    s = np.hstack(blocks)
-    if _rank(np.linalg.svd(s, compute_uv=False), tol) < d:
-        raise BlocksNotDirect(
-            "transversal translates of the W-copy do not span independently")
-    s_inv = np.linalg.inv(s)
-    mats = blocks[:, None] @ c_space.basis()[None] @ s_inv.reshape(l, w, d)[:, None]
+    blocks = pair.s.reshape(d, l, w).transpose(1, 0, 2)
+    mats = blocks[:, None] @ c_space.basis()[None] @ pair.s_inv.reshape(l, w, d)[:, None]
     space = MatrixSubspace.from_spanning(mats.reshape(-1, d, d), (d, d), tol)
     if space.dim != l * c_space.dim:
         raise AssertionFailure(
             f"block span has dimension {space.dim}, expected {l * c_space.dim}")
     if not is_invariant(space, v_rep, tol * 100):
         raise AssertionFailure("block construction lost invariance")
-    return space, s, s_inv
+    return space
 
 
 def theta(datum, v_rep, tol=RANK_TOL):
@@ -184,8 +163,9 @@ def theta(datum, v_rep, tol=RANK_TOL):
     a = datum.quad[0] if datum.quad else math.isqrt(k)
     if a * a != k or w % a:
         raise ValueError(f"a dim-{k} C is not M_a for any a dividing dim W = {w}")
-    space, s, s_inv = _block_span(datum.pair, datum.c_space, v_rep, tol)
-    idems = _certified_projectors(s, s_inv, np.arange(len(s)).reshape(-1, w))
+    space = _block_span(datum.pair, datum.c_space, v_rep, tol)
+    s = datum.pair.s
+    idems = _certified_projectors(s, datum.pair.s_inv, np.arange(len(s)).reshape(-1, w))
     if idems is None or not space.contains_all(idems, CERT_TOL):
         raise AssertionFailure("block projectors fail as central idempotents of the span")
     return InvariantSubalgebra(
@@ -282,7 +262,7 @@ def verify_classification(subalgebras, v_rep, tol=RANK_TOL):
                     # pair reports the same error
                     cartan = cartans[id(datum.pair)] = _block_span(
                         datum.pair, MatrixSubspace.identity_line(datum.pair.w_rep.dim),
-                        v_rep, tol)[0]
+                        v_rep, tol)
                 if not center(space, tol).equals(cartan):
                     violations.append(
                         f"{label}: center differs from the scalar-block span")
@@ -295,7 +275,7 @@ def verify_classification(subalgebras, v_rep, tol=RANK_TOL):
 def theta_lattice_check(pair, c1, c2, v_rep, tol=RANK_TOL):
     """Intersections and inclusions must commute with the block construction."""
     violations = []
-    t1, t2, tmeet = (_block_span(pair, c, v_rep, tol)[0]
+    t1, t2, tmeet = (_block_span(pair, c, v_rep, tol)
                      for c in (c1, c2, c1.intersect(c2, tol)))
     if not tmeet.equals(t1.intersect(t2, tol)):
         violations.append("block construction does not commute with intersection")
@@ -329,11 +309,11 @@ def theta_transitivity_check(v_rep, tol=RANK_TOL):
             if inner.subgroup.order == outer.subgroup.order:
                 continue
             for kind, c_of in kinds.items():
-                step = _block_span(inner, c_of(inner.w_rep.dim), outer.w_rep, tol)[0]
-                composed = _block_span(outer, step, v_rep, tol)[0]
+                step = _block_span(inner, c_of(inner.w_rep.dim), outer.w_rep, tol)
+                composed = _block_span(outer, step, v_rep, tol)
                 target_order = inner.subgroup.order
                 direct_hits = [
-                    _block_span(p, c_of(p.w_rep.dim), v_rep, tol)[0].equals(composed)
+                    _block_span(p, c_of(p.w_rep.dim), v_rep, tol).equals(composed)
                     for p in pairs if p.subgroup.order == target_order]
                 if not any(direct_hits):
                     violations.append(

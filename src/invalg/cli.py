@@ -17,7 +17,6 @@ import numpy as np
 
 from . import catalog as cat
 from ._linalg import RANK_TOL
-from .algebras import center
 from .classify import enumerate_invariant_subalgebras, verify_classification
 from .errors import CapExceeded, InvalgError, NotARepresentation
 from .factor import (central_simple_invariant_subalgebras, cocycle_consistency,
@@ -111,6 +110,9 @@ def cmd_ideals(args):
 
 def cmd_subalgebras(args):
     group, rep = _load_representation(args)
+    if rep.is_projective:
+        raise ValueError("the subalgebras command takes linear input only; "
+                         "enumerate_invariant_subalgebras answers projective input")
     payload = _base_payload(args)
     payload.update({"command": "subalgebras", "input": args.input,
                     "dim": rep.dim})
@@ -126,7 +128,7 @@ def cmd_subalgebras(args):
             "multiplicities": list(s.multiplicities),
             "unital": bool(s.unital),
             "simple": simple,
-            "central_simple": bool(simple and center(s.space, args.tol).dim == 1),
+            "central_simple": simple,  # over C every simple algebra is central simple
             "basis": _complex_json(s.space.basis()),
             "datum": {
                 "subgroup_order": datum.pair.subgroup.order,

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import invalg.algebras
 import invalg.classify
 from invalg import catalog
-from invalg import (AssertionFailure, InfiniteLattice, MatrixSubspace, SubspaceOfV,
+from invalg import (InfiniteLattice, MatrixSubspace, SubspaceOfV,
                     central_simple_invariant_subalgebras, centralizer,
                     enumerate_invariant_subalgebras, induction_pairs, invariant_ideals,
                     invariant_subspaces, is_induced_from, multfree_scan, nonunital_scan,
@@ -20,8 +20,9 @@ from invalg import (AssertionFailure, InfiniteLattice, MatrixSubspace, SubspaceO
                     theta_transitivity_check, verify_classification, wedderburn_decompose)
 from invalg.classify import InductionDatum
 from invalg.factor import factor
-from invalg.groups import build_from_mult_table, conjugacy_classes
-from invalg.reps import Representation
+from invalg.groups import (Transversal, build_from_mult_table, conjugacy_classes,
+                           direct_product)
+from invalg.reps import Representation, TwoCocycle
 
 # expected (sorted subalgebra dims, classification certified) per catalog input;
 # frozen against the independent subset-scan oracle in test_factor.py
@@ -54,12 +55,13 @@ def test_induction_pairs(key, rep_name):
     got = [(p.subgroup.order, p.w_rep.dim) for p in pairs]
     assert got == EXPECTED_PAIRS[(key, rep_name)]
     for p in pairs:
-        assert p.subgroup.order * rep.dim == p.subgroup.parent.order * p.w_rep.dim
+        w = p.w_rep.dim
+        assert p.subgroup.order * rep.dim == p.subgroup.parent.order * w
         assert is_induced_from(rep, p.subgroup, p.w_rep)
-        # the copy projector commutes with the restricted action and has the
-        # right rank
-        q = p.copy_projector
-        assert abs(np.trace(q).real - p.w_rep.dim) < 1e-8
+        # the oblique projector onto the W-copy along the other translates
+        # commutes with the restricted action and has trace dim W
+        q = p.s[:, :w] @ p.s_inv[:w]
+        assert abs(np.trace(q) - w) < 1e-8
         for m in rep.matrices[list(p.subgroup.members)]:
             assert np.linalg.norm(m @ q - q @ m) < 1e-8
     # the trivial datum (G, V) is always present, listed last
@@ -67,21 +69,76 @@ def test_induction_pairs(key, rep_name):
 
 
 def test_induction_pairs_checks_induction(monkeypatch):
-    """The induced-character check is an exception, so ``python -O`` keeps it."""
+    """Translates that fail to span V independently raise when the pair is
+    built: an exception, so ``python -O`` keeps it."""
     _, rep = catalog.get("S3", "std")
-    monkeypatch.setattr(invalg.classify, "is_induced_from", lambda *args: False)
-    with pytest.raises(AssertionFailure):
+
+    def one_coset_repeated(sub):
+        return Transversal(subgroup=sub, reps=(sub.parent.identity,) * sub.index)
+
+    monkeypatch.setattr(invalg.classify, "left_transversal", one_coset_repeated)
+    with pytest.raises(invalg.BlocksNotDirect, match="do not span independently"):
         induction_pairs(rep)
 
 
-def test_induction_pairs_refuse_projective_input(monkeypatch):
-    """W is found by characters, so a projective V is refused even when only
-    (G, V) remains, which needs no character."""
-    _, rep = catalog.get("C2xC2", "pauli")
-    whole = invalg.classify.subgroups_of_index_dividing(rep.group, rep.dim)[-1:]
-    monkeypatch.setattr(invalg.classify, "subgroups_of_index_dividing", lambda *args: whole)
-    with pytest.raises(ValueError, match="not class functions"):
-        induction_pairs(rep)
+# projective inputs as outer tensor products of catalog reps, with the
+# count of the conjugation scan's unital list (multiplicity-free, so complete)
+PROJECTIVE = {"Pauli": (["C2xC2:pauli"], 5),
+              "Pauli2": (["C2xC2:pauli", "C2xC2:pauli"], 67),
+              "S3xPauli": (["S3:std", "C2xC2:pauli"], 27)}
+
+
+def _outer(*parts):
+    """Outer tensor product of catalog reps over the direct product."""
+    group, mats, alpha = None, None, None
+    for part in parts:
+        g, rep = catalog.get(*part.split(":"))
+        a = rep.cocycle.values if rep.cocycle is not None else np.ones((g.order,) * 2)
+        if group is None:
+            group, mats, alpha = g, rep.matrices, a
+            continue
+        group = direct_product(group, g)
+        mats = np.stack([np.kron(x, y) for x in mats for y in rep.matrices])
+        alpha = np.kron(alpha, a)
+    return Representation(group=group, dim=mats.shape[1], matrices=mats,
+                          cocycle=TwoCocycle(group, alpha))
+
+
+def _relabelled_and_rotated(rep, seed):
+    """``rep`` with its elements relabelled at random (cocycle moved along)
+    and its basis rotated by a Haar-random unitary."""
+    rng = np.random.default_rng(seed)
+    g, d = rep.group, rep.dim
+    perm = rng.permutation(g.order)  # element i gets label perm[i]
+    mult = np.empty_like(g.mult)
+    mult[np.ix_(perm, perm)] = perm[g.mult]
+    alpha = np.empty_like(rep.cocycle.values)
+    alpha[np.ix_(perm, perm)] = rep.cocycle.values
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    mats = np.empty_like(rep.matrices)
+    mats[perm] = u @ rep.matrices @ u.conj().T
+    group = build_from_mult_table(mult)
+    return Representation(group=group, dim=d, matrices=mats,
+                          cocycle=TwoCocycle(group, alpha))
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["catalog", "moved"])
+@pytest.mark.parametrize("name", sorted(PROJECTIVE))
+def test_projective_enumeration_matches_the_scan(name, moved):
+    """W is read off the commutant, so a projective V is classified too: the
+    list is complete, verifies, and equals the unital conjugation scan."""
+    parts, count = PROJECTIVE[name]
+    rep = _outer(*parts)
+    if moved:
+        rep = _relabelled_and_rotated(rep, 3)
+    subs, complete = enumerate_invariant_subalgebras(rep)
+    assert len(subs) == count and complete
+    assert verify_classification(subs, rep).violations == []
+    unital, _, certified = multfree_scan(rep)
+    assert certified and len(unital) == count
+    assert [u.dim for u in unital] == [s.dim for s in subs]
+    assert all(sum(u.equals(s.space) for s in subs) == 1 for u in unital)
 
 
 @pytest.mark.parametrize("key,rep_name", sorted(EXPECTED))
@@ -375,21 +432,21 @@ def test_quad_recorded_on_data():
 
 
 def test_block_span_rejects_dependent_translates():
-    """A copy basis fixed by rho(t) up to scale gives translates on one line."""
+    """A W-copy fixed by rho(t) up to scale gives translates on one line: the
+    pair is refused when it is built."""
     _, rep = catalog.get("S3", "std")
     pair = induction_pairs(rep)[0]
     assert pair.subgroup.index == 2 and pair.w_rep.dim == 1
     t = pair.transversal.reps[1]
     _, vecs = np.linalg.eig(rep.matrices[t])
-    bad = dataclasses.replace(pair, copy_basis=vecs[:, :1])
     with pytest.raises(invalg.BlocksNotDirect, match="do not span independently"):
-        invalg.classify._block_span(bad, MatrixSubspace.identity_line(1), rep)
+        invalg.classify._pair(rep, pair.subgroup, pair.w_rep, vecs[:, :1])
 
 
 def _theta_oracle(datum, v_rep):
     """Wedderburn data of the block span by two full spectral splits, as
     ``theta`` found them before it read them off the datum."""
-    space = invalg.classify._block_span(datum.pair, datum.c_space, v_rep)[0]
+    space = invalg.classify._block_span(datum.pair, datum.c_space, v_rep)
     meta = wedderburn_decompose(space)
     c_meta = wedderburn_decompose(datum.c_space)
     assert sorted(meta.component_dims) == \

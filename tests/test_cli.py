@@ -337,6 +337,15 @@ def test_subalgebras_on_reducible_exits_1(capsys):
     assert code == 1
 
 
+def test_subalgebras_on_projective_input_exits_1(capsys):
+    """The library classifies projective V; the command still takes linear
+    input only, and says so."""
+    assert main(["subalgebras", "catalog:C2xC2:pauli"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "takes linear input only" in captured.err
+
+
 def test_cap_exceeded_exits_2(tmp_path, capsys):
     n = 501
     mult = ((np.arange(n)[:, None] + np.arange(n)[None, :]) % n).tolist()

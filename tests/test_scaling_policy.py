@@ -7,8 +7,9 @@ so they never need the whole lattice of ``all_subgroups``.  Verification
 of an enumerated list splits nothing and solves no centralizer: it reads
 the centralizers from the memo and each partner's Wedderburn data off the
 entry's own idempotents.  A W of dimension 1 or prime runs no conjugation
-scan (its central simple list is the scalars and End(W)), and the pair
-(G, V) needs no character table of G.  The Lie layer is exact integer
+scan (its central simple list is the scalars and End(W)), and induction
+pairs form no character table at all: W is read off the commutant of the
+restriction.  The Lie layer is exact integer
 arithmetic with no numpy, and a weight sweep computes each combined
 dimension once.
 """
@@ -218,7 +219,7 @@ def test_factor_runs_no_scan_on_prime_dimensional_w(monkeypatch):
 
 @pytest.mark.parametrize("key", ["D12", "S3xS3"])
 def test_the_pair_g_v_needs_no_character_table_of_g(key, monkeypatch):
-    """(G, V) is built directly; only proper subgroups' tables are formed."""
+    """(G, V) is built directly from V's own matrices."""
     want = _summary(induction_pairs(_fresh(key)))
     rep = _fresh(key)
     _forbid(monkeypatch, "character_table", when=lambda g: g.order == rep.group.order)
@@ -227,3 +228,15 @@ def test_the_pair_g_v_needs_no_character_table_of_g(key, monkeypatch):
     whole = pairs[-1]
     assert whole.subgroup.order == rep.group.order and whole.w_rep.dim == rep.dim
     assert np.array_equal(whole.w_rep.matrices, rep.matrices)
+
+
+@pytest.mark.parametrize("key,rep_name", [("D12", None), ("A4", "std3"), ("S4", "std3"),
+                                          ("SL23", "std"), ("S3xS3", "stdXstd")])
+def test_induction_pairs_use_no_characters(key, rep_name, monkeypatch):
+    """Each W is an image of a central idempotent of End_H(V), and the rank of
+    the translates certifies Ind W = V: no character table, no character
+    comparison."""
+    want = _summary(induction_pairs(_fresh(key, rep_name)))
+    for name in ("character_table", "is_induced_from"):
+        _forbid(monkeypatch, name)
+    assert _summary(induction_pairs(_fresh(key, rep_name))) == want

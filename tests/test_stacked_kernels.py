@@ -17,17 +17,18 @@ from hypothesis import strategies as st
 
 import invalg.classify
 from invalg import (MatchFailure, MatrixSubspace, ToleranceFailure, catalog,
-                    enumerate_invariant_subalgebras, is_invariant,
+                    enumerate_invariant_subalgebras, induction_pairs, is_invariant,
                     permutation_action, verify_classification)
 from invalg._linalg import kron_stack, intertwiners, nullspace, row_norms
 from invalg.algebras import (_all_idempotent, _certified_projectors,
                              algebra_unit, left_multiplication_operators)
-from invalg.classify import _conjugation_class_maps, _normalizer_members
+from invalg.classify import _normalizer_members
 from invalg.groups import (all_subgroups, build_from_mult_table, class_index_array,
                            conjugacy_classes)
 from invalg.lie import HighestWeight, RootSystem, tensor_irreducible
 from invalg.reps import (ClassFunction, Representation, _isotypic, character,
-                         character_table, induce, induced_character, restrict)
+                         character_table, induce, induced_character, inner_product,
+                         is_irreducible, restrict)
 from invalg.spaces import span_product
 
 IRREDUCIBLE = [("S3", "std"), ("Q8", "std"), ("D4", "std"), ("A4", "std3"),
@@ -428,22 +429,31 @@ def _conjugate_character_tuple(group, sub, chi, n):
 
 
 @pytest.mark.parametrize("key", ["S3", "D4", "A4", "S4", "SL23"])
-def test_conjugation_class_maps_give_the_same_orbits(key):
-    group = catalog.get(key).group
-    for sub in all_subgroups(group):
-        normalizer = _normalizer_members(group, sub)
-        maps = _conjugation_class_maps(group, sub, normalizer)
-        table = character_table(sub.as_group())
-        old, new = [], []
-        for chi in table:
-            old.append(frozenset(_conjugate_character_tuple(group, sub, chi, n)
-                                 for n in normalizer))
-            rounded = [(round(v.real, 8), round(v.imag, 8)) for v in chi.values]
-            new.append(frozenset(tuple(rounded[c] for c in row) for row in maps))
-        for a in range(len(table)):
-            assert len(old[a]) == len(new[a])
-            for b in range(len(table)):
-                assert (old[a] == old[b]) == (new[a] == new[b])
+def test_induction_pairs_keep_one_w_per_conjugate_character_orbit(key):
+    """W comes from the commutant of the restriction, not from characters;
+    the kept W still meet each normalizer orbit of the characters with
+    multiplicity one and degree dim V / [G:H] exactly once."""
+    entry = catalog.get(key)
+    group = entry.group
+    for rep in entry.reps.values():
+        if not is_irreducible(rep):
+            continue
+        pairs = induction_pairs(rep)
+        for sub in all_subgroups(group):
+            h_group = sub.as_group()
+            normalizer = _normalizer_members(group, sub)
+            res_char = character(restrict(rep, sub))
+
+            def orbit(chi):
+                return frozenset(_conjugate_character_tuple(group, sub, chi, n)
+                                 for n in normalizer)
+
+            want = {orbit(chi) for chi in character_table(h_group)
+                    if abs(chi.at_element(h_group.identity) * sub.index - rep.dim) < 0.5
+                    and inner_product(res_char, chi) == 1}
+            kept = [orbit(character(p.w_rep)) for p in pairs
+                    if p.subgroup.members == sub.members]
+            assert len(kept) == len(want) and set(kept) == want
 
 
 # -- induced characters -------------------------------------------------------------
