@@ -29,6 +29,12 @@ EQ_TOL = 1e-6
 CERT_TOL = 1e-6
 #: eigenvalues of a spectral split cluster at this times the spectral radius
 IDEMPOTENT_GAP = 1e-6
+#: the multiple of ``tol`` for products of two unit basis matrices of
+#: isotypic components: a product has a part in a component when the part's
+#: norm is above ``tol * PART_SCALE`` times the product's, and the two commute
+#: when their commutator's norm is at most ``tol * PART_SCALE`` (the product
+#: norms are at most one, the floor of a membership residual)
+PART_SCALE = 10
 #: a trace below this counts as zero (corner matrix units that multiply to 0)
 ZERO_TRACE = 1e-10
 #: a determinant modulus below this counts as zero (a singular recovered matrix)

@@ -14,16 +14,22 @@ reaches.  A nonzero closed sum is a largest closed proper subsum plus one
 component, closed, so a sweep lists them all at m closures each, not 2^m.
 It is certified complete exactly when that action is multiplicity-free;
 otherwise generated-algebra closures are added as uncertified candidates.
-A W of dimension 1 or prime runs no scan: its list is read off a theorem.
+On a certified scan every invariant subspace is a sum of components, so the
+same pass also tables which components commute: a closed sum's centralizer,
+center and unitality are then bitmasks, and only the central simple sums are
+built, each with its partner and center memoized.  An uncertified list is
+filtered and closed under centralizers by solving them.  A W of dimension 1
+or prime runs no scan: its list is read off a theorem.
 """
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import (CERT_TOL, RANK_TOL, ZERO_TRACE, _rank, column_space,
-                      kron_stack, row_norms)
+from ._linalg import (CERT_TOL, PART_SCALE, RANK_TOL, ZERO_TRACE, _rank,
+                      column_space, kron_stack, row_norms)
 from .algebras import (_spectral_split, center, centralizer,
                        semisimplicity_certificate)
 from .errors import AssertionFailure, FactorRecoveryFailure, NotCentralSimple
@@ -50,68 +56,114 @@ class DualPairFactorization:
 def _closed_sets(reach):
     """Every bitmask S with ``reach[i][j]`` inside S for all i, j in S; 0 first."""
     m = len(reach)
+    # both = reach[i][j] | reach[j][i]: where the products of C_i and C_j reach
+    both = [[a | b for a, b in zip(row, col)] for row, col in zip(reach, zip(*reach))]
     closed_sets, seen = [0], {0}
     for closed in closed_sets:  # grows as the sweep finds more
         members = [j for j in range(m) if closed >> j & 1]
         for k in range(m):
+            if closed >> k & 1:
+                continue
             # only products with a new member can leave the closed set
             done, mask, grown = closed, closed | 1 << k, list(members)
             while mask != done:
                 i = (mask & ~done).bit_length() - 1
                 done |= 1 << i
                 grown.append(i)
+                row = both[i]
                 for j in grown:
-                    mask |= reach[i][j] | reach[j][i]
+                    mask |= row[j]
             if mask not in seen:
                 seen.add(mask)
                 closed_sets.append(mask)
     return closed_sets
 
 
+def _mask(flags):
+    """The bitmask of the true entries of a boolean vector."""
+    return sum(1 << k for k in np.flatnonzero(flags).tolist())
+
+
 def _reach_table(spaces, comps, tol):
-    """``reach[i][j]``: bitmask of the components ``C_i C_j`` has a part in, by
-    the isotypic projectors (which split along them even when not orthogonal)."""
+    """``(reach, commute)`` over the components C_i spanned by ``spaces``.
+
+    ``reach[i][j]`` is the bitmask of the components ``C_i C_j`` has a part
+    in, by the isotypic projectors (which split along them even when not
+    orthogonal); ``commute[i]`` is the bitmask of the C_k each of whose basis
+    matrices commutes with each of C_i's.  Both are read off the products of
+    C_i's basis with the stacked bases of all components, a bounded block of
+    products at a time.
+    """
     m, ww = len(spaces), spaces[0].flat.shape[1]
     projs = np.stack([c.projector for c in comps]).reshape(m * ww, ww)
     stacked = np.concatenate([sp.basis() for sp in spaces])
     starts = np.cumsum([0] + [sp.dim for sp in spaces[:-1]])
-    reach = []
+    cut = tol * PART_SCALE
+    reach, commute = [], []
     for sp in spaces:
-        prods = (sp.basis()[:, None] @ stacked[None]).reshape(-1, ww)
+        basis = sp.basis()
+        prods = (basis[:, None] @ stacked[None]).reshape(-1, ww)
         hit = np.empty((m, len(prods)), dtype=bool)
+        moved = np.empty(len(prods), dtype=bool)
         for cols in _pair_blocks(len(prods), m * ww):
             parts = np.linalg.norm((projs @ prods[cols].T).reshape(m, ww, -1), axis=1)
-            hit[:, cols] = parts > tol * 10 * np.linalg.norm(prods[cols], axis=1)
+            hit[:, cols] = parts > cut * np.linalg.norm(prods[cols], axis=1)
+            # product a * len(stacked) + j is basis[a] @ stacked[j]
+            a, j = np.divmod(np.arange(cols.start, cols.stop), len(stacked))
+            flipped = (stacked[j] @ basis[a]).reshape(-1, ww)
+            moved[cols] = row_norms(prods[cols] - flipped) > cut
         # [k, j]: some product of C_i with C_j has a part in C_k
         hit = np.logical_or.reduceat(hit.reshape(m, sp.dim, -1).any(axis=1), starts, axis=1)
-        reach.append([sum(1 << k for k in np.flatnonzero(col).tolist()) for col in hit.T])
-    return reach
+        reach.append([_mask(col) for col in hit.T])
+        moved = np.logical_or.reduceat(moved.reshape(sp.dim, -1).any(axis=0), starts)
+        commute.append(_mask(~moved))
+    return reach, commute
 
 
-def multfree_scan(rep, tol=RANK_TOL):
-    """Scan sums of isotypic components of conjugation for product closure.
+class _Isotypic(NamedTuple):
+    """The isotypic components of conjugation on End(W) and their tables."""
 
-    Returns ``(unital, nonunital, certified)``: product-closed sums that do /
-    do not contain the identity matrix, and whether the lists are exhaustive:
-    true exactly when every isotypic multiplicity is at most one (then every
-    invariant subspace is such a sum), for any number of components.  A sum
-    over S is closed when no product of two of its components has a part
-    outside S; one closure sweep over that reach table lists every closed S.
-    """
+    spaces: list      # component C_i, as a space
+    reach: list       # reach[i][j]: mask of the components C_i C_j has a part in
+    commute: list     # commute[i]: mask of the components commuting with C_i
+    scalar: int       # the component whose projector fixes I
+    certified: bool   # every multiplicity is at most one
+
+    def sum_space(self, mask, tol):
+        """The sum of the components in ``mask``, from their stacked bases."""
+        w = self.spaces[0].shape[0]
+        return MatrixSubspace.from_spanning(
+            np.concatenate([sp.flat for i, sp in enumerate(self.spaces) if mask >> i & 1]),
+            (w, w), tol)
+
+    def centralizer_mask(self, mask):
+        """The components commuting with every component of ``mask``."""
+        out = (1 << len(self.spaces)) - 1
+        for i, row in enumerate(self.commute):
+            if mask >> i & 1:
+                out &= row
+        return out
+
+
+def _isotypic_table(rep, tol):
+    """The isotypic components of ``rep``'s conjugation action and their tables."""
     comps = conjugation_decomposition(rep)
     w = rep.dim
     spaces = [MatrixSubspace(column_space(c.projector, tol).T, (w, w))
               for c in comps]
-    m = len(comps)
-    certified = all(c.multiplicity <= 1 for c in comps)
-    reach = _reach_table(spaces, comps, tol)
+    eye = np.eye(w).ravel()
+    scalar = int(np.argmin([np.linalg.norm(c.projector @ eye - eye) for c in comps]))
+    return _Isotypic(spaces, *_reach_table(spaces, comps, tol), scalar,
+                     all(c.multiplicity <= 1 for c in comps))
 
+
+def _closed_sums(table, tol):
+    """:func:`multfree_scan` on the components and tables of ``table``."""
+    spaces, w = table.spaces, table.spaces[0].shape[0]
     found = [MatrixSubspace.zero((w, w))] + [
-        MatrixSubspace.from_spanning(
-            np.concatenate([spaces[i].flat for i in range(m) if mask >> i & 1]), (w, w), tol)
-        for mask in sorted(_closed_sets(reach))[1:]]
+        table.sum_space(mask, tol) for mask in sorted(_closed_sets(table.reach))[1:]]
 
-    if not certified:
+    if not table.certified:
         # heuristic candidates: close each component (with the unit adjoined)
         # under products; sound but not exhaustive
         index = SpaceIndex(found)
@@ -127,7 +179,58 @@ def multfree_scan(rep, tol=RANK_TOL):
         (unital if s.contains_identity(tol * 10) and s.dim else nonunital).append(s)
     unital.sort(key=lambda s: (s.dim, s.fingerprint()))
     nonunital.sort(key=lambda s: (s.dim, s.fingerprint()))
-    return unital, nonunital, certified
+    return unital, nonunital, table.certified
+
+
+def multfree_scan(rep, tol=RANK_TOL):
+    """Scan sums of isotypic components of conjugation for product closure.
+
+    Returns ``(unital, nonunital, certified)``: product-closed sums that do /
+    do not contain the identity matrix, and whether the lists are exhaustive:
+    true exactly when every isotypic multiplicity is at most one (then every
+    invariant subspace is such a sum), for any number of components.  A sum
+    over S is closed when no product of two of its components has a part
+    outside S; one closure sweep over that reach table lists every closed S.
+    """
+    return _closed_sums(_isotypic_table(rep, tol), tol)
+
+
+def _square_divisor(dim, d):
+    """Whether ``dim`` is a^2 with a dividing ``d`` (as dim M_a in End(C^d))."""
+    a = math.isqrt(dim)
+    return 0 < a and a * a == dim and d % a == 0
+
+
+def _central_simple_masks(table, d, tol):
+    """The central simple sums of a certified scan, as bitmasks.
+
+    A closed sum S is unital when it holds the scalar component, its
+    centralizer is S' (the components commuting with all of S) and its
+    center S meet S'.  Kept are the unital S of dimension a^2, a | d, with
+    center the scalar component; for each, S'' = S is checked and S' must be
+    kept too.  Only kept sums are built, each memoizing its partner and the
+    scalar line as its centralizer and center.  (Such an S is semisimple, as
+    is every invariant subalgebra on an irreducible W; ``extract_factorization``
+    certifies it.)
+    """
+    one = 1 << table.scalar
+    dims = [sp.dim for sp in table.spaces]
+    kept = {}
+    for mask in sorted(_closed_sets(table.reach)):
+        partner = table.centralizer_mask(mask)
+        if (mask & one and mask & partner == one
+                and _square_divisor(sum(k for i, k in enumerate(dims) if mask >> i & 1), d)):
+            kept[mask] = partner
+    built = {mask: table.sum_space(mask, tol) for mask in kept}
+    for mask, partner in kept.items():
+        if kept.get(partner) != mask:
+            if partner not in kept:
+                raise AssertionFailure(f"the centralizer of a dim-{built[mask].dim} "
+                                       "central simple sum is not central simple")
+            raise AssertionFailure("double centralizer moved")
+        built[mask]._memo[("centralizer", tol)] = built[partner]
+        built[mask]._memo[("center", tol)] = built[one]
+    return list(built.values())
 
 
 def central_simple_invariant_subalgebras(w_rep, tol=RANK_TOL):
@@ -138,29 +241,26 @@ def central_simple_invariant_subalgebras(w_rep, tol=RANK_TOL):
     A central simple C = M_a inside End(W) makes W a sum of copies of C^a,
     so a divides d = dim W: for d of 1 or prime the list is the scalars and
     End(W), read off with no scan and certified.  Otherwise it is certified
-    when the isotypic scan is, and only an uncertified scan is closed under
-    centralizers by solving them: a complete list holds every partner
-    already (:func:`factor` looks each one up and raises if it is missing).
+    when the isotypic scan is, and then read off the scan's masks with each
+    entry's centralizer and center memoized (:func:`_central_simple_masks`).
+    An uncertified scan's sums of dimension a^2, a | d, get the
+    semisimplicity and center solves, and the list is closed under
+    centralizers by solving them.
     """
     d = w_rep.dim
     if all(d % p for p in range(2, math.isqrt(d) + 1)):
         ends = [MatrixSubspace.identity_line(d), MatrixSubspace.full(d)]
         return ends[:1] if d == 1 else ends, True
-    unital, _, certified = multfree_scan(w_rep, tol=tol)
-    out = []
-    for sp in unital:
-        # dim C = a^2 with a | d; no other sum needs a solve
-        a = math.isqrt(sp.dim)
-        if a * a != sp.dim or d % a:
-            continue
-        _, witness = semisimplicity_certificate(sp, tol)
-        if witness is not None:
-            continue
-        if center(sp, tol).dim == 1:
-            out.append(sp)
-    if not certified:
-        # close under centralizer (the partner of a dual pair is again central
-        # simple and invariant; a certified scan already holds it)
+    table = _isotypic_table(w_rep, tol)
+    if table.certified:
+        out = _central_simple_masks(table, d, tol)
+    else:
+        unital, _, _ = _closed_sums(table, tol)
+        out = [sp for sp in unital if _square_divisor(sp.dim, d)
+               and semisimplicity_certificate(sp, tol)[1] is None
+               and center(sp, tol).dim == 1]
+        # close under centralizer (the partner of a dual pair is again
+        # central simple and invariant)
         index = SpaceIndex(out)
         out = index.spaces
         for sp in out:  # grows as it runs
@@ -172,7 +272,7 @@ def central_simple_invariant_subalgebras(w_rep, tol=RANK_TOL):
     if not any(sp.dim == d * d for sp in out):
         raise AssertionFailure("full algebra missing")
     out.sort(key=lambda s: (s.dim, s.fingerprint()))
-    return out, certified
+    return out, table.certified
 
 
 def _matrix_units(b_space, a, tol):
@@ -336,7 +436,9 @@ def factor(cs_list, w_rep, tol=RANK_TOL):
     comes first; B' is the entry equal to ``centralizer(B)``
     (:class:`AssertionFailure` if none is), its factorization is B's with the
     sides exchanged, and ``centralizer(B') = B`` is asserted.  The scalar
-    line of a one-dimensional W is its own partner.
+    line of a one-dimensional W is its own partner.  On a certified scan's
+    list both centralizers are the entries the search memoized, so nothing
+    is solved here but each pair's trace-form certificate.
     """
     index = SpaceIndex(cs_list)
     out = [None] * len(cs_list)

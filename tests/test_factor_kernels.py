@@ -312,23 +312,28 @@ def test_dimension_filter_keeps_the_center_test_list(name, central_simple):
 
 def test_closure_appends_a_missing_centralizer(monkeypatch):
     """Only the scalars survive the filter.  An uncertified scan's closure
-    adds End(W) back; a certified scan's list is complete, so no centralizer
-    is solved and the missing algebra is reported.  (A prime dim W runs no
-    scan, so the input is S3 x S3 at d = 4.)"""
+    adds End(W) back; with the centralizer solve broken the missing algebra
+    is reported.  A certified scan reads each partner off the masks and
+    solves nothing, so a partner the filter dropped is reported instead.
+    (A prime dim W runs no scan, so the input is S3 x S3 at d = 4.)"""
     _, rep = catalog.get("S3xS3", "stdXstd")
     monkeypatch.setattr(invalg.factor, "center",
                         lambda sp, tol: sp if sp.dim > 1 else center(sp, tol))
-    scan = invalg.factor.multfree_scan
-    monkeypatch.setattr(invalg.factor, "multfree_scan",
-                        lambda *args, **kw: (*scan(*args, **kw)[:2], False))
-    subs, _ = central_simple_invariant_subalgebras(rep)
-    assert [s.dim for s in subs] == [1, 16]
+    table = invalg.factor._isotypic_table
+    monkeypatch.setattr(invalg.factor, "_isotypic_table",
+                        lambda *args: table(*args)._replace(certified=False))
+    subs, certified = central_simple_invariant_subalgebras(rep)
+    assert [s.dim for s in subs] == [1, 16] and not certified
     monkeypatch.setattr(invalg.factor, "centralizer", lambda sp, tol: sp)
     with pytest.raises(AssertionFailure, match="full algebra missing"):
         central_simple_invariant_subalgebras(rep)
-    monkeypatch.setattr(invalg.factor, "multfree_scan", scan)
-    monkeypatch.setattr(invalg.factor, "centralizer", None)  # never called
-    with pytest.raises(AssertionFailure, match="full algebra missing"):
+    monkeypatch.setattr(invalg.factor, "_isotypic_table", table)
+    for name in ("centralizer", "center", "semisimplicity_certificate"):
+        monkeypatch.setattr(invalg.factor, name, None)  # never called
+    square = invalg.factor._square_divisor
+    monkeypatch.setattr(invalg.factor, "_square_divisor",
+                        lambda dim, d: dim < d * d and square(dim, d))
+    with pytest.raises(AssertionFailure, match="centralizer of a dim-1 central simple"):
         central_simple_invariant_subalgebras(rep)
 
 

@@ -2,8 +2,10 @@
 
 ``_as_projective_rep`` recovers the cocycle and certifies the law from the
 n |S| products over the generators; the all-pairs two-pass code (recovery,
-then ``validate``) is kept here as the oracle.  The reach table is built a row at a time; the
-per-pair loop is the oracle.  Centralizers are solved once per space.
+then ``validate``) is kept here as the oracle.  The reach and commute tables
+are built a row at a time; the per-pair loop is the oracle.  Centralizers
+are solved once per space, and on a certified scan not at all: the masks
+they are read off are checked against the solves.
 """
 
 import itertools
@@ -15,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import invalg.algebras
 import invalg.factor
 import invalg.reps
 from invalg import (NotARepresentation, Representation, TwoCocycle, catalog,
@@ -25,6 +26,7 @@ from invalg.algebras import center, centralizer
 from invalg.catalog import pair_to_json
 from invalg.cli import main
 from invalg.errors import ToleranceFailure
+from invalg.groups import build_from_mult_table
 from invalg.factor import _reach_table
 from invalg.reps import _as_projective_rep, _pair_blocks, conjugation_decomposition
 from invalg.spaces import MatrixSubspace
@@ -277,17 +279,21 @@ def test_law_bound_runs_in_the_unitary_frame(key, monkeypatch):
 
 
 def _reach_loop(spaces, comps, tol):
-    """One einsum, one projection and two norms per ordered pair."""
+    """One einsum, one projection and two norms per ordered pair; and every
+    commutator of the pair's basis matrices."""
     m, w = len(spaces), spaces[0].shape[0]
     projs = np.stack([c.projector for c in comps])
     reach = [[0] * m for _ in range(m)]
+    commute = [0] * m
     for i, j in itertools.product(range(m), repeat=2):
-        prods = np.einsum("aij,bjk->abik", spaces[i].basis(),
-                          spaces[j].basis()).reshape(-1, w * w)
+        x, y = spaces[i].basis(), spaces[j].basis()
+        prods = np.einsum("aij,bjk->abik", x, y).reshape(-1, w * w)
         parts = np.linalg.norm(projs @ prods.T, axis=1)
         hit = np.any(parts > tol * 10 * np.linalg.norm(prods, axis=1), axis=1)
         reach[i][j] = sum(1 << int(k) for k in np.flatnonzero(hit))
-    return reach
+        comm = max(np.linalg.norm(a @ b - b @ a) for a in x for b in y)
+        commute[i] |= int(comm <= tol * 10) << j
+    return reach, commute
 
 
 def _components(rep, tol=1e-8):
@@ -312,6 +318,8 @@ def _rep(name):
 
 @pytest.mark.parametrize("name", _reach_inputs())
 def test_row_batched_reach_matches_the_pair_loop(name, monkeypatch):
+    """The reach and commute tables, read off the row products in blocks, are
+    the pair loop's, also at one product a block."""
     spaces, comps = _components(_rep(name))
     want = _reach_loop(spaces, comps, 1e-8)
     assert _reach_table(spaces, comps, 1e-8) == want
@@ -320,11 +328,14 @@ def test_row_batched_reach_matches_the_pair_loop(name, monkeypatch):
 
 
 def test_row_batched_reach_on_pauli_cubed(monkeypatch):
-    """m = 64 one-dimensional components: 4096 pairs."""
+    """m = 64 one-dimensional components: 4096 pairs.  The commuting pairs
+    are those of Pauli strings: the identity commutes with all 64, each
+    other string with 32."""
     spaces, comps = _components(_outer(*["C2xC2:pauli"] * 3))
     assert len(spaces) == 64
     want = _reach_loop(spaces, comps, 1e-8)
     assert _reach_table(spaces, comps, 1e-8) == want
+    assert sum(bin(row).count("1") for row in want[1]) == 64 + 63 * 32
     monkeypatch.setattr(invalg.reps, "_PAIR_BLOCK", 5 * 64 * 64)  # 5 products a block
     assert _reach_table(spaces, comps, 1e-8) == want
 
@@ -332,29 +343,15 @@ def test_row_batched_reach_on_pauli_cubed(monkeypatch):
 # -- centralizers solved once ---------------------------------------------------------
 
 
-@pytest.fixture
-def solves(monkeypatch):
-    """Counts the commutant solves behind ``centralizer``."""
-    count = [0]
-    solve = invalg.algebras.intertwiners
-
-    def counted(*args):
-        count[0] += 1
-        return solve(*args)
-
-    monkeypatch.setattr(invalg.algebras, "intertwiners", counted)
-    return count
-
-
 def test_centralizer_is_solved_once_per_tolerance(solves):
     sp = MatrixSubspace.identity_line(3)
     z = centralizer(sp)
     assert centralizer(sp) is z and centralizer(sp, 1e-8) is z
-    assert solves[0] == 1
-    assert center(sp).dim == 1 and solves[0] == 1
+    assert solves["centralizer"] == 1
+    assert center(sp).dim == 1 and solves["centralizer"] == 1
     other = centralizer(sp, 1e-6)
     assert other is not z and other.equals(z)
-    assert solves[0] == 2
+    assert solves["centralizer"] == 2
 
 
 def test_flat_is_read_only_and_the_input_is_not():
@@ -368,9 +365,23 @@ def test_flat_is_read_only_and_the_input_is_not():
     assert basis.flags.writeable
 
 
+def _uncertified(monkeypatch):
+    """Make every isotypic scan report itself uncertified."""
+    table = invalg.factor._isotypic_table
+    monkeypatch.setattr(invalg.factor, "_isotypic_table",
+                        lambda *args: table(*args)._replace(certified=False))
+
+
+def _write_input(rep, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(pair_to_json(rep.group, rep)))
+    return str(path)
+
+
 def test_factor_reuses_the_scan_solves(solves, monkeypatch, tmp_path):
-    """S3 x Pauli: ``extract_factorization`` finds the centralizers and
-    centers the scan solved.  Before the memo each call was one solve."""
+    """S3 x Pauli scanned as if uncertified: the search solves each entry's
+    centralizer for its closure, and ``factor`` finds them memoized.  (A
+    certified search solves none; see the next test.)"""
     calls = [0]
     for module in (invalg.algebras, invalg.factor):
         def counted(sp, tol=1e-8, _inner=module.centralizer):
@@ -378,11 +389,82 @@ def test_factor_reuses_the_scan_solves(solves, monkeypatch, tmp_path):
             return _inner(sp, tol)
 
         monkeypatch.setattr(module, "centralizer", counted)
+    _uncertified(monkeypatch)
     rep = _outer("S3:std", "C2xC2:pauli")
-    path = tmp_path / "s3xpauli.json"
-    path.write_text(json.dumps(pair_to_json(rep.group, rep)))
-    assert main(["factor", str(path), "--out", str(tmp_path / "out.json")]) == 0
-    assert 0 < solves[0] < calls[0]
+    out = tmp_path / "out.json"
+    assert main(["factor", _write_input(rep, tmp_path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["certified"] is False
+    assert 0 < solves["centralizer"] < calls[0]
+
+
+@pytest.mark.parametrize("name", ["S3xPauli", "S3xS3:stdXstd", "Pauli2"])
+def test_certified_factor_solves_no_centralizer_or_center(name, solves, tmp_path):
+    """On a certified scan every partner and center is read off the masks:
+    ``factor``, from the library or the CLI, solves no centralizer and no
+    center, and certifies each extracted pair once by its trace form."""
+    rep = _factor_rep(name)
+    subs, certified = invalg.factor.central_simple_invariant_subalgebras(rep)
+    facts = invalg.factor.factor(subs, rep)
+    pairs = len({frozenset((id(f.b_space), id(f.z_space))) for f in facts})
+    assert certified and pairs == len(subs) // 2
+    want = {"centralizer": 0, "certificate": pairs, "center": 0}
+    assert solves == want
+    solves.update(dict.fromkeys(solves, 0))
+    out = tmp_path / "out.json"
+    assert main(["factor", _write_input(rep, tmp_path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["certified"] is True
+    assert solves == want
+
+
+def _rotated(rep, seed):
+    """``rep`` with its elements relabelled at random (the identity and the
+    cocycle moved along) and its basis rotated by a Haar-random unitary."""
+    rng = np.random.default_rng(seed)
+    g, d = rep.group, rep.dim
+    perm = rng.permutation(g.order)  # element i gets label perm[i]
+    mult = np.empty_like(g.mult)
+    mult[np.ix_(perm, perm)] = perm[g.mult]
+    alpha = np.empty_like(rep.cocycle.values)
+    alpha[np.ix_(perm, perm)] = rep.cocycle.values
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    mats = np.empty_like(rep.matrices)
+    mats[perm] = u @ rep.matrices @ u.conj().T
+    group = build_from_mult_table(mult)
+    return Representation(group=group, dim=d, matrices=mats,
+                          cocycle=TwoCocycle(group, alpha))
+
+
+@pytest.mark.parametrize("name", ["S3xS3:stdXstd", "S3xPauli", "Pauli2", "S3xPauli:moved"])
+def test_masks_match_the_solved_centralizer_and_center(name):
+    """Every closed sum's mask centralizer S' and mask center S meet S' equal
+    what ``centralizer`` and ``center`` solve for; a sum holds I exactly when
+    it holds the scalar component; each central simple entry's memoized
+    partner and center equal fresh solves."""
+    rep = _factor_rep(name.split(":moved")[0])
+    if name.endswith(":moved"):
+        rep = _rotated(rep, 11)
+    table = invalg.factor._isotypic_table(rep, 1e-8)
+    assert table.certified
+
+    def space(mask):
+        if not mask:
+            return MatrixSubspace.zero(rep.dim)
+        return table.sum_space(mask, 1e-8)
+
+    closed = invalg.factor._closed_sets(table.reach)
+    assert space(1 << table.scalar).equals(MatrixSubspace.identity_line(rep.dim))
+    for mask in closed:
+        sp = space(mask)
+        partner = table.centralizer_mask(mask)
+        assert space(partner).equals(centralizer(sp))
+        assert space(mask & partner).equals(center(sp))
+        assert sp.contains_identity(1e-7) == bool(mask >> table.scalar & 1)
+    subs, _ = invalg.factor.central_simple_invariant_subalgebras(rep)
+    for sp in subs:
+        fresh = MatrixSubspace(sp.flat, sp.shape)
+        assert centralizer(sp).equals(centralizer(fresh))
+        assert center(sp).equals(center(fresh)) and center(sp).dim == 1
 
 
 # -- one extraction per dual pair -------------------------------------------------------
@@ -391,15 +473,18 @@ def test_factor_reuses_the_scan_solves(solves, monkeypatch, tmp_path):
 def _factor_rep(name):
     if name == "S3xPauli":
         return _outer("S3:std", "C2xC2:pauli")
+    if name == "Pauli2":
+        return _outer("C2xC2:pauli", "C2xC2:pauli")
     return catalog.get(*name.split(":"))[1]
 
 
 @pytest.mark.parametrize("name", ["S3xPauli", "S3xS3:stdXstd", "Q8:std", "S3:triv"])
 def test_factor_extracts_each_dual_pair_once(name, solves, monkeypatch):
     """One extraction per unordered pair (the scalar line of d = 1 is its own
-    partner), and one centralizer solve per entry: none in a certified
-    search, B's to find its partner and the partner's for the double
-    centralizer, with no fresh solve on top."""
+    partner).  A scanned list's partners are memoized by the search, so no
+    centralizer is solved; a list read off the theorem (d of 1 or prime)
+    solves one per entry: B's to find its partner and the partner's for the
+    double centralizer, with no fresh solve on top."""
     rep = _factor_rep(name)
     extracted = []
     extract = invalg.factor.extract_factorization
@@ -410,11 +495,11 @@ def test_factor_extracts_each_dual_pair_once(name, solves, monkeypatch):
 
     monkeypatch.setattr(invalg.factor, "extract_factorization", counted)
     subs, certified = invalg.factor.central_simple_invariant_subalgebras(rep)
-    assert certified and solves[0] == 0
+    assert certified and solves["centralizer"] == 0
     facts = invalg.factor.factor(subs, rep)
     pairs = {frozenset((id(f.b_space), id(f.z_space))) for f in facts}
     assert len(extracted) == len(pairs) == (len(subs) + 1) // 2
-    assert solves[0] == len(subs)
+    assert solves["centralizer"] == (len(subs) if rep.dim in (1, 2) else 0)
     assert [f.b_space for f in facts] == subs
     if rep.dim == 1:
         assert len(subs) == 1 and facts[0].z_space is subs[0]
