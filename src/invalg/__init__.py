@@ -19,9 +19,9 @@ from .groups import (FiniteGroup, Subgroup, Transversal, all_subgroups,
                      build_from_permutations, conjugacy_classes,
                      direct_product, left_transversal, subgroups_of_index_dividing)
 from .reps import (Representation, TwoCocycle, character, character_table,
-                   check_law, conjugation_decomposition, equivariant_hom_space,
-                   induce, induced_character, inner_product, is_induced_from,
-                   is_irreducible, isotypic_decomposition, restrict,
+                   check_law, commutant_decomposition, conjugation_decomposition,
+                   equivariant_hom_space, induce, induced_character, inner_product,
+                   is_induced_from, is_irreducible, restrict,
                    skolem_noether_lift, unitarize, validate)
 from .spaces import MatrixSubspace, generated_algebra, span_product
 from .algebras import (InvariantSubalgebra, center, centralizer,

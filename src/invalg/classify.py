@@ -16,17 +16,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._linalg import CERT_TOL, RANK_TOL, _rank, column_space, intertwiners
+from ._linalg import CERT_TOL, RANK_TOL, _rank, column_space
 from .algebras import (InvariantSubalgebra, _certified_projectors, _sorted_idempotents,
-                       _spectral_split, _stabilizer, _symmetric_embedding, _wedderburn_data,
-                       center, centralizer, is_invariant, permutation_action,
-                       semisimplicity_certificate, wedderburn_decompose)
+                       _stabilizer, _symmetric_embedding, center, centralizer,
+                       is_invariant, permutation_action, semisimplicity_certificate,
+                       wedderburn_decompose)
 from .errors import AssertionFailure, BlocksNotDirect, InvalgError
 from .factor import central_simple_invariant_subalgebras, multfree_scan
 from .groups import (Subgroup, _conjugates, are_conjugate_subgroups,
                      left_transversal, subgroups_of_index_dividing)
 from .groups import all_subgroups  # noqa: F401  bench/check.py traces it here
-from .reps import Representation, is_irreducible, restrict
+from .reps import Representation, commutant_decomposition, is_irreducible, restrict
 from .spaces import MatrixSubspace, SpaceIndex
 
 
@@ -74,14 +74,13 @@ def induction_pairs(v_rep, tol=RANK_TOL):
     """All induction pairs (H, W) for an irreducible V, one per conjugacy orbit.
 
     Scans the proper subgroup classes of index l dividing d = dim V in
-    increasing order.  The commutant End_H(V) is solved on H's generators;
-    it is semisimple and holds I (Maschke), so one spectral split of its
-    center gives its central primitive idempotents, the isotypic projectors
-    of the restriction.  One of component size 1 (multiplicity one) and rank
-    d / l cuts out a W with Ind W = V by Frobenius reciprocity; W keeps the
-    restriction's cocycle, so V may be projective.  The normalizer of H
-    permutes these projectors by conjugation, and a W moved by it gives the
-    same blocks downstream, so the first of each orbit is kept.  By Mackey,
+    increasing order.  The central idempotents of End_H(V) are the isotypic
+    projectors of the restriction (:func:`.reps.commutant_decomposition`).
+    One of component size 1 (multiplicity one) and rank d / l cuts out a W
+    with Ind W = V by Frobenius reciprocity; W keeps the restriction's
+    cocycle, so V may be projective.  The normalizer of H permutes these
+    projectors by conjugation, and a W moved by it gives the same blocks
+    downstream, so the first of each orbit is kept.  By Mackey,
     dim End_H(V) <= [G:H] <= d.  The pair (G, V) comes last, W = V copied by
     the identity.
     """
@@ -92,13 +91,7 @@ def induction_pairs(v_rep, tol=RANK_TOL):
     *proper, whole = subgroups_of_index_dividing(group, d)
     for sub in proper:
         res = restrict(v_rep, sub)
-        gens = res.matrices[list(res.group.generators)]
-        commutant = MatrixSubspace(intertwiners(gens, gens, tol).reshape(-1, d * d), (d, d))
-        center_basis = center(commutant, tol).basis()
-        idems = _spectral_split(commutant, center_basis, len(center_basis))
-        if idems is None:
-            raise AssertionFailure("the commutant of the restriction failed to split")
-        meta = _wedderburn_data(commutant, _sorted_idempotents(idems), tol)
+        meta = commutant_decomposition(res, tol)
         keep = [i for i, (k, m) in enumerate(zip(meta.component_dims, meta.multiplicities))
                 if k == 1 and m == d // sub.index]
         if len(keep) > 1:

@@ -86,6 +86,9 @@ def _subspace_json(sub):
 
 def cmd_ideals(args):
     group, rep = _load_representation(args)
+    if rep.is_projective:
+        raise ValueError("the ideals command takes linear input only; "
+                         "invariant_subspaces answers projective input")
     payload = _base_payload(args)
     payload.update({"command": "ideals", "input": args.input, "dim": rep.dim})
     subs = invariant_subspaces(rep, tol=args.tol)

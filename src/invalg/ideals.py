@@ -16,7 +16,7 @@ import numpy as np
 
 from ._linalg import EQ_TOL, RANK_TOL, column_space, nullspace
 from .errors import AssertionFailure, InfiniteLattice, NotAnIdeal
-from .reps import isotypic_decomposition
+from .reps import commutant_decomposition
 from .spaces import MatrixSubspace, span_product
 
 
@@ -122,10 +122,11 @@ class Parametrization:
     One factor per isotypic component: invariant subspaces are choices of an
     arbitrary subspace of each multiplicity space, so the lattice is a product
     of Grassmannian families and is infinite as soon as some multiplicity
-    exceeds one.
+    exceeds one.  Each factor's third entry is the dimension m d of the whole
+    isotypic block, not the dimension d of its irreducible.
     """
 
-    factors: list  # (irrep_label, multiplicity, irrep_dim)
+    factors: list  # (label, multiplicity m, isotypic block dim m * irrep dim)
 
     @property
     def finite(self):
@@ -198,17 +199,20 @@ def ideal_to_subspace(ideal, tol=RANK_TOL):
 
 
 def invariant_subspaces(rep, tol=RANK_TOL):
-    """Invariant subspaces of a linear representation.
+    """Invariant subspaces of a linear or projective representation, read
+    off the commutant End_G(V) (:func:`.reps.commutant_decomposition`).
 
-    Multiplicity-free: the full list (all sums of isotypic components),
-    ``2^m`` entries sorted by dimension.  Otherwise a :class:`Parametrization`
-    describing the infinite lattice.
+    Its components M_{m_i}, ordered by (rank e_i, m_i), are labelled ``U0,
+    U1, ...``.  Multiplicity-free (every m_i = 1): all sums of the images of
+    the e_i, ``2^m`` entries sorted by dimension.  Otherwise a
+    :class:`Parametrization` describing the infinite lattice.
     """
-    comps = isotypic_decomposition(rep)
-    if any(c.multiplicity > 1 for c in comps):
-        return Parametrization([(c.irrep_label, c.multiplicity, c.dim)
-                                for c in comps])
-    images = [column_space(c.projector, tol) for c in comps]
+    meta = commutant_decomposition(rep, tol)
+    comps = sorted(zip(meta.component_dims, meta.multiplicities, meta.idempotents),
+                   key=lambda c: (c[0] * c[1], c[0]))
+    if any(m > 1 for m, _, _ in comps):
+        return Parametrization([(f"U{i}", m, m * d_i) for i, (m, d_i, _) in enumerate(comps)])
+    images = [column_space(e, tol) for _, _, e in comps]
     out = []
     for r in range(len(comps) + 1):
         for subset in itertools.combinations(range(len(comps)), r):
@@ -216,7 +220,7 @@ def invariant_subspaces(rep, tol=RANK_TOL):
                 out.append(SubspaceOfV.zero(rep.dim))
                 continue
             cols = np.hstack([images[i] for i in subset])
-            label = "+".join(comps[i].irrep_label for i in subset)
+            label = "+".join(f"U{i}" for i in subset)
             out.append(SubspaceOfV.from_columns(rep.dim, cols, tol, label=label))
     out.sort(key=lambda s: (s.dim, np.round(s.projector(), 9).tobytes()))
     return out

@@ -18,11 +18,13 @@ import numpy as np
 from ._linalg import (CERT_TOL, INT_TOL, RANK_TOL, ZERO_DET, intertwiners,
                       kron_stack, round_to_gaussian_int, round_to_int,
                       row_norms, scalar_multiple_of_identity)
-from .algebras import _all_idempotent, _spectral_split
+from .algebras import (_all_idempotent, _sorted_idempotents, _spectral_split,
+                       _wedderburn_data, center)
 from .errors import (AssertionFailure, FactorRecoveryFailure, NotAnAutomorphism,
                      NotARepresentation, ToleranceFailure)
 from .groups import (FiniteGroup, class_index_array, conjugacy_classes,
                      left_transversal)
+from .spaces import MatrixSubspace
 
 #: dimension cap for induced representations
 INDUCE_DIM_CAP = 500
@@ -124,7 +126,6 @@ class IsotypicComponent:
     irrep_label: str
     multiplicity: int
     dim: int
-    character: ClassFunction
 
 
 @dataclass(frozen=True)
@@ -339,14 +340,33 @@ def is_irreducible(rep):
     return inner_product(chi, chi) == 1
 
 
-def commutant_dimension(rep, tol=RANK_TOL):
-    """Dimension of ``{X : X rho(g) = rho(g) X for all g}``.
+def _commutant(rep, tol):
+    """``End_G(V) = {X : X rho(g) = rho(g) X for all g}`` as a matrix space.
 
     Solved on the generators only: X commuting with each generator commutes
     with every product of them, and cocycle scalars do not matter.
     """
-    gens = rep.matrices[list(rep.group.generators)]
-    return len(intertwiners(gens, gens, tol))
+    d, gens = rep.dim, rep.matrices[list(rep.group.generators)]
+    return MatrixSubspace(intertwiners(gens, gens, tol).reshape(-1, d * d), (d, d))
+
+
+def commutant_dimension(rep, tol=RANK_TOL):
+    """Dimension of the commutant End_G(V) (see :func:`_commutant`)."""
+    return _commutant(rep, tol).dim
+
+
+def commutant_decomposition(rep, tol=RANK_TOL):
+    """Wedderburn data of ``End_G(V)``: it is semisimple and holds I
+    (Maschke), so one spectral split of its center gives its central
+    primitive idempotents e_i, the isotypic projectors of V.  Component i is
+    M_{m_i} for an irreducible of dimension d_i and multiplicity m_i in V,
+    and ``rank e_i = m_i d_i``."""
+    commutant = _commutant(rep, tol)
+    center_basis = center(commutant, tol).basis()
+    idems = _spectral_split(commutant, center_basis, len(center_basis))
+    if idems is None:
+        raise AssertionFailure("the commutant failed to split")
+    return _wedderburn_data(commutant, _sorted_idempotents(idems), tol)
 
 
 def _regular_representation(group):
@@ -408,11 +428,6 @@ def character_table(group):
     return chars
 
 
-def isotypic_decomposition(rep):
-    """Isotypic projectors of a linear representation (see :func:`_isotypic`)."""
-    return _isotypic(rep.group, character(rep), rep.dim, lambda g: rep.matrices[g])
-
-
 def conjugation_decomposition(rep):
     """Isotypic projectors of ``X -> rho(g) X rho(g)^-1`` on row-major
     flattened matrices, whose matrices ``rho(g) kron rho(g)^-T`` are formed a
@@ -458,7 +473,7 @@ def _isotypic(group, chi_v, dim, mats_of):
         raise ToleranceFailure(
             "isotypic projectors are not idempotents of traces m_i d_i summing to the identity")
     return [IsotypicComponent(projector=p, irrep_label=f"chi{i}", multiplicity=m,
-                              dim=m * d_i, character=chi)
+                              dim=m * d_i)
             for p, (i, chi, m, d_i) in zip(projs, found)]
 
 

@@ -281,14 +281,21 @@ def test_verify_classification_any_basis(key, rep_name, data):
     assert verify_classification(subs, moved).ok
 
 
-@pytest.mark.parametrize("key,rep_name", [("S3", "trivPlusSign"), ("S3", "trivPlusSignPlusStd"),
-                                          ("A4", "std3")])
+def _catalog_or_outer(*parts):
+    """A catalog input, or the outer tensor product of several."""
+    return catalog.get(*parts[0].split(":"))[1] if len(parts) == 1 else _outer(*parts)
+
+
+@pytest.mark.parametrize("parts", [("S3:trivPlusSign",), ("S3:trivPlusSignPlusStd",),
+                                   ("A4:std3",), ("S3:trivPlusSign", "C2xC2:pauli")],
+                         ids="-".join)
 @given(data=st.data())
 @settings(max_examples=5, deadline=None)
-def test_ideals_any_basis(key, rep_name, data):
+def test_ideals_any_basis(parts, data):
     """A non-unitary basis change T of V carries each invariant subspace U to
-    T U, and the left and right ideal lattices keep their counts and dims."""
-    _, rep = catalog.get(key, rep_name)
+    T U, and the left and right ideal lattices keep their counts and dims;
+    also for projective V."""
+    rep = _catalog_or_outer(*parts)
     t = data.draw(_skews(rep.dim))
     moved = _conjugated(rep, t)
     want, got = invariant_subspaces(rep), invariant_subspaces(moved)
@@ -301,10 +308,12 @@ def test_ideals_any_basis(key, rep_name, data):
                 == [i.dim for i in invariant_ideals(rep, side)])
 
 
+@pytest.mark.parametrize("parts", [("S3:regular",), ("S3:regular", "C2xC2:pauli")],
+                         ids="-".join)
 @given(data=st.data())
 @settings(max_examples=5, deadline=None)
-def test_infinite_ideal_lattice_any_basis(data):
-    _, rep = catalog.get("S3", "regular")
+def test_infinite_ideal_lattice_any_basis(parts, data):
+    rep = _catalog_or_outer(*parts)
     moved = _conjugated(rep, data.draw(_skews(rep.dim)))
     assert invariant_subspaces(moved) == invariant_subspaces(rep)
     with pytest.raises(InfiniteLattice):

@@ -261,15 +261,15 @@ def test_lie_non_integer_weight_exits_1(weights, capsys):
 
 
 def test_ideals_decomposes_once(monkeypatch, capsys):
-    """One isotypic decomposition serves the subspaces and both ideal lattices."""
+    """One commutant decomposition serves the subspaces and both ideal lattices."""
     calls = []
-    original = invalg.ideals.isotypic_decomposition
+    original = invalg.ideals.commutant_decomposition
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(invalg.ideals, "isotypic_decomposition", counted)
+    monkeypatch.setattr(invalg.ideals, "commutant_decomposition", counted)
     for key in ("S3:trivPlusSignPlusStd", "S3:std", "S3:regular", "Q8:std"):
         calls.clear()
         assert main(["ideals", f"catalog:{key}"]) == 0
@@ -344,6 +344,17 @@ def test_subalgebras_on_projective_input_exits_1(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "takes linear input only" in captured.err
+
+
+def test_ideals_on_projective_input_exits_1(capsys):
+    """The library's lattice takes projective V; the command still takes
+    linear input only, and names the library route."""
+    assert main(["ideals", "catalog:C2xC2:pauli"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "the ideals command takes linear input only" in err
+    assert "invariant_subspaces answers projective input" in err
 
 
 def test_cap_exceeded_exits_2(tmp_path, capsys):

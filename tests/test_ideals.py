@@ -5,6 +5,8 @@ import pytest
 
 from invalg import catalog
 from invalg.errors import AssertionFailure
+from invalg.groups import direct_product
+from invalg.reps import Representation, TwoCocycle
 from invalg.spaces import MatrixSubspace
 from invalg import (InfiniteLattice, Parametrization, SubspaceOfV, ann, coann,
                     hom_lattice, ideal_to_subspace, invariant_ideals,
@@ -177,3 +179,61 @@ def test_hom_lattice_checks_the_order_law(monkeypatch):
             hom_lattice(v, w, side)
         with pytest.raises(AssertionFailure, match="order"):
             invariant_ideals(v, side)
+
+
+def _outer(*parts):
+    """Outer tensor product of catalog reps over the direct product."""
+    group, mats, alpha = None, None, None
+    for part in parts:
+        g, rep = catalog.get(*part.split(":"))
+        a = rep.cocycle.values if rep.cocycle is not None else np.ones((g.order,) * 2)
+        if group is None:
+            group, mats, alpha = g, rep.matrices, a
+            continue
+        group = direct_product(group, g)
+        mats = np.stack([np.kron(x, y) for x in mats for y in rep.matrices])
+        alpha = np.kron(alpha, a)
+    cocycle = None if np.all(alpha == 1) else TwoCocycle(group, alpha)
+    return Representation(group=group, dim=mats.shape[1], matrices=mats,
+                          cocycle=cocycle)
+
+
+def test_projective_direct_sum_lattice():
+    """(triv + sign) x Pauli is projective with two isotypic components: a
+    2^2 lattice of invariant subspaces, read off the commutant."""
+    rep = _outer("S3:trivPlusSign", "C2xC2:pauli")
+    assert rep.is_projective
+    spaces = invariant_subspaces(rep)
+    assert [s.dim for s in spaces] == [0, 2, 2, 4]
+    assert all(s.is_invariant(rep) for s in spaces)
+    left, right = invariant_ideals(rep, "left"), invariant_ideals(rep, "right")
+    assert len(left) == 4 and len(right) == 4
+    for i, big in enumerate(spaces):
+        for j, small in enumerate(spaces):
+            if big.contains(small):  # vanishing reverses the order, image keeps it
+                assert left[j].space.contains_space(left[i].space)
+                assert right[i].space.contains_space(right[j].space)
+    for ideal in left + right:
+        ideal.verify()
+    _, std = catalog.get("S3", "std")
+    assert semisimple_ideal_lattice([rep, std], "left").count == 8
+    assert sorted(h.dim for h in hom_lattice(rep, std, "left")) == [0, 4, 4, 8]
+
+
+@pytest.mark.parametrize("parts", [("S3:std", "C2xC2:pauli"), ("C2xC2:pauli",)],
+                         ids="-".join)
+def test_projective_irreducible_lattice(parts):
+    rep = _outer(*parts)
+    assert rep.is_projective
+    assert [s.dim for s in invariant_subspaces(rep)] == [0, rep.dim]
+    assert len(invariant_ideals(rep, "left")) == len(invariant_ideals(rep, "right")) == 2
+
+
+def test_projective_multiplicity_raises_infinite_lattice():
+    """regular x Pauli: std x Pauli occurs twice, in a block of dimension 8."""
+    rep = _outer("S3:regular", "C2xC2:pauli")
+    with pytest.raises(InfiniteLattice) as exc:
+        invariant_ideals(rep, "right")
+    factors = exc.value.parametrization.factors
+    assert [(m, dim) for _, m, dim in factors] == [(1, 2), (1, 2), (2, 8)]
+    assert [lbl for lbl, _, _ in factors] == ["U0", "U1", "U2"]

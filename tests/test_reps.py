@@ -11,7 +11,7 @@ from invalg import (NotAnAutomorphism, NotARepresentation, ToleranceFailure,
                     conjugation_decomposition, equivariant_hom_space, induce,
                     induced_character,
                     inner_product, is_induced_from, is_irreducible,
-                    isotypic_decomposition, restrict, skolem_noether_lift,
+                    commutant_decomposition, restrict, skolem_noether_lift,
                     unitarize, validate)
 from invalg.groups import (all_subgroups, build_from_mult_table,
                            build_from_permutations, class_index_array, direct_product,
@@ -140,15 +140,16 @@ def test_is_irreducible():
         assert not is_irreducible(rep)
 
 
-def test_isotypic_decomposition_regular():
-    """The regular rep of S3 splits as triv + sign + 2*std."""
+def test_commutant_decomposition_regular():
+    """The regular rep of S3 splits as triv + sign + 2*std: End_G(V) is
+    C + C + M_2, and each central idempotent's rank is an isotypic block's
+    dimension (irrep dim x multiplicity)."""
     _, rep = catalog.get("S3", "regular")
-    comps = isotypic_decomposition(rep)
-    # component dim counts the whole isotypic block (irrep dim x multiplicity)
-    assert sorted((c.dim, c.multiplicity) for c in comps) == [(1, 1), (1, 1), (4, 2)]
+    meta = commutant_decomposition(rep)
+    ranks = [round(np.trace(e).real) for e in meta.idempotents]
+    assert sorted(zip(ranks, meta.component_dims)) == [(1, 1), (1, 1), (4, 2)]
     total = np.zeros((6, 6), dtype=complex)
-    for c in comps:
-        p = c.projector
+    for p in meta.idempotents:
         assert np.linalg.norm(p @ p - p) < 1e-8
         for m in rep.matrices:
             assert np.linalg.norm(m @ p - p @ m) < 1e-8

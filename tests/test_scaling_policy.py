@@ -9,7 +9,8 @@ the centralizers from the memo and each partner's Wedderburn data off the
 entry's own idempotents.  A W of dimension 1 or prime runs no conjugation
 scan (its central simple list is the scalars and End(W)), and induction
 pairs form no character table at all: W is read off the commutant of the
-restriction.  The Lie layer is exact integer
+restriction.  Nor does ``ideals``: V's invariant subspaces are read off the
+commutant End_G(V).  The Lie layer is exact integer
 arithmetic with no numpy, and a weight sweep computes each combined
 dimension once.
 """
@@ -25,10 +26,11 @@ import pytest
 
 import invalg
 import invalg.lie
-from invalg import (HighestWeight, RootSystem, catalog,
+from invalg import (HighestWeight, Parametrization, RootSystem, catalog,
                     central_simple_invariant_subalgebras, enumerate_invariant_subalgebras,
-                    induction_pairs, multfree_scan, tensor_irreducible,
-                    verify_classification, weyl_dim)
+                    induction_pairs, invariant_ideals, invariant_subspaces, multfree_scan,
+                    tensor_irreducible, verify_classification, weyl_dim)
+from invalg.cli import main
 from invalg.algebras import center, semisimplicity_certificate
 from invalg.factor import factor
 from invalg.groups import build_from_mult_table
@@ -240,3 +242,30 @@ def test_induction_pairs_use_no_characters(key, rep_name, monkeypatch):
     for name in ("character_table", "is_induced_from"):
         _forbid(monkeypatch, name)
     assert _summary(induction_pairs(_fresh(key, rep_name))) == want
+
+
+LINEAR_CATALOG = [(key, name) for key, entry in sorted(catalog.catalog().items())
+                  for name, rep in sorted(entry.reps.items()) if not rep.is_projective]
+
+
+def _lattice(rep):
+    """The invariant subspace lattice, with both ideal lattices' dims when finite."""
+    subs = invariant_subspaces(rep)
+    if isinstance(subs, Parametrization):
+        return subs.factors
+    return ([(s.dim, s.projector().round(9).tobytes()) for s in subs],
+            [[i.dim for i in invariant_ideals(rep, side)] for side in ("left", "right")])
+
+
+@pytest.mark.parametrize("key,rep_name", LINEAR_CATALOG)
+def test_ideals_use_no_characters(key, rep_name, monkeypatch, capsys):
+    """The library's lattice and the ``ideals`` command build no character
+    table and read no character, and give the same answers without them."""
+    want = _lattice(_fresh(key, rep_name))
+    assert main(["ideals", f"catalog:{key}:{rep_name}"]) == 0
+    want_out = capsys.readouterr().out
+    for name in ("character_table", "character"):
+        _forbid(monkeypatch, name)
+    assert _lattice(_fresh(key, rep_name)) == want
+    assert main(["ideals", f"catalog:{key}:{rep_name}"]) == 0
+    assert capsys.readouterr().out == want_out
