@@ -15,9 +15,10 @@ import numpy as np
 from .errors import RoundingAmbiguous
 
 #: ranks and membership residuals, as the default ``tol``.  Fixed at this
-#: value: the snap of a recovered rho(1) to I, the drop of a recovered cocycle
-#: within it of one, the floor of a declared cocycle's own check, and the
-#: orthonormality of a ``SubspaceOfV`` basis
+#: value: the rank of the conjugation action's class trace form, the snap of a
+#: recovered rho(1) to I, the drop of a recovered cocycle within it of one, the
+#: floor of a declared cocycle's own check, and the orthonormality of a
+#: ``SubspaceOfV`` basis
 RANK_TOL = 1e-8
 #: rounding a float to an integer, and comparing character values
 INT_TOL = 1e-6

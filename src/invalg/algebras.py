@@ -222,17 +222,17 @@ def _certified_projectors(v, w, parts, cols=slice(None)):
 def _spectral_split(space, basis, count, cols=slice(None)):
     """Spectral projectors of a random element x of ``span(basis)``, or ``None``.
 
-    ``space`` is a unital algebra holding x.  Eigenvalues cluster at
-    ``IDEMPOTENT_GAP`` times the spectral radius.  A draw is kept when its
-    ``count`` cluster projectors are certified on the eigenvectors
-    (:func:`_certified_projectors`) and lie in ``space``; after
-    ``IDEMPOTENT_RETRIES`` rejected draws (every call restarts the one
-    stream seeded by ``_DRAW_SEED``) the result is ``None``.  If ``count`` is
-    the matrix size, the eigenvalues are simple, so C[x], of dimension
-    ``count``, holds the exact projectors and lies in ``space``, which is not
-    read: instead ``max_i |x v_i - l_i v_i| / |v_i|`` times ``|V| |V^-1|``
-    must be at most ``CERT_TOL`` times the least gap, and only the columns
-    ``cols`` of each projector are formed.
+    Eigenvalues cluster at ``IDEMPOTENT_GAP`` times the spectral radius.  A
+    draw is kept when its ``count`` cluster projectors are certified on the
+    eigenvectors (:func:`_certified_projectors`) and lie in ``space``, a
+    unital algebra holding x; after ``IDEMPOTENT_RETRIES`` rejected draws
+    (every call restarts the one stream seeded by ``_DRAW_SEED``) the result
+    is ``None``.  With ``space`` None the span must be commutative with
+    ``count`` primitive idempotents, which the clusters then are: instead of
+    membership, ``max_i |x v_i - l_i v_i| / |v_i|`` times ``|V| |V^-1|`` must
+    be at most ``CERT_TOL`` times the least gap between eigenvalues of
+    different clusters, and only the columns ``cols`` of each projector are
+    formed.
     """
     rng = np.random.default_rng(_DRAW_SEED)
     for attempt in range(IDEMPOTENT_RETRIES):
@@ -249,10 +249,12 @@ def _spectral_split(space, basis, count, cols=slice(None)):
         projs = _certified_projectors(vecs, vinv, clusters, cols)
         if projs is None:
             continue
-        if count < len(x):
+        if space is not None:
             ok = space.contains_all(projs, CERT_TOL)
         else:
-            gaps = np.abs(vals[:, None] - vals) + np.diag(np.full(count, np.inf))
+            gaps = np.abs(vals[:, None] - vals)
+            for ix in clusters:  # only gaps between clusters count
+                gaps[np.ix_(ix, ix)] = np.inf
             resid = np.max(row_norms((x @ vecs - vecs * vals).T) / row_norms(vecs.T))
             ok = resid * np.linalg.norm(vecs) * np.linalg.norm(vinv) <= CERT_TOL * gaps.min()
         if ok:

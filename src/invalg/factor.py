@@ -84,18 +84,18 @@ def _mask(flags):
     return sum(1 << k for k in np.flatnonzero(flags).tolist())
 
 
-def _reach_table(spaces, comps, tol):
+def _reach_table(spaces, projs, tol):
     """``(reach, commute)`` over the components C_i spanned by ``spaces``.
 
     ``reach[i][j]`` is the bitmask of the components ``C_i C_j`` has a part
-    in, by the isotypic projectors (which split along them even when not
-    orthogonal); ``commute[i]`` is the bitmask of the C_k each of whose basis
-    matrices commutes with each of C_i's.  Both are read off the products of
-    C_i's basis with the stacked bases of all components, a bounded block of
-    products at a time.
+    in, by the isotypic projectors ``projs`` (which split along them even
+    when not orthogonal); ``commute[i]`` is the bitmask of the C_k each of
+    whose basis matrices commutes with each of C_i's.  Both are read off the
+    products of C_i's basis with the stacked bases of all components, a
+    bounded block of products at a time.
     """
     m, ww = len(spaces), spaces[0].flat.shape[1]
-    projs = np.stack([c.projector for c in comps]).reshape(m * ww, ww)
+    projs = np.stack(projs).reshape(m * ww, ww)
     stacked = np.concatenate([sp.basis() for sp in spaces])
     starts = np.cumsum([0] + [sp.dim for sp in spaces[:-1]])
     cut = tol * PART_SCALE
@@ -147,14 +147,12 @@ class _Isotypic(NamedTuple):
 
 def _isotypic_table(rep, tol):
     """The isotypic components of ``rep``'s conjugation action and their tables."""
-    comps = conjugation_decomposition(rep)
+    projs, certified = conjugation_decomposition(rep)
     w = rep.dim
-    spaces = [MatrixSubspace(column_space(c.projector, tol).T, (w, w))
-              for c in comps]
+    spaces = [MatrixSubspace(column_space(p, tol).T, (w, w)) for p in projs]
     eye = np.eye(w).ravel()
-    scalar = int(np.argmin([np.linalg.norm(c.projector @ eye - eye) for c in comps]))
-    return _Isotypic(spaces, *_reach_table(spaces, comps, tol), scalar,
-                     all(c.multiplicity <= 1 for c in comps))
+    scalar = int(np.argmin([np.linalg.norm(p @ eye - eye) for p in projs]))
+    return _Isotypic(spaces, *_reach_table(spaces, projs, tol), scalar, certified)
 
 
 def _closed_sums(table, tol):

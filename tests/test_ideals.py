@@ -5,12 +5,12 @@ import pytest
 
 from invalg import catalog
 from invalg.errors import AssertionFailure
-from invalg.groups import direct_product
-from invalg.reps import Representation, TwoCocycle
 from invalg.spaces import MatrixSubspace
 from invalg import (InfiniteLattice, Parametrization, SubspaceOfV, ann, coann,
                     hom_lattice, ideal_to_subspace, invariant_ideals,
                     invariant_subspaces, semisimple_ideal_lattice)
+
+from conftest import outer
 
 
 def _axis_subspace(d, *axes):
@@ -181,27 +181,10 @@ def test_hom_lattice_checks_the_order_law(monkeypatch):
             invariant_ideals(v, side)
 
 
-def _outer(*parts):
-    """Outer tensor product of catalog reps over the direct product."""
-    group, mats, alpha = None, None, None
-    for part in parts:
-        g, rep = catalog.get(*part.split(":"))
-        a = rep.cocycle.values if rep.cocycle is not None else np.ones((g.order,) * 2)
-        if group is None:
-            group, mats, alpha = g, rep.matrices, a
-            continue
-        group = direct_product(group, g)
-        mats = np.stack([np.kron(x, y) for x in mats for y in rep.matrices])
-        alpha = np.kron(alpha, a)
-    cocycle = None if np.all(alpha == 1) else TwoCocycle(group, alpha)
-    return Representation(group=group, dim=mats.shape[1], matrices=mats,
-                          cocycle=cocycle)
-
-
 def test_projective_direct_sum_lattice():
     """(triv + sign) x Pauli is projective with two isotypic components: a
     2^2 lattice of invariant subspaces, read off the commutant."""
-    rep = _outer("S3:trivPlusSign", "C2xC2:pauli")
+    rep = outer("S3:trivPlusSign", "C2xC2:pauli")
     assert rep.is_projective
     spaces = invariant_subspaces(rep)
     assert [s.dim for s in spaces] == [0, 2, 2, 4]
@@ -223,7 +206,7 @@ def test_projective_direct_sum_lattice():
 @pytest.mark.parametrize("parts", [("S3:std", "C2xC2:pauli"), ("C2xC2:pauli",)],
                          ids="-".join)
 def test_projective_irreducible_lattice(parts):
-    rep = _outer(*parts)
+    rep = outer(*parts)
     assert rep.is_projective
     assert [s.dim for s in invariant_subspaces(rep)] == [0, rep.dim]
     assert len(invariant_ideals(rep, "left")) == len(invariant_ideals(rep, "right")) == 2
@@ -231,7 +214,7 @@ def test_projective_irreducible_lattice(parts):
 
 def test_projective_multiplicity_raises_infinite_lattice():
     """regular x Pauli: std x Pauli occurs twice, in a block of dimension 8."""
-    rep = _outer("S3:regular", "C2xC2:pauli")
+    rep = outer("S3:regular", "C2xC2:pauli")
     with pytest.raises(InfiniteLattice) as exc:
         invariant_ideals(rep, "right")
     factors = exc.value.parametrization.factors

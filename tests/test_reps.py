@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import invalg.reps
 from invalg import algebras, catalog
 from invalg import (NotAnAutomorphism, NotARepresentation, ToleranceFailure,
-                    TwoCocycle, character, character_table,
+                    character, character_table,
                     conjugation_decomposition, equivariant_hom_space, induce,
                     induced_character,
                     inner_product, is_induced_from, is_irreducible,
@@ -18,7 +19,9 @@ from invalg.groups import (all_subgroups, build_from_mult_table,
                            product_index, subgroup_generated_by)
 from invalg.reps import (Representation, _as_projective_rep, _check_law,
                          commutant_dimension)
-from invalg._linalg import CERT_TOL, intertwiners, scalar_multiple_of_identity
+from invalg._linalg import CERT_TOL, _rank, intertwiners, scalar_multiple_of_identity
+
+from conftest import outer, relabelled_and_rotated
 
 IRREDUCIBLE = [("S3", "std"), ("Q8", "std"), ("D4", "std"), ("A4", "std3"),
                ("S4", "std3"), ("SL23", "std"), ("S3xS3", "stdXstd")]
@@ -157,23 +160,6 @@ def test_commutant_decomposition_regular():
     assert np.linalg.norm(total - np.eye(6)) < 1e-8
 
 
-def _outer(*parts):
-    """Outer tensor product of catalog reps over the direct product."""
-    group, mats, alpha = None, None, None
-    for part in parts:
-        g, rep = catalog.get(*part.split(":"))
-        a = rep.cocycle.values if rep.cocycle is not None else np.ones((g.order,) * 2)
-        if group is None:
-            group, mats, alpha = g, rep.matrices, a
-            continue
-        group = direct_product(group, g)
-        mats = np.stack([np.kron(x, y) for x in mats for y in rep.matrices])
-        alpha = np.kron(alpha, a)
-    cocycle = None if np.all(alpha == 1) else TwoCocycle(group, alpha)
-    return Representation(group=group, dim=mats.shape[1], matrices=mats,
-                          cocycle=cocycle)
-
-
 def _kron_decomposition(rep):
     """Oracle: ``(label, multiplicity, dim, projector)`` of every isotypic
     component of the materialized action ``rho(g) kron rho(g)^-T``, each
@@ -192,20 +178,26 @@ def _kron_decomposition(rep):
     return out
 
 
+def _nonunitary(rep, rng):
+    """``rep`` conjugated by a random non-unitary basis change."""
+    t = np.eye(rep.dim) + 0.3 * rng.standard_normal((rep.dim, rep.dim))
+    return Representation(group=rep.group, dim=rep.dim,
+                          matrices=t @ rep.matrices @ np.linalg.inv(t), cocycle=rep.cocycle)
+
+
 def _conjugation_inputs():
     out = [pytest.param(rep, id=f"{key}:{name}") for key, entry in sorted(catalog.catalog().items())
            for name, rep in sorted(entry.reps.items())]
-    out.append(pytest.param(_outer("S3:std", "C2xC2:pauli"), id="S3xPauli"))
-    # d = 8: the action is summed in 14 blocks of 16 elements
-    out.append(pytest.param(_outer("S3:std", "S3:std", "S3:std"), id="S3^3"))
+    out.append(pytest.param(outer("S3:std", "C2xC2:pauli"), id="S3xPauli"))
+    # d = 8: each class sum is formed in blocks of at most 16 elements
+    out.append(pytest.param(outer("S3:std", "S3:std", "S3:std"), id="S3^3"))
+    # a tensor input whose action is not multiplicity-free
+    out.append(pytest.param(outer("A4:std3", "S3:std"), id="A4xS3"))
     # non-unitary conjugates, linear and projective
     rng = np.random.default_rng(3)
     for key, name in [("S3xS3", "stdXstd"), ("C2xC2", "pauli")]:
-        _, rep = catalog.get(key, name)
-        t = np.eye(rep.dim) + 0.3 * rng.standard_normal((rep.dim, rep.dim))
-        out.append(pytest.param(Representation(
-            group=rep.group, dim=rep.dim, matrices=t @ rep.matrices @ np.linalg.inv(t),
-            cocycle=rep.cocycle), id=f"{key}:nonunitary"))
+        out.append(pytest.param(_nonunitary(catalog.get(key, name)[1], rng),
+                                id=f"{key}:nonunitary"))
     return out
 
 
@@ -220,18 +212,47 @@ def test_inverses_read_off_the_group_table(rep):
 
 @pytest.mark.parametrize("rep", _conjugation_inputs())
 def test_conjugation_decomposition_matches_the_kronecker_action(rep):
-    got = conjugation_decomposition(rep)
+    """The class-sum split finds the character-table oracle's projectors, and
+    flags the action multiplicity-free exactly when every multiplicity is 1."""
+    projs, multiplicity_free = conjugation_decomposition(rep)
     want = _kron_decomposition(rep)
-    assert [(c.irrep_label, c.multiplicity, c.dim) for c in got] == \
-        [w[:3] for w in want]
-    for c, w in zip(got, want):
-        assert np.max(np.abs(c.projector - w[3])) < 1e-10
+    assert len(projs) == len(want)
+    for w in want:
+        assert min(np.max(np.abs(p - w[3])) for p in projs) < 1e-10
+    assert multiplicity_free == all(w[1] == 1 for w in want)
+
+
+@pytest.mark.parametrize("key,rep_name", [
+    ("S3", "regular"), ("S3", "trivPlusSignPlusStd"), ("A4", "std3"), ("S3xS3", "stdXstd"),
+    ("C2xC2", "pauli"), ("S3xPauli", None), ("A4xS3", None)])
+def test_the_class_trace_form_counts_the_components(key, rep_name, monkeypatch):
+    """The class trace form's nonzero singular values are ``m_i |G| / d_i``.
+    Its rank, and with it the count and the flag, stay the same under a
+    relabelling with a Haar rotation and under a non-unitary basis change."""
+    rep = (catalog.get(key, rep_name)[1] if rep_name else
+           outer(*{"S3xPauli": ("S3:std", "C2xC2:pauli"), "A4xS3": ("A4:std3", "S3:std")}[key]))
+    seen = []
+
+    def spy(s, tol):
+        seen.append(s)
+        return _rank(s, tol)
+
+    monkeypatch.setattr(invalg.reps, "_rank", spy)
+    projs, multiplicity_free = conjugation_decomposition(rep)
+    want = sorted((m * m * rep.group.order / dim for _, m, dim, _ in _kron_decomposition(rep)),
+                  reverse=True)
+    (s,) = seen
+    np.testing.assert_allclose(s[:len(want)], want, rtol=1e-10)
+    assert np.all(s[len(want):] <= 1e-12 * s[0])
+    for moved in (relabelled_and_rotated(rep, 5), _nonunitary(rep, np.random.default_rng(5))):
+        got, got_flag = conjugation_decomposition(moved)
+        assert (len(got), got_flag) == (len(projs), multiplicity_free)
 
 
 def test_conjugation_decomposition_holds_no_full_action():
     """S3^3 on std^3 (n = 216, d = 8): the decomposition peaks below the
     16 n d^4 bytes that the materialized action alone would take."""
-    rep = _outer("S3:std", "S3:std", "S3:std")
+    rep = outer("S3:std", "S3:std", "S3:std")
     n, d = rep.group.order, rep.dim
     tracemalloc.start()
     try:

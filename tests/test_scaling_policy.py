@@ -10,13 +10,16 @@ entry's own idempotents.  A W of dimension 1 or prime runs no conjugation
 scan (its central simple list is the scalars and End(W)), and induction
 pairs form no character table at all: W is read off the commutant of the
 restriction.  Nor does ``ideals``: V's invariant subspaces are read off the
-commutant End_G(V).  The Lie layer is exact integer
-arithmetic with no numpy, and a weight sweep computes each combined
-dimension once.
+commutant End_G(V).  The conjugation scan reads its isotypic components off
+the class sums of the action, so no CLI command (``validate``, ``ideals``,
+``subalgebras``, ``factor``) builds a character table.  The Lie layer is
+exact integer arithmetic with no numpy, and a weight sweep computes each
+combined dimension once.
 """
 
 import ast
 import itertools
+import json
 import math
 import sys
 from pathlib import Path
@@ -32,9 +35,12 @@ from invalg import (HighestWeight, Parametrization, RootSystem, catalog,
                     tensor_irreducible, verify_classification, weyl_dim)
 from invalg.cli import main
 from invalg.algebras import center, semisimplicity_certificate
+from invalg.catalog import pair_to_json
 from invalg.factor import factor
 from invalg.groups import build_from_mult_table
 from invalg.reps import Representation
+
+from conftest import outer
 
 REPS = Path(invalg.__file__).parent / "reps.py"
 LIE = Path(invalg.__file__).parent / "lie.py"
@@ -269,3 +275,25 @@ def test_ideals_use_no_characters(key, rep_name, monkeypatch, capsys):
     assert _lattice(_fresh(key, rep_name)) == want
     assert main(["ideals", f"catalog:{key}:{rep_name}"]) == 0
     assert capsys.readouterr().out == want_out
+
+
+# the outer tensor products given to the CLI as JSON files
+TENSOR_JSON = {"S3xPauli": ("S3:std", "C2xC2:pauli"), "Q8xS3": ("Q8:std", "S3:std")}
+
+
+@pytest.mark.parametrize("source", [f"catalog:{key}:{name}"
+                                    for key, entry in sorted(catalog.catalog().items())
+                                    for name in sorted(entry.reps)] + sorted(TENSOR_JSON))
+@pytest.mark.parametrize("command", ["validate", "ideals", "subalgebras", "factor"])
+def test_no_command_builds_a_character_table(command, source, monkeypatch, capsys, tmp_path):
+    """Every classification decision reads the commutant or the class sums of
+    the conjugation action, never a character table: each command answers
+    the same with ``character_table`` forbidden."""
+    if source in TENSOR_JSON:
+        rep = outer(*TENSOR_JSON[source])
+        path = tmp_path / f"{source}.json"
+        path.write_text(json.dumps(pair_to_json(rep.group, rep)), encoding="utf-8")
+        source = str(path)
+    want = main([command, source]), capsys.readouterr()
+    _forbid(monkeypatch, "character_table")
+    assert (main([command, source]), capsys.readouterr()) == want

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import invalg.factor
 import invalg.reps
 from invalg import (NotARepresentation, Representation, TwoCocycle, catalog,
-                    direct_product, validate)
+                    validate)
 from invalg._linalg import column_space, row_norms, scalar_multiple_of_identity
 from invalg.algebras import center, centralizer
 from invalg.catalog import pair_to_json
@@ -31,22 +31,8 @@ from invalg.factor import _reach_table
 from invalg.reps import _as_projective_rep, _pair_blocks, conjugation_decomposition
 from invalg.spaces import MatrixSubspace
 
+from conftest import outer
 
-def _outer(*parts):
-    """Outer tensor product of catalog reps over the direct product."""
-    group, mats, alpha = None, None, None
-    for part in parts:
-        g, rep = catalog.get(*part.split(":"))
-        a = rep.cocycle.values if rep.cocycle is not None else np.ones((g.order,) * 2)
-        if group is None:
-            group, mats, alpha = g, rep.matrices, a
-            continue
-        group = direct_product(group, g)
-        mats = np.stack([np.kron(x, y) for x in mats for y in rep.matrices])
-        alpha = np.kron(alpha, a)
-    cocycle = None if np.all(alpha == 1) else TwoCocycle(group, alpha)
-    return Representation(group=group, dim=mats.shape[1], matrices=mats,
-                          cocycle=cocycle)
 
 # -- one pair table for the cocycle and the law ------------------------------------
 
@@ -92,7 +78,7 @@ def _pair_inputs():
     out = [(f"{k}:{r}", catalog.get(k, r)[1])
            for k, r in (("S3", "std"), ("Q8", "std"), ("A4", "std3"),
                         ("S3xS3", "stdXstd"), ("C2xC2", "pauli"))]
-    return out + [("S3xPauli", _outer("S3:std", "C2xC2:pauli"))]
+    return out + [("S3xPauli", outer("S3:std", "C2xC2:pauli"))]
 
 
 @pytest.fixture
@@ -157,7 +143,7 @@ def test_errors_come_in_the_two_pass_order(case, rows, monkeypatch):
     """A non-scalar pair beats a law failure at the identity, and a failing
     cocycle identity beats a failing law, as in the all-pairs oracle (run in
     row blocks of ``rows``); a failing pair is a generator pair."""
-    rep = _outer("S3:std", "C2xC2:pauli")
+    rep = outer("S3:std", "C2xC2:pauli")
     n, k, e = rep.group.order, rep.dim, rep.group.identity
     if rows is not None:
         monkeypatch.setattr(invalg.reps, "_PAIR_BLOCK", rows * n * k * k)
@@ -278,11 +264,11 @@ def test_law_bound_runs_in_the_unitary_frame(key, monkeypatch):
 # -- the reach table ----------------------------------------------------------------
 
 
-def _reach_loop(spaces, comps, tol):
+def _reach_loop(spaces, projs, tol):
     """One einsum, one projection and two norms per ordered pair; and every
     commutator of the pair's basis matrices."""
     m, w = len(spaces), spaces[0].shape[0]
-    projs = np.stack([c.projector for c in comps])
+    projs = np.stack(projs)
     reach = [[0] * m for _ in range(m)]
     commute = [0] * m
     for i, j in itertools.product(range(m), repeat=2):
@@ -298,10 +284,9 @@ def _reach_loop(spaces, comps, tol):
 
 def _components(rep, tol=1e-8):
     """The spaces and projectors ``multfree_scan`` builds its table from."""
-    comps = conjugation_decomposition(rep)
-    spaces = [MatrixSubspace(column_space(c.projector, tol).T, (rep.dim, rep.dim))
-              for c in comps]
-    return spaces, comps
+    projs, _ = conjugation_decomposition(rep)
+    spaces = [MatrixSubspace(column_space(p, tol).T, (rep.dim, rep.dim)) for p in projs]
+    return spaces, projs
 
 
 def _reach_inputs():
@@ -312,7 +297,7 @@ def _reach_inputs():
 
 def _rep(name):
     if name == "S3xPauli":
-        return _outer("S3:std", "C2xC2:pauli")
+        return outer("S3:std", "C2xC2:pauli")
     return catalog.get(*name.split(":"))[1]
 
 
@@ -320,24 +305,24 @@ def _rep(name):
 def test_row_batched_reach_matches_the_pair_loop(name, monkeypatch):
     """The reach and commute tables, read off the row products in blocks, are
     the pair loop's, also at one product a block."""
-    spaces, comps = _components(_rep(name))
-    want = _reach_loop(spaces, comps, 1e-8)
-    assert _reach_table(spaces, comps, 1e-8) == want
+    spaces, projs = _components(_rep(name))
+    want = _reach_loop(spaces, projs, 1e-8)
+    assert _reach_table(spaces, projs, 1e-8) == want
     monkeypatch.setattr(invalg.reps, "_PAIR_BLOCK", 1)  # one product a block
-    assert _reach_table(spaces, comps, 1e-8) == want
+    assert _reach_table(spaces, projs, 1e-8) == want
 
 
 def test_row_batched_reach_on_pauli_cubed(monkeypatch):
     """m = 64 one-dimensional components: 4096 pairs.  The commuting pairs
     are those of Pauli strings: the identity commutes with all 64, each
     other string with 32."""
-    spaces, comps = _components(_outer(*["C2xC2:pauli"] * 3))
+    spaces, projs = _components(outer(*["C2xC2:pauli"] * 3))
     assert len(spaces) == 64
-    want = _reach_loop(spaces, comps, 1e-8)
-    assert _reach_table(spaces, comps, 1e-8) == want
+    want = _reach_loop(spaces, projs, 1e-8)
+    assert _reach_table(spaces, projs, 1e-8) == want
     assert sum(bin(row).count("1") for row in want[1]) == 64 + 63 * 32
     monkeypatch.setattr(invalg.reps, "_PAIR_BLOCK", 5 * 64 * 64)  # 5 products a block
-    assert _reach_table(spaces, comps, 1e-8) == want
+    assert _reach_table(spaces, projs, 1e-8) == want
 
 
 # -- centralizers solved once ---------------------------------------------------------
@@ -390,7 +375,7 @@ def test_factor_reuses_the_scan_solves(solves, monkeypatch, tmp_path):
 
         monkeypatch.setattr(module, "centralizer", counted)
     _uncertified(monkeypatch)
-    rep = _outer("S3:std", "C2xC2:pauli")
+    rep = outer("S3:std", "C2xC2:pauli")
     out = tmp_path / "out.json"
     assert main(["factor", _write_input(rep, tmp_path), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["certified"] is False
@@ -472,9 +457,9 @@ def test_masks_match_the_solved_centralizer_and_center(name):
 
 def _factor_rep(name):
     if name == "S3xPauli":
-        return _outer("S3:std", "C2xC2:pauli")
+        return outer("S3:std", "C2xC2:pauli")
     if name == "Pauli2":
-        return _outer("C2xC2:pauli", "C2xC2:pauli")
+        return outer("C2xC2:pauli", "C2xC2:pauli")
     return catalog.get(*name.split(":"))[1]
 
 

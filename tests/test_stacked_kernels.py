@@ -16,19 +16,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import invalg.classify
+import invalg.reps
 from invalg import (MatchFailure, MatrixSubspace, ToleranceFailure, catalog,
                     enumerate_invariant_subalgebras, induction_pairs, is_invariant,
                     permutation_action, verify_classification)
 from invalg._linalg import kron_stack, intertwiners, nullspace, row_norms
-from invalg.algebras import (_all_idempotent, _certified_projectors,
+from invalg.algebras import (_all_idempotent, _certified_projectors, _spectral_split,
                              algebra_unit, left_multiplication_operators)
 from invalg.classify import _normalizer_members
 from invalg.groups import (all_subgroups, build_from_mult_table, class_index_array,
                            conjugacy_classes)
 from invalg.lie import HighestWeight, RootSystem, tensor_irreducible
-from invalg.reps import (ClassFunction, Representation, _isotypic, character,
-                         character_table, induce, induced_character, inner_product,
-                         is_irreducible, restrict)
+from invalg.reps import (Representation, character, character_table,
+                         conjugation_decomposition, induce, induced_character,
+                         inner_product, is_irreducible, restrict)
 from invalg.spaces import span_product
 
 IRREDUCIBLE = [("S3", "std"), ("Q8", "std"), ("D4", "std"), ("A4", "std3"),
@@ -318,18 +319,28 @@ def test_factor_certificate_implies_the_pairwise_rule(n, data, scale, eps):
     assert _certified_projectors(1e-3 * v, 1e-3 * w, parts) is None
 
 
-def test_isotypic_rejects_a_trace_mismatch():
-    """An extra copy of a one-dimensional constituent in ``chi_v`` leaves
-    idempotents that sum to I, but one projector of rank 1 is named
-    multiplicity 2, and only its trace tells."""
-    group, rep = catalog.get("S3", "trivPlusSignPlusStd")
-    chi = character(rep)
-    extra = character_table(group)[0]
-    wrong = ClassFunction(group, tuple(a + b for a, b in zip(chi.values, extra.values)))
-    mats = rep.matrices.__getitem__
-    assert len(_isotypic(group, chi, rep.dim, mats)) == 3
-    with pytest.raises(ToleranceFailure, match="traces"):
-        _isotypic(group, wrong, rep.dim, mats)
+def test_a_split_with_no_space_accepts_repeated_eigenvalues():
+    """Eigenvalues repeated within a cluster: the residual is measured against
+    the gap between clusters only, so the draw is kept.  With a cluster count
+    other than the span's, every draw is rejected."""
+    eigs = np.array([[1.0, 1.0, 1.0, 2.0, 2.0, 3.0], [0.0, 0.0, 0.0, 1.0, 1.0, -1.0]])
+    t = np.eye(6) + 0.3 * np.random.default_rng(0).standard_normal((6, 6))
+    tinv = np.linalg.inv(t)
+    basis = t @ (eigs[:, :, None] * np.eye(6)) @ tinv  # commuting, not normal
+    want = [t[:, ix] @ tinv[ix] for ix in ([0, 1, 2], [3, 4], [5])]
+    projs = _spectral_split(None, basis, 3)
+    assert projs is not None and len(projs) == 3
+    for w in want:
+        assert min(np.max(np.abs(p - w)) for p in projs) < 1e-10
+    assert _spectral_split(None, basis, 2) is None
+    assert _spectral_split(None, basis, 4) is None
+
+
+def test_conjugation_decomposition_raises_when_the_split_fails(monkeypatch):
+    _, rep = catalog.get("S3", "std")
+    monkeypatch.setattr(invalg.reps, "_spectral_split", lambda *args: None)
+    with pytest.raises(ToleranceFailure, match="failed to split"):
+        conjugation_decomposition(rep)
 
 
 def test_character_table_of_the_cyclic_group_of_order_128():
