@@ -3,12 +3,24 @@
 Every unital invariant subalgebra of the matrix algebra on an irreducible,
 possibly projective, V arises from a triple: a subgroup H, an irreducible
 H-constituent W of the restriction with Ind(W) = V, and an H-invariant
-central simple C inside End(W).  W is read off the commutant of the
-restriction, and each pair carries the block basis of its transversal
-translates.  The construction conjugates C into each translate of the
-distinguished W-copy and sums the blocks; enumeration walks all induction
-pairs, pulls the central simple subalgebras from :mod:`.factor`, and dedupes
-by subspace equality (conjugate data give literally equal subalgebras).
+central simple C inside End(W).  Two routes list them.
+
+When the conjugation action of G on End(V) is multiplicity-free, every
+invariant subspace is a sum of its isotypic components, so the unital
+closed sums of one scan on V (:mod:`.factor`) are the whole list, and their
+centralizers and centers are bitmasks.  Each entry's datum is read off the
+entry B itself: the center of B splits into central idempotents that G
+permutes transitively, H is a stabilizer of one, e, W = eV and C is B
+compressed to W.  No subgroup is swept and no centralizer is solved.  The
+mask lattice must certify itself (S'' = S for every unital closed sum S).
+
+Every other V, and a scan that fails that check, takes the induction route:
+W is read off the commutant of each restriction, and each pair carries the
+block basis of its transversal translates.  The construction conjugates C
+into each translate of the distinguished W-copy and sums the blocks; the
+route walks all induction pairs, pulls the central simple subalgebras from
+:mod:`.factor`, and dedupes by subspace equality (conjugate data give
+literally equal subalgebras).
 """
 
 import math
@@ -18,15 +30,17 @@ import numpy as np
 
 from ._linalg import CERT_TOL, RANK_TOL, _rank, column_space
 from .algebras import (InvariantSubalgebra, _certified_projectors, _sorted_idempotents,
-                       _stabilizer, _symmetric_embedding, center, centralizer,
-                       is_invariant, permutation_action, semisimplicity_certificate,
-                       wedderburn_decompose)
+                       _spectral_split, _stabilizer, _symmetric_embedding, center,
+                       centralizer, is_invariant, permutation_action,
+                       semisimplicity_certificate, wedderburn_decompose)
 from .errors import AssertionFailure, BlocksNotDirect, InvalgError
-from .factor import central_simple_invariant_subalgebras, multfree_scan
-from .groups import (Subgroup, _conjugates, are_conjugate_subgroups,
+from .factor import (_isotypic_table, _memoized_sums, _unital_masks,
+                     central_simple_invariant_subalgebras, multfree_scan)
+from .groups import (Subgroup, _conjugates, _subgroup_cap, are_conjugate_subgroups,
                      left_transversal, subgroups_of_index_dividing)
 from .groups import all_subgroups  # noqa: F401  bench/check.py traces it here
-from .reps import Representation, commutant_decomposition, is_irreducible, restrict
+from .reps import (Representation, _conjugation_count, commutant_decomposition,
+                   is_irreducible, restrict)
 from .spaces import MatrixSubspace, SpaceIndex
 
 
@@ -98,12 +112,22 @@ def induction_pairs(v_rep, tol=RANK_TOL):
             normalizer = Subgroup(group, _normalizer_members(group, sub))
             sigma, _ = permutation_action(meta, restrict(v_rep, normalizer))
             keep = [i for i in keep if sigma[:, i].min() == i]
-        for i in keep:
-            q = column_space(meta.idempotents[i], tol)
-            w_mats = np.einsum("ai,gab,bj->gij", q.conj(), res.matrices, q)
-            pairs.append(_pair(v_rep, sub, replace(res, dim=q.shape[1], matrices=w_mats), q, tol))
-    pairs.append(_pair(v_rep, whole, restrict(v_rep, whole), np.eye(d, dtype=complex), tol))
+        pairs.extend(_image_pair(v_rep, sub, res, meta.idempotents[i], tol) for i in keep)
+    pairs.append(_whole_pair(v_rep, whole, tol))
     return pairs
+
+
+def _image_pair(v_rep, sub, res, e, tol=RANK_TOL):
+    """The pair (H, eV) for an idempotent ``e`` of V commuting with H, where
+    ``res`` is V restricted to H; eV keeps the restriction's cocycle."""
+    q = column_space(e, tol)
+    w_mats = np.einsum("ai,gab,bj->gij", q.conj(), res.matrices, q)
+    return _pair(v_rep, sub, replace(res, dim=q.shape[1], matrices=w_mats), q, tol)
+
+
+def _whole_pair(v_rep, whole, tol=RANK_TOL):
+    """The pair (G, V), V copied by the identity."""
+    return _pair(v_rep, whole, restrict(v_rep, whole), np.eye(v_rep.dim, dtype=complex), tol)
 
 
 def _pair(v_rep, sub, w_rep, q, tol=RANK_TOL):
@@ -170,6 +194,94 @@ def theta(datum, v_rep, tol=RANK_TOL):
 def enumerate_invariant_subalgebras(v_rep, tol=RANK_TOL):
     """All unital invariant subalgebras of End(V), with a completeness flag.
 
+    When V's conjugation action is multiplicity-free (read off its class
+    trace form, with no class sum built), every invariant subspace of End(V)
+    is a sum of isotypic components, so the unital closed sums of one scan
+    on V are the whole list, complete (:func:`_scan_route`).  Every other V,
+    and a scan whose mask lattice fails its double centralizer check, takes
+    the induction route (:func:`_induction_route`).  Groups past the
+    subgroup order cap raise :class:`.CapExceeded` on either route.
+    """
+    _subgroup_cap(v_rep.group)
+    if _conjugation_count(v_rep)[1]:
+        out = _scan_route(v_rep, tol)
+        if out is not None:
+            return out, True
+    return _induction_route(v_rep, tol)
+
+
+def _scan_route(v_rep, tol=RANK_TOL):
+    """The list read off a multiplicity-free scan of V, or ``None`` unless
+    its mask lattice certifies itself.
+
+    Each unital closed sum S of :func:`.factor._isotypic_table` has the
+    centralizer mask S' (:func:`.factor._unital_masks`), which must again be
+    a unital closed sum with S'' = S (double centralizer theorem).  Each sum
+    is built once, memoizing S' as its centralizer and S meet S' as its
+    center.  An entry's Wedderburn data and induction datum come from its
+    center Z(B) of dimension l (:func:`_center_pair`): B is l copies of
+    M_a, a^2 = dim B / l, each of multiplicity dim W / a with W = e V for a
+    central primitive idempotent e of B, and C is B compressed to W.
+    """
+    if not is_irreducible(v_rep):
+        raise ValueError("invariant subalgebras are classified for irreducible input")
+    table = _isotypic_table(v_rep, tol)
+    partners = _unital_masks(table)
+    if any(partners.get(partner) != mask for mask, partner in partners.items()):
+        return None
+    built = _memoized_sums(table, partners, tol)
+    centers, out = {}, []  # centers: mask of Z(B) -> (idempotents, pair)
+    for mask, partner in partners.items():
+        space, zmask = built[mask], mask & partner
+        if zmask not in centers:
+            centers[zmask] = _center_pair(v_rep, built[zmask], tol)
+        idems, pair = centers[zmask]
+        l, w = len(idems), pair.w_rep.dim
+        q = pair.s[:, :w]
+        c_space = space if l == 1 else MatrixSubspace.from_spanning(
+            q.conj().T @ space.basis() @ q, (w, w), tol)
+        a = math.isqrt(space.dim // l)
+        if a * a * l != space.dim or c_space.dim != a * a or w % a:
+            raise AssertionFailure(
+                f"a dim-{space.dim} sum is not {l} blocks M_a with a dividing {w}")
+        out.append(InvariantSubalgebra(
+            space=space, unital=True, idempotents=idems, component_dims=[a] * l,
+            multiplicities=[w // a] * l,
+            induction_datum=InductionDatum(pair, c_space, quad=(a, w // a))))
+    return _finished(out, v_rep.dim)
+
+
+def _center_pair(v_rep, z, tol=RANK_TOL):
+    """``(idempotents, pair)`` for the invariant subalgebras with center ``z``.
+
+    A one-dimensional center gives ``[I]`` and the pair (G, V).  Otherwise
+    one spectral split of the commutative ``z`` gives its l primitive
+    idempotents, which G permutes transitively (V is irreducible).  H is
+    the lexicographically least of their stabilizers, so it depends on the
+    center alone, and W = e V for the first idempotent e it fixes; the rank
+    of the pair's translates certifies Ind W = V.
+    """
+    group, d, l = v_rep.group, v_rep.dim, z.dim
+    if l == 1:
+        return [np.eye(d, dtype=complex)], _whole_pair(
+            v_rep, Subgroup(group, range(group.order)), tol)
+    idems = _spectral_split(None, z.basis(), l)
+    if idems is None:
+        raise AssertionFailure(f"a dim-{l} center failed to split")
+    idems = _sorted_idempotents(idems)
+    # Z(B) is itself an invariant subalgebra: l components M_1 of rank d / l
+    sigma, _ = permutation_action(InvariantSubalgebra(
+        space=z, unital=True, idempotents=idems, component_dims=[1] * l,
+        multiplicities=[d // l] * l), v_rep)
+    stabs = [tuple(np.flatnonzero(sigma[:, i] == i).tolist()) for i in range(l)]
+    i = stabs.index(min(stabs))
+    sub = _stabilizer(group, sigma, i)
+    return idems, _image_pair(v_rep, sub, restrict(v_rep, sub), idems[i], tol)
+
+
+def _induction_route(v_rep, tol=RANK_TOL):
+    """:func:`enumerate_invariant_subalgebras` by induction data, for any V.
+
     Walks every induction pair, takes every central simple invariant C in the
     corresponding End(W), and emits the block construction; equal outputs
     from different data are merged (first datum found is kept).  ``complete``
@@ -193,13 +305,18 @@ def enumerate_invariant_subalgebras(v_rep, tol=RANK_TOL):
         if index.find(centralizer(b.space, tol)) is None:
             raise AssertionFailure(
                 f"centralizer of a dim-{b.space.dim} output is missing from the list")
-    d = v_rep.dim
+    return _finished(out, v_rep.dim), complete
+
+
+def _finished(out, d):
+    """``out`` sorted by dimension and fingerprint, once it is seen to hold
+    the scalar line and the full algebra."""
     if not any(o.space.dim == 1 for o in out):
         raise AssertionFailure("scalar line missing")
     if not any(o.space.dim == d * d for o in out):
         raise AssertionFailure("full algebra missing")
     out.sort(key=lambda o: (o.space.dim, o.space.fingerprint()))
-    return out, complete
+    return out
 
 
 def verify_classification(subalgebras, v_rep, tol=RANK_TOL):

@@ -17,7 +17,8 @@ otherwise generated-algebra closures are added as uncertified candidates.
 On a certified scan every invariant subspace is a sum of components, so the
 same pass also tables which components commute: a closed sum's centralizer,
 center and unitality are then bitmasks, and only the central simple sums are
-built, each with its partner and center memoized.  An uncertified list is
+built, each with its partner and center memoized (:mod:`.classify` builds
+every unital sum of V's own scan the same way).  An uncertified list is
 filtered and closed under centralizers by solving them.  A W of dimension 1
 or prime runs no scan: its list is read off a theorem.
 """
@@ -199,36 +200,51 @@ def _square_divisor(dim, d):
     return 0 < a and a * a == dim and d % a == 0
 
 
+def _unital_masks(table):
+    """Each closed sum S holding the scalar component, mapped to its
+    centralizer S' (the components commuting with all of S)."""
+    one = 1 << table.scalar
+    return {mask: table.centralizer_mask(mask)
+            for mask in sorted(_closed_sets(table.reach)) if mask & one}
+
+
+def _memoized_sums(table, partners, tol):
+    """The sums of the masks S of ``partners`` (S -> S'), each memoizing the
+    built S' as its centralizer and S meet S' as its center; both must be
+    keys of ``partners``."""
+    built = {mask: table.sum_space(mask, tol) for mask in partners}
+    for mask, partner in partners.items():
+        built[mask]._memo[("centralizer", tol)] = built[partner]
+        built[mask]._memo[("center", tol)] = built[mask & partner]
+    return built
+
+
 def _central_simple_masks(table, d, tol):
     """The central simple sums of a certified scan, as bitmasks.
 
     A closed sum S is unital when it holds the scalar component, its
-    centralizer is S' (the components commuting with all of S) and its
-    center S meet S'.  Kept are the unital S of dimension a^2, a | d, with
-    center the scalar component; for each, S'' = S is checked and S' must be
-    kept too.  Only kept sums are built, each memoizing its partner and the
-    scalar line as its centralizer and center.  (Such an S is semisimple, as
-    is every invariant subalgebra on an irreducible W; ``extract_factorization``
-    certifies it.)
+    centralizer is S' and its center S meet S' (:func:`_unital_masks`).
+    Kept are the unital S of dimension a^2, a | d, with center the scalar
+    component; for each, S'' = S is checked and S' must be kept too.  Only
+    kept sums are built (:func:`_memoized_sums`).  (Such an S is semisimple,
+    as is every invariant subalgebra on an irreducible W;
+    ``extract_factorization`` certifies it.)
     """
     one = 1 << table.scalar
     dims = [sp.dim for sp in table.spaces]
-    kept = {}
-    for mask in sorted(_closed_sets(table.reach)):
-        partner = table.centralizer_mask(mask)
-        if (mask & one and mask & partner == one
-                and _square_divisor(sum(k for i, k in enumerate(dims) if mask >> i & 1), d)):
-            kept[mask] = partner
-    built = {mask: table.sum_space(mask, tol) for mask in kept}
+
+    def dim(mask):
+        return sum(k for i, k in enumerate(dims) if mask >> i & 1)
+
+    kept = {mask: partner for mask, partner in _unital_masks(table).items()
+            if mask & partner == one and _square_divisor(dim(mask), d)}
     for mask, partner in kept.items():
         if kept.get(partner) != mask:
             if partner not in kept:
-                raise AssertionFailure(f"the centralizer of a dim-{built[mask].dim} "
+                raise AssertionFailure(f"the centralizer of a dim-{dim(mask)} "
                                        "central simple sum is not central simple")
             raise AssertionFailure("double centralizer moved")
-        built[mask]._memo[("centralizer", tol)] = built[partner]
-        built[mask]._memo[("center", tol)] = built[one]
-    return list(built.values())
+    return list(_memoized_sums(table, kept, tol).values())
 
 
 def central_simple_invariant_subalgebras(w_rep, tol=RANK_TOL):

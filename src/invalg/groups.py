@@ -329,6 +329,12 @@ def all_subgroups(group):
     return subgroups_of_index_dividing(group, group.order)
 
 
+def _subgroup_cap(group):
+    """Raise :class:`CapExceeded` for a group past ``SUBGROUP_ORDER_CAP``."""
+    if group.order > SUBGROUP_ORDER_CAP:
+        raise CapExceeded(f"subgroup enumeration limited to order {SUBGROUP_ORDER_CAP}")
+
+
 def subgroups_of_index_dividing(group, d):
     """One representative per conjugacy class of subgroups of index dividing
     ``d``, sorted by order.
@@ -345,8 +351,7 @@ def subgroups_of_index_dividing(group, d):
     classes over P are memoized per P.  Only groups of order <= 500 are
     accepted.
     """
-    if group.order > SUBGROUP_ORDER_CAP:
-        raise CapExceeded(f"subgroup enumeration limited to order {SUBGROUP_ORDER_CAP}")
+    _subgroup_cap(group)
     exponent = math.lcm(*range(1, d + 1))
     power, square = np.full(group.order, group.identity), np.arange(group.order)
     while exponent:  # g^L by repeated squaring on the table

@@ -431,21 +431,26 @@ def conjugation_decomposition(rep):
     group table; the cocycle cancels, and ``<chi, chi> = sum m_i^2``.
     Raises :class:`ToleranceFailure` when the split fails.
     """
+    count, multiplicity_free = _conjugation_count(rep)
+    classes = conjugacy_classes(rep.group)
+    projs = _spectral_split(None, _conjugation_class_sums(rep, classes, rep.inverses()), count)
+    if projs is None:
+        raise ToleranceFailure("the class sums of the conjugation action failed to split")
+    return _sorted_idempotents(projs), multiplicity_free
+
+
+def _conjugation_count(rep):
+    """``(count, multiplicity_free)`` of :func:`conjugation_decomposition`,
+    from the class trace form alone: no class sum is built."""
     group = rep.group
     classes = conjugacy_classes(group)
-    invs = rep.inverses()
-    chi = np.einsum("gii->g", rep.matrices) * np.einsum("gii->g", invs)
+    chi = np.einsum("gii->g", rep.matrices) * np.einsum("gii->g", rep.inverses())
     # tr(K_j K_l) = |C_j| sum_{h in C_l} chi(r_j h), as chi is a class function
     heads, sizes = [c[0] for c in classes], np.array([len(c) for c in classes], dtype=float)
     form = chi[group.mult[heads]] @ np.eye(len(classes))[class_index_array(group)]
     form *= np.sqrt(sizes[:, None] / sizes)
     count = _rank(np.linalg.svd(form, compute_uv=False), RANK_TOL)
-    multiplicity_free = round_to_int(np.vdot(chi, chi).real / group.order,
-                                     what="<chi, chi>") == count
-    projs = _spectral_split(None, _conjugation_class_sums(rep, classes, invs), count)
-    if projs is None:
-        raise ToleranceFailure("the class sums of the conjugation action failed to split")
-    return _sorted_idempotents(projs), multiplicity_free
+    return count, round_to_int(np.vdot(chi, chi).real / group.order, what="<chi, chi>") == count
 
 
 def _conjugation_class_sums(rep, classes, invs):

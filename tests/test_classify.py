@@ -18,10 +18,11 @@ from invalg import (InfiniteLattice, MatrixSubspace, SubspaceOfV,
                     invariant_subspaces, is_induced_from, multfree_scan, nonunital_scan,
                     semisimplicity_certificate, theta, theta_lattice_check,
                     theta_transitivity_check, verify_classification, wedderburn_decompose)
-from invalg.classify import InductionDatum
+from invalg.classify import InductionDatum, _induction_route, _scan_route
 from invalg.factor import factor
 from invalg.groups import Transversal, build_from_mult_table, conjugacy_classes
-from invalg.reps import Representation
+from invalg.reps import Representation, _conjugation_count, is_irreducible
+from invalg.spaces import SpaceIndex
 
 from conftest import outer, relabelled_and_rotated
 
@@ -616,9 +617,58 @@ def _dihedral_std(n):
 
 
 def test_d250_at_the_order_cap():
-    """Order 500: only index 1 and 2 can carry a pair, and the order-250
-    subgroups' character tables are split in O(k^3)."""
+    """Order 500, at the cap: D250's conjugation action on End(V) is
+    multiplicity-free, so the list is read off one scan of V."""
     rep = _dihedral_std(250)
     out, complete = enumerate_invariant_subalgebras(rep)
     assert [b.space.dim for b in out] == [1, 2, 4] and complete
     assert verify_classification(out, rep).ok
+
+
+def _irreducible_catalog():
+    return [(f"{key}:{name}",) for key, entry in sorted(catalog.catalog().items())
+            for name, rep in sorted(entry.reps.items()) if is_irreducible(rep)]
+
+
+ORACLE_INPUTS = _irreducible_catalog() + [
+    ("S3:std", "C2xC2:pauli"), ("Q8:std", "S3:std"), ("S3:std",) * 3, ("S4:std3", "S3:std")]
+
+
+def _haar(d, seed):
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+@pytest.mark.parametrize("parts", ORACLE_INPUTS, ids="x".join)
+def test_the_scan_route_matches_the_induction_route(parts):
+    """On a multiplicity-free V the scan's list is the induction route's:
+    the same spaces with the same Wedderburn data, subgroup order and quad,
+    both complete and verified, also relabelled and Haar-rotated.  A
+    rotation alone keeps each entry's recorded subgroup."""
+    rep = outer(*parts)
+    if not _conjugation_count(rep)[1]:
+        assert parts == ("A4:std3",)  # End(V) holds A4's 3 twice
+        return
+    lists = []
+    for r in (rep, relabelled_and_rotated(rep, 11)):
+        scanned = _scan_route(r)
+        lists.append(scanned)
+        induced, complete = _induction_route(r)
+        assert scanned is not None and complete and len(scanned) == len(induced)
+        index = SpaceIndex([c.space for c in induced])
+        hits = [index.find(b.space) for b in scanned]
+        assert sorted(hits) == list(range(len(induced)))
+        for b, j in zip(scanned, hits):
+            c = induced[j]
+            assert (b.component_dims, b.multiplicities) == (c.component_dims, c.multiplicities)
+            assert b.induction_datum.quad == c.induction_datum.quad
+            assert b.induction_datum.pair.subgroup.order == c.induction_datum.pair.subgroup.order
+        assert verify_classification(scanned, r).ok and verify_classification(induced, r).ok
+    u = _haar(rep.dim, 12)
+    turned = _scan_route(dataclasses.replace(rep, matrices=u @ rep.matrices @ u.conj().T))
+    index = SpaceIndex([b.space for b in lists[0]])
+    for b in turned:
+        back = MatrixSubspace.from_spanning(u.conj().T @ b.space.basis() @ u, b.space.shape)
+        same = lists[0][index.find(back)].induction_datum.pair.subgroup
+        assert b.induction_datum.pair.subgroup.members == same.members

@@ -12,7 +12,10 @@ pairs form no character table at all: W is read off the commutant of the
 restriction.  Nor does ``ideals``: V's invariant subspaces are read off the
 commutant End_G(V).  The conjugation scan reads its isotypic components off
 the class sums of the action, so no CLI command (``validate``, ``ideals``,
-``subalgebras``, ``factor``) builds a character table.  The Lie layer is
+``subalgebras``, ``factor``) builds a character table.  ``subalgebras`` on a
+V whose conjugation action is multiplicity-free reads its whole list off one
+scan of V, forming no induction pair and solving no centralizer; any other
+V builds no class sum before it takes the induction route.  The Lie layer is
 exact integer arithmetic with no numpy, and a weight sweep computes each
 combined dimension once.
 """
@@ -36,6 +39,7 @@ from invalg import (HighestWeight, Parametrization, RootSystem, catalog,
 from invalg.cli import main
 from invalg.algebras import center, semisimplicity_certificate
 from invalg.catalog import pair_to_json
+from invalg.classify import _induction_route
 from invalg.factor import factor
 from invalg.groups import build_from_mult_table
 from invalg.reps import Representation
@@ -201,17 +205,76 @@ def _answer(subs, complete, rep):
             complete, verify_classification(subs, rep).violations)
 
 
-@pytest.mark.parametrize("key,rep_name", [("D12", None), ("A4", "std3"),
-                                          ("S4", "std3"), ("SL23", "std")])
-def test_subalgebras_run_no_scan_on_prime_dimensional_w(key, rep_name, monkeypatch):
+def _count(monkeypatch, name):
+    """Count the calls to every ``invalg`` module's ``name``."""
+    calls = []
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("invalg") and hasattr(mod, name):
+            def counted(*args, _inner=getattr(mod, name), **kwargs):
+                calls.append(name)
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("key,rep_name", [("D12", None), ("S4", "std3"), ("SL23", "std")])
+def test_subalgebras_of_a_multiplicity_free_v_run_one_scan_and_no_induction(
+        key, rep_name, monkeypatch):
+    """V's conjugation action is multiplicity-free, so the list is read off
+    one decomposition of it; no induction pair is formed."""
     before = _fresh(key, rep_name)
-    want_subs, want_complete = enumerate_invariant_subalgebras(before)
+    want_subs, want_complete = _induction_route(before)
     rep = _fresh(key, rep_name)
-    for name in ("multfree_scan", "conjugation_decomposition"):
+    _forbid(monkeypatch, "induction_pairs")
+    calls = _count(monkeypatch, "conjugation_decomposition")
+    subs, complete = enumerate_invariant_subalgebras(rep)
+    assert len(calls) == 1
+    assert _answer(subs, complete, rep) == _answer(want_subs, want_complete, before)
+    assert all(s.space.equals(t.space) for s, t in zip(subs, want_subs))
+
+
+def test_subalgebras_of_a4_build_no_class_sum_and_run_no_scan(monkeypatch):
+    """A4 std3 is not multiplicity-free (its 3 appears twice in End(V)): the
+    route decision reads the class trace form alone, and every W has
+    dimension 1 or 3, so the induction route runs no scan either."""
+    before = _fresh("A4", "std3")
+    want_subs, want_complete = _induction_route(before)
+    rep = _fresh("A4", "std3")
+    for name in ("_reach_table", "multfree_scan", "_conjugation_class_sums"):
         _forbid(monkeypatch, name)
     subs, complete = enumerate_invariant_subalgebras(rep)
     assert _answer(subs, complete, rep) == _answer(want_subs, want_complete, before)
     assert all(s.space.equals(t.space) for s, t in zip(subs, want_subs))
+
+
+@pytest.mark.parametrize("key", ["S3:std", "Q8:std", "D4:std", "S4:std3", "SL23:std",
+                                 "S3xS3:stdXstd"])
+def test_certified_subalgebras_solve_no_centralizer(key, tmp_path, monkeypatch):
+    """On a certified scan of V each entry's centralizer and center are read
+    off the masks: the ``subalgebras`` command, enumeration and verification
+    alike, calls no ``intertwiners``."""
+    calls = _count(monkeypatch, "intertwiners")
+    out = tmp_path / "out.json"
+    assert main(["subalgebras", f"catalog:{key}", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["complete"] and payload["verification"]["ok"]
+    assert calls == []
+
+
+@pytest.mark.parametrize("parts,solves", [(("S3:std",) * 3, 0),
+                                          (("S3:std", "C2xC2:pauli"), 1)],
+                         ids=["S3^3", "S3xPauli"])
+def test_certified_library_subalgebras_solve_no_centralizer(parts, solves, monkeypatch):
+    """The library call on S3^3 solves nothing either; projective S3 x Pauli
+    solves one commutant, ``is_irreducible``'s (a linear V uses its
+    character)."""
+    rep = outer(*parts)
+    calls = _count(monkeypatch, "intertwiners")
+    tests = _count(monkeypatch, "commutant_dimension")
+    subs, complete = enumerate_invariant_subalgebras(rep)
+    assert complete and verify_classification(subs, rep).ok
+    assert len(calls) == len(tests) == solves
 
 
 def test_factor_runs_no_scan_on_prime_dimensional_w(monkeypatch):

@@ -548,9 +548,10 @@ def test_verify_computes_each_block_permutation_once(monkeypatch):
 
 
 def test_verify_computes_each_centralizer_once(monkeypatch):
-    """Each entry's centralizer is solved once, by enumerate's closure check;
-    verify reads it, and its partner's, from the memo."""
-    _, rep = catalog.get("Q8", "std")
+    """On the induction route (A4 std3 is not multiplicity-free) each
+    entry's centralizer is solved once, by enumerate's closure check; verify
+    reads it, and its partner's, from the memo."""
+    _, rep = catalog.get("A4", "std3")
     solved = []
     original = invalg.algebras.intertwiners
 
