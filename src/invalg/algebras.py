@@ -205,6 +205,14 @@ def _all_idempotent(projs):
     return bool(np.all(row_norms(projs @ projs - projs) <= CERT_TOL))
 
 
+def _inverse_residual(v, w):
+    """``max(|wv - I|, |vw - I|) max(1, |v||w|)`` for a claimed inverse ``w``
+    of ``v``: the one residual :func:`_certified_projectors` bounds."""
+    res = max(np.linalg.norm(w @ v - np.eye(w.shape[0])),
+              np.linalg.norm(v @ w - np.eye(v.shape[0])))
+    return res * max(1.0, np.linalg.norm(v) * np.linalg.norm(w))
+
+
 def _certified_projectors(v, w, parts, cols=slice(None)):
     """Projectors ``v[:, ix] @ w[ix]`` (columns ``cols``) over ``parts``, a
     partition of the columns of ``v``; ``None`` unless ``max(|wv - I|, |vw -
@@ -212,30 +220,19 @@ def _certified_projectors(v, w, parts, cols=slice(None)):
     ``sum P - I = vw - I``, that one residual bounds every defect of a
     complete system of orthogonal idempotents: two products, not k^2.
     """
-    res = max(np.linalg.norm(w @ v - np.eye(w.shape[0])),
-              np.linalg.norm(v @ w - np.eye(v.shape[0])))
-    if res * max(1.0, np.linalg.norm(v) * np.linalg.norm(w)) > CERT_TOL:
+    if _inverse_residual(v, w) > CERT_TOL:
         return None
     return [v[:, ix] @ w[ix, cols] for ix in parts]
 
 
-def _spectral_split(space, basis, count, cols=slice(None)):
-    """Spectral projectors of a random element x of ``span(basis)``, or ``None``.
-
-    Eigenvalues cluster at ``IDEMPOTENT_GAP`` times the spectral radius.  A
-    draw is kept when its ``count`` cluster projectors are certified on the
-    eigenvectors (:func:`_certified_projectors`) and lie in ``space``, a
-    unital algebra holding x; after ``IDEMPOTENT_RETRIES`` rejected draws
-    (every call restarts the one stream seeded by ``_DRAW_SEED``) the result
-    is ``None``.  With ``space`` None the span must be commutative with
-    ``count`` primitive idempotents, which the clusters then are: instead of
-    membership, ``max_i |x v_i - l_i v_i| / |v_i|`` times ``|V| |V^-1|`` must
-    be at most ``CERT_TOL`` times the least gap between eigenvalues of
-    different clusters, and only the columns ``cols`` of each projector are
-    formed.
-    """
+def _draws(basis, count):
+    """Eigen-splits ``(x, vals, vecs, vinv, clusters)`` of random elements x
+    of ``span(basis)`` into ``count`` clusters at ``IDEMPOTENT_GAP`` times the
+    spectral radius, whose projectors :func:`_certified_projectors` accepts.
+    Every call restarts the one stream seeded by ``_DRAW_SEED`` and draws at
+    most ``IDEMPOTENT_RETRIES`` times."""
     rng = np.random.default_rng(_DRAW_SEED)
-    for attempt in range(IDEMPOTENT_RETRIES):
+    for _ in range(IDEMPOTENT_RETRIES):
         coeff = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
         x = np.tensordot(coeff, basis, axes=(0, 0))
         try:
@@ -244,20 +241,47 @@ def _spectral_split(space, basis, count, cols=slice(None)):
         except np.linalg.LinAlgError:
             continue
         clusters = cluster_complex(vals, IDEMPOTENT_GAP * max(1.0, float(np.max(np.abs(vals)))))
-        if len(clusters) != count:
-            continue
-        projs = _certified_projectors(vecs, vinv, clusters, cols)
-        if projs is None:
-            continue
-        if space is not None:
-            ok = space.contains_all(projs, CERT_TOL)
-        else:
-            gaps = np.abs(vals[:, None] - vals)
-            for ix in clusters:  # only gaps between clusters count
-                gaps[np.ix_(ix, ix)] = np.inf
-            resid = np.max(row_norms((x @ vecs - vecs * vals).T) / row_norms(vecs.T))
-            ok = resid * np.linalg.norm(vecs) * np.linalg.norm(vinv) <= CERT_TOL * gaps.min()
-        if ok:
+        if len(clusters) == count and _inverse_residual(vecs, vinv) <= CERT_TOL:
+            yield x, vals, vecs, vinv, clusters
+
+
+def _eigen_split(basis, count):
+    """``(vecs, vinv, clusters)`` of a random element x of ``span(basis)``, a
+    commutative span with ``count`` primitive idempotents, or ``None``.
+
+    The cluster projectors ``vecs[:, ix] @ vinv[ix]`` are those idempotents
+    once a draw of :func:`_draws` has ``max_i |x v_i - l_i v_i| / |v_i|``
+    times ``|V| |V^-1|`` at most ``CERT_TOL`` times the least gap between
+    eigenvalues of different clusters.
+    """
+    for x, vals, vecs, vinv, clusters in _draws(basis, count):
+        gaps = np.abs(vals[:, None] - vals)
+        for ix in clusters:  # only gaps between clusters count
+            gaps[np.ix_(ix, ix)] = np.inf
+        resid = np.max(row_norms((x @ vecs - vecs * vals).T) / row_norms(vecs.T))
+        if resid * np.linalg.norm(vecs) * np.linalg.norm(vinv) <= CERT_TOL * gaps.min():
+            return vecs, vinv, clusters
+    return None
+
+
+def _spectral_split(space, basis, count, cols=slice(None)):
+    """Spectral projectors of a random element x of ``span(basis)``, or ``None``.
+
+    A draw of :func:`_draws` is kept when its ``count`` cluster projectors
+    lie in ``space``, a unital algebra holding x.  With ``space`` None the
+    span must be commutative with ``count`` primitive idempotents, certified
+    by :func:`_eigen_split` instead of membership, and only the columns
+    ``cols`` of each projector are formed.
+    """
+    if space is None:
+        split = _eigen_split(basis, count)
+        if split is None:
+            return None
+        vecs, vinv, clusters = split
+        return [vecs[:, ix] @ vinv[ix, cols] for ix in clusters]
+    for _, _, vecs, vinv, clusters in _draws(basis, count):
+        projs = [vecs[:, ix] @ vinv[ix] for ix in clusters]
+        if space.contains_all(projs, CERT_TOL):
             return projs
     return None
 
@@ -389,7 +413,7 @@ def permutation_action(meta, rep, tol=EQ_TOL):
     if not np.array_equal(sigma[:, sigma], sigma[rep.group.mult]):
         raise AssertionFailure("idempotent permutations do not compose")
     # the permutations form an action, so the orbit of 0 is its column of images
-    return sigma, len(np.unique(sigma[:, 0])) == len(idems)
+    return sigma, bool(np.bincount(sigma[:, 0], minlength=len(idems)).all())
 
 
 def inertia_subgroup(meta, rep, i=0, tol=EQ_TOL):

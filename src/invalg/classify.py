@@ -203,16 +203,18 @@ def enumerate_invariant_subalgebras(v_rep, tol=RANK_TOL):
     subgroup order cap raise :class:`.CapExceeded` on either route.
     """
     _subgroup_cap(v_rep.group)
-    if _conjugation_count(v_rep)[1]:
-        out = _scan_route(v_rep, tol)
+    counted = _conjugation_count(v_rep)
+    if counted[1]:
+        out = _scan_route(v_rep, tol, counted)
         if out is not None:
             return out, True
     return _induction_route(v_rep, tol)
 
 
-def _scan_route(v_rep, tol=RANK_TOL):
+def _scan_route(v_rep, tol=RANK_TOL, counted=None):
     """The list read off a multiplicity-free scan of V, or ``None`` unless
-    its mask lattice certifies itself.
+    its mask lattice certifies itself; ``counted`` is V's
+    :func:`.reps._conjugation_count` when the caller holds it.
 
     Each unital closed sum S of :func:`.factor._isotypic_table` has the
     centralizer mask S' (:func:`.factor._unital_masks`), which must again be
@@ -225,7 +227,7 @@ def _scan_route(v_rep, tol=RANK_TOL):
     """
     if not is_irreducible(v_rep):
         raise ValueError("invariant subalgebras are classified for irreducible input")
-    table = _isotypic_table(v_rep, tol)
+    table = _isotypic_table(v_rep, tol, counted)
     partners = _unital_masks(table)
     if any(partners.get(partner) != mask for mask, partner in partners.items()):
         return None

@@ -10,8 +10,12 @@ rearrangement and splits by SVD.
 
 The scan over sums of isotypic components of the conjugation action reads
 closure off one table of the components each product of two components
-reaches.  A nonzero closed sum is a largest closed proper subsum plus one
-component, closed, so a sweep lists them all at m closures each, not 2^m.
+reaches.  The components come from one eigen-split of the action's class
+sums, each an orthonormalized cluster of eigenvectors, and one inverse of
+their stacked bases gives every product's coordinates: its part in a
+component is its block of them.  A nonzero closed sum is a largest closed
+proper subsum plus one component, closed, so a sweep lists them all at m
+closures each, not 2^m.
 It is certified complete exactly when that action is multiplicity-free;
 otherwise generated-algebra closures are added as uncertified candidates.
 On a certified scan every invariant subspace is a sum of components, so the
@@ -34,8 +38,8 @@ from ._linalg import (CERT_TOL, PART_SCALE, RANK_TOL, ZERO_TRACE, _rank,
 from .algebras import (_spectral_split, center, centralizer,
                        semisimplicity_certificate)
 from .errors import AssertionFailure, FactorRecoveryFailure, NotCentralSimple
-from .reps import (Representation, _as_projective_rep, _normalize_projective,
-                   _pair_blocks, conjugation_decomposition)
+from .reps import (Representation, _as_projective_rep, _conjugation_count,
+                   _conjugation_split, _normalize_projective, _pair_blocks)
 from .spaces import MatrixSubspace, SpaceIndex, generated_algebra
 
 
@@ -85,38 +89,48 @@ def _mask(flags):
     return sum(1 << k for k in np.flatnonzero(flags).tolist())
 
 
-def _reach_table(spaces, projs, tol):
-    """``(reach, commute)`` over the components C_i spanned by ``spaces``.
+def _part_norms(flat, coords, starts):
+    """Norm of each row of ``flat``'s part in each component: rows ``i`` and
+    columns ``k`` for the components whose orthonormal basis rows stack to
+    the inverse of ``coords``, starting at rows ``starts``."""
+    c = flat @ coords  # a flat x is (x @ coords) @ stacked
+    return np.sqrt(np.add.reduceat((c * c.conj()).real, starts, axis=1))
+
+
+def _reach_table(bases, coords, tol):
+    """``(reach, commute)`` over the components C_i with orthonormal basis
+    rows ``bases[i]`` (flattened matrices), where ``coords`` inverts their
+    stack.
 
     ``reach[i][j]`` is the bitmask of the components ``C_i C_j`` has a part
-    in, by the isotypic projectors ``projs`` (which split along them even
-    when not orthogonal); ``commute[i]`` is the bitmask of the C_k each of
-    whose basis matrices commutes with each of C_i's.  Both are read off the
-    products of C_i's basis with the stacked bases of all components, a
-    bounded block of products at a time.
+    in: a product's part in C_k is its k-th block of coordinates, with the
+    same norm, as C_k's rows are orthonormal.  ``commute[i]`` is the bitmask
+    of the C_k each of whose basis matrices commutes with each of C_i's.
+    Both are read off the products of C_i's basis with the stacked bases of
+    all components, a bounded block of products at a time.
     """
-    m, ww = len(spaces), spaces[0].flat.shape[1]
-    projs = np.stack(projs).reshape(m * ww, ww)
-    stacked = np.concatenate([sp.basis() for sp in spaces])
-    starts = np.cumsum([0] + [sp.dim for sp in spaces[:-1]])
+    stacked = np.concatenate(bases)
+    ww = stacked.shape[1]
+    w = math.isqrt(ww)
+    mats = stacked.reshape(-1, w, w)
+    starts = np.cumsum([0] + [len(b) for b in bases[:-1]])
     cut = tol * PART_SCALE
     reach, commute = [], []
-    for sp in spaces:
-        basis = sp.basis()
-        prods = (basis[:, None] @ stacked[None]).reshape(-1, ww)
-        hit = np.empty((m, len(prods)), dtype=bool)
-        moved = np.empty(len(prods), dtype=bool)
-        for cols in _pair_blocks(len(prods), m * ww):
-            parts = np.linalg.norm((projs @ prods[cols].T).reshape(m, ww, -1), axis=1)
-            hit[:, cols] = parts > cut * np.linalg.norm(prods[cols], axis=1)
-            # product a * len(stacked) + j is basis[a] @ stacked[j]
-            a, j = np.divmod(np.arange(cols.start, cols.stop), len(stacked))
-            flipped = (stacked[j] @ basis[a]).reshape(-1, ww)
-            moved[cols] = row_norms(prods[cols] - flipped) > cut
-        # [k, j]: some product of C_i with C_j has a part in C_k
-        hit = np.logical_or.reduceat(hit.reshape(m, sp.dim, -1).any(axis=1), starts, axis=1)
-        reach.append([_mask(col) for col in hit.T])
-        moved = np.logical_or.reduceat(moved.reshape(sp.dim, -1).any(axis=0), starts)
+    for start, basis in zip(starts, bases):
+        k = len(basis)
+        hit = np.empty((k * ww, len(bases)), dtype=bool)
+        moved = np.empty(k * ww, dtype=bool)
+        for rows in _pair_blocks(k * ww, ww):
+            # product a * ww + j is basis[a] @ mats[j]
+            a, j = np.divmod(np.arange(rows.start, rows.stop), ww)
+            left, right = mats[start + a], mats[j]
+            prods = (left @ right).reshape(-1, ww)
+            hit[rows] = _part_norms(prods, coords, starts) > cut * row_norms(prods)[:, None]
+            moved[rows] = row_norms(prods - (right @ left).reshape(-1, ww)) > cut
+        # [j, k]: some product of C_i with C_j has a part in C_k
+        hit = np.logical_or.reduceat(hit.reshape(k, ww, -1).any(axis=0), starts, axis=0)
+        reach.append([_mask(row) for row in hit])
+        moved = np.logical_or.reduceat(moved.reshape(k, ww).any(axis=0), starts)
         commute.append(_mask(~moved))
     return reach, commute
 
@@ -127,7 +141,7 @@ class _Isotypic(NamedTuple):
     spaces: list      # component C_i, as a space
     reach: list       # reach[i][j]: mask of the components C_i C_j has a part in
     commute: list     # commute[i]: mask of the components commuting with C_i
-    scalar: int       # the component whose projector fixes I
+    scalar: int       # the component holding I
     certified: bool   # every multiplicity is at most one
 
     def sum_space(self, mask, tol):
@@ -146,14 +160,24 @@ class _Isotypic(NamedTuple):
         return out
 
 
-def _isotypic_table(rep, tol):
-    """The isotypic components of ``rep``'s conjugation action and their tables."""
-    projs, certified = conjugation_decomposition(rep)
+def _isotypic_table(rep, tol, counted=None):
+    """The isotypic components of ``rep``'s conjugation action and their tables.
+
+    ``counted`` is ``rep``'s :func:`.reps._conjugation_count` when the caller
+    holds it.  Each component's orthonormal basis is a thin QR of its
+    cluster's eigenvectors in the split (:func:`.reps._conjugation_split`),
+    and one inverse of their stack gives every coordinate the tables read.
+    The scalar component holds the coordinates of I.
+    """
+    count, certified = counted or _conjugation_count(rep)
+    vecs, _, clusters = _conjugation_split(rep, count)
     w = rep.dim
-    spaces = [MatrixSubspace(column_space(p, tol).T, (w, w)) for p in projs]
-    eye = np.eye(w).ravel()
-    scalar = int(np.argmin([np.linalg.norm(p @ eye - eye) for p in projs]))
-    return _Isotypic(spaces, *_reach_table(spaces, projs, tol), scalar, certified)
+    bases = [np.linalg.qr(vecs[:, ix])[0].T for ix in clusters]
+    coords = np.linalg.inv(np.concatenate(bases))
+    starts = np.cumsum([0] + [len(b) for b in bases[:-1]])
+    scalar = int(np.argmax(_part_norms(np.eye(w).reshape(1, -1), coords, starts)))
+    spaces = [MatrixSubspace(b, (w, w)) for b in bases]
+    return _Isotypic(spaces, *_reach_table(bases, coords, tol), scalar, certified)
 
 
 def _closed_sums(table, tol):

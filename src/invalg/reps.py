@@ -9,6 +9,12 @@ The irreducible character table of a group is read off its class algebra
 structure constants, and the central characters ``|C| chi / chi(1)`` are the
 common eigenvectors of the k x k matrices of that multiplication, found as
 the spectral projectors of a generic element of their span.
+
+The conjugation action ``X -> rho(g) X rho(g)^-1`` on End(V) is split the
+same way, on its own class sums: one certified eigen-split gives the
+eigenvectors whose clusters span its isotypic components, which the scan of
+:mod:`.factor` reads directly, and from which the projectors are formed
+only on request (:func:`conjugation_decomposition`).
 """
 
 from dataclasses import dataclass
@@ -18,7 +24,8 @@ import numpy as np
 from ._linalg import (CERT_TOL, INT_TOL, RANK_TOL, ZERO_DET, _rank, intertwiners,
                       kron_stack, round_to_gaussian_int, round_to_int,
                       row_norms, scalar_multiple_of_identity)
-from .algebras import _sorted_idempotents, _spectral_split, _wedderburn_data, center
+from .algebras import (_eigen_split, _sorted_idempotents, _spectral_split,
+                       _wedderburn_data, center)
 from .errors import (AssertionFailure, FactorRecoveryFailure, NotAnAutomorphism,
                      NotARepresentation, ToleranceFailure)
 from .groups import (FiniteGroup, class_index_array, conjugacy_classes,
@@ -423,25 +430,42 @@ def conjugation_decomposition(rep):
     rho(g) X rho(g)^-1`` on row-major flattened matrices, sorted by
     :func:`_sorted_idempotents`, and whether every multiplicity is one.
 
-    The action's class sums span the image of Z(C[G]), a commutative
-    semisimple algebra whose primitive idempotents are the projectors, so
-    one spectral split of the span finds them.  Their count is the rank of
-    the class trace form ``tr(K_j K_l) / sqrt(|C_j| |C_l|)`` (singular values
-    ``m_i |G| / d_i``), read off ``chi(g) = tr rho(g) tr rho(g)^-1`` and the
-    group table; the cocycle cancels, and ``<chi, chi> = sum m_i^2``.
+    The projectors are the cluster projectors of :func:`_conjugation_split`.
     Raises :class:`ToleranceFailure` when the split fails.
     """
     count, multiplicity_free = _conjugation_count(rep)
+    vecs, vinv, clusters = _conjugation_split(rep, count)
+    return _sorted_idempotents([vecs[:, ix] @ vinv[ix] for ix in clusters]), multiplicity_free
+
+
+def _conjugation_split(rep, count):
+    """``(vecs, vinv, clusters)``: one certified eigen-split
+    (:func:`.algebras._eigen_split`) of the conjugation action, whose
+    clusters' eigenvector columns span its ``count`` isotypic components.
+
+    The action's class sums span the image of Z(C[G]), a commutative
+    semisimple algebra whose primitive idempotents are the isotypic
+    projectors, so one split of the span finds them all.  ``count`` is the
+    rank of the class trace form (:func:`_conjugation_count`).  The class
+    sums are freed on return.  Raises :class:`ToleranceFailure` when the
+    split fails.
+    """
     classes = conjugacy_classes(rep.group)
-    projs = _spectral_split(None, _conjugation_class_sums(rep, classes, rep.inverses()), count)
-    if projs is None:
+    split = _eigen_split(_conjugation_class_sums(rep, classes, rep.inverses()), count)
+    if split is None:
         raise ToleranceFailure("the class sums of the conjugation action failed to split")
-    return _sorted_idempotents(projs), multiplicity_free
+    return split
 
 
 def _conjugation_count(rep):
     """``(count, multiplicity_free)`` of :func:`conjugation_decomposition`,
-    from the class trace form alone: no class sum is built."""
+    from the class trace form alone: no class sum is built.
+
+    The count of isotypic components is the rank of the class trace form
+    ``tr(K_j K_l) / sqrt(|C_j| |C_l|)`` (singular values ``m_i |G| / d_i``),
+    read off ``chi(g) = tr rho(g) tr rho(g)^-1`` and the group table; the
+    cocycle cancels, and ``<chi, chi> = sum m_i^2``.
+    """
     group = rep.group
     classes = conjugacy_classes(group)
     chi = np.einsum("gii->g", rep.matrices) * np.einsum("gii->g", rep.inverses())
@@ -456,8 +480,7 @@ def _conjugation_count(rep):
 def _conjugation_class_sums(rep, classes, invs):
     """The class sums ``K_j`` of ``rho(g) kron rho(g)^-T`` (``invs[g]`` is
     ``rho(g)^-1``), each summed a block of elements at a time, so no n d^4
-    array is formed.  Only the split holds them, so they are freed before
-    its projectors are sorted."""
+    array is formed.  Only the split holds them."""
     dd = rep.dim ** 2
     sums = np.zeros((len(classes), dd, dd), dtype=complex)
     for j, members in enumerate(classes):

@@ -43,6 +43,40 @@ def test_build_rejects_non_associative():
         build_from_mult_table(table)
 
 
+def _cyclic_table(n):
+    a = np.arange(n)
+    return (a[:, None] + a) % n
+
+
+def test_build_rejects_a_swapped_intercalate_past_order_256():
+    """Z_300 with the intercalate at rows a, a + 150 and columns c, c + 150
+    swapped: still a latin square with identity 0 and the same inverses
+    (a + c is neither 0 nor 150), but not associative.  Every order gets the
+    proof on the generators, so the witness (a, b, s) has s a generator and
+    (a b) s != a (b s)."""
+    table = _cyclic_table(300)
+    a, c = 7, 20
+    rows, cols = np.ix_([a, a + 150], [c, c + 150])
+    table[rows, cols] = table[rows, cols][:, ::-1]
+    assert all(sorted(row) == list(range(300)) for row in np.vstack([table, table.T]))
+    with pytest.raises(NotAGroup, match="associativity fails") as exc:
+        build_from_mult_table(table)
+    x, y, s = exc.value.witness
+    assert s in build_from_mult_table(_cyclic_table(300)).generators
+    assert table[table[x, y], s] != table[x, table[y, s]]
+
+
+def test_build_dihedral_of_order_300():
+    """D_150: r^i s^e as i + 150 e, with (r^i s^e)(r^j s^f) = r^(i + (-1)^e j) s^(e + f)."""
+    n = 150
+    i, e = np.arange(2 * n) % n, np.arange(2 * n) // n
+    table = (i[:, None] + (1 - 2 * e[:, None]) * i) % n + n * ((e[:, None] + e) % 2)
+    g = build_from_mult_table(table)
+    assert g.order == 300 and g.identity == 0
+    assert np.array_equal(g.mult[np.arange(300), g.inv], np.zeros(300))
+    assert len(conjugacy_classes(g)) == (n + 6) // 2
+
+
 @pytest.mark.parametrize("table", [
     [[0, 1.7], [1, 0.2]], [[0.0, 1.0], [1.0, 0.0]], np.array([[0.0, 1.0], [1.0, 0.0]]),
     [[False, True], [True, False]], np.eye(2, dtype=bool)])

@@ -7,6 +7,9 @@ exempt.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,3 +58,26 @@ def test_the_check_guards_the_character_route_of_induction_pairs():
     assert unused_imports(source) == sorted([
         "character", "character_table", "class_index_array", "conjugacy_classes",
         "inner_product", "is_induced_from"])
+
+
+def test_set_up_and_commands_leave_numpy_ma_unloaded():
+    """``np.unique`` imports ``numpy.ma``, which costs every process about a
+    megabyte of RSS.  Building the catalog (whose groups compute their
+    generators) loads no ``numpy.ma``, and neither do the four commands on a
+    linear and a projective input."""
+    code = "\n".join([
+        "import io, sys, contextlib",
+        "import invalg.cli",
+        "from invalg import catalog",
+        "catalog.catalog()",
+        "print('numpy.ma' in sys.modules)",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    for cmd in ('validate', 'ideals', 'subalgebras', 'factor'):",
+        "        for key in ('S3xS3:stdXstd', 'C2xC2:pauli', 'A4:std3'):",
+        "            invalg.cli.main([cmd, 'catalog:' + key])",
+        "print('numpy.ma' in sys.modules)"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.split() == ["False", "False"]

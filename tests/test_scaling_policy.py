@@ -222,14 +222,16 @@ def _count(monkeypatch, name):
 def test_subalgebras_of_a_multiplicity_free_v_run_one_scan_and_no_induction(
         key, rep_name, monkeypatch):
     """V's conjugation action is multiplicity-free, so the list is read off
-    one decomposition of it; no induction pair is formed."""
+    one split of it; no induction pair is formed.  The route decision's
+    count of components is handed to the scan, not recomputed."""
     before = _fresh(key, rep_name)
     want_subs, want_complete = _induction_route(before)
     rep = _fresh(key, rep_name)
     _forbid(monkeypatch, "induction_pairs")
-    calls = _count(monkeypatch, "conjugation_decomposition")
+    splits = _count(monkeypatch, "_conjugation_split")
+    counts = _count(monkeypatch, "_conjugation_count")
     subs, complete = enumerate_invariant_subalgebras(rep)
-    assert len(calls) == 1
+    assert len(splits) == len(counts) == 1
     assert _answer(subs, complete, rep) == _answer(want_subs, want_complete, before)
     assert all(s.space.equals(t.space) for s, t in zip(subs, want_subs))
 
@@ -260,6 +262,28 @@ def test_certified_subalgebras_solve_no_centralizer(key, tmp_path, monkeypatch):
     payload = json.loads(out.read_text())
     assert payload["complete"] and payload["verification"]["ok"]
     assert calls == []
+
+
+@pytest.mark.parametrize("command,key", [
+    ("subalgebras", "S3:std"), ("subalgebras", "Q8:std"), ("subalgebras", "S3xS3:stdXstd"),
+    ("factor", "S3xS3:stdXstd"), ("factor", "S3xPauli")])
+def test_certified_scans_form_no_projector_stack(command, key, tmp_path, monkeypatch):
+    """A certified scan reads its tables off the split's eigenvectors: the
+    command runs one split of the class sums and forms no isotypic
+    projector (``conjugation_decomposition``)."""
+    if key == "S3xPauli":
+        rep = outer("S3:std", "C2xC2:pauli")
+        source = tmp_path / "input.json"
+        source.write_text(json.dumps(pair_to_json(rep.group, rep)))
+    else:
+        source = f"catalog:{key}"
+    _forbid(monkeypatch, "conjugation_decomposition")
+    splits = _count(monkeypatch, "_conjugation_split")
+    out = tmp_path / "out.json"
+    assert main([command, str(source), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload.get("complete", payload.get("certified")) is True
+    assert len(splits) == 1
 
 
 @pytest.mark.parametrize("parts,solves", [(("S3:std",) * 3, 0),

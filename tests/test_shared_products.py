@@ -21,7 +21,7 @@ import invalg.factor
 import invalg.reps
 from invalg import (NotARepresentation, Representation, TwoCocycle, catalog,
                     validate)
-from invalg._linalg import column_space, row_norms, scalar_multiple_of_identity
+from invalg._linalg import row_norms, scalar_multiple_of_identity
 from invalg.algebras import center, centralizer
 from invalg.catalog import pair_to_json
 from invalg.cli import main
@@ -283,10 +283,16 @@ def _reach_loop(spaces, projs, tol):
 
 
 def _components(rep, tol=1e-8):
-    """The spaces and projectors ``multfree_scan`` builds its table from."""
-    projs, _ = conjugation_decomposition(rep)
-    spaces = [MatrixSubspace(column_space(p, tol).T, (rep.dim, rep.dim)) for p in projs]
-    return spaces, projs
+    """The scan's table, its component bases, the inverse of their stack, and
+    the projectors along the components (the oracle's input)."""
+    table = invalg.factor._isotypic_table(rep, tol)
+    bases = [sp.flat for sp in table.spaces]
+    stacked = np.concatenate(bases)
+    coords = np.linalg.inv(stacked)
+    starts = np.cumsum([0] + [len(b) for b in bases])
+    # x = (x @ coords) @ stacked, so the part in C_k is x @ coords[:, k] @ stacked[k]
+    projs = [(coords[:, i:j] @ stacked[i:j]).T for i, j in zip(starts, starts[1:])]
+    return table, bases, coords, projs
 
 
 def _reach_inputs():
@@ -301,28 +307,43 @@ def _rep(name):
     return catalog.get(*name.split(":"))[1]
 
 
+def _check_against_the_pair_loop(rep, monkeypatch, blocks):
+    """The table's reach and commute tables equal the pair loop's on the
+    same components, also at each of ``blocks`` entries a block; the
+    components' projectors are the class-sum split's, and the scalar one
+    fixes I."""
+    table, bases, coords, projs = _components(rep)
+    want = _reach_loop(table.spaces, projs, 1e-8)
+    assert (table.reach, table.commute) == want
+    split, _ = conjugation_decomposition(rep)
+    assert len(split) == len(projs)
+    for p in projs:
+        assert min(np.max(np.abs(p - q)) for q in split) < 1e-10
+    eye = np.eye(rep.dim).ravel()
+    assert np.linalg.norm(projs[table.scalar] @ eye - eye) < 1e-10
+    for block in blocks:
+        monkeypatch.setattr(invalg.reps, "_PAIR_BLOCK", block)
+        assert _reach_table(bases, coords, 1e-8) == want
+    return want
+
+
 @pytest.mark.parametrize("name", _reach_inputs())
 def test_row_batched_reach_matches_the_pair_loop(name, monkeypatch):
-    """The reach and commute tables, read off the row products in blocks, are
-    the pair loop's, also at one product a block."""
-    spaces, projs = _components(_rep(name))
-    want = _reach_loop(spaces, projs, 1e-8)
-    assert _reach_table(spaces, projs, 1e-8) == want
-    monkeypatch.setattr(invalg.reps, "_PAIR_BLOCK", 1)  # one product a block
-    assert _reach_table(spaces, projs, 1e-8) == want
+    """The reach and commute tables, read off the coordinates of the row
+    products in blocks, are the pair loop's, also at one product a block."""
+    _check_against_the_pair_loop(_rep(name), monkeypatch, [1])
 
 
 def test_row_batched_reach_on_pauli_cubed(monkeypatch):
-    """m = 64 one-dimensional components: 4096 pairs.  The commuting pairs
-    are those of Pauli strings: the identity commutes with all 64, each
-    other string with 32."""
-    spaces, projs = _components(outer(*["C2xC2:pauli"] * 3))
-    assert len(spaces) == 64
-    want = _reach_loop(spaces, projs, 1e-8)
-    assert _reach_table(spaces, projs, 1e-8) == want
-    assert sum(bin(row).count("1") for row in want[1]) == 64 + 63 * 32
-    monkeypatch.setattr(invalg.reps, "_PAIR_BLOCK", 5 * 64 * 64)  # 5 products a block
-    assert _reach_table(spaces, projs, 1e-8) == want
+    """m = 64 one-dimensional components: 4096 pairs, and masks that set bit
+    63.  The commuting pairs are those of Pauli strings: the identity
+    commutes with all 64, each other string with 32."""
+    reach, commute = _check_against_the_pair_loop(
+        outer(*["C2xC2:pauli"] * 3), monkeypatch, [1, 5 * 64])  # 1 and 5 products a block
+    assert len(commute) == 64
+    assert sum(bin(row).count("1") for row in commute) == 64 + 63 * 32
+    assert any(mask >> 63 for row in reach for mask in row)
+    assert any(row >> 63 for row in commute)
 
 
 # -- centralizers solved once ---------------------------------------------------------

@@ -338,7 +338,7 @@ def test_a_split_with_no_space_accepts_repeated_eigenvalues():
 
 def test_conjugation_decomposition_raises_when_the_split_fails(monkeypatch):
     _, rep = catalog.get("S3", "std")
-    monkeypatch.setattr(invalg.reps, "_spectral_split", lambda *args: None)
+    monkeypatch.setattr(invalg.reps, "_eigen_split", lambda *args: None)
     with pytest.raises(ToleranceFailure, match="failed to split"):
         conjugation_decomposition(rep)
 
